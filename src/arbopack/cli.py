@@ -57,6 +57,41 @@ def _load_undirected(path: str):
     return inst, extras
 
 
+def _read_trees(text: str, key: str) -> tuple:
+    """Trees of a packing file: a result document or its bare payload.
+
+    ``key`` names each tree's id list ("arcs" or "edges").  Anything
+    malformed raises ParseError with the JSON path at fault.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError("$", "invalid JSON: %s" % exc) from exc
+    if not isinstance(doc, dict):
+        raise ParseError("$", "top level must be an object")
+    payload = doc.get("payload", doc)
+    if not isinstance(payload, dict):
+        raise ParseError("payload", "must be an object")
+    trees = payload.get("trees")
+    if trees is None:
+        raise ParseError("payload.trees", "no packing payload found")
+    if not isinstance(trees, list):
+        raise ParseError("payload.trees", "must be a list")
+    out = []
+    for i, t in enumerate(trees):
+        path = "payload.trees[%d]" % i
+        if not isinstance(t, dict):
+            raise ParseError(path, "must be an object")
+        for field in ("root_element", "root_vertex"):
+            if not isinstance(t.get(field), str):
+                raise ParseError("%s.%s" % (path, field), "must be a string")
+        ids = t.get(key)
+        if not isinstance(ids, list) or not all(isinstance(a, str) for a in ids):
+            raise ParseError("%s.%s" % (path, key), "must be a list of ids")
+        out.append(packing.Tree(t["root_element"], t["root_vertex"], frozenset(ids)))
+    return tuple(out)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="arbopack",
@@ -221,20 +256,11 @@ def _dispatch(args, argv, engine) -> int:
 
     if args.cmd == "verify":
         inst, _ = instances.parse_instance(_read(args.instance))
-        doc = json.loads(_read(args.packing))
-        payload = doc.get("payload", doc)
-        trees = payload.get("trees")
-        if trees is None:
-            raise ParseError("payload.trees", "no packing payload found")
         if isinstance(inst, RootedDigraph):
-            pk = packing.Packing(tuple(
-                packing.Tree(t["root_element"], t["root_vertex"],
-                             frozenset(t["arcs"])) for t in trees))
+            pk = packing.Packing(_read_trees(_read(args.packing), "arcs"))
             failure = packing.verify_packing(inst, pk)
         else:
-            pk = orientation.TreePacking(tuple(
-                packing.Tree(t["root_element"], t["root_vertex"],
-                             frozenset(t["edges"])) for t in trees))
+            pk = orientation.TreePacking(_read_trees(_read(args.packing), "edges"))
             failure = orientation.verify_tree_packing(inst, pk)
         if failure is None:
             _emit(_result("ok", {"kind": "ok"}, argv))

@@ -70,20 +70,46 @@ def check_independent_placement(inst) -> Certificate:
     return _OK_CERT
 
 
-def deficiency_objective(inst: RootedDigraph) -> sfm.SubmodularObjective:
-    """def(X) over vertex indices, family = nonempty sets."""
+def deficiency_objective(inst: RootedDigraph,
+                         weights: Optional[dict] = None) -> sfm.SubmodularObjective:
+    """def(X) over vertex indices, family = nonempty sets.
+
+    With ``weights`` (arc id -> weight) the in-degree becomes the weight
+    entering X, which is the objective of cut separation.  Each vertex
+    carries the bit mask of the root elements placed at it, twins mapped
+    to their root element (``Matroid.twin_map``), so S_X is an OR of
+    masks and its rank is read from a cache keyed by that int, which asks
+    the root oracle only on a miss.
+    """
     verts = inst.vertices
-    m = inst.matroid
-    k = m.full_rank()
-    arcs = [(verts.index(t), verts.index(h)) for _, t, h in inst.arcs]
-    at = [inst.elements_at(v) for v in verts]
+    pos = {v: i for i, v in enumerate(verts)}
+    root, twins = inst.matroid.twin_map()
+    ground = root.ground
+    bit = {e: 1 << j for j, e in enumerate(ground)}
+    at = [0] * len(verts)
+    for e, v in inst.roots:
+        at[pos[v]] |= bit[twins.get(e, e)]
+    entering: list = [[] for _ in verts]
+    for a, t, h in inst.arcs:
+        entering[pos[h]].append((1 << pos[t], 1 if weights is None else weights[a]))
+    k = root.full_rank()
+    ranks: dict[int, int] = {}
 
     def evaluate(X: frozenset):
-        rho = sum(1 for t, h in arcs if h in X and t not in X)
-        sx: frozenset = frozenset()
+        xmask = smask = 0
         for i in X:
-            sx |= at[i]
-        return rho + m.rank(sx) - k
+            xmask |= 1 << i
+            smask |= at[i]
+        w = 0
+        for i in X:
+            for tail, wa in entering[i]:
+                if not xmask & tail:
+                    w += wa
+        r = ranks.get(smask)
+        if r is None:
+            r = ranks[smask] = root.rank(
+                [e for j, e in enumerate(ground) if smask >> j & 1])
+        return w + r - k
 
     return sfm.SubmodularObjective(len(verts), evaluate, ("nonempty",))
 

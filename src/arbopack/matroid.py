@@ -1,10 +1,14 @@
 """Matroid rank oracles.
 
 Six concrete families (free, uniform, partition, graphic, linear over a
-prime field, explicit-by-bases) plus two derived constructions layered on
-top of any oracle: parallel extension and truncation.  Oracles are
-immutable after construction; rank queries are memoized per oracle on a
-canonical frozenset key.
+prime field, explicit-by-bases) plus two derived constructions over any
+oracle: parallel extension and truncation.  Parallel extensions stay
+flat: extending an extension yields one ``ParallelExtension`` over the
+same root oracle, whose twin map sends every added element, a twin of a
+twin included, straight to its root element, so a rank query costs one
+call into the root oracle however many extensions were stacked.  Oracles
+are immutable after construction; rank queries are memoized per oracle on
+a canonical frozenset key.
 """
 
 from __future__ import annotations
@@ -66,6 +70,15 @@ class Matroid:
 
     # -- derived constructions -------------------------------------------
 
+    def twin_map(self) -> tuple["Matroid", dict[str, str]]:
+        """(root oracle, twin -> root element).
+
+        The rank of Q is the root oracle's rank of Q with every twin
+        replaced by its root element; an oracle that is no parallel
+        extension is its own root and has no twins.
+        """
+        return self, {}
+
     def extend_parallel(self, s: str, new_id: str | None = None) -> tuple["Matroid", str]:
         """Add a fresh element parallel to ``s``; returns (new oracle, new id)."""
         if s not in self._ground_set:
@@ -78,7 +91,8 @@ class Matroid:
                 new_id += "'"
         elif new_id in self._ground_set:
             raise MatroidError("new element id %r already in ground set" % new_id)
-        return ParallelExtension(self, s, new_id), new_id
+        root, twins = self.twin_map()
+        return ParallelExtension(root, {**twins, new_id: twins.get(s, s)}), new_id
 
     def truncate(self, b: int) -> "Matroid":
         if b < 0:
@@ -87,18 +101,19 @@ class Matroid:
 
 
 class ParallelExtension(Matroid):
-    """Derivation layer: rank queries rewrite the new element to its twin."""
+    """Root oracle plus twins: rank queries rewrite each twin to its root element."""
 
-    def __init__(self, base: Matroid, twin: str, new_id: str):
-        self.base = base
-        self.twin = twin
-        self.new_id = new_id
-        super().__init__(base.ground + (new_id,))
+    def __init__(self, root: Matroid, twins: dict[str, str]):
+        self.root = root
+        self.twins = twins
+        super().__init__(root.ground + tuple(twins))
+
+    def twin_map(self) -> tuple[Matroid, dict[str, str]]:
+        return self.root, self.twins
 
     def _rank(self, q: frozenset) -> int:
-        if self.new_id in q:
-            q = (q - {self.new_id}) | {self.twin}
-        return self.base.rank(q)
+        twins = self.twins
+        return self.root.rank({twins.get(e, e) for e in q})
 
 
 class Truncation(Matroid):

@@ -17,7 +17,12 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import sfm
-from .connectivity import Certificate, check_independent_placement, check_m_connected
+from .connectivity import (
+    Certificate,
+    check_independent_placement,
+    check_m_connected,
+    deficiency_objective,
+)
 from .graphs import RootedDigraph
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from .packing import Packing, TheoremViolation, find_packing
@@ -88,23 +93,10 @@ def separate(inst: RootedDigraph, x: RationalVector,
         return PolytopeConstraint("mass-equality", rhs=mass_rhs(inst))
 
     verts = inst.vertices
-    k = inst.matroid.full_rank()
-    arcs = [(a, verts.index(t), verts.index(h)) for a, t, h in inst.arcs]
-    at = [inst.elements_at(v) for v in verts]
-
-    def evaluate(X: frozenset):
-        flow = sum(x.entries[a] for a, t, h in arcs if h in X and t not in X)
-        sx: frozenset = frozenset()
-        for i in X:
-            sx |= at[i]
-        return flow + inst.matroid.rank(sx) - k
-
-    res = sfm.minimize(
-        sfm.SubmodularObjective(len(verts), evaluate, ("nonempty",)),
-        engine=engine)
+    res = sfm.minimize(deficiency_objective(inst, x.entries), engine=engine)
     if res.value < 0:
         xset = frozenset(verts[i] for i in res.minimizer)
-        rhs = k - inst.matroid.rank(inst.elements_in(xset))
+        rhs = inst.matroid.full_rank() - inst.matroid.rank(inst.elements_in(xset))
         return PolytopeConstraint("cut", vertex_set=xset, rhs=rhs)
     return None
 

@@ -45,7 +45,6 @@ class SubmodularObjective:
 class SfmResult:
     minimizer: frozenset
     value: object
-    canonical: bool = True
 
 
 def _family_pins(obj: SubmodularObjective) -> tuple[frozenset, frozenset] | None:
@@ -102,18 +101,30 @@ def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
     exclude = frozenset() if pins is None else pins[1]
     best_val = None
     best_set = None
-    for mask in range(1 << n):
-        s = frozenset(i for i in range(n) if mask >> i & 1)
-        if pins is None and not s:
-            continue
-        if not include <= s or s & exclude:
-            continue
-        v = obj.evaluate(s)
-        if best_val is None or v < best_val or (
-            v == best_val and _lex_key(s) < _lex_key(best_set)
-        ):
-            best_val, best_set = v, s
+    # subsets in increasing bit-mask order, each one union of two halves
+    half = n // 2
+    low = _subsets(range(half))
+    for high in _subsets(range(half, n)):
+        for part in low:
+            s = part | high
+            if pins is None and not s:
+                continue
+            if not include <= s or s & exclude:
+                continue
+            v = obj.evaluate(s)
+            if best_val is None or v < best_val or (
+                v == best_val and _lex_key(s) < _lex_key(best_set)
+            ):
+                best_val, best_set = v, s
     return SfmResult(best_set, best_val)
+
+
+def _subsets(items) -> list:
+    """Every subset of ``items``, the i-th holding the items at the set bits of i."""
+    out = [frozenset()]
+    for x in items:
+        out += [s | {x} for s in out]
+    return out
 
 
 # -- min-norm-point engine -----------------------------------------------------

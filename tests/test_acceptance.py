@@ -303,7 +303,7 @@ def test_09_sfm_engine_agreement():
         a = minimize(obj, engine="brute")
         b = minimize(obj, engine="min-norm-point")
         assert a.value == b.value, inst
-        assert a.canonical == b.canonical, inst
+        assert a.minimizer == b.minimizer, inst
         done += 1
     report("criterion-9",
            "brute and minimum-norm-point engines agree on value and "

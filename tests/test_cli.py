@@ -157,6 +157,21 @@ def test_verify_tampered_packing(tmp_path, capsys):
     assert vdoc["payload"]["reason"] == "duplicate-arc"
 
 
+@pytest.mark.parametrize("packing_doc", [
+    [{"root_element": "s1", "root_vertex": "a", "arcs": ["a1"]}],
+    {"payload": {"trees": [{"root_element": "s1", "arcs": ["a1"]}]}},
+    {"payload": {"trees": [{"root_element": "s1", "root_vertex": "a",
+                            "arcs": 5}]}},
+], ids=["top-level-list", "no-root-vertex", "arcs-not-a-list"])
+def test_verify_malformed_packing_is_parse_error(tmp_path, capsys, packing_doc):
+    path = write(tmp_path, "i.json", MINIMAL_DIRECTED)
+    rpath = write(tmp_path, "r.json", json.dumps(packing_doc))
+    code, doc = run(capsys, ["verify", path, rpath])
+    assert code == 1
+    assert doc["status"] == "error"
+    assert doc["payload"]["kind"] == "ParseError"
+
+
 def test_parse_error_exit_one(tmp_path, capsys):
     path = write(tmp_path, "i.json", "{not json")
     code, doc = run(capsys, ["check", path])

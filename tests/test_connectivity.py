@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,12 +10,19 @@ from arbopack.connectivity import (
     check_m_connected,
     check_partition_connected,
     classify_arc,
+    deficiency_objective,
     dominates,
     is_tight,
     recheck_certificate,
 )
-from arbopack.graphs import InstanceError, in_degree
-from arbopack.matroid import FreeMatroid, PartitionMatroid, UniformMatroid
+from arbopack.graphs import InstanceError, RootedDigraph, entering_arcs, in_degree
+from arbopack.matroid import (
+    FreeMatroid,
+    GraphicMatroid,
+    LinearMatroid,
+    PartitionMatroid,
+    UniformMatroid,
+)
 
 
 def all_nonempty_subsets(verts):
@@ -30,6 +38,54 @@ def enumerate_m_connected(inst):
         in_degree(inst, x) >= k - m.rank(inst.elements_in(x))
         for x in all_nonempty_subsets(inst.vertices)
     )
+
+
+def stacked_extensions():
+    """Four parallel extensions, two of them twins of a twin."""
+    m = UniformMatroid(["s1", "s2", "s3"], 2)
+    m, t1 = m.extend_parallel("s1")
+    m, t2 = m.extend_parallel(t1)
+    m, _ = m.extend_parallel("s2")
+    m, _ = m.extend_parallel(t2)
+    return m
+
+
+def objective_matroids():
+    yield PartitionMatroid([(["p1", "p2"], 1), (["p3", "p4", "p5"], 2)])
+    yield GraphicMatroid([("e1", "x", "y"), ("e2", "y", "z"),
+                          ("e3", "z", "x"), ("e4", "z", "w")])
+    yield LinearMatroid(3, {"c1": [1, 0, 0], "c2": [0, 1, 0],
+                            "c3": [1, 1, 0], "c4": [0, 0, 2]})
+    yield GraphicMatroid([("e1", "x", "y"), ("e2", "y", "z"),
+                          ("e3", "z", "x"), ("e4", "z", "w")]).truncate(2)
+    yield stacked_extensions()
+    yield stacked_extensions().truncate(1).extend_parallel("s3")[0]
+
+
+# parallel arcs a1/a2 and a6/a7
+OBJECTIVE_ARCS = [("a1", "a", "b"), ("a2", "a", "b"), ("a3", "b", "c"),
+                  ("a4", "c", "a"), ("a5", "d", "b"), ("a6", "c", "d"),
+                  ("a7", "c", "d")]
+
+
+@pytest.mark.parametrize("m", list(objective_matroids()),
+                         ids=lambda m: type(m).__name__)
+def test_objective_matches_direct_formula(m):
+    rng = random.Random(len(m.ground))
+    verts = ["a", "b", "c", "d"]
+    roots = [(e, rng.choice(verts)) for e in m.ground]
+    inst = RootedDigraph(verts, OBJECTIVE_ARCS, roots, m)
+    weights = {a: Fraction(rng.randint(0, 6), rng.randint(1, 4))
+               for a, _, _ in OBJECTIVE_ARCS}
+    plain = deficiency_objective(inst)
+    weighted = deficiency_objective(inst, weights)
+    k = m.full_rank()
+    for x in all_nonempty_subsets(verts):
+        idx = frozenset(verts.index(v) for v in x)
+        rank = m.rank(inst.elements_in(x))
+        assert plain.evaluate(idx) == in_degree(inst, x) + rank - k, x
+        flow = sum(weights[a] for a in entering_arcs(inst, x))
+        assert weighted.evaluate(idx) == flow + rank - k, x
 
 
 # -- independent placement --------------------------------------------------------

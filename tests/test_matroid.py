@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -133,6 +134,32 @@ def test_parallel_substitution_query():
     m, s_new = base.extend_parallel("s2")
     # oracle: substitute s2 for the twin and query the base matroid
     assert m.rank({"s1", s_new}) == base.rank({"s1", "s2"}) == 2
+
+
+def test_chained_extensions_use_one_flat_twin_map(monkeypatch):
+    root = PartitionMatroid([(["s1", "s2"], 1), (["s3", "s4", "s5"], 2)])
+    rng = random.Random(30)
+    m = root
+    to_root = {e: e for e in root.ground}
+    for _ in range(30):
+        s = rng.choice(m.ground)  # a twin of a twin often enough
+        m, s_new = m.extend_parallel(s)
+        to_root[s_new] = to_root[s]
+    assert m.twin_map()[0] is root
+    calls = []
+    rank = Matroid.rank
+
+    def counted_rank(self, elems):
+        calls.append(self)
+        return rank(self, elems)
+
+    monkeypatch.setattr(Matroid, "rank", counted_rank)
+    # the query goes from the outermost extension straight to the root
+    assert m.rank(m.ground) == 3
+    assert calls == [m, root]
+    for _ in range(200):
+        q = frozenset(e for e in m.ground if rng.random() < 0.3)
+        assert m.rank(q) == root.rank({to_root[e] for e in q}), sorted(q)
 
 
 def test_parallel_to_loop_rejected():
