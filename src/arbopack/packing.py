@@ -240,6 +240,8 @@ def brute_force_packing(inst: RootedDigraph) -> Optional[Packing]:
     t = len(roots)
     assignment = [None] * len(arcs)
     heads_used: list[set] = [set() for _ in range(t)]
+    # leaves repeat the same (arc set, root) pairs across trees and branches
+    arborescence: dict[tuple[frozenset, str], bool] = {}
 
     def feasible_partial(i: int, tree: int) -> bool:
         _, _, h = arcs[i]
@@ -254,7 +256,11 @@ def brute_force_packing(inst: RootedDigraph) -> Optional[Packing]:
         for j, (e, v) in enumerate(roots):
             ids = frozenset(arcs[i][0] for i in range(len(arcs))
                             if assignment[i] == j)
-            if not is_arborescence(ids, inst, v):
+            key = (ids, v)
+            ok = arborescence.get(key)
+            if ok is None:
+                ok = arborescence[key] = is_arborescence(ids, inst, v)
+            if not ok:
                 return None
             trees.append(Tree(e, v, ids))
         p = Packing(tuple(trees))

@@ -4,9 +4,16 @@ Two engines:
 
 * ``brute`` - exhaustive enumeration, exact, hard cap on the ground size.
   This is the reference oracle.
-* ``min-norm-point`` - Fujishige-Wolfe over the base polytope with exact
-  rational arithmetic throughout (greedy ordering, affine minimization and
-  line search all in ``fractions.Fraction``), so no tolerances exist.
+* ``min-norm-point`` - Fujishige-Wolfe over the base polytope in exact
+  arithmetic, so no tolerances exist.  Greedy vertices of an
+  integer-valued objective are integer vectors; Wolfe keeps the Gram
+  matrix of its point set across cycles, solves the affine minimization
+  on it by fraction-free elimination, and holds the current point as an
+  integer vector over one common denominator.  ``Fraction`` is used only
+  in the line search, and for objectives with rational values, which run
+  the same elimination on ``Fraction`` entries.  The lex-smallest
+  minimizer costs up to n more runs, so it is computed only when
+  ``SfmResult.minimizer`` is read.
 
 Objectives evaluate on frozensets of integer ground indices 0..n-1 and may
 return ints or Fractions.  Families beyond "all" are handled by
@@ -16,8 +23,10 @@ contraction/deletion: pin a set I in and a set E out, minimize the induced
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Callable
 
 BRUTE_GROUND_LIMIT = 24
@@ -41,10 +50,28 @@ class SubmodularObjective:
     family: tuple = ("nonempty",)  # ("all",) | ("nonempty",) | ("contains", v) | ("contains-excludes", v, u)
 
 
-@dataclass(frozen=True)
 class SfmResult:
-    minimizer: frozenset
-    value: object
+    """Minimum value and lex-smallest minimizer of one minimization.
+
+    Given ``find`` instead of a minimizer, the minimizer is computed by
+    ``find()`` the first time it is read, so a caller that only needs the
+    value never pays for it.
+    """
+
+    __slots__ = ("value", "_minimizer", "_find")
+
+    def __init__(self, minimizer: frozenset | None, value,
+                 find: Callable[[], frozenset] | None = None):
+        self.value = value
+        self._minimizer = minimizer
+        self._find = find
+
+    @property
+    def minimizer(self) -> frozenset:
+        if self._find is not None:
+            self._minimizer = self._find()
+            self._find = None
+        return self._minimizer
 
 
 def _family_pins(obj: SubmodularObjective) -> tuple[frozenset, frozenset] | None:
@@ -99,6 +126,7 @@ def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
     pins = _family_pins(obj)
     include = frozenset() if pins is None else pins[0]
     exclude = frozenset() if pins is None else pins[1]
+    pinned = bool(include or exclude)  # only the contains families pin
     best_val = None
     best_set = None
     # subsets in increasing bit-mask order, each one union of two halves
@@ -107,9 +135,10 @@ def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
     for high in _subsets(range(half, n)):
         for part in low:
             s = part | high
-            if pins is None and not s:
-                continue
-            if not include <= s or s & exclude:
+            if pinned:
+                if not include <= s or s & exclude:
+                    continue
+            elif not s and pins is None:
                 continue
             v = obj.evaluate(s)
             if best_val is None or v < best_val or (
@@ -149,8 +178,8 @@ def _minimize_mnp(obj: SubmodularObjective) -> SfmResult:
         include, exclude = pins
         best_val, _ = _pinned_min(obj, include, exclude)
         nonempty = False
-    mini = _canonical_minimizer(obj, best_val, include, exclude, nonempty)
-    return SfmResult(mini, best_val)
+    return SfmResult(None, best_val, lambda: _canonical_minimizer(
+        obj, best_val, include, exclude, nonempty))
 
 
 def _canonical_minimizer(obj, best_val, include, exclude, nonempty) -> frozenset:
@@ -193,95 +222,152 @@ def _pinned_min(obj: SubmodularObjective, include: frozenset,
     def g(js: frozenset):
         return obj.evaluate(include | {idx[j] for j in js}) - base
 
-    x = _wolfe_min_norm(len(free), g)
-    maximal_j = frozenset(j for j in range(len(free)) if x[j] <= 0)
+    xn, _ = _wolfe_min_norm(len(free), g)
+    maximal_j = frozenset(j for j in range(len(free)) if xn[j] <= 0)
     val = g(maximal_j) + base
     return val, frozenset(include) | frozenset(idx[j] for j in maximal_j)
 
 
 def _greedy_vertex(n: int, g, w) -> list:
-    """Linear minimization over the base polytope of g (Edmonds' greedy)."""
+    """Linear minimization over the base polytope of g (Edmonds' greedy).
+
+    The entries are differences of g's own values, so an integer-valued g
+    gives an integer vertex.
+    """
     order = sorted(range(n), key=lambda i: (w[i], i))
-    q = [Fraction(0)] * n
-    prev = Fraction(0)
+    q = [0] * n
+    prev = 0
     s: set = set()
     for i in order:
         s.add(i)
-        cur = Fraction(g(frozenset(s)))
+        cur = g(frozenset(s))
         q[i] = cur - prev
         prev = cur
     return q
 
 
-def _solve_affine(S: list[list]) -> list:
-    """Coefficients of the min-norm point in the affine hull of the rows of S.
+def _dot(a, b):
+    return sum(map(mul, a, b))
 
-    Solves the bordered normal equations exactly; affinely dependent point
-    sets get free coefficients fixed at 0 (any solution of the consistent
-    system is a valid affine-minimizer representation).
+
+def _reduce(nums: list, den, integral: bool):
+    """(nums, den) divided by the gcd of all of them when they are ints."""
+    if integral:
+        d = gcd(den, *nums)
+        if d > 1:
+            return [a // d for a in nums], den // d
+    return nums, den
+
+
+def _reduce_row(row: list) -> list:
+    d = gcd(*row)
+    return [a // d for a in row] if d > 1 else row
+
+
+def _blend(un: list, ud, vn: list, vd, theta: Fraction, integral: bool):
+    """(1 - theta) u + theta v for u = un/ud and v = vn/vd, over one denominator."""
+    a, b = theta.numerator, theta.denominator
+    cu, cv = (b - a) * vd, a * ud
+    return _reduce([cu * p + cv * q for p, q in zip(un, vn)], b * ud * vd,
+                   integral)
+
+
+def _solve_affine(G: list[list], integral: bool):
+    """Coefficients of the min-norm point in the affine hull of S.
+
+    ``G`` is the Gram matrix of the points of S.  Solves the bordered
+    normal equations [G 1; 1 0] (mu, lambda) = (0, 1) by fraction-free
+    Gauss-Jordan elimination (row <- row * p - f * pivot_row, int rows
+    divided by their gcd), pivoting in column order on the first nonzero
+    entry.  Affinely dependent point sets get free coefficients fixed at 0
+    (any solution of the consistent system is a valid affine-minimizer
+    representation).  Returns (numerators, denominator), denominator > 0.
     """
-    m = len(S)
-    A = [[sum(a * b for a, b in zip(S[i], S[j])) for j in range(m)] + [Fraction(1), Fraction(0)]
-         for i in range(m)]
-    A.append([Fraction(1)] * m + [Fraction(0), Fraction(1)])
-    rows, cols = m + 1, m + 1  # last col is rhs
+    m = len(G)
+    A = [row + [1, 0] for row in G]
+    A.append([1] * m + [0, 1])
+    rows = m + 1
     r = 0
     pivots = []
-    for c in range(cols):
+    for c in range(m + 1):  # the last column is the right-hand side
         piv = next((i for i in range(r, rows) if A[i][c] != 0), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
-        inv = A[r][c]
-        A[r] = [x / inv for x in A[r]]
+        prow = A[r]
+        p = prow[c]
         for i in range(rows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
+            f = A[i][c]
+            if i != r and f != 0:
+                row = [a * p - f * b for a, b in zip(A[i], prow)]
+                A[i] = _reduce_row(row) if integral else row
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = A[i][-1]
-    return sol[:m]
+    # row i now reads A[i][c] * mu[c] = A[i][-1] for its pivot column c < m
+    solved = [(A[i][c], A[i][-1], c) for i, c in enumerate(pivots) if c < m]
+    mu = [0] * m
+    if not integral:
+        for p, rhs, c in solved:
+            mu[c] = Fraction(rhs) / p
+        return mu, 1
+    den = lcm(*(p for p, _, _ in solved))
+    for p, rhs, c in solved:
+        mu[c] = rhs * (den // p)
+    return mu, den
 
 
-def _wolfe_min_norm(n: int, g) -> list:
+def _wolfe_min_norm(n: int, g):
     """Exact Wolfe algorithm: min-norm point x* of the base polytope of g.
 
-    The minimal minimizer of g is {i : x*_i < 0} and the maximal one is
-    {i : x*_i <= 0}.
+    Returns x* as (numerators, denominator), denominator > 0.  The
+    minimal minimizer of g is {i : x*_i < 0} and the maximal one is
+    {i : x*_i <= 0}.  Points of S are greedy vertices, integer for an
+    integer-valued g; x is held as an integer vector over one
+    denominator and the Gram matrix of S is kept across cycles, so
+    ``Fraction`` appears only in the line search.  A g with rational
+    values runs the same steps on ``Fraction`` entries.
     """
-    x = _greedy_vertex(n, g, [Fraction(0)] * n)
-    S = [list(x)]
-    lam = [Fraction(1)]
+    q = _greedy_vertex(n, g, [0] * n)
+    integral = all(type(a) is int for a in q)
+    xn, xd = q, 1
+    S = [q]
+    G = [[_dot(q, q)]]
+    lamn, lamd = [1], 1
     for _ in range(_MNP_ITER_CAP):
-        q = _greedy_vertex(n, g, x)
-        xx = sum(a * a for a in x)
-        xq = sum(a * b for a, b in zip(x, q))
-        if xx <= xq:
-            return x
+        q = _greedy_vertex(n, g, xn)
+        if _dot(xn, xn) <= xd * _dot(xn, q):
+            return xn, xd
         if q in S:
-            return x  # no strict progress possible; x already optimal
+            # x is the affine minimizer of S, so x.q == x.x for every q in S
+            # and the test above has already returned
+            raise RuntimeError(
+                "min-norm-point: greedy vertex already in S (tripwire)")
+        integral = integral and all(type(a) is int for a in q)
+        for row, s in zip(G, S):
+            row.append(_dot(s, q))
         S.append(q)
-        lam.append(Fraction(0))
+        G.append([row[-1] for row in G] + [_dot(q, q)])
+        lamn.append(0)
         # minor cycle
         while True:
-            mu = _solve_affine(S)
-            y = [sum(mu[i] * S[i][j] for i in range(len(S))) for j in range(n)]
-            if all(m > 0 for m in mu):
-                x, lam = y, mu
+            mun, mud = _solve_affine(G, integral)
+            yn = [_dot(mun, col) for col in zip(*S)]
+            if all(a > 0 for a in mun):
+                xn, xd = _reduce(yn, mud, integral)
+                lamn, lamd = mun, mud
                 break
             theta = min(
-                lam[i] / (lam[i] - mu[i]) for i in range(len(S)) if mu[i] <= 0
+                Fraction(lamn[i] * mud, lamn[i] * mud - mun[i] * lamd)
+                for i in range(len(S)) if mun[i] <= 0
             )
-            lam = [lam[i] + theta * (mu[i] - lam[i]) for i in range(len(S))]
-            x = [a + theta * (b - a) for a, b in zip(x, y)]
-            keep = [i for i in range(len(S)) if lam[i] > 0]
+            lamn, lamd = _blend(lamn, lamd, mun, mud, theta, integral)
+            xn, xd = _blend(xn, xd, yn, mud, theta, integral)
+            keep = [i for i in range(len(S)) if lamn[i] > 0]
             S = [S[i] for i in keep]
-            lam = [lam[i] for i in keep]
+            G = [[G[i][j] for j in keep] for i in keep]
+            lamn = [lamn[i] for i in keep]
     raise RuntimeError("min-norm-point failed to converge (tripwire)")
 
 

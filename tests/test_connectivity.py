@@ -250,3 +250,26 @@ def test_domination_transitive():
         for x, y, z in itertools.product(sets, repeat=3):
             if dominates(d, z, y) and dominates(d, y, x):
                 assert dominates(d, z, x)
+
+
+def test_min_norm_point_check_is_decision_only(monkeypatch):
+    from arbopack import sfm
+
+    m = FreeMatroid(["s1", "s2"])
+    feasible = digraph(["a", "b", "c", "d"],
+                       ["1:a>b", "2:b>c", "3:c>d", "4:d>a", "5:a>c", "6:c>a",
+                        "7:b>d", "8:d>b"],
+                       ["s1@a", "s2@c"], m)
+    violated = digraph(["a", "b", "c", "d"], ["1:a>b", "2:b>c", "3:c>d", "4:a>d"],
+                       ["s1@a", "s2@c"], m)
+    expected = check_m_connected(violated, engine="brute")
+    assert check_m_connected(feasible, engine="brute").ok
+    assert not expected.ok
+
+    def no_minimizer(*args):
+        raise AssertionError("a passing check searched for a minimizer")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(sfm, "_canonical_minimizer", no_minimizer)
+        assert check_m_connected(feasible, engine="min-norm-point").ok
+    assert check_m_connected(violated, engine="min-norm-point") == expected

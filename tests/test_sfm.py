@@ -6,7 +6,12 @@ import pytest
 
 from conftest import random_digraph
 from arbopack import sfm
-from arbopack.connectivity import deficiency_objective
+from arbopack.connectivity import (
+    check_independent_placement,
+    check_m_connected,
+    deficiency_objective,
+)
+from arbopack.polytope import min_cost_packing
 from arbopack.sfm import SfmSizeError, SubmodularObjective, minimize
 
 
@@ -111,6 +116,44 @@ def test_rational_valued_objective():
         res = minimize(obj, engine=engine)
         assert res.value == Fraction(-1, 2)
         assert res.minimizer == frozenset({1})
+
+
+def test_rational_deficiency_objectives_match_brute(monkeypatch):
+    # cut objectives with Fraction arc weights, as polytope.separate builds
+    # them; the count makes sure min-norm-point runs its affine solve on
+    # rational vertices and not only on modular ones
+    rational_solves = []
+    solve = sfm._solve_affine
+
+    def counted(G, integral):
+        rational_solves.append(not integral)
+        return solve(G, integral)
+
+    monkeypatch.setattr(sfm, "_solve_affine", counted)
+    rng = random.Random(31)
+    for _ in range(300):
+        d = random_digraph(rng, max_v=5, max_arcs=8)
+        weights = {a: Fraction(rng.randint(0, 6), rng.randint(1, 4))
+                   for a, _, _ in d.arcs}
+        obj = deficiency_objective(d, weights)
+        b = minimize(obj, engine="brute")
+        m = minimize(obj, engine="min-norm-point")
+        assert (m.value, m.minimizer) == (b.value, b.minimizer)
+    assert sum(rational_solves) > 100
+
+
+def test_min_cost_engines_agree():
+    rng = random.Random(47)
+    solved = 0
+    while solved < 6:
+        d = random_digraph(rng, max_v=4, max_arcs=7, max_roots=2)
+        if not (check_independent_placement(d).ok and check_m_connected(d).ok):
+            continue
+        solved += 1
+        costs = {a: rng.randint(1, 20) for a, _, _ in d.arcs}
+        _, cost = min_cost_packing(d, costs, engine="brute")
+        _, mnp_cost = min_cost_packing(d, costs, engine="min-norm-point")
+        assert mnp_cost == cost
 
 
 def test_brute_size_limit():
