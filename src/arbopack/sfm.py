@@ -6,14 +6,14 @@ Two engines:
   This is the reference oracle.
 * ``min-norm-point`` - Fujishige-Wolfe over the base polytope in exact
   arithmetic, so no tolerances exist.  Greedy vertices of an
-  integer-valued objective are integer vectors; Wolfe keeps the Gram
-  matrix of its point set across cycles, solves the affine minimization
-  on it by fraction-free elimination, and holds the current point as an
-  integer vector over one common denominator.  ``Fraction`` is used only
-  in the line search, and for objectives with rational values, which run
-  the same elimination on ``Fraction`` entries.  The lex-smallest
-  minimizer costs up to n more runs, so it is computed only when
-  ``SfmResult.minimizer`` is read.
+  integer-valued objective are integer vectors; an objective with
+  rational values is run scaled by the lcm of the denominators it has
+  shown, which changes no step.  Wolfe keeps the Gram matrix of its point
+  set across cycles, solves the affine minimization on it by
+  fraction-free elimination, and holds the current point as an integer
+  vector over one common denominator.  ``Fraction`` is used only in the
+  line search.  The lex-smallest minimizer costs up to n more runs, so it
+  is computed only when ``SfmResult.minimizer`` is read.
 
 Objectives evaluate on frozensets of integer ground indices 0..n-1 and may
 return ints or Fractions.  Families beyond "all" are handled by
@@ -250,38 +250,43 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _reduce(nums: list, den, integral: bool):
-    """(nums, den) divided by the gcd of all of them when they are ints."""
-    if integral:
-        d = gcd(den, *nums)
-        if d > 1:
-            return [a // d for a in nums], den // d
-    return nums, den
-
-
-def _reduce_row(row: list) -> list:
+def _reduced(row: list) -> list:
+    """The int list ``row`` divided by the gcd of its entries."""
     d = gcd(*row)
     return [a // d for a in row] if d > 1 else row
 
 
-def _blend(un: list, ud, vn: list, vd, theta: Fraction, integral: bool):
+def _blend(un: list, ud, vn: list, vd, theta: Fraction):
     """(1 - theta) u + theta v for u = un/ud and v = vn/vd, over one denominator."""
     a, b = theta.numerator, theta.denominator
     cu, cv = (b - a) * vd, a * ud
-    return _reduce([cu * p + cv * q for p, q in zip(un, vn)], b * ud * vd,
-                   integral)
+    *nums, den = _reduced([cu * p + cv * q for p, q in zip(un, vn)]
+                          + [b * ud * vd])
+    return nums, den
 
 
-def _solve_affine(G: list[list], integral: bool):
+def _scaled(q: list, scale: int):
+    """(q * scale', scale') for scale' the lcm of scale and q's denominators.
+
+    The objective's values may be ints or Fractions; the result is ints.
+    """
+    if scale == 1 and all(type(a) is int for a in q):
+        return q, 1
+    scale = lcm(scale, *(a.denominator for a in q))
+    return [int(a * scale) for a in q], scale
+
+
+def _solve_affine(G: list[list]):
     """Coefficients of the min-norm point in the affine hull of S.
 
-    ``G`` is the Gram matrix of the points of S.  Solves the bordered
-    normal equations [G 1; 1 0] (mu, lambda) = (0, 1) by fraction-free
-    Gauss-Jordan elimination (row <- row * p - f * pivot_row, int rows
-    divided by their gcd), pivoting in column order on the first nonzero
-    entry.  Affinely dependent point sets get free coefficients fixed at 0
-    (any solution of the consistent system is a valid affine-minimizer
-    representation).  Returns (numerators, denominator), denominator > 0.
+    ``G`` is the integer Gram matrix of the points of S.  Solves the
+    bordered normal equations [G 1; 1 0] (mu, lambda) = (0, 1) by
+    fraction-free Gauss-Jordan elimination (row <- row * p - f * pivot_row,
+    each row divided by its gcd), pivoting in column order on the first
+    nonzero entry.  Affinely dependent point sets get free coefficients
+    fixed at 0 (any solution of the consistent system is a valid
+    affine-minimizer representation).  Returns (numerators, denominator),
+    denominator > 0.
     """
     m = len(G)
     A = [row + [1, 0] for row in G]
@@ -299,8 +304,7 @@ def _solve_affine(G: list[list], integral: bool):
         for i in range(rows):
             f = A[i][c]
             if i != r and f != 0:
-                row = [a * p - f * b for a, b in zip(A[i], prow)]
-                A[i] = _reduce_row(row) if integral else row
+                A[i] = _reduced([a * p - f * b for a, b in zip(A[i], prow)])
         pivots.append(c)
         r += 1
         if r == rows:
@@ -308,10 +312,6 @@ def _solve_affine(G: list[list], integral: bool):
     # row i now reads A[i][c] * mu[c] = A[i][-1] for its pivot column c < m
     solved = [(A[i][c], A[i][-1], c) for i, c in enumerate(pivots) if c < m]
     mu = [0] * m
-    if not integral:
-        for p, rhs, c in solved:
-            mu[c] = Fraction(rhs) / p
-        return mu, 1
     den = lcm(*(p for p, _, _ in solved))
     for p, rhs, c in solved:
         mu[c] = rhs * (den // p)
@@ -321,22 +321,29 @@ def _solve_affine(G: list[list], integral: bool):
 def _wolfe_min_norm(n: int, g):
     """Exact Wolfe algorithm: min-norm point x* of the base polytope of g.
 
-    Returns x* as (numerators, denominator), denominator > 0.  The
-    minimal minimizer of g is {i : x*_i < 0} and the maximal one is
-    {i : x*_i <= 0}.  Points of S are greedy vertices, integer for an
-    integer-valued g; x is held as an integer vector over one
-    denominator and the Gram matrix of S is kept across cycles, so
-    ``Fraction`` appears only in the line search.  A g with rational
-    values runs the same steps on ``Fraction`` entries.
+    Returns a positive multiple of x* as (numerators, denominator),
+    denominator > 0.  The minimal minimizer of g is {i : x*_i < 0} and
+    the maximal one is {i : x*_i <= 0}.  Points of S are greedy vertices,
+    integer for an integer-valued g.  A g with rational values is run as
+    scale * g, scale the lcm of the denominators met so far; a vertex with
+    a new denominator rescales S, its Gram matrix and x, which leaves the
+    order of every greedy step and every test's outcome as they were.  x
+    is an integer vector over one denominator and the Gram matrix of S is
+    kept across cycles, so ``Fraction`` appears only in the line search.
     """
-    q = _greedy_vertex(n, g, [0] * n)
-    integral = all(type(a) is int for a in q)
+    q, scale = _scaled(_greedy_vertex(n, g, [0] * n), 1)
     xn, xd = q, 1
     S = [q]
     G = [[_dot(q, q)]]
     lamn, lamd = [1], 1
     for _ in range(_MNP_ITER_CAP):
-        q = _greedy_vertex(n, g, xn)
+        q, new_scale = _scaled(_greedy_vertex(n, g, xn), scale)
+        if new_scale != scale:
+            k = new_scale // scale
+            S = [[a * k for a in s] for s in S]
+            G = [[a * k * k for a in row] for row in G]
+            xn = [a * k for a in xn]
+            scale = new_scale
         if _dot(xn, xn) <= xd * _dot(xn, q):
             return xn, xd
         if q in S:
@@ -344,7 +351,6 @@ def _wolfe_min_norm(n: int, g):
             # and the test above has already returned
             raise RuntimeError(
                 "min-norm-point: greedy vertex already in S (tripwire)")
-        integral = integral and all(type(a) is int for a in q)
         for row, s in zip(G, S):
             row.append(_dot(s, q))
         S.append(q)
@@ -352,18 +358,18 @@ def _wolfe_min_norm(n: int, g):
         lamn.append(0)
         # minor cycle
         while True:
-            mun, mud = _solve_affine(G, integral)
+            mun, mud = _solve_affine(G)
             yn = [_dot(mun, col) for col in zip(*S)]
             if all(a > 0 for a in mun):
-                xn, xd = _reduce(yn, mud, integral)
+                *xn, xd = _reduced(yn + [mud])
                 lamn, lamd = mun, mud
                 break
             theta = min(
                 Fraction(lamn[i] * mud, lamn[i] * mud - mun[i] * lamd)
                 for i in range(len(S)) if mun[i] <= 0
             )
-            lamn, lamd = _blend(lamn, lamd, mun, mud, theta, integral)
-            xn, xd = _blend(xn, xd, yn, mud, theta, integral)
+            lamn, lamd = _blend(lamn, lamd, mun, mud, theta)
+            xn, xd = _blend(xn, xd, yn, mud, theta)
             keep = [i for i in range(len(S)) if lamn[i] > 0]
             S = [S[i] for i in keep]
             G = [[G[i][j] for j in keep] for i in keep]

@@ -118,28 +118,68 @@ def test_rational_valued_objective():
         assert res.minimizer == frozenset({1})
 
 
+def _track_scales(monkeypatch):
+    """Count affine solves of rational runs and rescales within a run."""
+    seen = {"scale": 1, "rational_solves": 0, "rescales": 0}
+    scaled, solve = sfm._scaled, sfm._solve_affine
+
+    def tracked(q, scale):
+        out = scaled(q, scale)
+        seen["rescales"] += scale > 1 and out[1] != scale
+        seen["scale"] = out[1]
+        return out
+
+    def counted(G):
+        seen["rational_solves"] += seen["scale"] > 1
+        return solve(G)
+
+    monkeypatch.setattr(sfm, "_scaled", tracked)
+    monkeypatch.setattr(sfm, "_solve_affine", counted)
+    return seen
+
+
+def _random_weights(rng, d):
+    return {a: Fraction(rng.randint(0, 6), rng.randint(1, 4))
+            for a, _, _ in d.arcs}
+
+
 def test_rational_deficiency_objectives_match_brute(monkeypatch):
     # cut objectives with Fraction arc weights, as polytope.separate builds
-    # them; the count makes sure min-norm-point runs its affine solve on
-    # rational vertices and not only on modular ones
-    rational_solves = []
-    solve = sfm._solve_affine
-
-    def counted(G, integral):
-        rational_solves.append(not integral)
-        return solve(G, integral)
-
-    monkeypatch.setattr(sfm, "_solve_affine", counted)
+    # them; the counts make sure min-norm-point runs its affine solve on
+    # rational vertices, and rescales when a later vertex brings a new
+    # denominator, not only on modular objectives
+    seen = _track_scales(monkeypatch)
     rng = random.Random(31)
     for _ in range(300):
         d = random_digraph(rng, max_v=5, max_arcs=8)
-        weights = {a: Fraction(rng.randint(0, 6), rng.randint(1, 4))
-                   for a, _, _ in d.arcs}
-        obj = deficiency_objective(d, weights)
+        obj = deficiency_objective(d, _random_weights(rng, d))
         b = minimize(obj, engine="brute")
         m = minimize(obj, engine="min-norm-point")
         assert (m.value, m.minimizer) == (b.value, b.minimizer)
-    assert sum(rational_solves) > 100
+    assert seen["rational_solves"] > 100
+    assert seen["rescales"] > 10
+
+
+def test_wolfe_point_scales_with_the_objective(monkeypatch):
+    # the min-norm point of c*g is c times that of g: a run on a cut
+    # objective with Fraction weights and one on 12 times it (all ints)
+    # must return proportional points, on digraphs big enough for long
+    # minor cycles
+    seen = _track_scales(monkeypatch)
+    rng = random.Random(8)
+    for _ in range(40):
+        d = random_digraph(rng, max_v=8, max_arcs=16)
+        g = deficiency_objective(d, _random_weights(rng, d)).evaluate
+
+        def h(x):
+            return int(12 * g(x))
+
+        n = len(d.vertices)
+        xn, xd = sfm._wolfe_min_norm(n, g)
+        yn, yd = sfm._wolfe_min_norm(n, h)
+        assert [(a > 0) - (a < 0) for a in xn] == [(b > 0) - (b < 0) for b in yn]
+        assert all(a * yn[j] == b * xn[j] for a, b in zip(xn, yn) for j in range(n))
+    assert seen["rescales"] > 0
 
 
 def test_min_cost_engines_agree():
