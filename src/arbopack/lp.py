@@ -1,12 +1,29 @@
 """Exact rational LP: dense two-phase simplex with Bland's rule.
 
-Small and deterministic: every entry is a fractions.Fraction, pivoting is
-Bland's rule (guaranteed termination), and solutions returned are basic,
-i.e. vertices of the feasible polyhedron.
+Small and deterministic: pivoting is Bland's rule (guaranteed
+termination), and solutions returned are basic, i.e. vertices of the
+feasible polyhedron.
+
+The tableau holds Python ints over one common denominator D: the true
+entry is T/D, and each basic column holds D in its row (integer-preserving
+elimination; Edmonds 1967, Bareiss 1968).  Structural coefficients and
+right-hand sides are scaled by the lcm of their denominators; slack and
+artificial columns stay +-1, which scales every slack and artificial
+variable alike and so changes no ratio test, reduced-cost sign or phase-1
+outcome.  A pivot on (r, c) with p = T[r][c] maps every other row to
+(T_i*p - T_i[c]*T_r) // D, a division that is exact by Sylvester's
+identity, and sets D = p.  A negative p occurs only when phase 1 drives a
+basic artificial out on a zero row; the pivot row is negated first, which
+negates the whole new tableau and keeps D > 0.
+
+The reduced costs are one more tableau row R (reduced cost = R/D), built
+once per phase as obj*D - sum of c_B*T_i with the costs scaled to ints,
+and updated by every pivot like any other row.  Basic columns hold 0 in R.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -14,6 +31,8 @@ from typing import Optional, Sequence
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 @dataclass(frozen=True)
@@ -23,6 +42,19 @@ class LpResult:
     objective: Optional[Fraction] = None
 
 
+def _exact(values) -> list:
+    return [v if isinstance(v, int) else Fraction(v) for v in values]
+
+
+def _ints(values: list, scale: int) -> list:
+    """values times scale, a common multiple of their denominators."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _lcm(values) -> int:
+    return math.lcm(*(v.denominator for v in values))
+
+
 def solve_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]]) -> LpResult:
     """Minimize c.x subject to rows (coeffs, sense, rhs) and x >= 0.
 
@@ -30,104 +62,105 @@ def solve_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]]) -> LpRes
     supplied as ordinary rows.
     """
     n = len(c)
-    c = [Fraction(v) for v in c]
-    norm: list[tuple[list, str, Fraction]] = []
+    c = _exact(c)
+    norm: list[tuple[list, str]] = []
     for coeffs, sense, rhs in rows:
-        coeffs = [Fraction(v) for v in coeffs]
-        rhs = Fraction(rhs)
-        if rhs < 0:  # keep rhs non-negative for phase 1
-            coeffs = [-v for v in coeffs]
-            rhs = -rhs
-            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-        norm.append((coeffs, sense, rhs))
+        entries = _exact([*coeffs, rhs])
+        if entries[-1] < 0:  # keep rhs non-negative for phase 1
+            entries = [-v for v in entries]
+            sense = _FLIP[sense]
+        norm.append((entries, sense))
+    scale = _lcm(v for entries, _ in norm for v in entries)
 
     m = len(norm)
     # columns: n structural, then one slack/surplus per inequality, then
     # one artificial per '>='/'=' row
-    slack_cols: dict[int, int] = {}
-    art_cols: dict[int, int] = {}
-    ncols = n
-    for i, (_, sense, _) in enumerate(norm):
-        if sense in ("<=", ">="):
-            slack_cols[i] = ncols
-            ncols += 1
-    for i, (_, sense, _) in enumerate(norm):
-        if sense in (">=", "="):
-            art_cols[i] = ncols
-            ncols += 1
-
-    T = [[Fraction(0)] * (ncols + 1) for _ in range(m)]
-    basis = [0] * m
-    for i, (coeffs, sense, rhs) in enumerate(norm):
-        for j in range(n):
-            T[i][j] = coeffs[j]
-        T[i][-1] = rhs
+    nslack = sum(1 for _, sense in norm if sense != "=")
+    first_art = n + nslack
+    ncols = first_art + sum(1 for _, sense in norm if sense != "<=")
+    T: list[list[int]] = []
+    basis: list[int] = []
+    slack, art = n, first_art
+    for entries, sense in norm:
+        row = _ints(entries, scale)
+        row[-1:-1] = [0] * (ncols - n)
         if sense == "<=":
-            T[i][slack_cols[i]] = Fraction(1)
-            basis[i] = slack_cols[i]
-        elif sense == ">=":
-            T[i][slack_cols[i]] = Fraction(-1)
-            T[i][art_cols[i]] = Fraction(1)
-            basis[i] = art_cols[i]
+            row[slack] = 1
+            basis.append(slack)
         else:
-            T[i][art_cols[i]] = Fraction(1)
-            basis[i] = art_cols[i]
+            if sense == ">=":
+                row[slack] = -1
+            row[art] = 1
+            basis.append(art)
+            art += 1
+        slack += sense != "="
+        T.append(row)
+    D = 1
 
-    def pivot(row: int, col: int) -> None:
-        inv = T[row][col]
-        T[row] = [v / inv for v in T[row]]
-        for i in range(m):
-            if i != row and T[i][col] != 0:
-                f = T[i][col]
-                T[i] = [a - f * b for a, b in zip(T[i], T[row])]
-        basis[row] = col
+    def pivot(r: int, col: int) -> None:
+        nonlocal D
+        pr = T[r]
+        if pr[col] < 0:  # drive-out only: negate so that D stays positive
+            pr = T[r] = [-b for b in pr]
+        p = pr[col]
+        for i, row in enumerate(T):
+            if i != r:
+                f = row[col]
+                if f:
+                    T[i] = [(a * p - f * b) // D for a, b in zip(row, pr)]
+                elif p != D:
+                    T[i] = [a * p // D for a in row]
+        D = p
+        basis[r] = col
 
-    def run_simplex(obj: list, allowed: set) -> str:
-        while True:
-            # reduced costs: z_j - c_j via basis costs
-            red = list(obj)
-            for i in range(m):
-                cb = obj[basis[i]]
-                if cb != 0:
-                    for j in range(ncols):
-                        red[j] -= cb * T[i][j]
-            col = next((j for j in sorted(allowed)
-                        if j not in basis and red[j] < 0), None)
-            if col is None:
-                return OPTIMAL
-            ratios = [(T[i][-1] / T[i][col], basis[i], i)
-                      for i in range(m) if T[i][col] > 0]
-            if not ratios:
-                return UNBOUNDED
-            _, _, row = min(ratios)  # Bland: smallest ratio, then smallest basis var
-            pivot(row, col)
+    def run_simplex(obj: list, limit: int) -> str:
+        """Bland's rule over the columns below limit; R rides as T[m]."""
+        red = [v * D for v in obj] + [0]
+        for i, b in enumerate(basis):
+            if obj[b]:
+                red = [v - obj[b] * t for v, t in zip(red, T[i])]
+        T.append(red)
+        try:
+            while True:
+                red = T[m]
+                col = next((j for j in range(limit) if red[j] < 0), None)
+                if col is None:
+                    return OPTIMAL
+                # Bland: smallest ratio T_i[-1]/T_i[col], then smallest basis var
+                row = None
+                for i in range(m):
+                    a = T[i][col]
+                    if a > 0:
+                        if row is None:
+                            row = i
+                            continue
+                        lhs, rhs = T[i][-1] * T[row][col], T[row][-1] * a
+                        if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
+                            row = i
+                if row is None:
+                    return UNBOUNDED
+                pivot(row, col)
+        finally:
+            T.pop()
 
-    if art_cols:
-        phase1 = [Fraction(0)] * ncols
-        for col in art_cols.values():
-            phase1[col] = Fraction(1)
-        run_simplex(phase1, set(range(ncols)))
-        total = sum(T[i][-1] for i in range(m) if basis[i] in art_cols.values())
+    if first_art < ncols:
+        run_simplex([0] * first_art + [1] * (ncols - first_art), ncols)
+        total = sum(T[i][-1] for i in range(m) if basis[i] >= first_art)
         if total != 0:
             return LpResult(INFEASIBLE)
         # drive remaining artificials out of the basis where possible
         for i in range(m):
-            if basis[i] in art_cols.values():
-                col = next((j for j in range(ncols)
-                            if j not in art_cols.values() and T[i][j] != 0), None)
+            if basis[i] >= first_art:
+                col = next((j for j in range(first_art) if T[i][j] != 0), None)
                 if col is not None:
                     pivot(i, col)
 
-    allowed = set(range(ncols)) - set(art_cols.values())
-    phase2 = [Fraction(0)] * ncols
-    for j in range(n):
-        phase2[j] = c[j]
-    status = run_simplex(phase2, allowed)
+    status = run_simplex(_ints(c, _lcm(c)) + [0] * (ncols - n), first_art)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = T[i][-1]
+            x[basis[i]] = Fraction(T[i][-1], D)
     obj_val = sum(c[j] * x[j] for j in range(n))
     return LpResult(OPTIMAL, x=x, objective=obj_val)

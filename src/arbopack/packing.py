@@ -228,7 +228,8 @@ def find_packing(inst: RootedDigraph, engine: str = "brute",
 def brute_force_packing(inst: RootedDigraph) -> Optional[Packing]:
     """Exhaustive packer: assign each arc to one tree or leave it unused.
 
-    Independent of the constructive solver; shares only the verifier.
+    Independent of the constructive solver; shares only the verifier,
+    which checks the packing it returns.
     """
     arcs = list(inst.arcs)
     roots = list(inst.roots)
@@ -240,8 +241,9 @@ def brute_force_packing(inst: RootedDigraph) -> Optional[Packing]:
     t = len(roots)
     assignment = [None] * len(arcs)
     heads_used: list[set] = [set() for _ in range(t)]
-    # leaves repeat the same (arc set, root) pairs across trees and branches
-    arborescence: dict[tuple[frozenset, str], bool] = {}
+    # leaves repeat the same (arc set, root) pairs across trees and branches:
+    # the vertex set of each arborescence, None for a non-arborescence
+    spans: dict[tuple[frozenset, str], Optional[frozenset]] = {}
 
     def feasible_partial(i: int, tree: int) -> bool:
         _, _, h = arcs[i]
@@ -252,19 +254,26 @@ def brute_force_packing(inst: RootedDigraph) -> Optional[Packing]:
         return True
 
     def leaf() -> Optional[Packing]:
+        # arcs are assigned to at most one tree and every root gets one, so
+        # what is left to check is that each tree is an arborescence and
+        # that the roots covering each vertex form a base
         trees = []
+        covers: dict[str, list] = {v: [] for v in inst.vertices}
         for j, (e, v) in enumerate(roots):
             ids = frozenset(arcs[i][0] for i in range(len(arcs))
                             if assignment[i] == j)
             key = (ids, v)
-            ok = arborescence.get(key)
-            if ok is None:
-                ok = arborescence[key] = is_arborescence(ids, inst, v)
-            if not ok:
+            if key not in spans:
+                spans[key] = (tree_vertices(ids, inst, v)
+                              if is_arborescence(ids, inst, v) else None)
+            if spans[key] is None:
                 return None
+            for u in spans[key]:
+                covers[u].append(e)
             trees.append(Tree(e, v, ids))
-        p = Packing(tuple(trees))
-        return p if verify_packing(inst, p) is None else None
+        if all(inst.matroid.is_base(c) for c in covers.values()):
+            return Packing(tuple(trees))
+        return None
 
     def rec(i: int) -> Optional[Packing]:
         if i == len(arcs):
@@ -281,7 +290,14 @@ def brute_force_packing(inst: RootedDigraph) -> Optional[Packing]:
         assignment[i] = None  # unused
         return rec(i + 1)
 
-    return rec(0)
+    found = rec(0)
+    if found is not None:
+        failure = verify_packing(inst, found)
+        if failure is not None:
+            raise TheoremViolation(
+                "brute-force packing failed verification (tripwire): %r"
+                % (failure,))
+    return found
 
 
 # -- constant-bound variant --------------------------------------------------------

@@ -24,7 +24,7 @@ from .connectivity import (
     deficiency_objective,
 )
 from .graphs import RootedDigraph
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from .lp import OPTIMAL, solve_lp
 from .packing import Packing, TheoremViolation, find_packing
 
 
@@ -108,15 +108,15 @@ def _solve_relaxation(inst: RootedDigraph, costs: dict,
     n = len(ids)
     rows: list = []
     for a in ids:  # boxes: x <= 1 (x >= 0 is implicit)
-        row = [Fraction(0)] * n
-        row[pos[a]] = Fraction(1)
+        row = [0] * n
+        row[pos[a]] = 1
         rows.append((row, "<=", 1))
-    rows.append(([Fraction(1)] * n, "=", mass_rhs(inst)))
+    rows.append(([1] * n, "=", mass_rhs(inst)))
     for c in cuts:
-        row = [Fraction(0)] * n
+        row = [0] * n
         for a, t, h in inst.arcs:
             if h in c.vertex_set and t not in c.vertex_set:
-                row[pos[a]] = Fraction(1)
+                row[pos[a]] = 1
         rows.append((row, ">=", c.rhs))
     c_vec = [Fraction(costs[a]) for a in ids]
     return ids, solve_lp(c_vec, rows)

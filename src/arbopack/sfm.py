@@ -162,21 +162,16 @@ def _subsets(items) -> list:
 def _minimize_mnp(obj: SubmodularObjective) -> SfmResult:
     pins = _family_pins(obj)
     if pins is None:
-        # nonempty: the maximal minimizer of the unconstrained problem is
-        # nonempty unless the empty set is the unique minimizer.
-        val, mx = _pinned_min(obj, frozenset(), frozenset())
-        if mx:
-            best_val = val
-        else:
-            best_val = min(
-                _pinned_min(obj, frozenset({v}), frozenset())[0]
-                for v in range(obj.n)
-            )
+        # nonempty: the min over the sets that contain v, over every v (for
+        # the deficiency objective the empty set always attains the
+        # unconstrained minimum, so a run over all sets would not help)
+        best_val = min(_pinned_min(obj, frozenset({v}), frozenset())
+                       for v in range(obj.n))
         include, exclude = frozenset(), frozenset()
         nonempty = True
     else:
         include, exclude = pins
-        best_val, _ = _pinned_min(obj, include, exclude)
+        best_val = _pinned_min(obj, include, exclude)
         nonempty = False
     return SfmResult(None, best_val, lambda: _canonical_minimizer(
         obj, best_val, include, exclude, nonempty))
@@ -198,7 +193,7 @@ def _canonical_minimizer(obj, best_val, include, exclude, nonempty) -> frozenset
             if obj.evaluate(prefix) == best_val:
                 # check the prefix itself is feasible as-is (everything else out)
                 return prefix
-        v, _ = _pinned_min(obj, frozenset(chosen | {i}), frozenset(dropped))
+        v = _pinned_min(obj, frozenset(chosen | {i}), frozenset(dropped))
         if v == best_val:
             chosen.add(i)
         else:
@@ -210,22 +205,21 @@ def _pinned_min(obj: SubmodularObjective, include: frozenset,
                 exclude: frozenset):
     """Min of evaluate over {X : include ⊆ X, X ∩ exclude = ∅}.
 
-    Returns (value, maximal minimizer).  Contraction: g(Y) = f(Y ∪ I) - f(I)
-    on the free indices; g stays submodular and normalized.
+    Contraction: g(Y) = f(Y ∪ I) - f(I) on the free indices; g stays
+    submodular and normalized.  The value is read at the maximal minimizer
+    of g, the set where Wolfe's min-norm point is <= 0.
     """
     free = [i for i in range(obj.n) if i not in include and i not in exclude]
     base = obj.evaluate(include)
     if not free:
-        return base, frozenset(include)
+        return base
     idx = {j: free[j] for j in range(len(free))}
 
     def g(js: frozenset):
         return obj.evaluate(include | {idx[j] for j in js}) - base
 
     xn, _ = _wolfe_min_norm(len(free), g)
-    maximal_j = frozenset(j for j in range(len(free)) if xn[j] <= 0)
-    val = g(maximal_j) + base
-    return val, frozenset(include) | frozenset(idx[j] for j in maximal_j)
+    return g(frozenset(j for j in range(len(free)) if xn[j] <= 0)) + base
 
 
 def _greedy_vertex(n: int, g, w) -> list:

@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import digraph, random_digraph
+from test_lp import reference_solve_lp
+from arbopack import polytope
 from arbopack.connectivity import (
     Certificate,
     check_independent_placement,
     check_m_connected,
 )
+from arbopack.instances import generate_instance, parse_instance
 from arbopack.matroid import FreeMatroid, UniformMatroid
 from arbopack.packing import Packing, Tree, brute_force_packing, verify_packing
 from arbopack.polytope import (
@@ -199,3 +202,21 @@ def test_min_cost_matches_brute_force_random():
         packing, cost = min_cost_packing(d, costs)
         assert cost == best
         assert verify_packing(d, packing) is None
+
+
+def test_cutting_plane_path_matches_the_fraction_tableau(monkeypatch):
+    # every relaxation optimum, its objective, the packing and the cost are
+    # the same when the integer simplex is swapped for the Fraction tableau
+    cuts = 0
+    for seed in range(6):
+        inst, extras = parse_instance(generate_instance(
+            seed, n=6, m=14, t=2, feasible_bias=True, costs=True))
+        trace, fraction_trace = [], []
+        run = min_cost_packing(inst, extras["costs"], lp_trace=trace)
+        with monkeypatch.context() as m:
+            m.setattr(polytope, "solve_lp", reference_solve_lp)
+            fraction_run = min_cost_packing(inst, extras["costs"],
+                                            lp_trace=fraction_trace)
+        assert (trace, run) == (fraction_trace, fraction_run)
+        cuts += len(trace) - 1
+    assert cuts >= 12
