@@ -9,6 +9,7 @@ error.  Diagnostic traces go to stderr behind --trace / --lp-trace.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -103,10 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print reduction steps to stderr")
     p.add_argument("--lp-trace", action="store_true",
                    help="print cutting-plane iterates to stderr")
-    p.add_argument("--max-partitions", type=int, default=12,
-                   help="vertex cap for partition enumeration")
-    p.add_argument("--max-orientations", type=int, default=20,
-                   help="exponent cap for the exhaustive orientation fallback")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     for name in ("check", "pack", "mincost"):
@@ -138,8 +135,14 @@ def _cost_json(cost: Fraction):
     return int(cost) if cost.denominator == 1 else str(cost)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def run_command(argv: list[str]) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     engine = args.engine
     try:
         return _dispatch(args, argv, engine)
@@ -159,15 +162,13 @@ def _dispatch(args, argv, engine) -> int:
 
     if args.cmd == "check":
         inst, _ = instances.parse_instance(_read(args.instance))
-        if isinstance(inst, RootedDigraph):
-            cert = connectivity.check_independent_placement(inst)
-            if cert.ok:
-                cert = connectivity.check_m_connected(inst, engine=engine)
-        else:
-            cert = connectivity.check_independent_placement(inst)
-            if cert.ok:
-                cert = connectivity.check_partition_connected(
-                    inst, cap=args.max_partitions)
+        cert = connectivity.check_independent_placement(inst)
+        if cert.ok and isinstance(inst, RootedDigraph):
+            cert = connectivity.check_m_connected(inst, engine=engine)
+        elif cert.ok:
+            out = orientation.orient_m_connected(inst, engine=engine)
+            if isinstance(out, connectivity.Certificate):
+                cert = out
         if cert.ok:
             _emit(_result("ok", cert.to_json(), argv, engine=engine))
             return EXIT_OK
@@ -228,9 +229,7 @@ def _dispatch(args, argv, engine) -> int:
 
     if args.cmd == "orient":
         g, _ = _load_undirected(args.instance)
-        out = orientation.orient_m_connected(
-            g, engine=engine, max_exp=args.max_orientations,
-            partition_cap=args.max_partitions)
+        out = orientation.orient_m_connected(g, engine=engine)
         if isinstance(out, orientation.Orientation):
             _emit(_result("orientation", out.to_json(), argv, engine=engine))
             return EXIT_OK
@@ -242,8 +241,7 @@ def _dispatch(args, argv, engine) -> int:
         fn = (orientation.pack_undirected if args.cmd == "pack-undirected"
               else orientation.decompose_edges)
         try:
-            out = fn(g, engine=engine, max_exp=args.max_orientations,
-                     partition_cap=args.max_partitions)
+            out = fn(g, engine=engine)
         except orientation.IdentityViolation as exc:
             _emit(_result("error", {"kind": "identity-violation",
                                     "message": str(exc)}, argv, engine=engine))

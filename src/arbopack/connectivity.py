@@ -123,13 +123,19 @@ def check_m_connected(inst: RootedDigraph, engine: str = "brute") -> Certificate
     return Certificate(VIOLATED_SET, vertex_set=xs, deficiency=int(res.value))
 
 
-def check_partition_connected(g: RootedGraph, cap: int = 12) -> Certificate:
-    """Partition counterpart; reports the maximum-deficiency partition."""
+def check_partition_connected(g: RootedGraph) -> Certificate:
+    """Exhaustive reference oracle for the partition condition.
+
+    Enumerates all Bell(n) partitions (``graphs.iter_partitions``, capped
+    at 12 vertices) and reports the first one of maximum deficiency.
+    Tests compare ``orientation.orient_m_connected``, the library's
+    decision procedure, against it; no library path calls it.
+    """
     m = g.matroid
     k = m.full_rank()
     worst = None
     worst_def = 0
-    for blocks in iter_partitions(g.vertices, cap=cap):
+    for blocks in iter_partitions(g.vertices):
         p = Partition(blocks, g.vertices)
         need = k * len(p) - sum(m.rank(g.elements_in(b)) for b in p)
         deficit = need - cross_edges(g, p)

@@ -303,8 +303,8 @@ def _generate_raw(rng, n, m, t, matroid_kind, directed, costs, feasible) -> str:
 
 def _generate_by_rejection(rng, n, m, t, matroid_kind, directed, costs,
                            attempts: int = 2000) -> str:
-    from .connectivity import check_independent_placement, check_m_connected, \
-        check_partition_connected
+    from .connectivity import check_independent_placement, check_m_connected
+    from .orientation import Orientation, orient_m_connected
 
     for _ in range(attempts):
         text = _generate_raw(rng, n, m, t, matroid_kind, directed, costs, False)
@@ -312,7 +312,7 @@ def _generate_by_rejection(rng, n, m, t, matroid_kind, directed, costs,
         if not check_independent_placement(inst).ok:
             continue
         ok = (check_m_connected(inst).ok if directed
-              else check_partition_connected(inst).ok)
+              else isinstance(orient_m_connected(inst), Orientation))
         if ok:
             return text
     raise GenerationError(

@@ -1,28 +1,36 @@
 """Undirected side: orientations, rooted-tree packings, edge decompositions.
 
-Orientation search is a reversal heuristic with an exhaustive fallback.
-Every returned orientation is re-validated, so the heuristic only affects
-speed, never soundness; the fallback (all 2^|E| orientations, canonical
-order) makes the search complete at desk scale.
+G packs rooted trees exactly when some orientation covers
+p(X) = k - r(S_X) on every nonempty X (the paper's undirected corollary;
+Frank 1980).  An orientation with in-degree vector m enters X on
+m(X) - i(X) edges, i(X) the edges inside X, and by Hakimi (1965) every
+m >= i with m(V) = |E| is some orientation's in-degree vector.  So
+``orient_m_connected`` looks for m >= q = p + i with m(V) = |E|: from
+m(v) = deg(v) + k it lowers each m(v) in turn by the least slack
+m(X) - q(X) over X containing v, n submodular minimizations in all.  If
+then m(V) = |E|, reversing directed paths from vertices below m to
+vertices above it realizes m.  Otherwise the steps' minimizers are tight,
+and merged where they meet they give a partition of maximum deficiency
+|E| - m(V) < 0.  There is no heuristic and no exhaustive fallback.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import sfm
 from .connectivity import (
+    VIOLATED_PARTITION,
     Certificate,
     check_independent_placement,
     check_m_connected,
-    check_partition_connected,
     deficiency_objective,
+    recheck_certificate,
 )
-from .graphs import RootedDigraph, RootedGraph, SizeLimitError, tree_vertices
-from .packing import Failure, Packing, TheoremViolation, Tree, find_packing
-
-MAX_ORIENTATION_EXP = 20
+from .graphs import RootedDigraph, RootedGraph, SizeLimitError
+from .packing import Failure, TheoremViolation, Tree, find_packing
 
 
 @dataclass(frozen=True)
@@ -41,102 +49,87 @@ def induced_digraph(g: RootedGraph, orientation: Orientation) -> RootedDigraph:
 
 
 def _orientation_from_bits(g: RootedGraph, bits: int) -> Orientation:
+    """Edge i reversed where bit i is set; the tests' exhaustive reference."""
     dirs = {}
     for i, (e, u, v) in enumerate(g.edges):
         dirs[e] = (u, v) if not bits >> i & 1 else (v, u)
     return Orientation(dirs)
 
 
-def _reverse_path(inst: RootedDigraph, u: str, v: str) -> Optional[list[str]]:
-    """Arc ids of a shortest directed u->v path, or None."""
-    from collections import deque
-
-    prev: dict[str, tuple[str, str]] = {}
-    dq = deque([u])
-    seen = {u}
-    while dq:
-        w = dq.popleft()
-        if w == v:
-            break
-        for a, t, h in inst.arcs:
-            if t == w and h not in seen:
-                seen.add(h)
-                prev[h] = (w, a)
-                dq.append(h)
-    if v not in seen:
-        return None
-    path = []
-    w = v
-    while w != u:
-        w, a = prev[w]
-        path.append(a)
-    return path
-
-
-def orient_m_connected(g: RootedGraph, engine: str = "brute",
-                       max_exp: int = MAX_ORIENTATION_EXP,
-                       partition_cap: int = 12) -> Union[Orientation, Certificate]:
-    """Orientation whose induced digraph satisfies condition (2), or a certificate."""
-    cert = check_partition_connected(g, cap=partition_cap)
-    if not cert.ok:
+def orient_m_connected(g: RootedGraph,
+                       engine: str = "brute") -> Union[Orientation, Certificate]:
+    """An M-connected orientation, or a maximum-deficiency partition."""
+    verts = g.vertices
+    n = len(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    dirs = {e: (u, v) for e, u, v in g.edges}
+    slack = deficiency_objective(induced_digraph(g, Orientation(dirs)))
+    # gap[v] = m(v) - indeg(v) in the all-forward digraph, whose def(X) is
+    # indeg(X) - i(X) - p(X), so def(X) + gap(X) = m(X) - q(X)
+    gap = [g.matroid.full_rank()] * n
+    for _, u, _ in g.edges:
+        gap[pos[u]] += 1
+    steps = []
+    for i in range(n):
+        off = gap[:]  # min-norm-point evaluates again to find a minimizer
+        res = sfm.minimize(sfm.SubmodularObjective(
+            n, lambda X, off=off: slack.evaluate(X) + sum(off[j] for j in X),
+            ("contains", i)), engine=engine)
+        gap[i] -= res.value
+        steps.append(res)
+    if sum(gap) > 0:  # m(V) > |E|
+        blocks: list[set] = []
+        for res in steps:
+            b = set(res.minimizer)
+            for c in [c for c in blocks if c & b]:
+                b |= c
+                blocks.remove(c)
+            blocks.append(b)
+        blocks.sort(key=min)
+        cert = Certificate(
+            VIOLATED_PARTITION,
+            partition=tuple(frozenset(verts[j] for j in b) for b in blocks),
+            deficiency=-sum(gap))
+        if not recheck_certificate(g, cert):
+            raise TheoremViolation(
+                "merged tight sets are not a violated partition (tripwire)")
         return cert
-
-    orient = _orientation_from_bits(g, 0)
-    result = _reversal_heuristic(g, orient, engine)
-    if result is not None:
-        return result
-
-    if len(g.edges) > max_exp:
-        raise SizeLimitError(
-            "exhaustive orientation fallback capped at 2^%d edges" % max_exp
-        )
-    for bits in range(1 << len(g.edges)):
-        cand = _orientation_from_bits(g, bits)
-        if check_m_connected(induced_digraph(g, cand), engine=engine).ok:
-            return cand
-    raise TheoremViolation(
-        "partition-connected graph admits no valid orientation (tripwire)"
-    )
+    oriented = _realize(dirs, dict(zip(verts, gap)))
+    if not check_m_connected(induced_digraph(g, oriented), engine=engine).ok:
+        raise TheoremViolation(
+            "realized in-degree vector is not M-connected (tripwire)")
+    return oriented
 
 
-def _reversal_heuristic(g: RootedGraph, orient: Orientation,
-                        engine: str) -> Optional[Orientation]:
-    """Fix deficient sets by reversing a safe exit path; None when stuck."""
-    k = g.matroid.full_rank()
-    budget = 2 * len(g.edges) * max(k, 1) + 4
-    dirs = dict(orient.directions)
-    for _ in range(budget):
-        inst = induced_digraph(g, Orientation(dirs))
-        cert = check_m_connected(inst, engine=engine)
-        if cert.ok:
-            return Orientation(dirs)
-        X = cert.vertex_set
-        obj = deficiency_objective(inst)
-        vidx = {v: i for i, v in enumerate(inst.vertices)}
-        moved = False
-        for u in sorted(X):
-            for v in sorted(set(g.vertices) - X):
-                path = _reverse_path(inst, u, v)
-                if path is None:
-                    continue
-                # safe when no deficient-or-tight set holds v without u
-                guarded = sfm.minimize(
-                    sfm.SubmodularObjective(
-                        obj.n, obj.evaluate,
-                        ("contains-excludes", vidx[v], vidx[u])),
-                    engine=engine)
-                if guarded.value < 1:
-                    continue
-                for a in path:
-                    t, h = dirs[a]
-                    dirs[a] = (h, t)
-                moved = True
-                break
-            if moved:
-                break
-        if not moved:
-            return None
-    return None
+def _realize(dirs: dict, gap: dict) -> Orientation:
+    """Reverse directed paths until each vertex v has gained gap[v] in-arcs.
+
+    A path from a vertex with gap > 0 to one with gap < 0, reversed, moves
+    one in-arc from its end to its start; Hakimi's theorem says one exists.
+    """
+    dirs = dict(dirs)
+    for low in gap:
+        while gap[low] > 0:
+            prev = {low: None}
+            dq = deque([low])
+            while dq:
+                w = dq.popleft()
+                if gap[w] < 0:
+                    break
+                for e, (t, h) in dirs.items():
+                    if t == w and h not in prev:
+                        prev[h] = e
+                        dq.append(h)
+            else:
+                raise TheoremViolation(
+                    "no path to a vertex above its in-degree (tripwire)")
+            gap[low] -= 1
+            gap[w] += 1
+            while w != low:
+                t, h = dirs[prev[w]]
+                dirs[prev[w]] = (h, t)
+                w = t
+    return Orientation(dirs)
 
 
 # -- tree packings -----------------------------------------------------------------
@@ -212,13 +205,13 @@ def verify_tree_packing(g: RootedGraph, packing: TreePacking) -> Optional[Failur
     return None
 
 
-def pack_undirected(g: RootedGraph, engine: str = "brute",
-                    **caps) -> Union[TreePacking, Certificate]:
+def pack_undirected(g: RootedGraph,
+                    engine: str = "brute") -> Union[TreePacking, Certificate]:
     """Orient, pack arborescences, then forget the orientation."""
     cert = check_independent_placement(g)
     if not cert.ok:
         return cert
-    oriented = orient_m_connected(g, engine=engine, **caps)
+    oriented = orient_m_connected(g, engine=engine)
     if isinstance(oriented, Certificate):
         return oriented
     inst = induced_digraph(g, oriented)
@@ -239,8 +232,8 @@ class IdentityViolation(ValueError):
     """|E| + |S| differs from rank * |V|; no full decomposition can exist."""
 
 
-def decompose_edges(g: RootedGraph, engine: str = "brute",
-                    **caps) -> Union[TreePacking, Certificate]:
+def decompose_edges(g: RootedGraph,
+                    engine: str = "brute") -> Union[TreePacking, Certificate]:
     """Tree packing whose edge sets partition E (full decomposition)."""
     k = g.matroid.full_rank()
     lhs = len(g.edges) + len(g.roots)
@@ -249,7 +242,7 @@ def decompose_edges(g: RootedGraph, engine: str = "brute",
         raise IdentityViolation(
             "|E|+|S| = %d but rank*|V| = %d" % (lhs, rhs)
         )
-    packed = pack_undirected(g, engine=engine, **caps)
+    packed = pack_undirected(g, engine=engine)
     if isinstance(packed, Certificate):
         return packed
     if packed.edge_set() != frozenset(g.edge_map):

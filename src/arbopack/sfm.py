@@ -29,12 +29,14 @@ from math import gcd, lcm
 from operator import mul
 from typing import Callable
 
+from .graphs import SizeLimitError
+
 BRUTE_GROUND_LIMIT = 24
 _MNP_ITER_CAP = 100000
 
 
-class SfmSizeError(RuntimeError):
-    pass
+class SfmSizeError(SizeLimitError):
+    """The brute engine's ground-size cap was exceeded."""
 
 
 class SfmContractError(RuntimeError):
@@ -47,7 +49,7 @@ class SubmodularObjective:
 
     n: int
     evaluate: Callable[[frozenset], object]
-    family: tuple = ("nonempty",)  # ("all",) | ("nonempty",) | ("contains", v) | ("contains-excludes", v, u)
+    family: tuple = ("nonempty",)  # ("all",) | ("nonempty",) | ("contains", v)
 
 
 class SfmResult:
@@ -74,20 +76,15 @@ class SfmResult:
         return self._minimizer
 
 
-def _family_pins(obj: SubmodularObjective) -> tuple[frozenset, frozenset] | None:
-    """(include, exclude) pins, or None for the nonempty family."""
+def _family_pin(obj: SubmodularObjective) -> frozenset | None:
+    """The indices every set of the family holds, or None for nonempty."""
     fam = obj.family
     if fam[0] == "all":
-        return frozenset(), frozenset()
+        return frozenset()
     if fam[0] == "nonempty":
         return None
     if fam[0] == "contains":
-        return frozenset({fam[1]}), frozenset()
-    if fam[0] == "contains-excludes":
-        v, u = fam[1], fam[2]
-        if u == v:
-            raise ValueError("contains-excludes needs distinct vertices")
-        return frozenset({v}), frozenset({u})
+        return frozenset({fam[1]})
     raise ValueError("unknown family %r" % (fam,))
 
 
@@ -123,10 +120,7 @@ def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
             "brute engine capped at %d ground elements (got %d)"
             % (BRUTE_GROUND_LIMIT, n)
         )
-    pins = _family_pins(obj)
-    include = frozenset() if pins is None else pins[0]
-    exclude = frozenset() if pins is None else pins[1]
-    pinned = bool(include or exclude)  # only the contains families pin
+    include = _family_pin(obj)
     best_val = None
     best_set = None
     # subsets in increasing bit-mask order, each one union of two halves
@@ -135,10 +129,10 @@ def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
     for high in _subsets(range(half, n)):
         for part in low:
             s = part | high
-            if pinned:
-                if not include <= s or s & exclude:
+            if include is None:
+                if not s:
                     continue
-            elif not s and pins is None:
+            elif not include <= s:
                 continue
             v = obj.evaluate(s)
             if best_val is None or v < best_val or (
@@ -160,31 +154,29 @@ def _subsets(items) -> list:
 
 
 def _minimize_mnp(obj: SubmodularObjective) -> SfmResult:
-    pins = _family_pins(obj)
-    if pins is None:
-        # nonempty: the min over the sets that contain v, over every v (for
-        # the deficiency objective the empty set always attains the
+    include = _family_pin(obj)
+    nonempty = include is None
+    if nonempty:
+        # the min over the sets that contain v, over every v (for the
+        # deficiency objective the empty set always attains the
         # unconstrained minimum, so a run over all sets would not help)
         best_val = min(_pinned_min(obj, frozenset({v}), frozenset())
                        for v in range(obj.n))
-        include, exclude = frozenset(), frozenset()
-        nonempty = True
+        include = frozenset()
     else:
-        include, exclude = pins
-        best_val = _pinned_min(obj, include, exclude)
-        nonempty = False
+        best_val = _pinned_min(obj, include, frozenset())
     return SfmResult(None, best_val, lambda: _canonical_minimizer(
-        obj, best_val, include, exclude, nonempty))
+        obj, best_val, include, nonempty))
 
 
-def _canonical_minimizer(obj, best_val, include, exclude, nonempty) -> frozenset:
+def _canonical_minimizer(obj, best_val, include, nonempty) -> frozenset:
     """Greedy lex-smallest minimizer via pinned sub-minimizations.
 
     Scans indices in canonical order; at each step prefers stopping at the
     current prefix, then including the index, then skipping it.
     """
     chosen = set(include)
-    dropped = set(exclude)
+    dropped: set = set()
     for i in range(obj.n):
         if i in chosen or i in dropped:
             continue

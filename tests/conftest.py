@@ -28,6 +28,14 @@ def graph(vertices, edges, roots, matroid):
     return RootedGraph(vertices, parsed, parsed_roots, matroid)
 
 
+def lean_matroids(elements):
+    """Deduplicated family: uniform ranks >= |S| all coincide with free."""
+    t = len(elements)
+    out = [FreeMatroid(elements)]
+    out.extend(UniformMatroid(elements, r) for r in range(1, t))
+    return out
+
+
 def random_digraph(rng: random.Random, max_v=4, max_arcs=5, max_roots=3,
                    kinds=("free", "uniform")):
     n = rng.randint(1, max_v)

@@ -20,6 +20,7 @@ from arbopack.connectivity import (
     deficiency_objective,
     dominates,
     is_tight,
+    recheck_certificate,
 )
 from arbopack.graphs import (
     RootedDigraph,
@@ -28,7 +29,7 @@ from arbopack.graphs import (
     iter_subsets,
 )
 from arbopack.instances import parse_instance, generate_instance
-from arbopack.matroid import FreeMatroid, Matroid, UniformMatroid
+from arbopack.matroid import FreeMatroid
 from arbopack.orientation import (
     _orientation_from_bits,
     induced_digraph,
@@ -52,7 +53,7 @@ from arbopack.sweeps import (
     iter_undirected_instances,
 )
 
-from conftest import random_digraph
+from conftest import lean_matroids, random_digraph
 
 
 def report(label, detail):
@@ -90,14 +91,6 @@ def orientation_exists_by_enumeration(g) -> bool:
         if check_m_connected(d).ok:
             return True
     return False
-
-
-def lean_matroids(elements):
-    """Deduplicated family: uniform ranks >= |S| all coincide with free."""
-    t = len(elements)
-    out: list[Matroid] = [FreeMatroid(elements)]
-    out.extend(UniformMatroid(elements, r) for r in range(1, t))
-    return out
 
 
 # -- 1. main theorem, exhaustive ---------------------------------------------------
@@ -216,9 +209,13 @@ def test_05_orientation_equivalence_exhaustive(undirected_sweep):
             d = induced_digraph(g, oriented)
             assert check_m_connected(d).ok, g
             positives += 1
+        else:
+            assert recheck_certificate(g, oriented), g
+            assert oriented.deficiency == cert.deficiency, g
     report("criterion-5",
            "orientation existence matches the partition condition on all %d "
-           "undirected instances (%d positive)"
+           "undirected instances (%d positive); every negative certificate "
+           "rechecks with the enumerator's deficiency"
            % (len(undirected_sweep), positives))
 
 

@@ -207,6 +207,8 @@ def test_orient_and_pack_undirected_cli(tmp_path, capsys):
         "matroid": {"type": "free"},
     }
     path = write(tmp_path, "i.json", doc)
+    code, out = run(capsys, ["check", path])
+    assert code == 0 and out["status"] == "ok"
     code, out = run(capsys, ["orient", path])
     assert code == 0 and out["status"] == "orientation"
     code, out = run(capsys, ["pack-undirected", path])
@@ -217,6 +219,27 @@ def test_orient_and_pack_undirected_cli(tmp_path, capsys):
     for t in out["payload"]["trees"]:
         covered.update(t["edges"])
     assert covered == {"e1", "e2"}
+    cut = write(tmp_path, "cut.json", dict(doc, edges=doc["edges"][:1]))
+    code, out = run(capsys, ["check", cut])
+    assert code == 2 and out["payload"]["kind"] == "violated-partition"
+    assert out["payload"]["deficiency"] == -1
+
+
+@pytest.mark.parametrize("key", ["arcs", "edges"])
+def test_check_above_the_brute_cap_is_an_error_envelope(tmp_path, capsys, key):
+    verts = ["v%d" % i for i in range(25)]
+    if key == "arcs":
+        links = [{"id": "a%d" % i, "tail": u, "head": w}
+                 for i, (u, w) in enumerate(zip(verts, verts[1:]))]
+    else:
+        links = [{"id": "e%d" % i, "ends": [u, w]}
+                 for i, (u, w) in enumerate(zip(verts, verts[1:]))]
+    doc = {"version": 1, "vertices": verts, key: links,
+           "roots": [{"element": "s1", "vertex": "v0"}],
+           "matroid": {"type": "free"}}
+    code, out = run(capsys, ["check", write(tmp_path, "i.json", doc)])
+    assert code == 1 and out["status"] == "error"
+    assert out["payload"]["kind"] == "SfmSizeError"
 
 
 def test_pack_bounded_cli(tmp_path, capsys):

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from conftest import graph
+from conftest import graph, lean_matroids
 from arbopack.connectivity import (
     Certificate,
     check_m_connected,
     check_partition_connected,
+    recheck_certificate,
 )
 from arbopack.matroid import FreeMatroid, UniformMatroid
 from arbopack.orientation import (
@@ -21,6 +22,7 @@ from arbopack.orientation import (
     verify_tree_packing,
 )
 from arbopack.packing import Tree, find_packing
+from arbopack.sweeps import iter_undirected_instances
 
 
 def orientation_exists_by_enumeration(g):
@@ -80,6 +82,25 @@ def test_orientation_equivalence_random():
         assert check_partition_connected(g).ok == exists
         out = orient_m_connected(g)
         assert isinstance(out, Orientation) == exists
+
+
+def test_min_norm_point_orientation_on_a_sweep_sample():
+    # the criterion-5 sweep, sampled, with the other engine
+    sweep = list(iter_undirected_instances(max_vertices=4, max_edges=5,
+                                           max_roots=2, matroids=lean_matroids))
+    positives = negatives = 0
+    for g in random.Random(5).sample(sweep, 2000):
+        cert = check_partition_connected(g)
+        out = orient_m_connected(g, engine="min-norm-point")
+        assert isinstance(out, Orientation) == cert.ok, g
+        if cert.ok:
+            assert check_m_connected(induced_digraph(g, out)).ok, g
+            positives += 1
+        else:
+            assert recheck_certificate(g, out), g
+            assert out.deficiency == cert.deficiency, g
+            negatives += 1
+    assert positives > 100 and negatives > 100
 
 
 # -- undirected packing ------------------------------------------------------------------
@@ -154,6 +175,28 @@ def test_round_trip_reorientation():
         from arbopack.packing import Packing, verify_packing
         assert isinstance(directed, Packing)
         assert verify_packing(d, directed) is None
+
+
+def test_min_norm_point_packs_a_planted_14_vertex_instance():
+    # two spanning trees on fresh edges plus spare ones; above the
+    # enumerator's 12-vertex cap
+    rng = random.Random(14)
+    verts = ["v%d" % i for i in range(14)]
+    edges, roots = [], []
+    for s in ("s0", "s1"):
+        order = verts[:]
+        rng.shuffle(order)
+        roots.append("%s@%s" % (s, order[0]))
+        for j in range(1, len(order)):
+            edges.append("e%d:%s-%s" % (len(edges), order[rng.randrange(j)],
+                                        order[j]))
+    for _ in range(4):
+        u, w = rng.sample(verts, 2)
+        edges.append("e%d:%s-%s" % (len(edges), u, w))
+    g = graph(verts, edges, roots, FreeMatroid(["s0", "s1"]))
+    out = pack_undirected(g, engine="min-norm-point")
+    assert isinstance(out, TreePacking)
+    assert verify_tree_packing(g, out) is None
 
 
 # -- decomposition ------------------------------------------------------------------------
