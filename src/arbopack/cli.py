@@ -3,7 +3,9 @@
 Subcommands: check, pack, pack-undirected, orient, decompose, mincost,
 pack-bounded, verify, gen.  Results are JSON on stdout; exit code 0 means
 a positive answer, 2 a certified negative, 1 a usage/parse/size-limit
-error.  Diagnostic traces go to stderr behind --trace / --lp-trace.
+error or a tripped internal check (a ``RuntimeError``: the solver reached
+a state its proof rules out).  Diagnostic traces go to stderr behind
+--trace / --lp-trace.
 """
 
 from __future__ import annotations
@@ -146,7 +148,8 @@ def run_command(argv: list[str]) -> int:
     engine = args.engine
     try:
         return _dispatch(args, argv, engine)
-    except (ParseError, GenerationError, SizeLimitError, ValueError) as exc:
+    except (ParseError, GenerationError, SizeLimitError, ValueError,
+            RuntimeError) as exc:
         _emit(_result("error", {"kind": type(exc).__name__, "message": str(exc)},
                       argv))
         return EXIT_USAGE
@@ -178,9 +181,10 @@ def _dispatch(args, argv, engine) -> int:
     if args.cmd == "pack":
         inst, _ = _load_directed(args.instance)
         trace: list = [] if args.trace else None
-        out = packing.find_packing(inst, engine=engine, trace=trace)
-        if args.trace and trace:
-            for step in trace:
+        try:
+            out = packing.find_packing(inst, engine=engine, trace=trace)
+        finally:  # the steps taken before a tripwire are a diagnostic too
+            for step in trace or ():
                 sys.stderr.write(json.dumps(step.to_json()) + "\n")
         if isinstance(out, packing.Packing):
             _emit(_result("packing", out.to_json(), argv, engine=engine))

@@ -30,7 +30,7 @@ from .connectivity import (
     recheck_certificate,
 )
 from .graphs import RootedDigraph, RootedGraph, SizeLimitError
-from .packing import Failure, TheoremViolation, Tree, find_packing
+from .packing import Failure, TheoremViolation, Tree, _construct
 
 
 @dataclass(frozen=True)
@@ -214,12 +214,8 @@ def pack_undirected(g: RootedGraph,
     oriented = orient_m_connected(g, engine=engine)
     if isinstance(oriented, Certificate):
         return oriented
-    inst = induced_digraph(g, oriented)
-    packed = find_packing(inst, engine=engine)
-    if isinstance(packed, Certificate):
-        raise TheoremViolation(
-            "valid orientation failed to pack (tripwire): %r" % (packed,)
-        )
+    # orient_m_connected has checked this digraph's M-connectivity
+    packed = _construct(induced_digraph(g, oriented), engine)
     trees = TreePacking(tuple(Tree(t.root_element, t.root_vertex, t.arcs)
                               for t in packed.trees))
     failure = verify_tree_packing(g, trees)

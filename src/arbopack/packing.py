@@ -2,11 +2,21 @@
 
 The solver mirrors the inductive sufficiency argument: while a bad arc uv
 exists, pick a root element s placed at u outside the span of the roots at
-v, delete uv, add a fresh element parallel to s at v, and recurse on the
-smaller instance; at the base case (no bad arc) every vertex's root set is
-a base and the packing is |S| singleton arborescences.  The recursion is
-run iteratively and unwound by lifting: the trees rooted at s and its twin
-are vertex-disjoint, so their union plus uv is again an arborescence.
+v, delete uv, add a fresh element s' parallel to s at v, and recurse on
+the smaller instance D'; at the base case (no bad arc) every vertex's root
+set is a base and the packing is |S| singleton arborescences.  The
+recursion is run iteratively and unwound by lifting: the trees rooted at s
+and its twin are vertex-disjoint, so their union plus uv is again an
+arborescence.
+
+D is M-connected at every step (the input is checked, and each accepted
+D' is again M-connected).  The deficiency of D' is
+
+    def'(X) = def(X) - 1 + [s not in span(S_X)]   if v in X and u not in X,
+    def'(X) = def(X)                               otherwise,
+
+so D' is M-connected iff def' >= 0 on the sets that hold v and not u: one
+pinned minimization per candidate, not a check over all nonempty sets.
 
 ``brute_force_packing`` is an independent exponential ground-truth oracle
 used by the test suite; it shares nothing with the constructive path
@@ -18,11 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from . import sfm
 from .connectivity import (
     Certificate,
     check_independent_placement,
     check_m_connected,
     classify_arc,
+    deficiency_objective,
 )
 from .graphs import (
     InstanceError,
@@ -131,27 +143,62 @@ def verify_packing(inst: RootedDigraph, packing: Packing) -> Optional[Failure]:
 
 
 def find_reduction(inst: RootedDigraph, engine: str = "brute"):
-    """First bad-arc/witness pair whose reduced instance stays connected.
+    """First bad-arc/witness pair whose reduced instance stays M-connected.
 
     Returns (step, reduced instance) or None at the base case (no bad arc).
+    ``inst`` must be M-connected: each candidate is then decided by
+    ``_keeps_connected``, which reads def' on the sets holding the head
+    and not the tail (see the module docstring).
     """
-    bad = []
+    tried = []
+    for step, reduced, ok in _candidates(inst, engine):
+        if ok:
+            return step, reduced
+        tried.append(step)
+    if not tried:
+        return None
+    raise TheoremViolation(
+        "find_reduction: no candidate keeps the instance M-connected "
+        "(tripwire): engine %s, bad arcs %s, candidates tried %d, "
+        "arcs %d, roots %d"
+        % (engine, list(dict.fromkeys(st.arc_id for st in tried)), len(tried),
+           len(inst.arcs), len(inst.roots)))
+
+
+def _candidates(inst: RootedDigraph, engine: str):
+    """(step, reduced instance, whether it stays M-connected) per candidate.
+
+    Bad arcs in arc order; for each, its witnesses in ground order.  Each
+    verdict is computed when its candidate is drawn.
+    """
+    ground_order = {e: i for i, e in enumerate(inst.matroid.ground)}
     for a, t, h in inst.arcs:
         kind, witness = classify_arc(inst, a)
-        if kind == "bad":
-            bad.append((a, t, h, witness))
-    if not bad:
-        return None
-    ground_order = {e: i for i, e in enumerate(inst.matroid.ground)}
-    for a, t, h, witness in bad:
+        if kind != "bad":
+            continue
         for s in sorted(witness, key=ground_order.__getitem__):
             m2, s_new = inst.matroid.extend_parallel(s)
             reduced = inst.without_arc(a).with_root(s_new, h, m2)
-            if check_m_connected(reduced, engine=engine).ok:
-                return ReductionStep(a, t, h, s, s_new), reduced
-    raise TheoremViolation(
-        "no reduction candidate keeps the instance connected (tripwire)"
-    )
+            yield (ReductionStep(a, t, h, s, s_new), reduced,
+                   _keeps_connected(reduced, t, h, engine))
+
+
+def _keeps_connected(reduced: RootedDigraph, u: str, v: str,
+                     engine: str) -> bool:
+    """Whether D' = ``reduced`` is M-connected, given that D is.
+
+    def' can fall below def only on sets that hold v and not u, so this
+    minimizes def' over those sets alone: u is dropped and v pinned.
+    Only the minimum value is read, never a minimizer.
+    """
+    # with u indexed last, the sets without u are those over the first
+    # n - 1 indices, and def' is evaluated on them as it is
+    rest = [w for w in reduced.vertices if w != u]
+    obj = deficiency_objective(RootedDigraph(
+        rest + [u], reduced.arcs, reduced.roots, reduced.matroid))
+    pinned = sfm.SubmodularObjective(len(rest), obj.evaluate,
+                                     ("contains", rest.index(v)))
+    return sfm.minimize(pinned, engine=engine).value >= 0
 
 
 def base_case_packing(inst: RootedDigraph) -> Packing:
@@ -195,7 +242,16 @@ def find_packing(inst: RootedDigraph, engine: str = "brute",
     cert = check_m_connected(inst, engine=engine)
     if not cert.ok:
         return cert
+    return _construct(inst, engine, trace)
 
+
+def _construct(inst: RootedDigraph, engine: str,
+               trace: Optional[list] = None) -> Packing:
+    """Reduce to the base case, lift back and verify.
+
+    For callers that have already established both conditions on
+    ``inst``: an independent placement and M-connectivity.
+    """
     steps: list[ReductionStep] = []
     cur = inst
     while True:
@@ -239,56 +295,56 @@ def brute_force_packing(inst: RootedDigraph) -> Optional[Packing]:
             % (BRUTE_ARC_CAP, BRUTE_ROOT_CAP)
         )
     t = len(roots)
-    assignment = [None] * len(arcs)
-    heads_used: list[set] = [set() for _ in range(t)]
-    # leaves repeat the same (arc set, root) pairs across trees and branches:
-    # the vertex set of each arborescence, None for a non-arborescence
-    spans: dict[tuple[frozenset, str], Optional[frozenset]] = {}
+    # per tree: head -> tail of its in-arc, and the indices of its arcs
+    parent: list[dict] = [{} for _ in range(t)]
+    tree_arcs: list[list] = [[] for _ in range(t)]
 
-    def feasible_partial(i: int, tree: int) -> bool:
-        _, _, h = arcs[i]
-        if h in heads_used[tree]:
+    def feasible_partial(i: int, j: int) -> bool:
+        _, tail, h = arcs[i]
+        if h in parent[j] or h == roots[j][1]:
             return False
-        if h == roots[tree][1]:
-            return False
+        # h being tail or one of its ancestors would close a cycle
+        w = tail
+        while w is not None:
+            if w == h:
+                return False
+            w = parent[j].get(w)
         return True
 
     def leaf() -> Optional[Packing]:
-        # arcs are assigned to at most one tree and every root gets one, so
-        # what is left to check is that each tree is an arborescence and
+        # each tree is acyclic with one in-arc per non-root vertex, so it is
+        # an arborescence iff each tail is the root or has an in-arc, and
+        # then it spans its root and its heads; what is left to check is
         # that the roots covering each vertex form a base
-        trees = []
         covers: dict[str, list] = {v: [] for v in inst.vertices}
         for j, (e, v) in enumerate(roots):
-            ids = frozenset(arcs[i][0] for i in range(len(arcs))
-                            if assignment[i] == j)
-            key = (ids, v)
-            if key not in spans:
-                spans[key] = (tree_vertices(ids, inst, v)
-                              if is_arborescence(ids, inst, v) else None)
-            if spans[key] is None:
+            p = parent[j]
+            if any(arcs[i][1] != v and arcs[i][1] not in p
+                   for i in tree_arcs[j]):
                 return None
-            for u in spans[key]:
+            covers[v].append(e)
+            for u in p:
                 covers[u].append(e)
-            trees.append(Tree(e, v, ids))
         if all(inst.matroid.is_base(c) for c in covers.values()):
-            return Packing(tuple(trees))
+            return Packing(tuple(
+                Tree(e, v, frozenset(arcs[i][0] for i in tree_arcs[j]))
+                for j, (e, v) in enumerate(roots)))
         return None
 
     def rec(i: int) -> Optional[Packing]:
         if i == len(arcs):
             return leaf()
+        _, tail, h = arcs[i]
         for j in range(t):
             if feasible_partial(i, j):
-                assignment[i] = j
-                heads_used[j].add(arcs[i][2])
+                parent[j][h] = tail
+                tree_arcs[j].append(i)
                 found = rec(i + 1)
-                heads_used[j].discard(arcs[i][2])
-                assignment[i] = None
+                tree_arcs[j].pop()
+                del parent[j][h]
                 if found is not None:
                     return found
-        assignment[i] = None  # unused
-        return rec(i + 1)
+        return rec(i + 1)  # arc i unused
 
     found = rec(0)
     if found is not None:

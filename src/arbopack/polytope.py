@@ -25,7 +25,7 @@ from .connectivity import (
 )
 from .graphs import RootedDigraph
 from .lp import OPTIMAL, solve_lp
-from .packing import Packing, TheoremViolation, find_packing
+from .packing import Packing, TheoremViolation, _construct
 
 
 class IntegralityViolation(RuntimeError):
@@ -172,9 +172,8 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "brute",
         inst.vertices,
         [arc for arc in inst.arcs if arc[0] in set(chosen)],
         inst.roots, inst.matroid)
-    packed = find_packing(support, engine=engine)
-    if isinstance(packed, Certificate):
-        raise TheoremViolation(
-            "integral optimum did not support a packing (tripwire)")
+    # the placement was checked on entry, and the last separation found no
+    # cut violated by this 0/1 point: the support is M-connected
+    packed = _construct(support, engine)
     cost = sum(Fraction(costs[a]) for a in packed.arc_set())
     return packed, cost

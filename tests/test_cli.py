@@ -242,6 +242,33 @@ def test_check_above_the_brute_cap_is_an_error_envelope(tmp_path, capsys, key):
     assert out["payload"]["kind"] == "SfmSizeError"
 
 
+def test_tripwire_is_an_error_envelope(tmp_path, capsys, monkeypatch):
+    from arbopack import packing
+
+    # a pinned check that rejects every candidate trips find_reduction
+    monkeypatch.setattr(packing, "_keeps_connected", lambda *args: False)
+    path = write(tmp_path, "i.json", MINIMAL_DIRECTED)
+    code, out = run(capsys, ["pack", path])
+    assert code == 1 and out["status"] == "error"
+    assert out["payload"]["kind"] == "TheoremViolation"
+    message = out["payload"]["message"]
+    assert message.startswith("find_reduction:")
+    assert "engine brute, bad arcs ['a1'], candidates tried 1" in message
+
+
+def test_plain_runtime_tripwire_is_an_error_envelope(tmp_path, capsys,
+                                                     monkeypatch):
+    from arbopack import sfm
+
+    monkeypatch.setattr(sfm, "_MNP_ITER_CAP", 0)
+    path = write(tmp_path, "i.json", MINIMAL_DIRECTED)
+    code, out = run(capsys, ["--engine", "min-norm-point", "check", path])
+    assert code == 1 and out["status"] == "error"
+    assert out["payload"] == {
+        "kind": "RuntimeError",
+        "message": "min-norm-point failed to converge (tripwire)"}
+
+
 def test_pack_bounded_cli(tmp_path, capsys):
     doc = dict(MINIMAL_DIRECTED, bound=1)
     path = write(tmp_path, "i.json", doc)

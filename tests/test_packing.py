@@ -4,17 +4,25 @@ import random
 import pytest
 
 from conftest import digraph, random_digraph
+from arbopack import packing
 from arbopack.connectivity import (
     Certificate,
     check_independent_placement,
     check_m_connected,
+    deficiency_objective,
 )
 from arbopack.graphs import InstanceError, RootedDigraph, SizeLimitError
-from arbopack.matroid import ExplicitMatroid, FreeMatroid, UniformMatroid
+from arbopack.matroid import (
+    ExplicitMatroid,
+    FreeMatroid,
+    PartitionMatroid,
+    UniformMatroid,
+)
 from arbopack.packing import (
     InfeasibleBound,
     Packing,
     Tree,
+    _candidates,
     base_case_packing,
     brute_force_packing,
     find_packing,
@@ -23,6 +31,8 @@ from arbopack.packing import (
     pack_with_bound,
     verify_packing,
 )
+from arbopack.sfm import SubmodularObjective
+from arbopack.sweeps import iter_directed_instances
 
 
 def feasible(inst):
@@ -109,6 +119,110 @@ def test_reduction_invariants_along_a_run():
         # arcs removed once per step; roots grow by one per step
         assert len(d.arcs) - len(cur.arcs) == steps
         assert len(cur.roots) - len(d.roots) == steps
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The vertex sets on which the pinned check reads def'."""
+    sets: list = []
+
+    def recording(inst):
+        obj = deficiency_objective(inst)
+
+        def evaluate(X):
+            sets.append(frozenset(inst.vertices[i] for i in X))
+            return obj.evaluate(X)
+
+        return SubmodularObjective(obj.n, evaluate, obj.family)
+
+    monkeypatch.setattr(packing, "deficiency_objective", recording)
+    return sets
+
+
+def pinned_matches_full_check(inst, engine, evaluated) -> tuple[int, int]:
+    """Compare the pinned check with a full check on every candidate.
+
+    Walks the solver's run on the M-connected ``inst``; at each step every
+    candidate, not only the first accepted, gets both verdicts, the full
+    one from the brute engine, the reference oracle.  def' must be read
+    only on sets that hold the head v and not the tail u, and with brute
+    on each of them once.  Returns (candidates, rejected).
+    """
+    candidates = rejected = 0
+    cur = inst
+    while cur is not None:
+        nxt = None
+        evaluated.clear()
+        for step, reduced, pinned in _candidates(cur, engine):
+            assert pinned == check_m_connected(reduced).ok, (cur, step)
+            u, v = step.tail, step.head
+            assert all(v in X and u not in X for X in evaluated), (cur, step)
+            if engine == "brute":
+                assert len(set(evaluated)) == len(evaluated) \
+                    == 2 ** (len(cur.vertices) - 2), (cur, step)
+            candidates += 1
+            rejected += not pinned
+            if pinned and nxt is None:
+                nxt = reduced
+            evaluated.clear()
+        cur = nxt
+    return candidates, rejected
+
+
+def test_pinned_check_matches_full_check_on_the_sweep(evaluated):
+    # the sweep of test_01 (every third instance), restricted to the
+    # M-connected instances where the solver runs
+    candidates = rejected = 0
+    for i, inst in enumerate(iter_directed_instances(3, 4, 3)):
+        if i % 3 or not feasible(inst):
+            continue
+        c, r = pinned_matches_full_check(inst, "brute", evaluated)
+        candidates += c
+        rejected += r
+    assert rejected > 0 and candidates > rejected
+
+
+def planted_digraph(rng: random.Random, n: int, kind: str) -> RootedDigraph:
+    """A random instance built around a packing, hence M-connected.
+
+    The root elements fall into layers such that one element per layer is
+    always a base; each layer's roots sit at distinct vertices and grow a
+    random spanning branching, so every vertex is covered once per layer.
+    Noise arcs go on top, and the arc order is shuffled.
+    """
+    if kind == "free":
+        layers = [["s0"], ["s1"]]
+        matroid = FreeMatroid(["s0", "s1"])
+    elif kind == "uniform":
+        layers = [["s0"], ["s1", "s2"]]
+        matroid = UniformMatroid(["s0", "s1", "s2"], 2)
+    else:
+        layers = [["s0", "s1"], ["s2"], ["s3"]]
+        matroid = PartitionMatroid([(["s0", "s1"], 1), (["s2", "s3"], 2)])
+    verts = ["v%d" % i for i in range(n)]
+    pairs, roots = [], []
+    for layer in layers:
+        order = rng.sample(verts, n)
+        roots += zip(layer, order)
+        for j in range(len(layer), n):
+            pairs.append((order[rng.randrange(j)], order[j]))
+    pairs += [tuple(rng.sample(verts, 2)) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(pairs)
+    arcs = [("a%d" % i, t, h) for i, (t, h) in enumerate(pairs)]
+    return RootedDigraph(verts, arcs, sorted(roots), matroid)
+
+
+def test_pinned_check_matches_full_check_min_norm_point(evaluated):
+    rng = random.Random(606)
+    candidates = rejected = 0
+    for n in (6, 7, 8, 9):
+        for kind in ("free", "uniform", "partition"):
+            inst = planted_digraph(rng, n, kind)
+            assert feasible(inst), inst
+            c, r = pinned_matches_full_check(inst, "min-norm-point", evaluated)
+            candidates += c
+            rejected += r
+    assert rejected > 0 and candidates > rejected
 
 
 # -- base case / lift ----------------------------------------------------------------
