@@ -5,9 +5,12 @@ The central quantity is the deficiency of a vertex set X:
     def(X) = in_degree(X) + rank(S_X) - rank(S)
 
 The instance is root-connected (condition (2) of the characterization) iff
-def(X) >= 0 for every nonempty X, which is decided by submodular
-minimization of def over nonempty sets; def(V) = 0 always, so the minimum
-is never positive.
+def(X) >= 0 for every nonempty X; def(V) = 0 always, so the minimum is
+never positive.  The ``flow`` engine decides it by n unit flows, one per
+vertex v, each reading min over X containing v of def(X) + k, k = r(S)
+(``flow.Network.min_cut``); ``brute`` and ``min-norm-point`` minimize def over
+nonempty sets by submodular minimization.  Under every engine a violated
+set is the lexicographically smallest minimizer.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import sfm
+from . import flow, sfm
 from .graphs import (
     InstanceError,
     Partition,
@@ -114,13 +117,61 @@ def deficiency_objective(inst: RootedDigraph,
     return sfm.SubmodularObjective(len(verts), evaluate, ("nonempty",))
 
 
-def check_m_connected(inst: RootedDigraph, engine: str = "brute") -> Certificate:
+def check_m_connected(inst: RootedDigraph, engine: str = "flow") -> Certificate:
     """Condition (2): every nonempty X has in-degree >= rank(S) - rank(S_X)."""
+    if engine == "flow":
+        return _check_by_flow(inst)
     res = sfm.minimize(deficiency_objective(inst), engine=engine)
     if res.value >= 0:
         return _OK_CERT
     xs = frozenset(inst.vertices[i] for i in res.minimizer)
     return Certificate(VIOLATED_SET, vertex_set=xs, deficiency=int(res.value))
+
+
+def _check_by_flow(inst: RootedDigraph) -> Certificate:
+    """``check_m_connected`` by one flow per vertex, capped at k = r(S).
+
+    A violated set is found by the greedy of the other engines
+    (``sfm._canonical_minimizer``), each of its pinned minimizations one
+    flow with the chosen vertices as sinks and the dropped ones as
+    sources, and it is re-checked before it is returned.
+    """
+    verts = inst.vertices
+    if not verts:
+        raise ValueError("empty ground set")
+    k = inst.matroid.full_rank()
+    net = flow.Network(inst)
+    cut = [net.min_cut((v,), (), k) for v in verts]
+    best = min(cut) - k
+    if best >= 0:
+        return _OK_CERT
+
+    def pinned_min(include, exclude):
+        # cut[i] - k is the min over the sets that hold i: a family holding
+        # a vertex of no minimizer, or one vertex alone, needs no flow
+        if any(cut[i] > best + k for i in include):
+            return best + 1
+        if len(include) == 1 and not exclude:
+            return best
+        return net.min_cut([verts[i] for i in include],
+                           [verts[i] for i in exclude], best + k + 1) - k
+
+    def evaluate(X):
+        xs = [verts[i] for i in X]
+        return in_degree(inst, xs) + inst.matroid.rank(inst.elements_in(xs)) - k
+
+    xs = sfm._canonical_minimizer(
+        sfm.SubmodularObjective(len(verts), evaluate), best, frozenset(), True,
+        pinned_min)
+    cert = Certificate(VIOLATED_SET, vertex_set=frozenset(verts[i] for i in xs),
+                       deficiency=best)
+    if not recheck_certificate(inst, cert):
+        raise flow.FlowViolation(
+            "check_m_connected: the violated set %s does not recheck "
+            "(tripwire): engine flow, deficiency %d, vertices %d, arcs %d, "
+            "roots %d" % (sorted(cert.vertex_set), best, len(verts),
+                          len(inst.arcs), len(inst.roots)))
+    return cert
 
 
 def check_partition_connected(g: RootedGraph) -> Certificate:
@@ -168,7 +219,12 @@ def classify_arc(inst: RootedDigraph, arc_id: str) -> tuple[str, frozenset]:
     if arc_id not in inst.arc_map:
         raise InstanceError("unknown arc id %r" % arc_id)
     t, h = inst.arc_map[arc_id]
-    witness = inst.elements_at(t) - inst.matroid.span(inst.elements_at(h))
+    m = inst.matroid
+    at_head = inst.elements_at(h)
+    r = m.rank(at_head)
+    # S_t minus span(S_h), without the span over the whole ground set
+    witness = frozenset(s for s in inst.elements_at(t)
+                        if m.rank(at_head | {s}) > r)
     return ("good", frozenset()) if not witness else ("bad", witness)
 
 

@@ -1,0 +1,181 @@
+"""Unit augmenting paths for the integer deficiency checks.
+
+Take a rooted digraph D = (V, A) with root elements S placed at its
+vertices and a matroid M on S, a nonempty sink set T and a source set U
+disjoint from it.  By Menger's theorem and Edmonds' matroid intersection
+theorem (Edmonds 1970),
+
+    min { in(X) + r(S_X) : T ⊆ X, X ∩ U = ∅ }
+
+equals the largest number of arc-disjoint paths that end in T and start
+either at a vertex of U or at the place of an element of an independent
+set I, one path per element of I.  Elements placed in U play no part:
+no set of the family holds them.
+
+``Network.min_cut`` grows I and the paths one unit at a time.  It first
+takes, greedily, the elements placed at sinks that keep I independent:
+each is a path of no arcs.  After that each augmenting path is found by one
+breadth-first search from a virtual source over
+vertices and elements.  It starts at a vertex of U, or at an element y
+outside I with I + y independent, and it moves
+
+* along an unused arc, or back along a used one;
+* from a vertex w to an element x of I placed at w (x stops supplying w);
+* from x in I to an element y outside I with I - x + y independent;
+* from an element y outside I to its vertex (y starts supplying it);
+
+and it ends at the first sink taken off the queue.  Flipping the arcs and
+toggling the elements along the path adds one unit.  The path is a
+shortest one, so its element exchanges have no shortcut: for i < j,
+I - x_i + y_j is dependent, and so is I + y_j for every y_j after the
+first.  By the exchange lemma of matroid intersection (Schrijver 2003,
+the matroid intersection chapter) I toggled along the path is then
+independent again.  When no path exists, the vertices the search cannot
+reach form a minimizer, whose value is the number of paths found.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from .graphs import RootedDigraph
+
+
+class FlowViolation(RuntimeError):
+    """Tripwire: the flow engine reached a state its proof rules out."""
+
+
+class Network:
+    """An instance as index lists, built once for the flows run on it.
+
+    ``adj[w]`` holds (c, u) for each residual arc from vertex w to vertex
+    u: c = 2j for arc j itself and 2j + 1 for its reverse.  Element x
+    (node n + x of the search) is the x-th root: ``home[x]`` is its vertex
+    and ``ebit[x]`` the bit of its root element in the root oracle of
+    ``Matroid.twin_map``, so twins are parallel by construction.
+    ``rank[mask]`` is that oracle's rank of a bit mask, memoized.
+    """
+
+    def __init__(self, inst: RootedDigraph):
+        self.inst = inst
+        self.pos = pos = {v: i for i, v in enumerate(inst.vertices)}
+        self.adj = adj = [[] for _ in pos]
+        for j, (_, t, h) in enumerate(inst.arcs):
+            t, h = pos[t], pos[h]
+            adj[t].append((2 * j, h))
+            adj[h].append((2 * j + 1, t))
+        root, twins = inst.matroid.twin_map()
+        bit = {e: 1 << b for b, e in enumerate(root.ground)}
+        self.home = [pos[v] for _, v in inst.roots]
+        self.ebit = [bit[twins.get(e, e)] for e, _ in inst.roots]
+        self.at = at = [[] for _ in pos]
+        for x, i in enumerate(self.home):
+            at[i].append(x)
+        self.rank = _Ranks(root)
+
+    def min_cut(self, sinks: Iterable[str], sources: Iterable[str],
+                cap: int) -> int:
+        """min(cap, min of in(X) + r(S_X) over sinks ⊆ X, X ∩ sources = ∅).
+
+        At most ``cap`` augmentations, all in integers.
+        """
+        inst = self.inst
+        verts = inst.vertices
+        n = len(verts)
+        pos, adj, home, ebit, at, rank = (self.pos, self.adj, self.home,
+                                          self.ebit, self.at, self.rank)
+        sink = [False] * n
+        for v in sinks:
+            sink[pos[v]] = True
+        starts = [pos[v] for v in sources]
+        if True not in sink or any(sink[i] for i in starts):
+            raise ValueError("the sinks must be nonempty and miss the sources")
+        res = [1, 0] * len(inst.arcs)   # residual capacity: arc 2j, reverse 2j+1
+        supplying = [False] * len(home)
+        mask = size = 0
+        for i in range(n):
+            if sink[i]:
+                for x in at[i]:
+                    if size < cap and rank[mask | ebit[x]] > size:
+                        supplying[x] = True
+                        mask |= ebit[x]
+                        size += 1
+        value = size
+        while value < cap:
+            prev: list = [None] * (n + len(home))   # -1: the virtual source
+            via = [0] * n                           # residual arc into a vertex
+            queue = []
+            for i in starts:
+                prev[i] = -1
+                queue.append(i)
+            # an element y only leads to its vertex, so y is left out once that
+            # vertex is reached; this also leaves out the elements at sources
+            for y, b in enumerate(ebit):
+                if (not supplying[y] and prev[home[y]] is None
+                        and rank[mask | b] > size):
+                    prev[n + y] = -1
+                    queue.append(n + y)
+            end = None
+            for node in queue:  # grows while it is read: breadth-first order
+                if node < n:
+                    if sink[node]:
+                        end = node
+                        break
+                    for c, w in adj[node]:
+                        if res[c] and prev[w] is None:
+                            prev[w], via[w] = node, c
+                            queue.append(w)
+                    for x in at[node]:
+                        if supplying[x] and prev[n + x] is None:
+                            prev[n + x] = node
+                            queue.append(n + x)
+                elif supplying[node - n]:
+                    rest = mask ^ ebit[node - n]
+                    for y, b in enumerate(ebit):
+                        if (not supplying[y] and prev[n + y] is None
+                                and prev[home[y]] is None
+                                and rank[rest | b] == size):
+                            prev[n + y] = node
+                            queue.append(n + y)
+                elif prev[home[node - n]] is None:
+                    prev[home[node - n]] = node
+                    queue.append(home[node - n])
+            if end is None:
+                return value
+            node = end
+            while node != -1:
+                p = prev[node]
+                if node >= n:
+                    x = node - n
+                    supplying[x] = not supplying[x]
+                    mask ^= ebit[x]
+                    size += 1 if supplying[x] else -1
+                elif 0 <= p < n:
+                    c = via[node]
+                    res[c] = 0
+                    res[c ^ 1] = 1
+                node = p
+            # two supplying twins would cancel in the mask: the rank falls short
+            if rank[mask] != size:
+                raise FlowViolation(
+                    "min_cut: the supplying elements are dependent after "
+                    "augmentation %d (tripwire): engine flow, sinks %s, sources "
+                    "%s, arcs %d, roots %d"
+                    % (value + 1, sorted(verts[i] for i in range(n) if sink[i]),
+                       sorted(verts[i] for i in starts), len(inst.arcs),
+                       len(inst.roots)))
+            value += 1
+        return cap
+
+
+class _Ranks(dict):
+    """Bit mask of root elements -> rank, each read from the oracle once."""
+
+    def __init__(self, root):
+        super().__init__({0: 0})
+        self.root = root
+
+    def __missing__(self, mask: int) -> int:
+        r = self[mask] = self.root.rank(
+            [e for b, e in enumerate(self.root.ground) if mask >> b & 1])
+        return r

@@ -7,11 +7,13 @@ m(X) - i(X) edges, i(X) the edges inside X, and by Hakimi (1965) every
 m >= i with m(V) = |E| is some orientation's in-degree vector.  So
 ``orient_m_connected`` looks for m >= q = p + i with m(V) = |E|: from
 m(v) = deg(v) + k it lowers each m(v) in turn by the least slack
-m(X) - q(X) over X containing v, n submodular minimizations in all.  If
-then m(V) = |E|, reversing directed paths from vertices below m to
-vertices above it realizes m.  Otherwise the steps' minimizers are tight,
-and merged where they meet they give a partition of maximum deficiency
-|E| - m(V) < 0.  There is no heuristic and no exhaustive fallback.
+m(X) - q(X) over X containing v, n submodular minimizations in all (by
+brute force under the ``flow`` engine, whose unit flows do not take the
+modular offset).  If then m(V) = |E|, reversing directed paths from
+vertices below m to vertices above it realizes m.  Otherwise the steps'
+minimizers are tight, and merged where they meet they give a partition
+of maximum deficiency |E| - m(V) < 0.  There is no heuristic and no
+exhaustive fallback.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _orientation_from_bits(g: RootedGraph, bits: int) -> Orientation:
 
 
 def orient_m_connected(g: RootedGraph,
-                       engine: str = "brute") -> Union[Orientation, Certificate]:
+                       engine: str = "flow") -> Union[Orientation, Certificate]:
     """An M-connected orientation, or a maximum-deficiency partition."""
     verts = g.vertices
     n = len(verts)
@@ -206,7 +208,7 @@ def verify_tree_packing(g: RootedGraph, packing: TreePacking) -> Optional[Failur
 
 
 def pack_undirected(g: RootedGraph,
-                    engine: str = "brute") -> Union[TreePacking, Certificate]:
+                    engine: str = "flow") -> Union[TreePacking, Certificate]:
     """Orient, pack arborescences, then forget the orientation."""
     cert = check_independent_placement(g)
     if not cert.ok:
@@ -229,7 +231,7 @@ class IdentityViolation(ValueError):
 
 
 def decompose_edges(g: RootedGraph,
-                    engine: str = "brute") -> Union[TreePacking, Certificate]:
+                    engine: str = "flow") -> Union[TreePacking, Certificate]:
     """Tree packing whose edge sets partition E (full decomposition)."""
     k = g.matroid.full_rank()
     lhs = len(g.edges) + len(g.roots)

@@ -17,6 +17,8 @@ D' is again M-connected).  The deficiency of D' is
 
 so D' is M-connected iff def' >= 0 on the sets that hold v and not u: one
 pinned minimization per candidate, not a check over all nonempty sets.
+Under the ``flow`` engine that is one flow on D' into v, with u as its
+source, capped at k = r(S).
 
 ``brute_force_packing`` is an independent exponential ground-truth oracle
 used by the test suite; it shares nothing with the constructive path
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from . import sfm
+from . import flow, sfm
 from .connectivity import (
     Certificate,
     check_independent_placement,
@@ -142,7 +144,7 @@ def verify_packing(inst: RootedDigraph, packing: Packing) -> Optional[Failure]:
 # -- constructive solver --------------------------------------------------------
 
 
-def find_reduction(inst: RootedDigraph, engine: str = "brute"):
+def find_reduction(inst: RootedDigraph, engine: str = "flow"):
     """First bad-arc/witness pair whose reduced instance stays M-connected.
 
     Returns (step, reduced instance) or None at the base case (no bad arc).
@@ -191,6 +193,9 @@ def _keeps_connected(reduced: RootedDigraph, u: str, v: str,
     minimizes def' over those sets alone: u is dropped and v pinned.
     Only the minimum value is read, never a minimizer.
     """
+    if engine == "flow":
+        k = reduced.matroid.full_rank()
+        return flow.Network(reduced).min_cut((v,), (u,), k) >= k
     # with u indexed last, the sets without u are those over the first
     # n - 1 indices, and def' is evaluated on them as it is
     rest = [w for w in reduced.vertices if w != u]
@@ -233,7 +238,7 @@ def lift_packing(packing: Packing, step: ReductionStep,
     return Packing(rest + (merged,))
 
 
-def find_packing(inst: RootedDigraph, engine: str = "brute",
+def find_packing(inst: RootedDigraph, engine: str = "flow",
                  trace: Optional[list] = None) -> Union[Packing, Certificate]:
     """Full decision-plus-construction; the result is verified before return."""
     cert = check_independent_placement(inst)
@@ -360,7 +365,7 @@ def brute_force_packing(inst: RootedDigraph) -> Optional[Packing]:
 
 
 def pack_with_bound(inst: RootedDigraph, b: int,
-                    engine: str = "brute") -> Union[Packing, Certificate]:
+                    engine: str = "flow") -> Union[Packing, Certificate]:
     """Packing in which every vertex's covering roots reach rank b.
 
     Implemented by truncating the matroid at b; a placement dependent in

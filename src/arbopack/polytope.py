@@ -3,7 +3,10 @@
 Points are exact rational arc-indexed vectors.  The linear system is: box
 constraints 0 <= x(a) <= 1, cut constraints x(entering X) >= k - rank(S_X)
 for nonempty X, and the mass equality x(A) = k|V| - |S|.  Separation of
-the cut family is submodular minimization of x(entering X) + rank(S_X) - k.
+the cut family is submodular minimization of x(entering X) + rank(S_X) - k,
+by brute force under the ``flow`` engine, whose unit flows take integer
+arc capacities only; the feasibility check and the final construction on
+the 0/1 support do run on the flow.
 
 Min-cost optimization is an exact cutting-plane loop: solve the current
 relaxation, separate the optimum, add the violated constraint, repeat; the
@@ -77,7 +80,7 @@ def mass_rhs(inst: RootedDigraph) -> int:
 
 
 def separate(inst: RootedDigraph, x: RationalVector,
-             engine: str = "brute") -> Optional[PolytopeConstraint]:
+             engine: str = "flow") -> Optional[PolytopeConstraint]:
     """Most-violated constraint, or None when x lies in the polytope.
 
     Order: box constraints in canonical arc order, then the mass equality,
@@ -122,7 +125,7 @@ def _solve_relaxation(inst: RootedDigraph, costs: dict,
     return ids, solve_lp(c_vec, rows)
 
 
-def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "brute",
+def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
                      lp_trace: Optional[list] = None
                      ) -> Union[tuple[Packing, Fraction], Certificate]:
     """Cutting-plane minimum-cost packing; exact throughout."""

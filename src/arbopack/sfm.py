@@ -3,7 +3,8 @@
 Two engines:
 
 * ``brute`` - exhaustive enumeration, exact, hard cap on the ground size.
-  This is the reference oracle.
+  This is the reference oracle.  A ``("contains", v)`` family is walked
+  over the subsets of the other indices only.
 * ``min-norm-point`` - Fujishige-Wolfe over the base polytope in exact
   arithmetic, so no tolerances exist.  Greedy vertices of an
   integer-valued objective are integer vectors; an objective with
@@ -19,6 +20,12 @@ Objectives evaluate on frozensets of integer ground indices 0..n-1 and may
 return ints or Fractions.  Families beyond "all" are handled by
 contraction/deletion: pin a set I in and a set E out, minimize the induced
 (still submodular) function on the rest.
+
+The library's default engine, ``flow`` (``arbopack.flow``), is no
+submodular minimizer: it decides the integer deficiency checks by
+augmenting paths.  The minimizations that stay submodular under it
+(separation with rational weights, the orientation greedy with its
+modular offset) run ``brute``, which ``minimize`` takes ``flow`` to mean.
 """
 
 from __future__ import annotations
@@ -103,7 +110,7 @@ def minimize(obj: SubmodularObjective, engine: str = "brute",
         raise ValueError("empty ground set")
     if validate:
         _validate_submodular(obj)
-    if engine == "brute":
+    if engine in ("brute", "flow"):
         return _minimize_brute(obj)
     if engine == "min-norm-point":
         return _minimize_mnp(obj)
@@ -121,18 +128,20 @@ def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
             % (BRUTE_GROUND_LIMIT, n)
         )
     include = _family_pin(obj)
+    nonempty = include is None
+    pin = frozenset() if nonempty else include
+    free = [i for i in range(n) if i not in pin]
     best_val = None
     best_set = None
-    # subsets in increasing bit-mask order, each one union of two halves
-    half = n // 2
-    low = _subsets(range(half))
-    for high in _subsets(range(half, n)):
+    # the pin joined to each subset of the free indices, in increasing
+    # bit-mask order over them, each subset a union of two halves
+    half = len(free) // 2
+    low = _subsets(free[:half])
+    for high in _subsets(free[half:]):
+        high |= pin
         for part in low:
             s = part | high
-            if include is None:
-                if not s:
-                    continue
-            elif not include <= s:
+            if nonempty and not s:
                 continue
             v = obj.evaluate(s)
             if best_val is None or v < best_val or (
@@ -166,14 +175,19 @@ def _minimize_mnp(obj: SubmodularObjective) -> SfmResult:
     else:
         best_val = _pinned_min(obj, include, frozenset())
     return SfmResult(None, best_val, lambda: _canonical_minimizer(
-        obj, best_val, include, nonempty))
+        obj, best_val, include, nonempty,
+        lambda inc, exc: _pinned_min(obj, inc, exc)))
 
 
-def _canonical_minimizer(obj, best_val, include, nonempty) -> frozenset:
+def _canonical_minimizer(obj, best_val, include, nonempty,
+                         pinned_min) -> frozenset:
     """Greedy lex-smallest minimizer via pinned sub-minimizations.
 
     Scans indices in canonical order; at each step prefers stopping at the
     current prefix, then including the index, then skipping it.
+    ``pinned_min(include, exclude)`` is the min of ``obj`` over the sets
+    that hold ``include`` and miss ``exclude``, or any value above
+    ``best_val`` where that min is above it.
     """
     chosen = set(include)
     dropped: set = set()
@@ -185,7 +199,7 @@ def _canonical_minimizer(obj, best_val, include, nonempty) -> frozenset:
             if obj.evaluate(prefix) == best_val:
                 # check the prefix itself is feasible as-is (everything else out)
                 return prefix
-        v = _pinned_min(obj, frozenset(chosen | {i}), frozenset(dropped))
+        v = pinned_min(frozenset(chosen | {i}), frozenset(dropped))
         if v == best_val:
             chosen.add(i)
         else:

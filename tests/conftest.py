@@ -4,7 +4,14 @@ import random
 import pytest
 
 from arbopack.graphs import RootedDigraph, RootedGraph
-from arbopack.matroid import ExplicitMatroid, FreeMatroid, UniformMatroid
+from arbopack.matroid import (
+    ExplicitMatroid,
+    FreeMatroid,
+    GraphicMatroid,
+    LinearMatroid,
+    PartitionMatroid,
+    UniformMatroid,
+)
 
 
 def digraph(vertices, arcs, roots, matroid):
@@ -54,6 +61,56 @@ def random_digraph(rng: random.Random, max_v=4, max_arcs=5, max_roots=3,
     else:
         matroid = UniformMatroid(elements, rng.randint(1, t))
     return RootedDigraph(verts, arcs, roots, matroid)
+
+
+def planted_digraph(rng: random.Random, n: int, kind: str) -> RootedDigraph:
+    """A random instance built around a packing, hence M-connected.
+
+    The root elements fall into layers such that one element per layer is
+    always a base; each layer's roots sit at distinct vertices and grow a
+    random spanning branching, so every vertex is covered once per layer.
+    Noise arcs go on top, and the arc order is shuffled.
+    """
+    if kind == "free":
+        layers = [["s0"], ["s1"]]
+        matroid = FreeMatroid(["s0", "s1"])
+    elif kind == "uniform":
+        layers = [["s0"], ["s1", "s2"]]
+        matroid = UniformMatroid(["s0", "s1", "s2"], 2)
+    elif kind == "partition":
+        layers = [["s0", "s1"], ["s2"], ["s3"]]
+        matroid = PartitionMatroid([(["s0", "s1"], 1), (["s2", "s3"], 2)])
+    elif kind == "graphic":
+        # s0 and s1 are parallel edges; either one with s2 spans the path
+        layers = [["s0", "s1"], ["s2"]]
+        matroid = GraphicMatroid([("s0", 0, 1), ("s1", 0, 1), ("s2", 1, 2)])
+    else:
+        # one vector from each layer is a basis of GF(3)^3
+        layers = [["s0", "s1"], ["s2"], ["s3", "s4"]]
+        matroid = LinearMatroid(3, {"s0": (1, 0, 0), "s1": (1, 1, 0),
+                                    "s2": (0, 1, 0), "s3": (0, 0, 1),
+                                    "s4": (1, 1, 1)})
+    verts = ["v%d" % i for i in range(n)]
+    pairs, roots = [], []
+    for layer in layers:
+        order = rng.sample(verts, n)
+        roots += zip(layer, order)
+        for j in range(len(layer), n):
+            pairs.append((order[rng.randrange(j)], order[j]))
+    pairs += [tuple(rng.sample(verts, 2)) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(pairs)
+    arcs = [("a%d" % i, t, h) for i, (t, h) in enumerate(pairs)]
+    return RootedDigraph(verts, arcs, sorted(roots), matroid)
+
+
+def cut_copy(inst: RootedDigraph) -> tuple[RootedDigraph, str]:
+    """``inst`` without the arcs entering its first vertex whose roots are
+    no base, so that vertex alone violates condition (2)."""
+    m = inst.matroid
+    v = next(w for w in inst.vertices
+             if m.rank(inst.elements_at(w)) < m.full_rank())
+    arcs = [a for a in inst.arcs if a[2] != v]
+    return RootedDigraph(inst.vertices, arcs, inst.roots, m), v
 
 
 @pytest.fixture

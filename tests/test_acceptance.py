@@ -61,7 +61,8 @@ def report(label, detail):
 
 
 def feasible(inst) -> bool:
-    return check_independent_placement(inst).ok and check_m_connected(inst).ok
+    return (check_independent_placement(inst).ok
+            and check_m_connected(inst, "brute").ok)
 
 
 def enumerate_packings(inst):
@@ -88,7 +89,7 @@ def enumerate_packings(inst):
 def orientation_exists_by_enumeration(g) -> bool:
     for bits in range(1 << len(g.edges)):
         d = induced_digraph(g, _orientation_from_bits(g, bits))
-        if check_m_connected(d).ok:
+        if check_m_connected(d, "brute").ok:
             return True
     return False
 
@@ -111,8 +112,9 @@ def test_01_main_theorem_equivalence_exhaustive():
         checked += 1
     assert positives > 0
     report("criterion-1",
-           "feasibility test matches brute force on all %d directed "
-           "instances (%d feasible)" % (checked, positives))
+           "find_packing (flow engine) matches the brute-engine feasibility "
+           "test and the exhaustive packer on all %d directed instances "
+           "(%d feasible)" % (checked, positives))
 
 
 # -- 2. necessity ------------------------------------------------------------------
@@ -293,7 +295,7 @@ def test_08_min_cost_integrality():
 
 def test_09_sfm_engine_agreement():
     rng = random.Random(999)
-    done = 0
+    done = negatives = 0
     while done < 1000:
         inst = random_digraph(rng, max_v=10, max_arcs=14, max_roots=4)
         obj = deficiency_objective(inst)
@@ -301,10 +303,20 @@ def test_09_sfm_engine_agreement():
         b = minimize(obj, engine="min-norm-point")
         assert a.value == b.value, inst
         assert a.minimizer == b.minimizer, inst
+        got = check_m_connected(inst, "flow")
+        if a.value >= 0:
+            assert got.ok, inst
+        else:
+            xs = {inst.vertices[i] for i in a.minimizer}
+            assert got.vertex_set == xs and got.deficiency == a.value, inst
+            negatives += 1
         done += 1
+    assert negatives > 0
     report("criterion-9",
            "brute and minimum-norm-point engines agree on value and "
-           "canonical minimizer for 1000 deficiency objectives")
+           "canonical minimizer for 1000 deficiency objectives; the flow "
+           "engine's check_m_connected certificates equal brute's on all "
+           "1000 (%d violated sets)" % negatives)
 
 
 # -- 10. structural claims ---------------------------------------------------------

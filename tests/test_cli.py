@@ -237,7 +237,9 @@ def test_check_above_the_brute_cap_is_an_error_envelope(tmp_path, capsys, key):
     doc = {"version": 1, "vertices": verts, key: links,
            "roots": [{"element": "s1", "vertex": "v0"}],
            "matroid": {"type": "free"}}
-    code, out = run(capsys, ["check", write(tmp_path, "i.json", doc)])
+    # the cap is the brute engine's; flow, the default, has none on arcs
+    code, out = run(capsys, ["--engine", "brute", "check",
+                             write(tmp_path, "i.json", doc)])
     assert code == 1 and out["status"] == "error"
     assert out["payload"]["kind"] == "SfmSizeError"
 
@@ -253,7 +255,7 @@ def test_tripwire_is_an_error_envelope(tmp_path, capsys, monkeypatch):
     assert out["payload"]["kind"] == "TheoremViolation"
     message = out["payload"]["message"]
     assert message.startswith("find_reduction:")
-    assert "engine brute, bad arcs ['a1'], candidates tried 1" in message
+    assert "engine flow, bad arcs ['a1'], candidates tried 1" in message
 
 
 def test_plain_runtime_tripwire_is_an_error_envelope(tmp_path, capsys,

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import digraph, random_digraph
+from conftest import digraph, planted_digraph, random_digraph
 from arbopack import packing
 from arbopack.connectivity import (
     Certificate,
@@ -36,7 +36,8 @@ from arbopack.sweeps import iter_directed_instances
 
 
 def feasible(inst):
-    return check_independent_placement(inst).ok and check_m_connected(inst).ok
+    return (check_independent_placement(inst).ok
+            and check_m_connected(inst, "brute").ok)
 
 
 # -- find_packing ----------------------------------------------------------------
@@ -144,9 +145,11 @@ def pinned_matches_full_check(inst, engine, evaluated) -> tuple[int, int]:
 
     Walks the solver's run on the M-connected ``inst``; at each step every
     candidate, not only the first accepted, gets both verdicts, the full
-    one from the brute engine, the reference oracle.  def' must be read
-    only on sets that hold the head v and not the tail u, and with brute
-    on each of them once.  Returns (candidates, rejected).
+    one from the brute engine, the reference oracle; the flow engine's
+    pinned verdict must equal it too.  def' must be read only on sets
+    that hold the head v and not the tail u, with brute on each of them
+    once, and the flow engine reads it on none.  Returns (candidates,
+    rejected).
     """
     candidates = rejected = 0
     cur = inst
@@ -154,8 +157,13 @@ def pinned_matches_full_check(inst, engine, evaluated) -> tuple[int, int]:
         nxt = None
         evaluated.clear()
         for step, reduced, pinned in _candidates(cur, engine):
-            assert pinned == check_m_connected(reduced).ok, (cur, step)
+            full = check_m_connected(reduced, "brute").ok
+            assert pinned == full, (cur, step)
             u, v = step.tail, step.head
+            read = len(evaluated)
+            assert packing._keeps_connected(reduced, u, v, "flow") == full, \
+                (cur, step)
+            assert len(evaluated) == read, (cur, step)
             assert all(v in X and u not in X for X in evaluated), (cur, step)
             if engine == "brute":
                 assert len(set(evaluated)) == len(evaluated) \
@@ -180,36 +188,6 @@ def test_pinned_check_matches_full_check_on_the_sweep(evaluated):
         candidates += c
         rejected += r
     assert rejected > 0 and candidates > rejected
-
-
-def planted_digraph(rng: random.Random, n: int, kind: str) -> RootedDigraph:
-    """A random instance built around a packing, hence M-connected.
-
-    The root elements fall into layers such that one element per layer is
-    always a base; each layer's roots sit at distinct vertices and grow a
-    random spanning branching, so every vertex is covered once per layer.
-    Noise arcs go on top, and the arc order is shuffled.
-    """
-    if kind == "free":
-        layers = [["s0"], ["s1"]]
-        matroid = FreeMatroid(["s0", "s1"])
-    elif kind == "uniform":
-        layers = [["s0"], ["s1", "s2"]]
-        matroid = UniformMatroid(["s0", "s1", "s2"], 2)
-    else:
-        layers = [["s0", "s1"], ["s2"], ["s3"]]
-        matroid = PartitionMatroid([(["s0", "s1"], 1), (["s2", "s3"], 2)])
-    verts = ["v%d" % i for i in range(n)]
-    pairs, roots = [], []
-    for layer in layers:
-        order = rng.sample(verts, n)
-        roots += zip(layer, order)
-        for j in range(len(layer), n):
-            pairs.append((order[rng.randrange(j)], order[j]))
-    pairs += [tuple(rng.sample(verts, 2)) for _ in range(rng.randint(0, 2))]
-    rng.shuffle(pairs)
-    arcs = [("a%d" % i, t, h) for i, (t, h) in enumerate(pairs)]
-    return RootedDigraph(verts, arcs, sorted(roots), matroid)
 
 
 def test_pinned_check_matches_full_check_min_norm_point(evaluated):
