@@ -103,14 +103,14 @@ def planted_digraph(rng: random.Random, n: int, kind: str) -> RootedDigraph:
     return RootedDigraph(verts, arcs, sorted(roots), matroid)
 
 
-def cut_copy(inst: RootedDigraph) -> tuple[RootedDigraph, str]:
+def cut_copy(inst: RootedDigraph) -> RootedDigraph:
     """``inst`` without the arcs entering its first vertex whose roots are
     no base, so that vertex alone violates condition (2)."""
     m = inst.matroid
     v = next(w for w in inst.vertices
              if m.rank(inst.elements_at(w)) < m.full_rank())
     arcs = [a for a in inst.arcs if a[2] != v]
-    return RootedDigraph(inst.vertices, arcs, inst.roots, m), v
+    return RootedDigraph(inst.vertices, arcs, inst.roots, m)
 
 
 @pytest.fixture

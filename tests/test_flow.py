@@ -143,7 +143,7 @@ def test_flow_check_matches_min_norm_point(kind):
         assert check_m_connected(inst, "flow").ok
         if n == 10:
             assert check_m_connected(inst, "min-norm-point").ok
-        cut, _ = cut_copy(inst)
+        cut = cut_copy(inst)
         cert = check_m_connected(cut, "flow")
         assert cert == check_m_connected(cut, "min-norm-point")
         assert not cert.ok and recheck_certificate(cut, cert)
@@ -184,7 +184,7 @@ def run(capsys, argv):
 
 def test_certificate_that_does_not_recheck_is_an_error_envelope(
         tmp_path, capsys, monkeypatch):
-    cut, _ = cut_copy(planted_digraph(random.Random(5), 8, "free"))
+    cut = cut_copy(planted_digraph(random.Random(5), 8, "free"))
     monkeypatch.setattr(connectivity, "recheck_certificate", lambda *a: False)
     code, out = run(capsys, ["check", write(tmp_path, "cut.json", cut)])
     assert code == 1 and out["status"] == "error"
@@ -203,7 +203,7 @@ def test_default_engine_packs_and_cuts_40_vertices(tmp_path, capsys):
     trees = tuple(Tree(t["root_element"], t["root_vertex"], frozenset(t["arcs"]))
                   for t in out["payload"]["trees"])
     assert verify_packing(inst, Packing(trees)) is None
-    cut, _ = cut_copy(inst)
+    cut = cut_copy(inst)
     for cmd in ("check", "pack"):
         code, out = run(capsys, [cmd, write(tmp_path, "cut.json", cut)])
         assert code == 2 and out["status"] == "certificate"
