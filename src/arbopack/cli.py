@@ -46,18 +46,26 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_directed(path: str):
+def _load(path: str, cls):
+    """(instance, extras) of the file; a ParseError unless it holds a ``cls``."""
     inst, extras = instances.parse_instance(_read(path))
-    if not isinstance(inst, RootedDigraph):
-        raise ParseError("$", "this command needs a directed instance")
+    if not isinstance(inst, cls):
+        raise ParseError("$", "this command needs %s instance"
+                         % ("a directed" if cls.directed else "an undirected"))
     return inst, extras
 
 
-def _load_undirected(path: str):
-    inst, extras = instances.parse_instance(_read(path))
-    if not isinstance(inst, RootedGraph):
-        raise ParseError("$", "this command needs an undirected instance")
-    return inst, extras
+def _answer(out, inst, argv, engine) -> int:
+    """A certificate (exit 2), or an orientation or a packing of ``inst``."""
+    if isinstance(out, connectivity.Certificate):
+        _emit(_result("certificate", out.to_json(), argv, engine=engine))
+        return EXIT_NEGATIVE
+    if isinstance(out, orientation.Orientation):
+        _emit(_result("orientation", out.to_json(), argv, engine=engine))
+    else:
+        _emit(_result("packing", out.to_json(inst.link + "s"), argv,
+                      engine=engine))
+    return EXIT_OK
 
 
 def _read_trees(text: str, key: str) -> tuple:
@@ -183,21 +191,17 @@ def _dispatch(args, argv, engine) -> int:
         return EXIT_NEGATIVE
 
     if args.cmd == "pack":
-        inst, _ = _load_directed(args.instance)
+        inst, _ = _load(args.instance, RootedDigraph)
         trace: list = [] if args.trace else None
         try:
             out = packing.find_packing(inst, engine=engine, trace=trace)
         finally:  # the steps taken before a tripwire are a diagnostic too
             for step in trace or ():
                 sys.stderr.write(json.dumps(step.to_json()) + "\n")
-        if isinstance(out, packing.Packing):
-            _emit(_result("packing", out.to_json(), argv, engine=engine))
-            return EXIT_OK
-        _emit(_result("certificate", out.to_json(), argv, engine=engine))
-        return EXIT_NEGATIVE
+        return _answer(out, inst, argv, engine)
 
     if args.cmd == "pack-bounded":
-        inst, extras = _load_directed(args.instance)
+        inst, extras = _load(args.instance, RootedDigraph)
         bound = args.bound if args.bound is not None else extras.get("bound")
         if bound is None:
             raise ParseError("bound", "no bound in the file and no --bound flag")
@@ -207,14 +211,10 @@ def _dispatch(args, argv, engine) -> int:
             _emit(_result("error", {"kind": "infeasible-bound",
                                     "message": str(exc)}, argv, engine=engine))
             return EXIT_NEGATIVE
-        if isinstance(out, packing.Packing):
-            _emit(_result("packing", out.to_json(), argv, engine=engine))
-            return EXIT_OK
-        _emit(_result("certificate", out.to_json(), argv, engine=engine))
-        return EXIT_NEGATIVE
+        return _answer(out, inst, argv, engine)
 
     if args.cmd == "mincost":
-        inst, extras = _load_directed(args.instance)
+        inst, extras = _load(args.instance, RootedDigraph)
         costs = extras.get("costs")
         if costs is None:
             raise ParseError("costs", "mincost needs a 'costs' table")
@@ -232,20 +232,15 @@ def _dispatch(args, argv, engine) -> int:
             payload["cost"] = _cost_json(cost)
             _emit(_result("packing", payload, argv, engine=engine))
             return EXIT_OK
-        _emit(_result("certificate", out.to_json(), argv, engine=engine))
-        return EXIT_NEGATIVE
+        return _answer(out, inst, argv, engine)
 
     if args.cmd == "orient":
-        g, _ = _load_undirected(args.instance)
-        out = orientation.orient_m_connected(g, engine=engine)
-        if isinstance(out, orientation.Orientation):
-            _emit(_result("orientation", out.to_json(), argv, engine=engine))
-            return EXIT_OK
-        _emit(_result("certificate", out.to_json(), argv, engine=engine))
-        return EXIT_NEGATIVE
+        g, _ = _load(args.instance, RootedGraph)
+        return _answer(orientation.orient_m_connected(g, engine=engine), g,
+                       argv, engine)
 
     if args.cmd in ("pack-undirected", "decompose"):
-        g, _ = _load_undirected(args.instance)
+        g, _ = _load(args.instance, RootedGraph)
         fn = (orientation.pack_undirected if args.cmd == "pack-undirected"
               else orientation.decompose_edges)
         try:
@@ -254,20 +249,12 @@ def _dispatch(args, argv, engine) -> int:
             _emit(_result("error", {"kind": "identity-violation",
                                     "message": str(exc)}, argv, engine=engine))
             return EXIT_NEGATIVE
-        if isinstance(out, orientation.TreePacking):
-            _emit(_result("packing", out.to_json(), argv, engine=engine))
-            return EXIT_OK
-        _emit(_result("certificate", out.to_json(), argv, engine=engine))
-        return EXIT_NEGATIVE
+        return _answer(out, g, argv, engine)
 
     if args.cmd == "verify":
         inst, _ = instances.parse_instance(_read(args.instance))
-        if isinstance(inst, RootedDigraph):
-            pk = packing.Packing(_read_trees(_read(args.packing), "arcs"))
-            failure = packing.verify_packing(inst, pk)
-        else:
-            pk = orientation.TreePacking(_read_trees(_read(args.packing), "edges"))
-            failure = orientation.verify_tree_packing(inst, pk)
+        pk = packing.Packing(_read_trees(_read(args.packing), inst.link + "s"))
+        failure = packing.verify_packing(inst, pk)
         if failure is None:
             _emit(_result("ok", {"kind": "ok"}, argv))
             return EXIT_OK

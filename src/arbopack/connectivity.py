@@ -156,13 +156,8 @@ def _check_by_flow(inst: RootedDigraph) -> Certificate:
         return net.min_cut([verts[i] for i in include],
                            [verts[i] for i in exclude], best + k + 1) - k
 
-    def evaluate(X):
-        xs = [verts[i] for i in X]
-        return in_degree(inst, xs) + inst.matroid.rank(inst.elements_in(xs)) - k
-
-    xs = sfm._canonical_minimizer(
-        sfm.SubmodularObjective(len(verts), evaluate), best, frozenset(), True,
-        pinned_min)
+    xs = sfm._canonical_minimizer(deficiency_objective(inst), best,
+                                  frozenset(), True, pinned_min)
     cert = Certificate(VIOLATED_SET, vertex_set=frozenset(verts[i] for i in xs),
                        deficiency=best)
     if not recheck_certificate(inst, cert):

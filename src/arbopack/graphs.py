@@ -1,13 +1,17 @@
 """Rooted digraph/graph instances and desk-scale counting helpers.
 
-Vertices, arc/edge ids and root element ids are strings in I/O; instances
-keep dense index maps internally.  Parallel arcs are first-class through
-their ids.  Instances are immutable after construction.
+One model, ``RootedInstance``, serves both sides; its links are the arcs
+of a ``RootedDigraph`` or the edges of a ``RootedGraph``, and
+``tree_vertices`` follows an arc from tail to head only.  Vertices, link
+ids and root element ids are strings in I/O.  Parallel links are
+first-class through their ids.  Instances are immutable after
+construction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .matroid import Matroid
 
@@ -22,43 +26,40 @@ class SizeLimitError(RuntimeError):
     """An enumeration cap was exceeded; raise loudly rather than hang."""
 
 
-def _validate_roots(vertices, roots, matroid):
-    vset = set(vertices)
-    elems = [e for e, _ in roots]
-    if len(set(elems)) != len(elems):
-        raise InstanceError("duplicate root element ids")
-    for e, v in roots:
-        if v not in vset:
-            raise InstanceError("root %r placed at unknown vertex %r" % (e, v))
-    if set(elems) != set(matroid.ground):
-        raise InstanceError("root elements do not match the matroid ground set")
+class RootedInstance:
+    """(G, S, pi) plus a matroid oracle on S; links are (id, u, v) triples."""
 
-
-class RootedDigraph:
-    """Digraph with roots: (D, S, pi) plus a matroid oracle on S."""
+    directed: bool
+    link: str          # "arc" or "edge": the word in errors and JSON keys
+    tree_failure: str  # verify_packing's reason for a tree that fails
 
     def __init__(self, vertices: Sequence[str],
-                 arcs: Sequence[tuple[str, str, str]],
+                 links: Sequence[tuple[str, str, str]],
                  roots: Sequence[tuple[str, str]],
                  matroid: Matroid):
         self.vertices = tuple(vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise InstanceError("duplicate vertex ids")
         vset = set(self.vertices)
-        self.arcs = tuple((a, t, h) for a, t, h in arcs)
-        ids = [a for a, _, _ in self.arcs]
-        if len(set(ids)) != len(ids):
-            raise InstanceError("duplicate arc ids")
-        for a, t, h in self.arcs:
-            if t not in vset or h not in vset:
-                raise InstanceError("arc %r has undeclared endpoint" % a)
-            if t == h:
-                raise InstanceError("self-loop arc %r rejected" % a)
+        self.links = tuple((a, u, v) for a, u, v in links)
+        self.link_map = {a: (u, v) for a, u, v in self.links}
+        if len(self.link_map) != len(self.links):
+            raise InstanceError("duplicate %s ids" % self.link)
+        for a, u, v in self.links:
+            if u not in vset or v not in vset:
+                raise InstanceError("%s %r has undeclared endpoint" % (self.link, a))
+            if u == v:
+                raise InstanceError("self-loop %s %r rejected" % (self.link, a))
         self.roots = tuple((e, v) for e, v in roots)
         self.matroid = matroid
-        _validate_roots(self.vertices, self.roots, matroid)
-        self.arc_map = {a: (t, h) for a, t, h in self.arcs}
-        self.placement = {e: v for e, v in self.roots}
+        self.placement = dict(self.roots)
+        if len(self.placement) != len(self.roots):
+            raise InstanceError("duplicate root element ids")
+        for e, v in self.roots:
+            if v not in vset:
+                raise InstanceError("root %r placed at unknown vertex %r" % (e, v))
+        if set(self.placement) != set(matroid.ground):
+            raise InstanceError("root elements do not match the matroid ground set")
         self._at_vertex: dict[str, frozenset] = {v: frozenset() for v in self.vertices}
         for e, v in self.roots:
             self._at_vertex[v] = self._at_vertex[v] | {e}
@@ -74,59 +75,21 @@ class RootedDigraph:
             out |= self._at_vertex[v]
         return out
 
-    def without_arc(self, arc_id: str) -> "RootedDigraph":
-        if arc_id not in self.arc_map:
-            raise InstanceError("unknown arc id %r" % arc_id)
-        return RootedDigraph(
-            self.vertices,
-            [a for a in self.arcs if a[0] != arc_id],
-            self.roots,
-            self.matroid,
-        )
 
-    def with_root(self, element: str, vertex: str, matroid: Matroid) -> "RootedDigraph":
-        return RootedDigraph(
-            self.vertices, self.arcs, self.roots + ((element, vertex),), matroid
-        )
+class RootedDigraph(RootedInstance):
+    """Digraph with roots: (D, S, pi); its links are arcs (id, tail, head)."""
+
+    directed, link, tree_failure = True, "arc", "not-an-arborescence"
+    arcs = property(attrgetter("links"))
+    arc_map = property(attrgetter("link_map"))
 
 
-class RootedGraph:
-    """Undirected counterpart: (G, S, pi) plus the matroid oracle."""
+class RootedGraph(RootedInstance):
+    """Undirected counterpart: (G, S, pi); its links are edges (id, u, v)."""
 
-    def __init__(self, vertices: Sequence[str],
-                 edges: Sequence[tuple[str, str, str]],
-                 roots: Sequence[tuple[str, str]],
-                 matroid: Matroid):
-        self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
-            raise InstanceError("duplicate vertex ids")
-        vset = set(self.vertices)
-        self.edges = tuple((e, u, v) for e, u, v in edges)
-        ids = [e for e, _, _ in self.edges]
-        if len(set(ids)) != len(ids):
-            raise InstanceError("duplicate edge ids")
-        for e, u, v in self.edges:
-            if u not in vset or v not in vset:
-                raise InstanceError("edge %r has undeclared endpoint" % e)
-            if u == v:
-                raise InstanceError("self-loop edge %r rejected" % e)
-        self.roots = tuple((e, v) for e, v in roots)
-        self.matroid = matroid
-        _validate_roots(self.vertices, self.roots, matroid)
-        self.edge_map = {e: (u, v) for e, u, v in self.edges}
-        self.placement = {e: v for e, v in self.roots}
-        self._at_vertex: dict[str, frozenset] = {v: frozenset() for v in self.vertices}
-        for e, v in self.roots:
-            self._at_vertex[v] = self._at_vertex[v] | {e}
-
-    def elements_at(self, v: str) -> frozenset:
-        return self._at_vertex[v]
-
-    def elements_in(self, X: Iterable[str]) -> frozenset:
-        out: frozenset = frozenset()
-        for v in X:
-            out |= self._at_vertex[v]
-        return out
+    directed, link, tree_failure = False, "edge", "not-a-tree"
+    edges = property(attrgetter("links"))
+    edge_map = property(attrgetter("link_map"))
 
 
 class Partition:
@@ -169,13 +132,13 @@ def entering_arcs(inst: RootedDigraph, X: Iterable[str]) -> list[str]:
     return [a for a, t, h in inst.arcs if h in xs and t not in xs]
 
 
-def cross_edges(g: RootedGraph, partition: Partition) -> int:
-    """Edges with endpoints in distinct blocks, with multiplicity."""
+def cross_edges(g: RootedInstance, partition: Partition) -> int:
+    """Links with endpoints in distinct blocks, with multiplicity."""
     block_of = {}
     for i, b in enumerate(partition):
         for v in b:
             block_of[v] = i
-    return sum(1 for _, u, v in g.edges if block_of[u] != block_of[v])
+    return sum(1 for _, u, v in g.links if block_of[u] != block_of[v])
 
 
 def reachable_within(inst: RootedDigraph, v: str, X: Iterable[str],
@@ -198,45 +161,42 @@ def reachable_within(inst: RootedDigraph, v: str, X: Iterable[str],
     return frozenset(seen)
 
 
-def is_arborescence(arc_ids: Iterable[str], inst: RootedDigraph, root: str) -> bool:
-    """True iff the arcs plus the isolated root form an arborescence rooted there."""
-    ids = list(arc_ids)
+def tree_vertices(ids: Iterable[str], inst: RootedInstance,
+                  root: str) -> Optional[frozenset]:
+    """The vertices of the tree the links grow from the root, else None.
+
+    One link per vertex besides the root, each vertex reached from the
+    root; an arc only from tail to head, so on a digraph the tree is an
+    arborescence.  The root alone is the empty tree.
+    """
+    step: dict[str, list[str]] = {root: []}
+    count = 0
     for a in ids:
-        if a not in inst.arc_map:
-            raise InstanceError("unknown arc id %r" % a)
-    if len(set(ids)) != len(ids):
-        return False
-    pairs = [inst.arc_map[a] for a in ids]
-    verts = {root}
-    for t, h in pairs:
-        verts.add(t)
-        verts.add(h)
-    indeg = {u: 0 for u in verts}
-    children: dict[str, list[str]] = {u: [] for u in verts}
-    for t, h in pairs:
-        indeg[h] += 1
-        children[t].append(h)
-    if indeg[root] != 0:
-        return False
-    if any(indeg[u] != 1 for u in verts if u != root):
-        return False
+        ends = inst.link_map.get(a)
+        if ends is None:
+            raise InstanceError("unknown %s id %r" % (inst.link, a))
+        u, v = ends
+        step.setdefault(u, []).append(v)
+        if inst.directed:
+            step.setdefault(v, [])
+        else:
+            step.setdefault(v, []).append(u)
+        count += 1
+    if count != len(step) - 1:
+        return None
     seen = {root}
     stack = [root]
     while stack:
-        for w in children[stack.pop()]:
+        for w in step[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return seen == verts
+    return frozenset(seen) if len(seen) == len(step) else None
 
 
-def tree_vertices(arc_ids: Iterable[str], inst: RootedDigraph, root: str) -> frozenset:
-    verts = {root}
-    for a in arc_ids:
-        t, h = inst.arc_map[a]
-        verts.add(t)
-        verts.add(h)
-    return frozenset(verts)
+def is_arborescence(arc_ids: Iterable[str], inst: RootedDigraph, root: str) -> bool:
+    """True iff the arcs plus the isolated root form an arborescence rooted there."""
+    return tree_vertices(arc_ids, inst, root) is not None
 
 
 # -- enumeration helpers ------------------------------------------------------

@@ -43,6 +43,15 @@ def _require(cond, path, reason):
         raise ParseError(path, reason)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: Python's bool is an int, JSON's true is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def build_matroid(fragment: dict, elements: list[str], path: str = "matroid") -> Matroid:
     _require(isinstance(fragment, dict), path, "must be an object")
     kind = fragment.get("type")
@@ -54,14 +63,15 @@ def build_matroid(fragment: dict, elements: list[str], path: str = "matroid") ->
         "linear": {"type", "prime", "columns"},
         "explicit": {"type", "bases"},
     }
-    _require(kind in known, path + ".type", "unknown matroid type %r" % kind)
+    _require(isinstance(kind, str) and kind in known, path + ".type",
+             "unknown matroid type %r" % kind)
     extra = set(fragment) - known[kind]
     _require(not extra, path, "unknown fields %r" % sorted(extra))
     if kind == "free":
         return FreeMatroid(elements)
     if kind == "uniform":
         r = fragment.get("rank")
-        _require(isinstance(r, int) and r >= 0, path + ".rank",
+        _require(_is_int(r) and r >= 0, path + ".rank",
                  "must be a non-negative integer")
         return UniformMatroid(elements, r)
     if kind == "partition":
@@ -73,9 +83,11 @@ def build_matroid(fragment: dict, elements: list[str], path: str = "matroid") ->
             bp = "%s.blocks[%d]" % (path, i)
             _require(isinstance(blk, dict) and set(blk) == {"elements", "cap"},
                      bp, "must be {elements, cap}")
-            _require(isinstance(blk["cap"], int) and blk["cap"] >= 0,
+            _require(_is_int(blk["cap"]) and blk["cap"] >= 0,
                      bp + ".cap", "must be a non-negative integer")
-            parsed.append((list(blk["elements"]), blk["cap"]))
+            _require(_is_strings(blk["elements"]), bp + ".elements",
+                     "must be a list of strings")
+            parsed.append((blk["elements"], blk["cap"]))
             covered.extend(blk["elements"])
         _require(sorted(covered) == sorted(elements), path + ".blocks",
                  "blocks must partition the root element set")
@@ -84,19 +96,29 @@ def build_matroid(fragment: dict, elements: list[str], path: str = "matroid") ->
         edges = fragment.get("edges")
         _require(isinstance(edges, list) and len(edges) == len(elements),
                  path + ".edges", "need one reference edge per root element")
+        for i, e in enumerate(edges):
+            _require(isinstance(e, list) and len(e) == 2
+                     and all(isinstance(w, str) or _is_int(w) for w in e),
+                     "%s.edges[%d]" % (path, i), "must be a pair of vertex names")
         return GraphicMatroid(
             [(elements[i], str(e[0]), str(e[1])) for i, e in enumerate(edges)])
     if kind == "linear":
         p = fragment.get("prime")
         cols = fragment.get("columns")
-        _require(isinstance(p, int) and p >= 2, path + ".prime", "must be >= 2")
+        _require(_is_int(p) and p >= 2, path + ".prime", "must be >= 2")
         _require(isinstance(cols, dict) and sorted(cols) == sorted(elements),
                  path + ".columns", "need one column per root element")
-        return LinearMatroid(p, {e: list(map(int, v)) for e, v in cols.items()})
+        for e, col in cols.items():
+            _require(isinstance(col, list) and all(_is_int(x) for x in col),
+                     "%s.columns.%s" % (path, e), "must be a list of integers")
+        return LinearMatroid(p, cols)
     bases = fragment.get("bases")
     _require(isinstance(bases, list) and bases, path + ".bases",
              "need a nonempty list of bases")
-    return ExplicitMatroid(elements, [list(b) for b in bases])
+    for i, b in enumerate(bases):
+        _require(_is_strings(b), "%s.bases[%d]" % (path, i),
+                 "must be a list of strings")
+    return ExplicitMatroid(elements, bases)
 
 
 def matroid_to_json(m: Matroid) -> dict:
@@ -128,11 +150,11 @@ def parse_instance(text: Union[str, bytes]) -> tuple[object, dict]:
     _require(isinstance(doc, dict), "$", "top level must be an object")
     unknown = set(doc) - INSTANCE_KEYS
     _require(not unknown, "$", "unknown fields %r" % sorted(unknown))
-    _require(doc.get("version") == FORMAT_VERSION, "version",
-             "unsupported version %r" % doc.get("version"))
+    version = doc.get("version")
+    _require(_is_int(version) and version == FORMAT_VERSION, "version",
+             "unsupported version %r" % version)
     verts = doc.get("vertices")
-    _require(isinstance(verts, list) and all(isinstance(v, str) for v in verts),
-             "vertices", "must be a list of strings")
+    _require(_is_strings(verts), "vertices", "must be a list of strings")
     has_arcs = "arcs" in doc
     has_edges = "edges" in doc
     _require(has_arcs != has_edges, "$",
@@ -166,11 +188,10 @@ def parse_instance(text: Union[str, bytes]) -> tuple[object, dict]:
                 out.append((str(it["id"]), str(it["ends"][0]), str(it["ends"][1])))
         return out
 
+    cls = RootedDigraph if has_arcs else RootedGraph
+    parsed = links(cls.link + "s")
     try:
-        if has_arcs:
-            inst: object = RootedDigraph(verts, links("arcs"), root_pairs, matroid)
-        else:
-            inst = RootedGraph(verts, links("edges"), root_pairs, matroid)
+        inst = cls(verts, parsed, root_pairs, matroid)
     except ValueError as exc:
         raise ParseError("$", str(exc)) from exc
 
@@ -178,11 +199,17 @@ def parse_instance(text: Union[str, bytes]) -> tuple[object, dict]:
     if "costs" in doc:
         costs = doc["costs"]
         _require(isinstance(costs, dict), "costs", "must be an object")
-        ids = {it[0] for it in (inst.arcs if has_arcs else inst.edges)}
-        _require(set(costs) <= ids, "costs", "cost on unknown arc id")
-        extras["costs"] = {a: Fraction(str(v)) for a, v in costs.items()}
+        _require(set(costs) <= set(inst.link_map), "costs",
+                 "cost on unknown arc id")
+        extras["costs"] = {}
+        for a, v in costs.items():
+            try:
+                extras["costs"][a] = Fraction(str(v))
+            except (ValueError, ZeroDivisionError):
+                raise ParseError("costs." + a,
+                                 "must be an integer or a 'p/q' string") from None
     if "bound" in doc:
-        _require(isinstance(doc["bound"], int) and doc["bound"] >= 0,
+        _require(_is_int(doc["bound"]) and doc["bound"] >= 0,
                  "bound", "must be a non-negative integer")
         extras["bound"] = doc["bound"]
     return inst, extras

@@ -14,6 +14,7 @@ a canonical frozenset key.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Sequence
 
 
@@ -199,7 +200,7 @@ class LinearMatroid(Matroid):
     """Column vectors over GF(p); rank by Gaussian elimination mod p."""
 
     def __init__(self, prime: int, columns: dict[str, Sequence[int]]):
-        if prime < 2 or any(prime % d == 0 for d in range(2, int(prime ** 0.5) + 1)):
+        if prime < 2 or any(prime % d == 0 for d in range(2, math.isqrt(prime) + 1)):
             raise MatroidError("field modulus %d is not prime" % prime)
         dims = {len(col) for col in columns.values()}
         if len(dims) > 1:

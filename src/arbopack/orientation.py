@@ -13,7 +13,9 @@ modular offset).  If then m(V) = |E|, reversing directed paths from
 vertices below m to vertices above it realizes m.  Otherwise the steps'
 minimizers are tight, and merged where they meet they give a partition
 of maximum deficiency |E| - m(V) < 0.  There is no heuristic and no
-exhaustive fallback.
+exhaustive fallback.  ``pack_undirected`` returns the arborescences
+packed in that orientation as they are, edge ids and all, once
+``verify_packing`` accepts them on the graph.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .connectivity import (
     recheck_certificate,
 )
 from .graphs import RootedDigraph, RootedGraph, SizeLimitError
-from .packing import Failure, TheoremViolation, Tree, _construct
+from .packing import Packing, TheoremViolation, _construct, verify_packing
 
 
 @dataclass(frozen=True)
@@ -136,79 +138,13 @@ def _realize(dirs: dict, gap: dict) -> Orientation:
 
 # -- tree packings -----------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class TreePacking:
-    trees: tuple  # of Tree, arcs field holding edge ids
-
-    def edge_set(self) -> frozenset:
-        out: frozenset = frozenset()
-        for t in self.trees:
-            out |= t.arcs
-        return out
-
-    def to_json(self) -> dict:
-        return {"trees": [{"root_element": t.root_element,
-                           "root_vertex": t.root_vertex,
-                           "edges": sorted(t.arcs)} for t in self.trees]}
-
-
-def _is_tree(edge_ids, g: RootedGraph, root: str) -> bool:
-    verts = {root}
-    adj: dict = {root: []}
-    for e in edge_ids:
-        u, v = g.edge_map[e]
-        for w in (u, v):
-            verts.add(w)
-            adj.setdefault(w, [])
-        adj[u].append(v)
-        adj[v].append(u)
-    if len(edge_ids) != len(verts) - 1:
-        return False
-    seen = {root}
-    stack = [root]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == verts
-
-
-def verify_tree_packing(g: RootedGraph, packing: TreePacking) -> Optional[Failure]:
-    """Undirected verifier: edge-disjoint rooted trees, per-vertex base condition."""
-    placed = dict(g.roots)
-    seen: set = set()
-    for t in packing.trees:
-        if t.root_element not in placed:
-            return Failure("unknown-root-element", t.root_element)
-        if placed[t.root_element] != t.root_vertex:
-            return Failure("root-mismatch", t.root_element)
-        for e in t.arcs:
-            if e not in g.edge_map:
-                return Failure("unknown-edge", e)
-            if e in seen:
-                return Failure("duplicate-edge", e)
-            seen.add(e)
-        if not _is_tree(t.arcs, g, t.root_vertex):
-            return Failure("not-a-tree", t.root_element)
-    if sorted(t.root_element for t in packing.trees) != sorted(placed):
-        return Failure("missing-tree", "one tree per root element required")
-    covers = {v: set() for v in g.vertices}
-    for t in packing.trees:
-        verts = {t.root_vertex}
-        for e in t.arcs:
-            verts.update(g.edge_map[e])
-        for v in verts:
-            covers[v].add(t.root_element)
-    for v in g.vertices:
-        if not g.matroid.is_base(covers[v]):
-            return Failure("not-a-base", v)
-    return None
+# the undirected names of the one packing type and verifier
+TreePacking = Packing
+verify_tree_packing = verify_packing
 
 
 def pack_undirected(g: RootedGraph,
-                    engine: str = "flow") -> Union[TreePacking, Certificate]:
+                    engine: str = "flow") -> Union[Packing, Certificate]:
     """Orient, pack arborescences, then forget the orientation."""
     cert = check_independent_placement(g)
     if not cert.ok:
@@ -218,12 +154,10 @@ def pack_undirected(g: RootedGraph,
         return oriented
     # orient_m_connected has checked this digraph's M-connectivity
     packed = _construct(induced_digraph(g, oriented), engine)
-    trees = TreePacking(tuple(Tree(t.root_element, t.root_vertex, t.arcs)
-                              for t in packed.trees))
-    failure = verify_tree_packing(g, trees)
+    failure = verify_packing(g, packed)
     if failure is not None:
         raise TheoremViolation("tree packing failed verification: %r" % (failure,))
-    return trees
+    return packed
 
 
 class IdentityViolation(ValueError):
@@ -231,7 +165,7 @@ class IdentityViolation(ValueError):
 
 
 def decompose_edges(g: RootedGraph,
-                    engine: str = "flow") -> Union[TreePacking, Certificate]:
+                    engine: str = "flow") -> Union[Packing, Certificate]:
     """Tree packing whose edge sets partition E (full decomposition)."""
     k = g.matroid.full_rank()
     lhs = len(g.edges) + len(g.roots)
@@ -243,7 +177,7 @@ def decompose_edges(g: RootedGraph,
     packed = pack_undirected(g, engine=engine)
     if isinstance(packed, Certificate):
         return packed
-    if packed.edge_set() != frozenset(g.edge_map):
+    if packed.arc_set() != frozenset(g.edge_map):
         raise TheoremViolation(
             "counting identity holds but the packing missed edges (tripwire)"
         )

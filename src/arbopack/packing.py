@@ -20,6 +20,10 @@ pinned minimization per candidate, not a check over all nonempty sets.
 Under the ``flow`` engine that is one flow on D' into v, with u as its
 source, capped at k = r(S).
 
+``Packing`` and ``verify_packing`` serve both sides: on a ``RootedGraph``
+a tree's link ids are edge ids, and ``orientation.pack_undirected``
+returns the packing of the oriented digraph as it is.
+
 ``brute_force_packing`` is an independent exponential ground-truth oracle
 used by the test suite; it shares nothing with the constructive path
 except the verifier.
@@ -41,8 +45,8 @@ from .connectivity import (
 from .graphs import (
     InstanceError,
     RootedDigraph,
+    RootedInstance,
     SizeLimitError,
-    is_arborescence,
     tree_vertices,
 )
 
@@ -62,13 +66,13 @@ class InfeasibleBound(ValueError):
 class Tree:
     root_element: str
     root_vertex: str
-    arcs: frozenset
+    arcs: frozenset  # link ids: arcs, or edges on the undirected side
 
-    def to_json(self) -> dict:
+    def to_json(self, key: str = "arcs") -> dict:
         return {
             "root_element": self.root_element,
             "root_vertex": self.root_vertex,
-            "arcs": sorted(self.arcs),
+            key: sorted(self.arcs),
         }
 
 
@@ -82,8 +86,9 @@ class Packing:
             out |= t.arcs
         return out
 
-    def to_json(self) -> dict:
-        return {"trees": [t.to_json() for t in self.trees]}
+    def to_json(self, key: str = "arcs") -> dict:
+        """``key`` names each tree's id list: "arcs" or "edges"."""
+        return {"trees": [t.to_json(key) for t in self.trees]}
 
 
 @dataclass(frozen=True)
@@ -111,30 +116,33 @@ class ReductionStep:
 # -- verifier -----------------------------------------------------------------
 
 
-def verify_packing(inst: RootedDigraph, packing: Packing) -> Optional[Failure]:
-    """None when valid, else the first failing invariant."""
-    placed = dict(inst.roots)
-    seen_arcs: set = set()
+def verify_packing(inst: RootedInstance, packing: Packing) -> Optional[Failure]:
+    """None when valid, else the first failing invariant.
+
+    Either side: reasons name the link ("unknown-arc", "duplicate-edge")
+    and the tree (``tree_failure``) of the instance's class.
+    """
+    placed = inst.placement
+    seen: set = set()
+    covers = {v: set() for v in inst.vertices}
     for t in packing.trees:
         if t.root_element not in placed:
             return Failure("unknown-root-element", t.root_element)
         if placed[t.root_element] != t.root_vertex:
             return Failure("root-mismatch", t.root_element)
         for a in t.arcs:
-            if a not in inst.arc_map:
-                return Failure("unknown-arc", a)
-            if a in seen_arcs:
-                return Failure("duplicate-arc", a)
-            seen_arcs.add(a)
-        if not is_arborescence(t.arcs, inst, t.root_vertex):
-            return Failure("not-an-arborescence", t.root_element)
-    roots_seen = [t.root_element for t in packing.trees]
-    if sorted(roots_seen) != sorted(placed):
-        return Failure("missing-tree", "one tree per root element required")
-    covers = {v: set() for v in inst.vertices}
-    for t in packing.trees:
-        for v in tree_vertices(t.arcs, inst, t.root_vertex):
+            if a not in inst.link_map:
+                return Failure("unknown-" + inst.link, a)
+            if a in seen:
+                return Failure("duplicate-" + inst.link, a)
+            seen.add(a)
+        verts = tree_vertices(t.arcs, inst, t.root_vertex)
+        if verts is None:
+            return Failure(inst.tree_failure, t.root_element)
+        for v in verts:
             covers[v].add(t.root_element)
+    if sorted(t.root_element for t in packing.trees) != sorted(placed):
+        return Failure("missing-tree", "one tree per root element required")
     for v in inst.vertices:
         if not inst.matroid.is_base(covers[v]):
             return Failure("not-a-base", v)
@@ -178,9 +186,11 @@ def _candidates(inst: RootedDigraph, engine: str):
         kind, witness = classify_arc(inst, a)
         if kind != "bad":
             continue
+        rest = [arc for arc in inst.arcs if arc[0] != a]
         for s in sorted(witness, key=ground_order.__getitem__):
             m2, s_new = inst.matroid.extend_parallel(s)
-            reduced = inst.without_arc(a).with_root(s_new, h, m2)
+            reduced = RootedDigraph(inst.vertices, rest,
+                                    inst.roots + ((s_new, h),), m2)
             yield (ReductionStep(a, t, h, s, s_new), reduced,
                    _keeps_connected(reduced, t, h, engine))
 
@@ -223,6 +233,9 @@ def lift_packing(packing: Packing, step: ReductionStep,
     if inst is not None:
         v1 = tree_vertices(t1.arcs, inst, t1.root_vertex)
         v2 = tree_vertices(t2.arcs, inst, t2.root_vertex)
+        if v1 is None or v2 is None:
+            raise TheoremViolation(
+                "a twin tree is not an arborescence (tripwire)")
         if v1 & v2:
             raise TheoremViolation(
                 "trees rooted at parallel twins share a vertex (tripwire)"

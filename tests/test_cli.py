@@ -67,6 +67,45 @@ def test_parse_rejects_unknown_fields():
         parse_instance(json.dumps(doc))
 
 
+@pytest.mark.parametrize("change, where", [
+    ({"matroid": {"type": "linear", "prime": 3, "columns": {"s1": 5}}},
+     "matroid.columns.s1"),
+    ({"matroid": {"type": "partition",
+                  "blocks": [{"elements": 5, "cap": 1}]}},
+     "matroid.blocks[0].elements"),
+    ({"matroid": {"type": "graphic", "edges": [5]}}, "matroid.edges[0]"),
+    ({"matroid": {"type": "explicit", "bases": [5]}}, "matroid.bases[0]"),
+    ({"version": True}, "version"),
+    ({"matroid": {"type": "uniform", "rank": True}}, "matroid.rank"),
+    ({"matroid": {"type": "partition",
+                  "blocks": [{"elements": ["s1"], "cap": False}]}},
+     "matroid.blocks[0].cap"),
+    ({"matroid": {"type": "linear", "prime": True, "columns": {"s1": [1]}}},
+     "matroid.prime"),
+    ({"bound": True}, "bound"),
+    ({"arcs": [5]}, "arcs[0]"),
+], ids=["linear-column", "partition-elements", "graphic-edge", "explicit-base",
+        "version-bool", "rank-bool", "cap-bool", "prime-bool", "bound-bool",
+        "arc"])
+def test_parse_rejects_malformed_fragments(tmp_path, capsys, change, where):
+    doc = dict(MINIMAL_DIRECTED, **change)
+    with pytest.raises(ParseError) as info:
+        parse_instance(json.dumps(doc))
+    assert info.value.path == where
+    code, out = run(capsys, ["check", write(tmp_path, "i.json", doc)])
+    assert code == 1 and out["payload"]["kind"] == "ParseError"
+    assert out["payload"]["message"].startswith(where + ": ")
+
+
+def test_huge_prime_is_an_error_envelope(tmp_path, capsys):
+    # a modulus beyond float range is tested for primality in integers
+    doc = dict(MINIMAL_DIRECTED, matroid={"type": "linear", "prime": 10 ** 400,
+                                          "columns": {"s1": [1]}})
+    code, out = run(capsys, ["check", write(tmp_path, "i.json", doc)])
+    assert code == 1 and out["payload"]["kind"] == "MatroidError"
+    assert "is not prime" in out["payload"]["message"]
+
+
 def test_round_trip_identity():
     for seed in range(20):
         text = generate_instance(seed, n=4, m=5, t=2, matroid_kind="free",
@@ -155,6 +194,28 @@ def test_verify_tampered_packing(tmp_path, capsys):
     code, vdoc = run(capsys, ["verify", path, rpath])
     assert code == 2
     assert vdoc["payload"]["reason"] == "duplicate-arc"
+
+
+@pytest.mark.parametrize("trees, reason, detail", [
+    ([("s1", "a", ["e1", "e2", "e3"])], "not-a-tree", "s1"),  # a cycle
+    ([("s1", "a", ["e2"])], "not-a-tree", "s1"),  # b-c misses the root a
+    ([("s1", "a", ["e1", "e9"])], "unknown-edge", "e9"),
+], ids=["cycle", "misses-its-root", "unknown-edge"])
+def test_verify_undirected_failures(tmp_path, capsys, trees, reason, detail):
+    doc = {"version": 1, "vertices": ["a", "b", "c"],
+           "edges": [{"id": "e1", "ends": ["a", "b"]},
+                     {"id": "e2", "ends": ["b", "c"]},
+                     {"id": "e3", "ends": ["c", "a"]}],
+           "roots": [{"element": "s1", "vertex": "a"}],
+           "matroid": {"type": "free"}}
+    packing_doc = {"payload": {"trees": [
+        {"root_element": e, "root_vertex": v, "edges": ids}
+        for e, v, ids in trees]}}
+    code, out = run(capsys, ["verify", write(tmp_path, "i.json", doc),
+                             write(tmp_path, "r.json", packing_doc)])
+    assert code == 2 and out["status"] == "certificate"
+    assert out["payload"] == {"kind": "invalid-packing", "reason": reason,
+                              "detail": detail}
 
 
 @pytest.mark.parametrize("packing_doc", [

@@ -63,7 +63,9 @@ def with_twins(rng: random.Random, inst: RootedDigraph, count: int):
         if not elems:
             break
         m2, twin = m.extend_parallel(rng.choice(elems))
-        inst = inst.with_root(twin, rng.choice(inst.vertices), m2)
+        inst = RootedDigraph(inst.vertices, inst.arcs,
+                             inst.roots + ((twin, rng.choice(inst.vertices)),),
+                             m2)
     return inst
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from conftest import digraph, graph, random_digraph
@@ -8,12 +9,14 @@ from arbopack.graphs import (
     InstanceError,
     Partition,
     RootedDigraph,
+    RootedGraph,
     SizeLimitError,
     cross_edges,
     in_degree,
     is_arborescence,
     iter_partitions,
     reachable_within,
+    tree_vertices,
 )
 from arbopack.matroid import FreeMatroid
 
@@ -104,6 +107,35 @@ def test_arborescence_arc_count_identity():
                         for a in ids:
                             verts.update(d.arc_map[a])
                         assert len(ids) == len(verts) - 1
+
+
+@pytest.mark.parametrize("cls", [RootedDigraph, RootedGraph])
+def test_tree_vertices_matches_networkx(cls):
+    # every link subset of small random multigraphs, from every root
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        verts = ["v%d" % i for i in range(n)]
+        links = [("l%d" % i, *rng.sample(verts, 2))
+                 for i in range(rng.randint(0, 6) if n > 1 else 0)]
+        inst = cls(verts, links, [("s1", verts[0])], FreeMatroid(["s1"]))
+        for k in range(len(links) + 1):
+            for subset in itertools.combinations(links, k):
+                ids = [a for a, _, _ in subset]
+                for root in verts:
+                    h = nx.MultiDiGraph() if inst.directed else nx.MultiGraph()
+                    h.add_node(root)
+                    h.add_edges_from((u, v, a) for a, u, v in subset)
+                    if inst.directed:
+                        tree = nx.is_arborescence(h) and h.in_degree(root) == 0
+                    else:
+                        tree = nx.is_tree(h)
+                    got = tree_vertices(ids, inst, root)
+                    assert (got is not None) == tree, (inst.links, ids, root)
+                    if tree:
+                        assert got == set(h.nodes)
+                    if tree and ids:
+                        assert tree_vertices(ids + ids[:1], inst, root) is None
 
 
 def test_cross_edges():

@@ -214,7 +214,7 @@ def test_decompose_two_parallel_edges():
               FreeMatroid(["s1", "s2"]))
     out = decompose_edges(g)
     assert isinstance(out, TreePacking)
-    assert out.edge_set() == {"e1", "e2"}
+    assert out.arc_set() == {"e1", "e2"}
 
 
 def test_decompose_tree_graph():
@@ -222,7 +222,7 @@ def test_decompose_tree_graph():
               FreeMatroid(["s1"]))
     out = decompose_edges(g)
     assert isinstance(out, TreePacking)
-    assert out.edge_set() == {"e1", "e2"}
+    assert out.arc_set() == {"e1", "e2"}
     assert sum(len(t.arcs) for t in out.trees) == len(g.edges)
 
 
