@@ -11,7 +11,7 @@ import copy
 import io
 import json
 
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from arbopack.cli import run_command
@@ -115,9 +115,7 @@ def run_one(argv):
 
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
-                max_examples=300,
-                suppress_health_check=[HealthCheck.too_slow,
-                                       HealthCheck.data_too_large])
+                max_examples=300)
 
 
 @FUZZ
@@ -143,7 +141,7 @@ def test_mutated_packings_end_in_an_envelope(tmp_path_factory, data):
     inst.write_text(json.dumps(instance_doc(key, matroid)))
     pk = work / "packing.json"
     pk.write_text(json.dumps(doc))
-    code, out = run_one(["verify", str(inst), str(pk)])
+    _, out = run_one(["verify", str(inst), str(pk)])
     assert out["status"] in ("ok", "certificate", "error"), out
     event(out["payload"].get("reason") or out["payload"]["kind"])
 
