@@ -111,9 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=["flow", "brute", "min-norm-point"],
                    default="flow",
                    help="flow (default): augmenting paths decide the "
-                        "connectivity checks, and separation and orientation "
-                        "run brute; brute: subset enumeration, at most 24 "
-                        "vertices; min-norm-point: exact Fujishige-Wolfe")
+                        "connectivity checks and the orientation greedy, and "
+                        "mincost separation runs brute; brute: subset "
+                        "enumeration, at most 24 vertices; min-norm-point: "
+                        "exact Fujishige-Wolfe")
     p.add_argument("--trace", action="store_true",
                    help="print reduction steps to stderr")
     p.add_argument("--lp-trace", action="store_true",

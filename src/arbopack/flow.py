@@ -31,12 +31,19 @@ I - x_i + y_j is dependent, and so is I + y_j for every y_j after the
 first.  By the exchange lemma of matroid intersection (Schrijver 2003,
 the matroid intersection chapter) I toggled along the path is then
 independent again.  When no path exists, the vertices the search cannot
-reach form a minimizer, whose value is the number of paths found.
+reach form the largest minimizer, whose value is the number of paths
+found.
+
+Integer per-vertex supplies and demands add supply(X) + demand(V - X) to
+the cut of X: a vertex with supply left is one more start of the search,
+and one with demand left ends a path as a sink does.  The orientation
+greedy (``orientation._step_by_flow``) takes its modular offset this way,
+so one flow decides each of its steps.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .graphs import RootedDigraph
 
@@ -72,29 +79,46 @@ class Network:
         for x, i in enumerate(self.home):
             at[i].append(x)
         self.rank = _Ranks(root)
+        self._prev = None
 
     def min_cut(self, sinks: Iterable[str], sources: Iterable[str],
-                cap: int) -> int:
-        """min(cap, min of in(X) + r(S_X) over sinks ⊆ X, X ∩ sources = ∅).
+                cap: int, supply: Optional[list] = None,
+                demand: Optional[list] = None) -> int:
+        """min(cap, min of cut(X) over sinks ⊆ X, X ∩ sources = ∅), where
 
-        At most ``cap`` augmentations, all in integers.
+            cut(X) = in(X) + r(S_X) + supply(X) + demand(V - X).
+
+        ``supply`` and ``demand`` list non-negative integers by vertex
+        index, all 0 when left out: a virtual source feeds vertex w up to
+        supply[w] units, and w passes up to demand[w] units on to a
+        virtual sink that every X holds.  At most ``cap`` augmentations,
+        all in integers.  When the value is below ``cap`` the last search
+        has failed, and ``unreached()`` gives the largest minimizer.
         """
         inst = self.inst
         verts = inst.vertices
         n = len(verts)
         pos, adj, home, ebit, at, rank = (self.pos, self.adj, self.home,
                                           self.ebit, self.at, self.rank)
-        sink = [False] * n
+        self._prev = None
+        # units a vertex may still end a path with; -1 for no limit
+        sink = [0] * n if demand is None else list(demand)
         for v in sinks:
-            sink[pos[v]] = True
-        starts = [pos[v] for v in sources]
-        if True not in sink or any(sink[i] for i in starts):
+            sink[pos[v]] = -1
+        starts = given = [pos[v] for v in sources]
+        if -1 not in sink or any(sink[i] == -1 for i in starts):
             raise ValueError("the sinks must be nonempty and miss the sources")
+        # units a vertex may still start a path with; -1 for no limit
+        feed = None
+        if supply is not None:
+            feed = list(supply)
+            for i in given:
+                feed[i] = -1
         res = [1, 0] * len(inst.arcs)   # residual capacity: arc 2j, reverse 2j+1
         supplying = [False] * len(home)
         mask = size = 0
         for i in range(n):
-            if sink[i]:
+            if sink[i] == -1:
                 for x in at[i]:
                     if size < cap and rank[mask | ebit[x]] > size:
                         supplying[x] = True
@@ -102,6 +126,8 @@ class Network:
                         size += 1
         value = size
         while value < cap:
+            if feed is not None:
+                starts = [i for i, f in enumerate(feed) if f]
             prev: list = [None] * (n + len(home))   # -1: the virtual source
             via = [0] * n                           # residual arc into a vertex
             queue = []
@@ -141,9 +167,12 @@ class Network:
                     prev[home[node - n]] = node
                     queue.append(home[node - n])
             if end is None:
+                self._prev = prev
                 return value
+            if sink[end] > 0:
+                sink[end] -= 1
             node = end
-            while node != -1:
+            while True:
                 p = prev[node]
                 if node >= n:
                     x = node - n
@@ -154,18 +183,31 @@ class Network:
                     c = via[node]
                     res[c] = 0
                     res[c ^ 1] = 1
+                if p == -1:
+                    break
                 node = p
+            if feed is not None and node < n and feed[node] > 0:
+                feed[node] -= 1
             # two supplying twins would cancel in the mask: the rank falls short
             if rank[mask] != size:
                 raise FlowViolation(
                     "min_cut: the supplying elements are dependent after "
                     "augmentation %d (tripwire): engine flow, sinks %s, sources "
                     "%s, arcs %d, roots %d"
-                    % (value + 1, sorted(verts[i] for i in range(n) if sink[i]),
-                       sorted(verts[i] for i in starts), len(inst.arcs),
+                    % (value + 1,
+                       sorted(verts[i] for i in range(n) if sink[i] == -1),
+                       sorted(verts[i] for i in given), len(inst.arcs),
                        len(inst.roots)))
             value += 1
         return cap
+
+    def unreached(self) -> frozenset:
+        """Indices of the vertices the failed last search of ``min_cut``
+        did not reach: the largest minimizer of that cut."""
+        prev = self._prev
+        if prev is None:
+            raise ValueError("the last min_cut reached its cap")
+        return frozenset(i for i in range(len(self.pos)) if prev[i] is None)
 
 
 class _Ranks(dict):

@@ -52,6 +52,17 @@ def _is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
+def _require_strings(item, keys, path):
+    """A ParseError at the first item[key] that is not a string.
+
+    Callers test the common case, all strings, inline, which costs what
+    the bare reads cost, and call this only to name the culprit."""
+    for key in keys:
+        _require(isinstance(item[key], str),
+                 "%s[%d]" % (path, key) if isinstance(key, int)
+                 else "%s.%s" % (path, key), "must be a string")
+
+
 def build_matroid(fragment: dict, elements: list[str], path: str = "matroid") -> Matroid:
     _require(isinstance(fragment, dict), path, "must be an object")
     kind = fragment.get("type")
@@ -165,7 +176,10 @@ def parse_instance(text: Union[str, bytes]) -> tuple[object, dict]:
     for i, r in enumerate(roots):
         _require(isinstance(r, dict) and set(r) == {"element", "vertex"},
                  "roots[%d]" % i, "must be {element, vertex}")
-        root_pairs.append((str(r["element"]), str(r["vertex"])))
+        e, v = r["element"], r["vertex"]
+        if not type(e) is type(v) is str:
+            _require_strings(r, ("element", "vertex"), "roots[%d]" % i)
+        root_pairs.append((e, v))
     elements = [e for e, _ in root_pairs]
     _require(len(set(elements)) == len(elements), "roots",
              "duplicate root element ids")
@@ -180,12 +194,19 @@ def parse_instance(text: Union[str, bytes]) -> tuple[object, dict]:
             if key == "arcs":
                 _require(isinstance(it, dict) and set(it) == {"id", "tail", "head"},
                          p, "must be {id, tail, head}")
-                out.append((str(it["id"]), str(it["tail"]), str(it["head"])))
+                a, t, h = it["id"], it["tail"], it["head"]
+                if not type(a) is type(t) is type(h) is str:
+                    _require_strings(it, ("id", "tail", "head"), p)
+                out.append((a, t, h))
             else:
                 _require(isinstance(it, dict) and set(it) == {"id", "ends"}
                          and isinstance(it["ends"], list) and len(it["ends"]) == 2,
                          p, "must be {id, ends:[u,v]}")
-                out.append((str(it["id"]), str(it["ends"][0]), str(it["ends"][1])))
+                a, (u, w) = it["id"], it["ends"]
+                if not type(a) is type(u) is type(w) is str:
+                    _require_strings(it, ("id",), p)
+                    _require_strings(it["ends"], (0, 1), p + ".ends")
+                out.append((a, u, w))
         return out
 
     cls = RootedDigraph if has_arcs else RootedGraph

@@ -14,7 +14,6 @@ a canonical frozenset key.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterable, Sequence
 
 
@@ -196,11 +195,44 @@ class GraphicMatroid(Matroid):
         return r
 
 
+# Miller-Rabin with the first twelve primes as bases decides primality
+# for every n below this bound (Sorenson and Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; a MatroidError for n >= _MR_BOUND that
+    no base divides, where the base set proves nothing."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_BOUND:
+        raise MatroidError("field modulus %d is above the primality test's "
+                           "bound %d" % (n, _MR_BOUND))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class LinearMatroid(Matroid):
     """Column vectors over GF(p); rank by Gaussian elimination mod p."""
 
     def __init__(self, prime: int, columns: dict[str, Sequence[int]]):
-        if prime < 2 or any(prime % d == 0 for d in range(2, math.isqrt(prime) + 1)):
+        if not _is_prime(prime):
             raise MatroidError("field modulus %d is not prime" % prime)
         dims = {len(col) for col in columns.values()}
         if len(dims) > 1:

@@ -7,15 +7,17 @@ m(X) - i(X) edges, i(X) the edges inside X, and by Hakimi (1965) every
 m >= i with m(V) = |E| is some orientation's in-degree vector.  So
 ``orient_m_connected`` looks for m >= q = p + i with m(V) = |E|: from
 m(v) = deg(v) + k it lowers each m(v) in turn by the least slack
-m(X) - q(X) over X containing v, n submodular minimizations in all (by
-brute force under the ``flow`` engine, whose unit flows do not take the
-modular offset).  If then m(V) = |E|, reversing directed paths from
-vertices below m to vertices above it realizes m.  Otherwise the steps'
-minimizers are tight, and merged where they meet they give a partition
-of maximum deficiency |E| - m(V) < 0.  There is no heuristic and no
-exhaustive fallback.  ``pack_undirected`` returns the arborescences
-packed in that orientation as they are, edge ids and all, once
-``verify_packing`` accepts them on the graph.
+m(X) - q(X) over X containing v, n minimizations in all.  Under the
+``flow`` engine each is one flow (``flow.Network.min_cut``) on the
+all-forward digraph, whose per-vertex supplies and demands carry the
+modular offset; ``brute`` and ``min-norm-point`` run them as submodular
+minimizations and are its cross-checks.  If then m(V) = |E|, reversing
+directed paths from vertices below m to vertices above it realizes m.
+Otherwise the steps' minimizers are tight, and merged where they meet
+they give a partition of maximum deficiency |E| - m(V) < 0.  There is no
+heuristic and no exhaustive fallback.  ``pack_undirected`` returns the
+arborescences packed in that orientation as they are, edge ids and all,
+once ``verify_packing`` accepts them on the graph.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from . import sfm
+from . import flow, sfm
 from .connectivity import (
     VIOLATED_PARTITION,
     Certificate,
@@ -67,18 +69,24 @@ def orient_m_connected(g: RootedGraph,
     n = len(verts)
     pos = {v: i for i, v in enumerate(verts)}
     dirs = {e: (u, v) for e, u, v in g.edges}
-    slack = deficiency_objective(induced_digraph(g, Orientation(dirs)))
+    forward = induced_digraph(g, Orientation(dirs))
+    slack = deficiency_objective(forward)
+    net = flow.Network(forward) if engine == "flow" else None
     # gap[v] = m(v) - indeg(v) in the all-forward digraph, whose def(X) is
     # indeg(X) - i(X) - p(X), so def(X) + gap(X) = m(X) - q(X)
-    gap = [g.matroid.full_rank()] * n
+    k = g.matroid.full_rank()
+    gap = [k] * n
     for _, u, _ in g.edges:
         gap[pos[u]] += 1
     steps = []
     for i in range(n):
-        off = gap[:]  # min-norm-point evaluates again to find a minimizer
-        res = sfm.minimize(sfm.SubmodularObjective(
-            n, lambda X, off=off: slack.evaluate(X) + sum(off[j] for j in X),
-            ("contains", i)), engine=engine)
+        if net is not None:
+            res = _step_by_flow(net, slack, gap, i, k)
+        else:
+            off = gap[:]  # min-norm-point evaluates again to find a minimizer
+            res = sfm.minimize(sfm.SubmodularObjective(
+                n, lambda X, off=off: slack.evaluate(X) + sum(off[j] for j in X),
+                ("contains", i)), engine=engine)
         gap[i] -= res.value
         steps.append(res)
     if sum(gap) > 0:  # m(V) > |E|
@@ -96,16 +104,46 @@ def orient_m_connected(g: RootedGraph,
             deficiency=-sum(gap))
         if not recheck_certificate(g, cert):
             raise TheoremViolation(
-                "merged tight sets are not a violated partition (tripwire)")
+                "orient_m_connected: the merged tight sets %s are not a "
+                "violated partition (tripwire): engine %s, deficiency %d, "
+                "vertices %d, edges %d"
+                % ([sorted(b) for b in cert.partition], engine,
+                   cert.deficiency, n, len(g.edges)))
         return cert
-    oriented = _realize(dirs, dict(zip(verts, gap)))
-    if not check_m_connected(induced_digraph(g, oriented), engine=engine).ok:
+    oriented = _realize(dirs, dict(zip(verts, gap)), engine)
+    cert = check_m_connected(induced_digraph(g, oriented), engine=engine)
+    if not cert.ok:
         raise TheoremViolation(
-            "realized in-degree vector is not M-connected (tripwire)")
+            "orient_m_connected: the realized in-degree vector is not "
+            "M-connected (tripwire): engine %s, violated set %s, deficiency "
+            "%d, vertices %d, edges %d"
+            % (engine, sorted(cert.vertex_set), cert.deficiency, n,
+               len(g.edges)))
     return oriented
 
 
-def _realize(dirs: dict, gap: dict) -> Orientation:
+def _step_by_flow(net: flow.Network, slack, gap: list, i: int,
+                  k: int) -> sfm.SfmResult:
+    """One greedy step, min over X containing v_i of def(X) + gap(X), by
+    one flow on ``net``, the all-forward digraph.
+
+    With gap = g+ - g- split by sign, def(X) + gap(X) equals
+    in(X) + r(S_X) + g+(X) + g-(V - X) - k - g-(V): the cut of X when a
+    virtual source supplies w with g+(w) units and w passes g-(w) on to
+    a virtual sink inside X.  The flow is capped one above the cut of
+    {v_i}, so it ends with a failed search, and the vertices that search
+    did not reach are the minimizer.
+    """
+    supply = [max(x, 0) for x in gap]
+    demand = [max(-x, 0) for x in gap]
+    shift = k + sum(demand)
+    single = slack.evaluate(frozenset((i,))) + gap[i] + shift
+    value = net.min_cut((net.inst.vertices[i],), (), single + 1,
+                        supply, demand)
+    return sfm.SfmResult(net.unreached(), value - shift)
+
+
+def _realize(dirs: dict, gap: dict, engine: str) -> Orientation:
     """Reverse directed paths until each vertex v has gained gap[v] in-arcs.
 
     A path from a vertex with gap > 0 to one with gap < 0, reversed, moves
@@ -126,7 +164,9 @@ def _realize(dirs: dict, gap: dict) -> Orientation:
                         dq.append(h)
             else:
                 raise TheoremViolation(
-                    "no path to a vertex above its in-degree (tripwire)")
+                    "_realize: no path from %s to a vertex above its "
+                    "in-degree (tripwire): engine %s, vertices %d, edges %d"
+                    % (low, engine, len(gap), len(dirs)))
             gap[low] -= 1
             gap[w] += 1
             while w != low:

@@ -4,9 +4,10 @@ Points are exact rational arc-indexed vectors.  The linear system is: box
 constraints 0 <= x(a) <= 1, cut constraints x(entering X) >= k - rank(S_X)
 for nonempty X, and the mass equality x(A) = k|V| - |S|.  Separation of
 the cut family is submodular minimization of x(entering X) + rank(S_X) - k,
-by brute force under the ``flow`` engine, whose unit flows take integer
-arc capacities only; the feasibility check and the final construction on
-the 0/1 support do run on the flow.
+by brute force under the ``flow`` engine, whose flows take unit arcs and
+integer per-vertex supplies and demands only; it is the one brute
+minimization left on that engine's paths.  The feasibility check and the
+final construction on the 0/1 support do run on the flow.
 
 Min-cost optimization is an exact cutting-plane loop: solve the current
 relaxation, separate the optimum, add the violated constraint, repeat; the

@@ -22,10 +22,10 @@ contraction/deletion: pin a set I in and a set E out, minimize the induced
 (still submodular) function on the rest.
 
 The library's default engine, ``flow`` (``arbopack.flow``), is no
-submodular minimizer: it decides the integer deficiency checks by
-augmenting paths.  The minimizations that stay submodular under it
-(separation with rational weights, the orientation greedy with its
-modular offset) run ``brute``, which ``minimize`` takes ``flow`` to mean.
+submodular minimizer: it decides the integer deficiency checks and the
+steps of the orientation greedy by augmenting paths.  The one
+minimization that stays submodular under it, separation with rational
+arc weights, runs ``brute``, which ``minimize`` takes ``flow`` to mean.
 """
 
 from __future__ import annotations

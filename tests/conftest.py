@@ -113,6 +113,21 @@ def cut_copy(inst: RootedDigraph) -> RootedDigraph:
     return RootedDigraph(inst.vertices, arcs, inst.roots, m)
 
 
+def planted_graph(rng: random.Random, n: int, kind: str) -> RootedGraph:
+    """``planted_digraph`` with its arcs as edges, hence partition-connected."""
+    d = planted_digraph(rng, n, kind)
+    return RootedGraph(d.vertices, d.arcs, d.roots, d.matroid)
+
+
+def cut_graph(g: RootedGraph) -> RootedGraph:
+    """``g`` without the edges at its first vertex whose roots are no base,
+    so that vertex and the rest are a violated partition."""
+    m = g.matroid
+    v = next(w for w in g.vertices if m.rank(g.elements_at(w)) < m.full_rank())
+    edges = [e for e in g.edges if v not in e[1:]]
+    return RootedGraph(g.vertices, edges, g.roots, m)
+
+
 @pytest.fixture
 def fixed_explicit():
     return ExplicitMatroid(["s1", "s2", "s3"], [["s1", "s2"], ["s1", "s3"]])

@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from arbopack.cli import run_command
 from arbopack.graphs import RootedDigraph, RootedGraph
+from arbopack.matroid import LinearMatroid, MatroidError
 from arbopack.instances import (
     ParseError,
     emit_instance,
@@ -95,6 +97,60 @@ def test_parse_rejects_malformed_fragments(tmp_path, capsys, change, where):
     code, out = run(capsys, ["check", write(tmp_path, "i.json", doc)])
     assert code == 1 and out["payload"]["kind"] == "ParseError"
     assert out["payload"]["message"].startswith(where + ": ")
+
+
+MINIMAL_UNDIRECTED = dict(
+    {k: v for k, v in MINIMAL_DIRECTED.items() if k != "arcs"},
+    edges=[{"id": "e1", "ends": ["a", "b"]}])
+
+
+@pytest.mark.parametrize("doc, field, where", [
+    (MINIMAL_DIRECTED, ("roots", "element"), "roots[0].element"),
+    (MINIMAL_DIRECTED, ("roots", "vertex"), "roots[0].vertex"),
+    (MINIMAL_DIRECTED, ("arcs", "id"), "arcs[0].id"),
+    (MINIMAL_DIRECTED, ("arcs", "tail"), "arcs[0].tail"),
+    (MINIMAL_DIRECTED, ("arcs", "head"), "arcs[0].head"),
+    (MINIMAL_UNDIRECTED, ("edges", "id"), "edges[0].id"),
+    (MINIMAL_UNDIRECTED, ("edges", "ends", 0), "edges[0].ends[0]"),
+    (MINIMAL_UNDIRECTED, ("edges", "ends", 1), "edges[0].ends[1]"),
+])
+@pytest.mark.parametrize("value", [None, 7])
+def test_parse_rejects_ids_that_are_not_strings(tmp_path, capsys, doc, field,
+                                                where, value):
+    doc = json.loads(json.dumps(doc))
+    item = doc[field[0]][0]
+    for key in field[1:-1]:
+        item = item[key]
+    item[field[-1]] = value
+    with pytest.raises(ParseError) as info:
+        parse_instance(json.dumps(doc))
+    assert info.value.path == where
+    cmd = "pack" if "arcs" in doc else "pack-undirected"
+    code, out = run(capsys, [cmd, write(tmp_path, "i.json", doc)])
+    assert code == 1 and out["payload"]["kind"] == "ParseError"
+    assert out["payload"]["message"] == where + ": must be a string"
+
+
+@pytest.mark.parametrize("prime", [561, 3215031751, (2 ** 13 - 1) * (2 ** 61 - 1)],
+                         ids=["carmichael", "strong-pseudoprime", "large"])
+def test_composite_modulus_is_rejected(prime):
+    with pytest.raises(MatroidError, match="is not prime"):
+        LinearMatroid(prime, {"s1": [1]})
+
+
+def test_large_prime_parses_quickly():
+    doc = dict(MINIMAL_DIRECTED, matroid={"type": "linear",
+                                          "prime": 2 ** 61 - 1,
+                                          "columns": {"s1": [1]}})
+    start = time.perf_counter()
+    inst, _ = parse_instance(json.dumps(doc))
+    assert time.perf_counter() - start < 0.5
+    assert inst.matroid.prime == 2 ** 61 - 1
+
+
+def test_modulus_above_the_primality_bound_is_rejected():
+    with pytest.raises(MatroidError, match="above the primality test's bound"):
+        LinearMatroid(2 ** 89 - 1, {"s1": [1]})
 
 
 def test_huge_prime_is_an_error_envelope(tmp_path, capsys):
@@ -317,6 +373,25 @@ def test_tripwire_is_an_error_envelope(tmp_path, capsys, monkeypatch):
     message = out["payload"]["message"]
     assert message.startswith("find_reduction:")
     assert "engine flow, bad arcs ['a1'], candidates tried 1" in message
+
+
+def test_orientation_tripwire_is_an_error_envelope(tmp_path, capsys,
+                                                  monkeypatch):
+    from arbopack import orientation
+
+    # a merged partition that does not recheck trips orient_m_connected
+    monkeypatch.setattr(orientation, "recheck_certificate", lambda *a: False)
+    doc = {"version": 1, "vertices": ["a", "b", "c"],
+           "edges": [{"id": "e1", "ends": ["a", "b"]}],
+           "roots": [{"element": "s1", "vertex": "a"}],
+           "matroid": {"type": "free"}}
+    code, out = run(capsys, ["pack-undirected", write(tmp_path, "i.json", doc)])
+    assert code == 1 and out["status"] == "error"
+    assert out["payload"]["kind"] == "TheoremViolation"
+    assert out["payload"]["message"] == (
+        "orient_m_connected: the merged tight sets [['a', 'b'], ['c']] are "
+        "not a violated partition (tripwire): engine flow, deficiency -1, "
+        "vertices 3, edges 1")
 
 
 def test_plain_runtime_tripwire_is_an_error_envelope(tmp_path, capsys,

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import cut_copy, planted_digraph
+from conftest import cut_copy, cut_graph, planted_digraph, planted_graph
 from arbopack import connectivity, flow
 from arbopack.cli import run_command
 from arbopack.connectivity import check_m_connected, recheck_certificate
@@ -69,16 +69,27 @@ def with_twins(rng: random.Random, inst: RootedDigraph, count: int):
     return inst
 
 
-def enumerated(inst: RootedDigraph, sinks, sources, cap) -> int:
-    """min(cap, in(X) + r(S_X)) over every X holding the sinks and no source."""
-    rest = [v for v in inst.vertices if v not in sinks and v not in sources]
-    best = cap
+def cuts(inst: RootedDigraph, sinks, sources, supply=None, demand=None) -> dict:
+    """X -> in(X) + r(S_X) + supply(X) + demand(V - X), for every X holding
+    the sinks and no source; supply and demand by vertex index."""
+    verts = inst.vertices
+    supply = supply or [0] * len(verts)
+    demand = demand or [0] * len(verts)
+    rest = [v for v in verts if v not in sinks and v not in sources]
+    out = {}
     for r in range(len(rest) + 1):
         for extra in itertools.combinations(rest, r):
             xs = frozenset(sinks) | frozenset(extra)
-            best = min(best, in_degree(inst, xs)
-                       + inst.matroid.rank(inst.elements_in(xs)))
-    return best
+            out[xs] = (in_degree(inst, xs)
+                       + inst.matroid.rank(inst.elements_in(xs))
+                       + sum(supply[i] if v in xs else demand[i]
+                             for i, v in enumerate(verts)))
+    return out
+
+
+def enumerated(inst: RootedDigraph, sinks, sources, cap) -> int:
+    """min(cap, in(X) + r(S_X)) over every X holding the sinks and no source."""
+    return min(cap, *cuts(inst, sinks, sources).values())
 
 
 def random_case(rng: random.Random):
@@ -97,19 +108,37 @@ def random_case(rng: random.Random):
     sources = set()
     if rest and rng.random() < 0.6:
         sources = set(rng.sample(rest, rng.randint(1, len(rest))))
-    return inst, sinks, sources, rng.randint(-1, 30)
+    cap = rng.randint(-1, 30)
+    supply = demand = None
+    if rng.random() < 0.5:
+        supply = [rng.choice((0, 0, 1, 2, 5)) for _ in verts]
+        demand = [rng.choice((0, 0, 1, 3)) for _ in verts]
+    return inst, sinks, sources, cap, supply, demand
 
 
 def test_flow_matches_enumeration():
+    # below the cap the unreached vertices must be the largest minimizer,
+    # the union of all minimizers
     rng = random.Random(2024)
-    below_cap = 0
+    below_cap = weighted = 0
     for _ in range(3000):
-        inst, sinks, sources, cap = random_case(rng)
-        want = enumerated(inst, sinks, sources, cap)
-        assert flow.Network(inst).min_cut(sinks, sources, cap) == want, \
-            (inst.arcs, inst.roots, sinks, sources, cap)
-        below_cap += want < cap
-    assert below_cap > 1000
+        inst, sinks, sources, cap, supply, demand = random_case(rng)
+        values = cuts(inst, sinks, sources, supply, demand)
+        want = min(cap, *values.values())
+        net = flow.Network(inst)
+        case = (inst.arcs, inst.roots, sinks, sources, cap, supply, demand)
+        assert net.min_cut(sinks, sources, cap, supply, demand) == want, case
+        if want < cap:
+            largest = frozenset().union(
+                *(xs for xs, v in values.items() if v == want))
+            assert frozenset(inst.vertices[i]
+                             for i in net.unreached()) == largest, case
+            below_cap += 1
+            weighted += supply is not None
+        else:
+            with pytest.raises(ValueError, match="reached its cap"):
+                net.unreached()
+    assert below_cap > 1000 and weighted > 500
 
 
 def test_flow_reroutes_on_crossing_gadgets():
@@ -212,5 +241,27 @@ def test_default_engine_packs_and_cuts_40_vertices(tmp_path, capsys):
         cert = connectivity.Certificate(
             out["payload"]["kind"],
             vertex_set=frozenset(out["payload"]["vertex_set"]),
+            deficiency=out["payload"]["deficiency"])
+        assert recheck_certificate(cut, cert)
+
+
+def test_default_engine_packs_and_cuts_a_40_vertex_graph(tmp_path, capsys):
+    # above the brute engine's 24-vertex cap: the greedy runs on the flow
+    g = planted_graph(random.Random(41), 40, "linear")
+    path = write(tmp_path, "g.json", g)
+    code, out = run(capsys, ["check", path])
+    assert code == 0 and out["provenance"]["engine"] == "flow"
+    code, out = run(capsys, ["pack-undirected", path])
+    assert code == 0 and out["status"] == "packing"
+    trees = tuple(Tree(t["root_element"], t["root_vertex"], frozenset(t["edges"]))
+                  for t in out["payload"]["trees"])
+    assert verify_packing(g, Packing(trees)) is None
+    cut = cut_graph(g)
+    for cmd in ("check", "pack-undirected"):
+        code, out = run(capsys, [cmd, write(tmp_path, "cut.json", cut)])
+        assert code == 2 and out["status"] == "certificate"
+        cert = connectivity.Certificate(
+            out["payload"]["kind"],
+            partition=tuple(frozenset(b) for b in out["payload"]["partition"]),
             deficiency=out["payload"]["deficiency"])
         assert recheck_certificate(cut, cert)

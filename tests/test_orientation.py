@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import graph, lean_matroids
+from conftest import cut_graph, graph, lean_matroids, planted_graph
 from arbopack.connectivity import (
     Certificate,
     check_m_connected,
@@ -82,6 +82,45 @@ def test_orientation_equivalence_random():
         assert check_partition_connected(g).ok == exists
         out = orient_m_connected(g)
         assert isinstance(out, Orientation) == exists
+
+
+@pytest.mark.parametrize("kind, n", [("free", 12), ("uniform", 14),
+                                     ("partition", 16), ("graphic", 18),
+                                     ("linear", 20)])
+def test_flow_greedy_matches_min_norm_point(kind, n):
+    # above the enumerator's cap: a planted graph and a cut copy of it
+    g = planted_graph(random.Random(kind), n, kind)
+    out = orient_m_connected(g)
+    assert isinstance(out, Orientation)
+    assert out == orient_m_connected(g, engine="min-norm-point")
+    cut = cut_graph(g)
+    got = orient_m_connected(cut)
+    want = orient_m_connected(cut, engine="min-norm-point")
+    for cert in (got, want):
+        assert isinstance(cert, Certificate) and recheck_certificate(cut, cert)
+    assert got.deficiency == want.deficiency
+
+
+def test_orientation_tripwires_name_step_engine_and_sizes(monkeypatch):
+    from arbopack import orientation
+    from arbopack.packing import TheoremViolation
+
+    with pytest.raises(TheoremViolation) as info:
+        orientation._realize({"e1": ("a", "b")}, {"a": 1, "b": 0}, "brute")
+    assert str(info.value) == (
+        "_realize: no path from a to a vertex above its in-degree "
+        "(tripwire): engine brute, vertices 2, edges 1")
+    # a check that rejects every orientation trips the realized vector
+    monkeypatch.setattr(orientation, "check_m_connected", lambda *a, **k:
+                        Certificate("violated-set", vertex_set=frozenset("b"),
+                                    deficiency=-1))
+    g = graph(["a", "b"], ["e1:a-b"], ["s1@a"], FreeMatroid(["s1"]))
+    with pytest.raises(TheoremViolation) as info:
+        orient_m_connected(g, engine="min-norm-point")
+    assert str(info.value) == (
+        "orient_m_connected: the realized in-degree vector is not M-connected "
+        "(tripwire): engine min-norm-point, violated set ['b'], deficiency -1, "
+        "vertices 2, edges 1")
 
 
 def test_min_norm_point_orientation_on_a_sweep_sample():
