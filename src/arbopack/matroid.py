@@ -195,9 +195,9 @@ class GraphicMatroid(Matroid):
         return r
 
 
-# Miller-Rabin with the first twelve primes as bases decides primality
-# for every n below this bound (Sorenson and Webster 2015)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first thirteen primes as bases decides primality
+# for every n below this bound, psi_13 (Sorenson and Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 

@@ -104,21 +104,24 @@ def orient_m_connected(g: RootedGraph,
             deficiency=-sum(gap))
         if not recheck_certificate(g, cert):
             raise TheoremViolation(
-                "orient_m_connected: the merged tight sets %s are not a "
-                "violated partition (tripwire): engine %s, deficiency %d, "
-                "vertices %d, edges %d"
-                % ([sorted(b) for b in cert.partition], engine,
+                "orient_m_connected: the tight sets of greedy steps 1 to %d, "
+                "merged into %s, are not a violated partition (tripwire): "
+                "engine %s, deficiency %d, vertices %d, edges %d"
+                % (n, [sorted(b) for b in cert.partition], engine,
                    cert.deficiency, n, len(g.edges)))
         return cert
+    # each reversal lowers one positive gap by one, so they number this
+    reversals = sum(x for x in gap if x > 0)
     oriented = _realize(dirs, dict(zip(verts, gap)), engine)
     cert = check_m_connected(induced_digraph(g, oriented), engine=engine)
     if not cert.ok:
         raise TheoremViolation(
-            "orient_m_connected: the realized in-degree vector is not "
-            "M-connected (tripwire): engine %s, violated set %s, deficiency "
-            "%d, vertices %d, edges %d"
-            % (engine, sorted(cert.vertex_set), cert.deficiency, n,
-               len(g.edges)))
+            "orient_m_connected: the in-degree vector realized after %d "
+            "greedy steps and %d path reversals is not M-connected "
+            "(tripwire): engine %s, violated set %s, deficiency %d, "
+            "vertices %d, edges %d"
+            % (n, reversals, engine, sorted(cert.vertex_set),
+               cert.deficiency, n, len(g.edges)))
     return oriented
 
 
@@ -150,6 +153,7 @@ def _realize(dirs: dict, gap: dict, engine: str) -> Orientation:
     one in-arc from its end to its start; Hakimi's theorem says one exists.
     """
     dirs = dict(dirs)
+    reversals = 0
     for low in gap:
         while gap[low] > 0:
             prev = {low: None}
@@ -165,8 +169,10 @@ def _realize(dirs: dict, gap: dict, engine: str) -> Orientation:
             else:
                 raise TheoremViolation(
                     "_realize: no path from %s to a vertex above its "
-                    "in-degree (tripwire): engine %s, vertices %d, edges %d"
-                    % (low, engine, len(gap), len(dirs)))
+                    "in-degree at path reversal %d (tripwire): engine %s, "
+                    "vertices %d, edges %d"
+                    % (low, reversals + 1, engine, len(gap), len(dirs)))
+            reversals += 1
             gap[low] -= 1
             gap[w] += 1
             while w != low:

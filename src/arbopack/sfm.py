@@ -60,7 +60,8 @@ class SubmodularObjective:
 
 
 class SfmResult:
-    """Minimum value and lex-smallest minimizer of one minimization.
+    """Minimum value and a minimizer of one minimization: the lex-smallest
+    one from ``minimize``, the largest one from a flow's ``unreached()``.
 
     Given ``find`` instead of a minimizer, the minimizer is computed by
     ``find()`` the first time it is read, so a caller that only needs the

@@ -131,8 +131,10 @@ def test_parse_rejects_ids_that_are_not_strings(tmp_path, capsys, doc, field,
     assert out["payload"]["message"] == where + ": must be a string"
 
 
-@pytest.mark.parametrize("prime", [561, 3215031751, (2 ** 13 - 1) * (2 ** 61 - 1)],
-                         ids=["carmichael", "strong-pseudoprime", "large"])
+@pytest.mark.parametrize("prime", [561, 3215031751, 318665857834031151167461,
+                                   (2 ** 13 - 1) * (2 ** 61 - 1)],
+                         ids=["carmichael", "strong-pseudoprime",
+                              "pseudoprime-to-bases-2-to-37", "large"])
 def test_composite_modulus_is_rejected(prime):
     with pytest.raises(MatroidError, match="is not prime"):
         LinearMatroid(prime, {"s1": [1]})
@@ -389,9 +391,9 @@ def test_orientation_tripwire_is_an_error_envelope(tmp_path, capsys,
     assert code == 1 and out["status"] == "error"
     assert out["payload"]["kind"] == "TheoremViolation"
     assert out["payload"]["message"] == (
-        "orient_m_connected: the merged tight sets [['a', 'b'], ['c']] are "
-        "not a violated partition (tripwire): engine flow, deficiency -1, "
-        "vertices 3, edges 1")
+        "orient_m_connected: the tight sets of greedy steps 1 to 3, merged "
+        "into [['a', 'b'], ['c']], are not a violated partition (tripwire): "
+        "engine flow, deficiency -1, vertices 3, edges 1")
 
 
 def test_plain_runtime_tripwire_is_an_error_envelope(tmp_path, capsys,

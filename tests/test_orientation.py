@@ -108,8 +108,8 @@ def test_orientation_tripwires_name_step_engine_and_sizes(monkeypatch):
     with pytest.raises(TheoremViolation) as info:
         orientation._realize({"e1": ("a", "b")}, {"a": 1, "b": 0}, "brute")
     assert str(info.value) == (
-        "_realize: no path from a to a vertex above its in-degree "
-        "(tripwire): engine brute, vertices 2, edges 1")
+        "_realize: no path from a to a vertex above its in-degree at path "
+        "reversal 1 (tripwire): engine brute, vertices 2, edges 1")
     # a check that rejects every orientation trips the realized vector
     monkeypatch.setattr(orientation, "check_m_connected", lambda *a, **k:
                         Certificate("violated-set", vertex_set=frozenset("b"),
@@ -118,9 +118,10 @@ def test_orientation_tripwires_name_step_engine_and_sizes(monkeypatch):
     with pytest.raises(TheoremViolation) as info:
         orient_m_connected(g, engine="min-norm-point")
     assert str(info.value) == (
-        "orient_m_connected: the realized in-degree vector is not M-connected "
-        "(tripwire): engine min-norm-point, violated set ['b'], deficiency -1, "
-        "vertices 2, edges 1")
+        "orient_m_connected: the in-degree vector realized after 2 greedy "
+        "steps and 0 path reversals is not M-connected (tripwire): engine "
+        "min-norm-point, violated set ['b'], deficiency -1, vertices 2, "
+        "edges 1")
 
 
 def test_min_norm_point_orientation_on_a_sweep_sample():
