@@ -223,9 +223,9 @@ def _dispatch(args, argv, engine) -> int:
         out = polytope.min_cost_packing(inst, costs, engine=engine,
                                         lp_trace=lp_trace)
         if args.lp_trace and lp_trace:
-            for xs, obj in lp_trace:
+            for xs, obj, pivots in lp_trace:
                 sys.stderr.write(json.dumps(
-                    {"objective": str(obj),
+                    {"objective": str(obj), "pivots": pivots,
                      "x": {a: str(v) for a, v in sorted(xs.items())}}) + "\n")
         if isinstance(out, tuple):
             pk, cost = out

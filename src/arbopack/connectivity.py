@@ -73,16 +73,19 @@ def check_independent_placement(inst) -> Certificate:
     return _OK_CERT
 
 
-def deficiency_objective(inst: RootedDigraph,
-                         weights: Optional[dict] = None) -> sfm.SubmodularObjective:
+def deficiency_objective(inst: RootedDigraph, weights: Optional[dict] = None,
+                         scale: int = 1) -> sfm.SubmodularObjective:
     """def(X) over vertex indices, family = nonempty sets.
 
-    With ``weights`` (arc id -> weight) the in-degree becomes the weight
-    entering X, which is the objective of cut separation.  Each vertex
-    carries the bit mask of the root elements placed at it, twins mapped
-    to their root element (``Matroid.twin_map``), so S_X is an OR of
-    masks and its rank is read from a cache keyed by that int, which asks
-    the root oracle only on a miss.
+    With ``weights`` (arc id -> weight) and ``scale`` the value is the
+    weight entering X plus scale * (rank(S_X) - rank(S)), which is the cut
+    objective of separation scaled by ``scale``: ``polytope.separate``
+    hands it the point times the lcm of its denominators, so that every
+    value is an int.  Each vertex carries the bit mask of the root elements
+    placed at it, twins mapped to their root element
+    (``Matroid.twin_map``), so S_X is an OR of masks and its scaled rank
+    term is read from a cache keyed by that int, which asks the root oracle
+    only on a miss.
     """
     verts = inst.vertices
     pos = {v: i for i, v in enumerate(verts)}
@@ -110,9 +113,9 @@ def deficiency_objective(inst: RootedDigraph,
                     w += wa
         r = ranks.get(smask)
         if r is None:
-            r = ranks[smask] = root.rank(
-                [e for j, e in enumerate(ground) if smask >> j & 1])
-        return w + r - k
+            r = ranks[smask] = scale * (root.rank(
+                [e for j, e in enumerate(ground) if smask >> j & 1]) - k)
+        return w + r
 
     return sfm.SubmodularObjective(len(verts), evaluate, ("nonempty",))
 

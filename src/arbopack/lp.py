@@ -1,4 +1,5 @@
-"""Exact rational LP: dense two-phase simplex with Bland's rule.
+"""Exact rational LP: dense two-phase simplex with Bland's rule, and
+dual-simplex re-solves after appended inequality rows.
 
 Small and deterministic: pivoting is Bland's rule (guaranteed
 termination), and solutions returned are basic, i.e. vertices of the
@@ -12,19 +13,35 @@ artificial columns stay +-1, which scales every slack and artificial
 variable alike and so changes no ratio test, reduced-cost sign or phase-1
 outcome.  A pivot on (r, c) with p = T[r][c] maps every other row to
 (T_i*p - T_i[c]*T_r) // D, a division that is exact by Sylvester's
-identity, and sets D = p.  A negative p occurs only when phase 1 drives a
-basic artificial out on a zero row; the pivot row is negated first, which
-negates the whole new tableau and keeps D > 0.
+identity, and sets D = p.  A negative p occurs when phase 1 drives a
+basic artificial out on a zero row, and on every dual-simplex pivot; the
+pivot row is negated first, which negates the whole new tableau and keeps
+D > 0.
 
 The reduced costs are one more tableau row R (reduced cost = R/D), built
 once per phase as obj*D - sum of c_B*T_i with the costs scaled to ints,
 and updated by every pivot like any other row.  Basic columns hold 0 in R.
+After phase 1 the artificial columns, and the rows whose artificial stays
+basic on a zero row, are dropped: phase 2 may not use them, and the basis
+left has the same determinant.
+
+Warm start (``solve_lp(c, rows, start=previous)``): the optimal tableau
+of the previous solve is kept in its result.  Each appended inequality
+row, scaled to ints by the lcm of its own denominators and written as
+``<=`` with a new basic slack, is eliminated against it as
+D*row - sum of row[basis_i]*T_i, which needs no division and keeps D.
+The basis stays dual feasible, and dual-simplex pivots under the
+smallest-index rule (Bland's rule on the dual, which terminates) restore
+primal feasibility or find the row that makes the LP infeasible.  Scaling
+one row or one variable by a positive factor changes no ratio test of
+either simplex, so the pivots are those of the same rule on the unscaled
+rational tableau.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -40,10 +57,14 @@ class LpResult:
     status: str
     x: Optional[list] = None
     objective: Optional[Fraction] = None
+    pivots: int = 0  # pivots of this solve, phase 1 and drive-outs included
+    # the optimal tableau, read by the next solve's ``start``
+    tableau: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 def _exact(values) -> list:
-    return [v if isinstance(v, int) else Fraction(v) for v in values]
+    return [v if isinstance(v, (int, Fraction)) else Fraction(v)
+            for v in values]
 
 
 def _ints(values: list, scale: int) -> list:
@@ -55,12 +76,124 @@ def _lcm(values) -> int:
     return math.lcm(*(v.denominator for v in values))
 
 
-def solve_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]]) -> LpResult:
+class _Tableau:
+    """T (rows, rhs last), the basis, D, and the reduced-cost row R."""
+
+    __slots__ = ("T", "basis", "D", "R", "n", "c", "cscale", "rows", "pivots")
+
+    def __init__(self, T: list, basis: list, D: int, n: int):
+        self.T, self.basis, self.D, self.n = T, basis, D, n
+        self.R: list = []
+        self.c: list = []
+        self.cscale = 1  # the phase-2 R is priced on c times cscale
+        self.rows: tuple = ()
+        self.pivots = 0
+
+    def pivot(self, r: int, col: int) -> None:
+        T, D = self.T, self.D
+        pr = T[r]
+        if pr[col] < 0:  # negate so that D stays positive
+            pr = T[r] = [-b for b in pr]
+        p = pr[col]
+        for i, row in enumerate(T):
+            if i != r:
+                f = row[col]
+                if f:
+                    T[i] = [(a * p - f * b) // D for a, b in zip(row, pr)]
+                elif p != D:
+                    T[i] = [a * p // D for a in row]
+        R = self.R
+        if R:
+            f = R[col]
+            if f:
+                self.R = [(a * p - f * b) // D for a, b in zip(R, pr)]
+            elif p != D:
+                self.R = [a * p // D for a in R]
+        self.D = p
+        self.basis[r] = col
+        self.pivots += 1
+
+    def price(self, obj: list) -> None:
+        """R for the int cost vector obj (one entry per column)."""
+        red = [v * self.D for v in obj] + [0]
+        for row, b in zip(self.T, self.basis):
+            if obj[b]:
+                red = [v - obj[b] * t for v, t in zip(red, row)]
+        self.R = red
+
+    def primal(self, limit: int) -> str:
+        """Bland's rule over the columns below limit."""
+        T, basis = self.T, self.basis
+        while True:
+            red = self.R
+            col = next((j for j in range(limit) if red[j] < 0), None)
+            if col is None:
+                return OPTIMAL
+            # Bland: smallest ratio T_i[-1]/T_i[col], then smallest basis var
+            row = None
+            for i, t in enumerate(T):
+                a = t[col]
+                if a > 0:
+                    if row is None:
+                        row = i
+                        continue
+                    lhs, rhs = t[-1] * T[row][col], T[row][-1] * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
+                        row = i
+            if row is None:
+                return UNBOUNDED
+            self.pivot(row, col)
+
+    def dual(self) -> str:
+        """Dual simplex from a dual-feasible basis, smallest-index rule."""
+        T, basis = self.T, self.basis
+        while True:
+            # leaving: the negative basic variable of smallest index
+            r = min((i for i, t in enumerate(T) if t[-1] < 0),
+                    key=basis.__getitem__, default=None)
+            if r is None:
+                return OPTIMAL
+            # entering: smallest ratio R_j / -T_r[j] over T_r[j] < 0, then
+            # smallest column
+            red, t = self.R, T[r]
+            col = None
+            for j in range(len(t) - 1):
+                a = t[j]
+                if a < 0 and (col is None or red[j] * t[col] > red[col] * a):
+                    col = j
+            if col is None:
+                return INFEASIBLE
+            self.pivot(r, col)
+
+    def result(self) -> LpResult:
+        x = [Fraction(0)] * self.n
+        for row, b in zip(self.T, self.basis):
+            if b < self.n:
+                x[b] = Fraction(row[-1], self.D)
+        # R's last entry is -c.x times cscale * D
+        return LpResult(OPTIMAL, x=x,
+                        objective=Fraction(-self.R[-1], self.D * self.cscale),
+                        pivots=self.pivots, tableau=self)
+
+
+def _snapshot(rows) -> tuple:
+    return tuple((tuple(coeffs), sense, rhs) for coeffs, sense, rhs in rows)
+
+
+def solve_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]],
+             start: Optional[LpResult] = None) -> LpResult:
     """Minimize c.x subject to rows (coeffs, sense, rhs) and x >= 0.
 
     sense is one of '<=', '>=', '='.  Upper bounds on variables must be
     supplied as ordinary rows.
+
+    ``start`` is an optimal result of an earlier call with the same c
+    whose rows are a prefix of ``rows``; the rows past that prefix must
+    be inequalities, and the LP is re-solved from the kept tableau by
+    dual-simplex pivots.  Any other ``start`` raises ``ValueError``.
     """
+    if start is not None:
+        return _resolve(c, rows, start)
     n = len(c)
     c = _exact(c)
     norm: list[tuple[list, str]] = []
@@ -72,7 +205,6 @@ def solve_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]]) -> LpRes
         norm.append((entries, sense))
     scale = _lcm(v for entries, _ in norm for v in entries)
 
-    m = len(norm)
     # columns: n structural, then one slack/surplus per inequality, then
     # one artificial per '>='/'=' row
     nslack = sum(1 for _, sense in norm if sense != "=")
@@ -95,72 +227,65 @@ def solve_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]]) -> LpRes
             art += 1
         slack += sense != "="
         T.append(row)
-    D = 1
-
-    def pivot(r: int, col: int) -> None:
-        nonlocal D
-        pr = T[r]
-        if pr[col] < 0:  # drive-out only: negate so that D stays positive
-            pr = T[r] = [-b for b in pr]
-        p = pr[col]
-        for i, row in enumerate(T):
-            if i != r:
-                f = row[col]
-                if f:
-                    T[i] = [(a * p - f * b) // D for a, b in zip(row, pr)]
-                elif p != D:
-                    T[i] = [a * p // D for a in row]
-        D = p
-        basis[r] = col
-
-    def run_simplex(obj: list, limit: int) -> str:
-        """Bland's rule over the columns below limit; R rides as T[m]."""
-        red = [v * D for v in obj] + [0]
-        for i, b in enumerate(basis):
-            if obj[b]:
-                red = [v - obj[b] * t for v, t in zip(red, T[i])]
-        T.append(red)
-        try:
-            while True:
-                red = T[m]
-                col = next((j for j in range(limit) if red[j] < 0), None)
-                if col is None:
-                    return OPTIMAL
-                # Bland: smallest ratio T_i[-1]/T_i[col], then smallest basis var
-                row = None
-                for i in range(m):
-                    a = T[i][col]
-                    if a > 0:
-                        if row is None:
-                            row = i
-                            continue
-                        lhs, rhs = T[i][-1] * T[row][col], T[row][-1] * a
-                        if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
-                            row = i
-                if row is None:
-                    return UNBOUNDED
-                pivot(row, col)
-        finally:
-            T.pop()
+    tab = _Tableau(T, basis, 1, n)
 
     if first_art < ncols:
-        run_simplex([0] * first_art + [1] * (ncols - first_art), ncols)
-        total = sum(T[i][-1] for i in range(m) if basis[i] >= first_art)
-        if total != 0:
-            return LpResult(INFEASIBLE)
+        tab.price([0] * first_art + [1] * (ncols - first_art))
+        tab.primal(ncols)
+        if any(row[-1] for row, b in zip(tab.T, basis) if b >= first_art):
+            return LpResult(INFEASIBLE, pivots=tab.pivots)
+        tab.R = []
         # drive remaining artificials out of the basis where possible
-        for i in range(m):
+        for i, row in enumerate(tab.T):
             if basis[i] >= first_art:
-                col = next((j for j in range(first_art) if T[i][j] != 0), None)
+                col = next((j for j in range(first_art) if row[j] != 0), None)
                 if col is not None:
-                    pivot(i, col)
+                    tab.pivot(i, col)
+        keep = [i for i, b in enumerate(basis) if b < first_art]
+        tab.T = [tab.T[i][:first_art] + tab.T[i][-1:] for i in keep]
+        tab.basis = [basis[i] for i in keep]
 
-    status = run_simplex(_ints(c, _lcm(c)) + [0] * (ncols - n), first_art)
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED)
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = Fraction(T[i][-1], D)
-    obj_val = sum(c[j] * x[j] for j in range(n))
-    return LpResult(OPTIMAL, x=x, objective=obj_val)
+    tab.cscale = _lcm(c)
+    tab.price(_ints(c, tab.cscale) + [0] * nslack)
+    if tab.primal(first_art) == UNBOUNDED:
+        return LpResult(UNBOUNDED, pivots=tab.pivots)
+    tab.c, tab.rows = c, _snapshot(rows)
+    return tab.result()
+
+
+def _resolve(c: Sequence, rows: Sequence, start: LpResult) -> LpResult:
+    old = start.tableau
+    if start.status != OPTIMAL or not isinstance(old, _Tableau):
+        raise ValueError("start is not an optimal result of solve_lp")
+    k = len(old.rows)
+    if _exact(c) != old.c or len(rows) < k or _snapshot(rows[:k]) != old.rows:
+        raise ValueError("start was solved for other costs or other rows "
+                         "than a prefix of these")
+    added = rows[k:]
+    if any(sense not in ("<=", ">=") or len(coeffs) != old.n
+           for coeffs, sense, _ in added):
+        raise ValueError("appended rows must be inequalities over %d "
+                         "variables" % old.n)
+    n, D = old.n, old.D
+    width = len(old.R) - 1  # columns before the new slacks
+    grow = [0] * len(added)
+    tab = _Tableau([row[:-1] + grow + row[-1:] for row in old.T],
+                   list(old.basis), D, n)
+    tab.R = old.R[:-1] + grow + old.R[-1:]
+    tab.cscale = old.cscale
+    for s, (coeffs, sense, rhs) in enumerate(added):
+        entries = _exact([*coeffs, rhs])
+        if sense == ">=":
+            entries = [-v for v in entries]
+        a = _ints(entries, _lcm(entries))
+        new = [D * v for v in a[:n]] + [0] * (width - n) + grow + [D * a[-1]]
+        new[width + s] = D
+        for row, b in zip(tab.T, tab.basis):
+            if b < n and a[b]:
+                new = [v - a[b] * t for v, t in zip(new, row)]
+        tab.T.append(new)
+        tab.basis.append(width + s)
+    if tab.dual() == INFEASIBLE:
+        return LpResult(INFEASIBLE, pivots=tab.pivots)
+    tab.c, tab.rows = old.c, old.rows + _snapshot(added)
+    return tab.result()

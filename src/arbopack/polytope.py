@@ -4,18 +4,24 @@ Points are exact rational arc-indexed vectors.  The linear system is: box
 constraints 0 <= x(a) <= 1, cut constraints x(entering X) >= k - rank(S_X)
 for nonempty X, and the mass equality x(A) = k|V| - |S|.  Separation of
 the cut family is submodular minimization of x(entering X) + rank(S_X) - k,
-by brute force under the ``flow`` engine, whose flows take unit arcs and
-integer per-vertex supplies and demands only; it is the one brute
-minimization left on that engine's paths.  The feasibility check and the
-final construction on the 0/1 support do run on the flow.
+run in integers: the point is scaled once by the lcm D of its
+denominators, and the objective minimized is D times the cut objective,
+whose minimizers and sign are the same.  Under the ``flow`` engine it is
+minimized by brute force, since its flows take unit arcs and integer
+per-vertex supplies and demands only; it is the one brute minimization
+left on that engine's paths.  The feasibility check and the final
+construction on the 0/1 support do run on the flow.
 
 Min-cost optimization is an exact cutting-plane loop: solve the current
 relaxation, separate the optimum, add the violated constraint, repeat; the
-final optimum is a vertex of the polytope and hence 0/1.
+final optimum is a vertex of the polytope and hence 0/1.  The first
+relaxation is solved cold; each later one is re-solved from the previous
+optimal tableau by dual-simplex pivots (``solve_lp``'s ``start``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -85,51 +91,51 @@ def separate(inst: RootedDigraph, x: RationalVector,
     """Most-violated constraint, or None when x lies in the polytope.
 
     Order: box constraints in canonical arc order, then the mass equality,
-    then the minimizing cut.
+    then the minimizing cut.  Every test runs on x times the lcm of its
+    denominators, in ints.
     """
+    scale = math.lcm(*(v.denominator for v in x.entries.values()))
+    weights = {a: v.numerator * (scale // v.denominator)
+               for a, v in x.entries.items()}
     for a, _, _ in inst.arcs:
-        v = x.entries[a]
-        if v < 0:
+        w = weights[a]
+        if w < 0:
             return PolytopeConstraint("box-lower", arc=a, rhs=0)
-        if v > 1:
+        if w > scale:
             return PolytopeConstraint("box-upper", arc=a, rhs=1)
-    if x.total() != mass_rhs(inst):
+    if sum(weights.values()) != mass_rhs(inst) * scale:
         return PolytopeConstraint("mass-equality", rhs=mass_rhs(inst))
 
-    verts = inst.vertices
-    res = sfm.minimize(deficiency_objective(inst, x.entries), engine=engine)
+    res = sfm.minimize(deficiency_objective(inst, weights, scale),
+                       engine=engine)
     if res.value < 0:
-        xset = frozenset(verts[i] for i in res.minimizer)
+        xset = frozenset(inst.vertices[i] for i in res.minimizer)
         rhs = inst.matroid.full_rank() - inst.matroid.rank(inst.elements_in(xset))
         return PolytopeConstraint("cut", vertex_set=xset, rhs=rhs)
     return None
 
 
-def _solve_relaxation(inst: RootedDigraph, costs: dict,
-                      cuts: list[PolytopeConstraint]):
-    ids = [a for a, _, _ in inst.arcs]
-    pos = {a: j for j, a in enumerate(ids)}
-    n = len(ids)
-    rows: list = []
-    for a in ids:  # boxes: x <= 1 (x >= 0 is implicit)
-        row = [0] * n
-        row[pos[a]] = 1
-        rows.append((row, "<=", 1))
-    rows.append(([1] * n, "=", mass_rhs(inst)))
-    for c in cuts:
-        row = [0] * n
-        for a, t, h in inst.arcs:
-            if h in c.vertex_set and t not in c.vertex_set:
-                row[pos[a]] = 1
-        rows.append((row, ">=", c.rhs))
-    c_vec = [Fraction(costs[a]) for a in ids]
-    return ids, solve_lp(c_vec, rows)
+def _cut_row(inst: RootedDigraph, pos: dict, cut: PolytopeConstraint):
+    """The row x(entering X) >= rhs of a cut."""
+    row = [0] * len(pos)
+    for a, t, h in inst.arcs:
+        if h in cut.vertex_set and t not in cut.vertex_set:
+            row[pos[a]] = 1
+    return row, ">=", cut.rhs
 
 
 def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
                      lp_trace: Optional[list] = None
                      ) -> Union[tuple[Packing, Fraction], Certificate]:
-    """Cutting-plane minimum-cost packing; exact throughout."""
+    """Cutting-plane minimum-cost packing; exact throughout.
+
+    ``lp_trace``, a list, receives (x, objective, pivots) for every
+    relaxation solved.
+    """
+    ids = [a for a, _, _ in inst.arcs]
+    missing = set(ids) - set(costs)
+    if missing:
+        raise ValueError("missing costs for arcs %s" % sorted(missing))
     cert = check_independent_placement(inst)
     if not cert.ok:
         return cert
@@ -137,44 +143,59 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
     if not cert.ok:
         return cert
 
-    missing = {a for a, _, _ in inst.arcs} - set(costs)
-    if missing:
-        raise ValueError("missing costs for arcs %r" % sorted(missing))
+    def context() -> str:
+        return "(tripwire): engine %s, cuts %d, vertices %d, arcs %d" % (
+            engine, len(seen_cuts), len(inst.vertices), len(ids))
 
-    cuts: list[PolytopeConstraint] = []
+    pos = {a: j for j, a in enumerate(ids)}
+    rows: list = []
+    for j in range(len(ids)):  # boxes: x <= 1 (x >= 0 is implicit)
+        row = [0] * len(ids)
+        row[j] = 1
+        rows.append((row, "<=", 1))
+    rows.append(([1] * len(ids), "=", mass_rhs(inst)))
+    c_vec = [Fraction(costs[a]) for a in ids]
+    # a cut's rhs is a function of its vertex set, so at most 2^n - 1
+    # distinct cuts exist and a repeated one trips the check below: the
+    # loop ends within 2^n iterations
     seen_cuts: set = set()
-    cap = 4 ** len(inst.vertices) + len(inst.vertices) + 4
+    res = None
     while True:
-        if len(cuts) > cap:
-            raise RuntimeError("cutting-plane loop exceeded the constraint cap")
-        ids, res = _solve_relaxation(inst, costs, cuts)
+        res = solve_lp(c_vec, rows, start=res)
         if res.status != OPTIMAL:
             # feasibility was pre-checked; the polytope is nonempty
             raise TheoremViolation(
-                "relaxation reported %s on a feasible instance (tripwire)"
-                % res.status)
+                "min_cost_packing: the relaxation is %s on a feasible "
+                "instance %s" % (res.status, context()))
         x = RationalVector(dict(zip(ids, res.x)))
         if lp_trace is not None:
-            lp_trace.append((dict(x.entries), res.objective))
+            lp_trace.append((dict(x.entries), res.objective, res.pivots))
         violated = separate(inst, x, engine=engine)
         if violated is None:
             break
         if violated.kind != "cut":
             raise TheoremViolation(
-                "relaxation optimum violates a built-in constraint (tripwire)")
-        key = (violated.vertex_set, violated.rhs)
-        if key in seen_cuts:
-            raise RuntimeError("separation returned a duplicate cut (tripwire)")
-        seen_cuts.add(key)
-        cuts.append(violated)
+                "min_cost_packing: the relaxation optimum violates the "
+                "built-in %s constraint%s %s" % (
+                    violated.kind,
+                    "" if violated.arc is None else " of arc " + violated.arc,
+                    context()))
+        if violated.vertex_set in seen_cuts:
+            raise RuntimeError(
+                "min_cost_packing: separation returned the cut on %s again "
+                "%s" % (sorted(violated.vertex_set), context()))
+        seen_cuts.add(violated.vertex_set)
+        rows.append(_cut_row(inst, pos, violated))
 
-    if any(v not in (0, 1) for v in x.entries.values()):
+    fractional = sorted(a for a, v in x.entries.items() if v not in (0, 1))
+    if fractional:
         raise IntegralityViolation(
-            "cutting-plane optimum is fractional: %r" % (x.entries,))
-    chosen = [a for a in ids if x.entries[a] == 1]
+            "min_cost_packing: the cutting-plane optimum is fractional on "
+            "arcs %s %s" % (", ".join("%s=%s" % (a, x.entries[a])
+                                      for a in fractional), context()))
+    chosen = {a for a in ids if x.entries[a] == 1}
     support = RootedDigraph(
-        inst.vertices,
-        [arc for arc in inst.arcs if arc[0] in set(chosen)],
+        inst.vertices, [arc for arc in inst.arcs if arc[0] in chosen],
         inst.roots, inst.matroid)
     # the placement was checked on entry, and the last separation found no
     # cut violated by this 0/1 point: the support is M-connected

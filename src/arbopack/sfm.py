@@ -17,15 +17,20 @@ Two engines:
   is computed only when ``SfmResult.minimizer`` is read.
 
 Objectives evaluate on frozensets of integer ground indices 0..n-1 and may
-return ints or Fractions.  Families beyond "all" are handled by
+return ints or Fractions.  Every objective the library builds is
+integer-valued: separation hands over its cut objective scaled by the
+common denominator of the LP point (``polytope.separate``), so no library
+path gives min-norm-point a rational objective; its rescaling serves
+objectives built by callers.  Families beyond "all" are handled by
 contraction/deletion: pin a set I in and a set E out, minimize the induced
 (still submodular) function on the rest.
 
 The library's default engine, ``flow`` (``arbopack.flow``), is no
 submodular minimizer: it decides the integer deficiency checks and the
 steps of the orientation greedy by augmenting paths.  The one
-minimization that stays submodular under it, separation with rational
-arc weights, runs ``brute``, which ``minimize`` takes ``flow`` to mean.
+minimization that stays submodular under it, separation, with arc
+weights that are the LP point times its common denominator, runs
+``brute``, which ``minimize`` takes ``flow`` to mean.
 """
 
 from __future__ import annotations

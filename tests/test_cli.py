@@ -316,6 +316,71 @@ def test_mincost_cli(tmp_path, capsys):
     assert out["payload"]["cost"] == 3
 
 
+MINCOST_DOC = {
+    "version": 1,
+    "vertices": ["a", "b"],
+    "arcs": [{"id": "r1", "tail": "a", "head": "b"},
+             {"id": "r2", "tail": "a", "head": "b"},
+             {"id": "r3", "tail": "a", "head": "b"}],
+    "roots": [{"element": "s1", "vertex": "a"},
+              {"element": "s2", "vertex": "a"}],
+    "matroid": {"type": "free"},
+    "costs": {"r1": 1, "r2": 5, "r3": 2},
+}
+
+
+def test_mincost_lp_trace_reports_pivots(tmp_path, capsys):
+    path = write(tmp_path, "i.json", MINCOST_DOC)
+    assert run_command(["mincost", path]) == 0
+    plain = capsys.readouterr()
+    assert run_command(["--lp-trace", "mincost", path]) == 0
+    traced = capsys.readouterr()
+    assert plain.err == ""
+    assert json.loads(traced.out)["payload"] == json.loads(plain.out)["payload"]
+    lines = [json.loads(line) for line in traced.err.splitlines()]
+    assert lines and all(set(line) == {"objective", "pivots", "x"}
+                         for line in lines)
+    assert lines[0]["pivots"] > 0  # the cold solve runs phase 1
+    assert lines[-1]["objective"] == "3"
+
+
+@pytest.mark.parametrize("arcs, costs, status", [
+    (MINCOST_DOC["arcs"], {"r1": 1, "r2": 5}, "packing"),
+    (MINCOST_DOC["arcs"][:1], {}, "certificate"),
+], ids=["positive", "negative"])
+def test_mincost_partial_cost_table_is_rejected_first(tmp_path, capsys, arcs,
+                                                      costs, status):
+    # the same error on a feasible and on an infeasible instance, before
+    # any feasibility check
+    full = dict(MINCOST_DOC, arcs=arcs,
+                costs={a["id"]: 1 for a in arcs})
+    code, out = run(capsys, ["mincost", write(tmp_path, "full.json", full)])
+    assert out["status"] == status
+    doc = dict(MINCOST_DOC, arcs=arcs, costs=costs)
+    code, out = run(capsys, ["mincost", write(tmp_path, "i.json", doc)])
+    assert code == 1 and out["status"] == "error"
+    missing = sorted({a["id"] for a in arcs} - set(costs))
+    assert out["payload"] == {"kind": "ValueError",
+                              "message": "missing costs for arcs %s" % missing}
+
+
+def test_cutting_plane_tripwire_is_an_error_envelope(tmp_path, capsys,
+                                                     monkeypatch):
+    from arbopack import polytope
+
+    # a separator that returns the same (valid) cut every time
+    monkeypatch.setattr(polytope, "separate", lambda inst, x, engine: (
+        polytope.PolytopeConstraint(
+            "cut", vertex_set=frozenset(inst.vertices), rhs=0)))
+    path = write(tmp_path, "i.json", MINCOST_DOC)
+    code, out = run(capsys, ["mincost", path])
+    assert code == 1 and out["status"] == "error"
+    assert out["payload"]["kind"] == "RuntimeError"
+    assert out["payload"]["message"] == (
+        "min_cost_packing: separation returned the cut on ['a', 'b'] again "
+        "(tripwire): engine flow, cuts 1, vertices 2, arcs 3")
+
+
 def test_orient_and_pack_undirected_cli(tmp_path, capsys):
     doc = {
         "version": 1,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -77,15 +78,21 @@ def test_objective_matches_direct_formula(m):
     inst = RootedDigraph(verts, OBJECTIVE_ARCS, roots, m)
     weights = {a: Fraction(rng.randint(0, 6), rng.randint(1, 4))
                for a, _, _ in OBJECTIVE_ARCS}
+    # the weighted form takes the weights times a common denominator D
+    # and D itself, and reads D times the cut objective
+    scale = math.lcm(*(w.denominator for w in weights.values()))
+    assert scale > 1
     plain = deficiency_objective(inst)
-    weighted = deficiency_objective(inst, weights)
+    weighted = deficiency_objective(
+        inst, {a: int(w * scale) for a, w in weights.items()}, scale)
     k = m.full_rank()
     for x in all_nonempty_subsets(verts):
         idx = frozenset(verts.index(v) for v in x)
         rank = m.rank(inst.elements_in(x))
         assert plain.evaluate(idx) == in_degree(inst, x) + rank - k, x
         flow = sum(weights[a] for a in entering_arcs(inst, x))
-        assert weighted.evaluate(idx) == flow + rank - k, x
+        value = weighted.evaluate(idx)
+        assert type(value) is int and value == scale * (flow + rank - k), x
 
 
 # -- independent placement --------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from arbopack.connectivity import (
     check_m_connected,
 )
 from arbopack.instances import generate_instance, parse_instance
+from arbopack.lp import LpResult
 from arbopack.matroid import FreeMatroid, UniformMatroid
 from arbopack.packing import Packing, Tree, brute_force_packing, verify_packing
 from arbopack.polytope import (
@@ -95,6 +97,66 @@ def test_box_violations_found_first():
     x = RationalVector.from_arcs(d, {"a1": Fraction(-1, 2)})
     out = separate(d, x)
     assert out.kind == "box-lower" and out.arc == "a1"
+
+
+def fraction_separation(inst, x):
+    """The most violated cut by Fraction enumeration of every nonempty
+    vertex set, the lex-smallest index tuple among the minimizers, or None
+    when no cut is violated."""
+    verts, m = inst.vertices, inst.matroid
+    k = m.full_rank()
+    best = None
+    for size in range(1, len(verts) + 1):
+        for idx in itertools.combinations(range(len(verts)), size):
+            xs = {verts[i] for i in idx}
+            value = (sum((x.entries[a] for a, t, h in inst.arcs
+                          if h in xs and t not in xs), Fraction(0))
+                     + m.rank(inst.elements_in(xs)) - k)
+            if best is None or (value, idx) < best[:2]:
+                best = (value, idx, frozenset(xs))
+    if best[0] >= 0:
+        return None
+    return polytope.PolytopeConstraint(
+        "cut", vertex_set=best[2], rhs=k - m.rank(inst.elements_in(best[2])))
+
+
+def random_point(rng, inst):
+    """A random rational point in the box with the right mass, of mixed
+    denominators, or None when the mass does not fit in the box."""
+    ids = [a for a, _, _ in inst.arcs]
+    mass = mass_rhs(inst)
+    if not 0 <= mass <= len(ids):
+        return None
+    raw = {}
+    for a in ids:
+        q = rng.choice((1, 2, 3, 4, 5, 7))
+        raw[a] = Fraction(rng.randint(0, q), q)
+    total = sum(raw.values(), Fraction(0))
+    if total > mass:
+        raw = {a: v * mass / total for a, v in raw.items()}
+    elif total < mass:  # move each entry toward 1 by the same share
+        share = Fraction(len(ids) - mass, len(ids) - total)
+        raw = {a: 1 - (1 - v) * share for a, v in raw.items()}
+    return RationalVector.from_arcs(inst, raw)
+
+
+def test_separation_matches_fraction_enumeration():
+    # separate scales the point to ints; its cut (or None) must be the one
+    # a Fraction enumeration of the unscaled objective finds, under every
+    # engine
+    rng = random.Random(1985)
+    found = Counter()
+    while found["cut"] < 150 or found[None] < 40:
+        d = random_digraph(rng, max_v=5, max_arcs=9, max_roots=3)
+        x = random_point(rng, d)
+        if x is None:
+            continue
+        want = fraction_separation(d, x)
+        for engine in ("flow", "brute", "min-norm-point"):
+            assert separate(d, x, engine=engine) == want, (d, x, engine)
+        found[want and want.kind] += 1
+        found["scaled"] += any(v.denominator > 1 for v in x.entries.values())
+    assert found["scaled"] > 100
 
 
 # -- membership vs feasibility -----------------------------------------------------------
@@ -204,19 +266,60 @@ def test_min_cost_matches_brute_force_random():
         assert verify_packing(d, packing) is None
 
 
+@pytest.mark.parametrize("cut, point, error, message", [
+    (polytope.PolytopeConstraint("box-upper", arc="r2", rhs=1), None,
+     polytope.TheoremViolation,
+     "the relaxation optimum violates the built-in box-upper constraint of "
+     "arc r2 (tripwire): engine brute, cuts 0"),
+    # the mass equality makes x(A) = 2, so x entering {b} >= 3 is empty
+    (polytope.PolytopeConstraint("cut", vertex_set=frozenset({"b"}), rhs=3),
+     None, polytope.TheoremViolation,
+     "the relaxation is infeasible on a feasible instance (tripwire): "
+     "engine brute, cuts 1"),
+    (None, [Fraction(1, 2), 1, Fraction(1, 2)], polytope.IntegralityViolation,
+     "the cutting-plane optimum is fractional on arcs r1=1/2, r3=1/2 "
+     "(tripwire): engine brute, cuts 0"),
+], ids=["built-in", "infeasible", "fractional"])
+def test_cutting_plane_tripwires_name_their_context(monkeypatch, cut, point,
+                                                    error, message):
+    d = digraph(["a", "b"], ["r1:a>b", "r2:a>b", "r3:a>b"],
+                ["s1@a", "s2@a"], FreeMatroid(["s1", "s2"]))
+    returned = []
+
+    def separate_once(inst, x, engine):
+        returned.append(cut)
+        return cut if len(returned) == 1 else None
+
+    monkeypatch.setattr(polytope, "separate", separate_once)
+    if point is not None:
+        monkeypatch.setattr(polytope, "solve_lp", lambda c, rows, start: (
+            LpResult("optimal", x=point, objective=Fraction(3))))
+    with pytest.raises(error) as info:
+        min_cost_packing(d, {"r1": 1, "r2": 5, "r3": 2}, engine="brute")
+    assert str(info.value) == "min_cost_packing: %s, vertices 2, arcs 3" % message
+
+
 def test_cutting_plane_path_matches_the_fraction_tableau(monkeypatch):
-    # every relaxation optimum, its objective, the packing and the cost are
-    # the same when the integer simplex is swapped for the Fraction tableau
+    # every relaxation optimum, its objective and pivot count, the packing
+    # and the cost are the same when the integer simplex is swapped for the
+    # Fraction tableau, whose re-solves after each cut run the same
+    # dual-simplex rule; each run solves cold once and warm after that
     cuts = 0
     for seed in range(6):
         inst, extras = parse_instance(generate_instance(
             seed, n=6, m=14, t=2, feasible_bias=True, costs=True))
-        trace, fraction_trace = [], []
+        trace, fraction_trace, starts = [], [], []
+
+        def fraction_lp(c, rows, start=None):
+            starts.append(start)
+            return reference_solve_lp(c, rows, start=start)
+
         run = min_cost_packing(inst, extras["costs"], lp_trace=trace)
         with monkeypatch.context() as m:
-            m.setattr(polytope, "solve_lp", reference_solve_lp)
+            m.setattr(polytope, "solve_lp", fraction_lp)
             fraction_run = min_cost_packing(inst, extras["costs"],
                                             lp_trace=fraction_trace)
         assert (trace, run) == (fraction_trace, fraction_run)
+        assert starts[0] is None and None not in starts[1:]
         cuts += len(trace) - 1
     assert cuts >= 12

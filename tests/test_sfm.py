@@ -132,21 +132,34 @@ def _track_scales(monkeypatch):
     return seen
 
 
-def _random_weights(rng, d):
-    return {a: Fraction(rng.randint(0, 6), rng.randint(1, 4))
-            for a, _, _ in d.arcs}
+def _rational_cut_objective(rng, d):
+    """The cut objective x(entering X) + rank(S_X) - k of random Fraction
+    arc weights x, by its formula, with Fraction values: the library
+    builds it only scaled to ints (``polytope.separate``)."""
+    weights = {a: Fraction(rng.randint(0, 6), rng.randint(1, 4))
+               for a, _, _ in d.arcs}
+    verts, m = d.vertices, d.matroid
+    k = m.full_rank()
+
+    def evaluate(X):
+        xs = {verts[i] for i in X}
+        return (sum((weights[a] for a, t, h in d.arcs
+                     if h in xs and t not in xs), Fraction(0))
+                + m.rank(d.elements_in(xs)) - k)
+
+    return SubmodularObjective(len(verts), evaluate, ("nonempty",))
 
 
 def test_rational_deficiency_objectives_match_brute(monkeypatch):
-    # cut objectives with Fraction arc weights, as polytope.separate builds
-    # them; the counts make sure min-norm-point runs its affine solve on
-    # rational vertices, and rescales when a later vertex brings a new
-    # denominator, not only on modular objectives
+    # cut objectives with Fraction arc weights; the counts make sure
+    # min-norm-point runs its affine solve on rational vertices, and
+    # rescales when a later vertex brings a new denominator, not only on
+    # modular objectives
     seen = _track_scales(monkeypatch)
     rng = random.Random(31)
     for _ in range(300):
         d = random_digraph(rng, max_v=5, max_arcs=8)
-        obj = deficiency_objective(d, _random_weights(rng, d))
+        obj = _rational_cut_objective(rng, d)
         b = minimize(obj, engine="brute")
         m = minimize(obj, engine="min-norm-point")
         assert (m.value, m.minimizer) == (b.value, b.minimizer)
@@ -163,7 +176,7 @@ def test_wolfe_point_scales_with_the_objective(monkeypatch):
     rng = random.Random(8)
     for _ in range(40):
         d = random_digraph(rng, max_v=8, max_arcs=16)
-        g = deficiency_objective(d, _random_weights(rng, d)).evaluate
+        g = _rational_cut_objective(rng, d).evaluate
 
         def h(x):
             return int(12 * g(x))
