@@ -53,24 +53,36 @@ class FlowViolation(RuntimeError):
 
 
 class Network:
-    """An instance as index lists, built once for the flows run on it.
+    """An instance as index lists, built once and then changed in place.
 
     ``adj[w]`` holds (c, u) for each residual arc from vertex w to vertex
-    u: c = 2j for arc j itself and 2j + 1 for its reverse.  Element x
-    (node n + x of the search) is the x-th root: ``home[x]`` is its vertex
-    and ``ebit[x]`` the bit of its root element in the root oracle of
-    ``Matroid.twin_map``, so twins are parallel by construction.
-    ``rank[mask]`` is that oracle's rank of a bit mask, memoized.
+    u: c = 2j for arc j itself and 2j + 1 for its reverse.  ``cap`` is
+    the residual capacity every ``min_cut`` starts from, 1 on c = 2j and
+    0 on 2j + 1.  Element x (node n + x of the search) is the x-th root:
+    ``home[x]`` is its vertex and ``ebit[x]`` the bit of its root element
+    in the root oracle of ``Matroid.twin_map``, so twins are parallel by
+    construction.  ``rank[mask]`` is that oracle's rank of a bit mask,
+    memoized.
+
+    The reduction loop (``packing.ReductionState``) changes the network
+    in place instead of building a new one per step.  ``remove_arc(j)``
+    sets cap[2j] to 0, so a dead arc stays in ``adj`` but carries no unit.
+    ``add_twin(x, i)`` appends an element with the bit of element x at
+    vertex i: it is parallel to x, and the rank memo stays valid as it is,
+    since a twin brings no new bit.  ``restore_arc`` and ``pop_element``
+    undo the two.  ``live_arcs`` counts the arcs not removed.
     """
 
     def __init__(self, inst: RootedDigraph):
-        self.inst = inst
+        self.vertices = inst.vertices
         self.pos = pos = {v: i for i, v in enumerate(inst.vertices)}
         self.adj = adj = [[] for _ in pos]
         for j, (_, t, h) in enumerate(inst.arcs):
             t, h = pos[t], pos[h]
             adj[t].append((2 * j, h))
             adj[h].append((2 * j + 1, t))
+        self.cap = [1, 0] * len(inst.arcs)
+        self.live_arcs = len(inst.arcs)
         root, twins = inst.matroid.twin_map()
         bit = {e: 1 << b for b, e in enumerate(root.ground)}
         self.home = [pos[v] for _, v in inst.roots]
@@ -80,6 +92,25 @@ class Network:
             at[i].append(x)
         self.rank = _Ranks(root)
         self._prev = None
+
+    def remove_arc(self, j: int) -> None:
+        self.cap[2 * j] = 0
+        self.live_arcs -= 1
+
+    def restore_arc(self, j: int) -> None:
+        self.cap[2 * j] = 1
+        self.live_arcs += 1
+
+    def add_twin(self, x: int, i: int) -> None:
+        """Append a twin of element x at vertex index i."""
+        self.at[i].append(len(self.home))
+        self.home.append(i)
+        self.ebit.append(self.ebit[x])
+
+    def pop_element(self) -> None:
+        """Remove the last element, as ``add_twin`` appended it."""
+        self.ebit.pop()
+        self.at[self.home.pop()].pop()
 
     def min_cut(self, sinks: Iterable[str], sources: Iterable[str],
                 cap: int, supply: Optional[list] = None,
@@ -95,8 +126,7 @@ class Network:
         all in integers.  When the value is below ``cap`` the last search
         has failed, and ``unreached()`` gives the largest minimizer.
         """
-        inst = self.inst
-        verts = inst.vertices
+        verts = self.vertices
         n = len(verts)
         pos, adj, home, ebit, at, rank = (self.pos, self.adj, self.home,
                                           self.ebit, self.at, self.rank)
@@ -114,7 +144,7 @@ class Network:
             feed = list(supply)
             for i in given:
                 feed[i] = -1
-        res = [1, 0] * len(inst.arcs)   # residual capacity: arc 2j, reverse 2j+1
+        res = self.cap[:]   # residual capacity: arc 2j, reverse 2j+1
         supplying = [False] * len(home)
         mask = size = 0
         for i in range(n):
@@ -196,8 +226,8 @@ class Network:
                     "%s, arcs %d, roots %d"
                     % (value + 1,
                        sorted(verts[i] for i in range(n) if sink[i] == -1),
-                       sorted(verts[i] for i in given), len(inst.arcs),
-                       len(inst.roots)))
+                       sorted(verts[i] for i in given), self.live_arcs,
+                       len(home)))
             value += 1
         return cap
 

@@ -26,11 +26,12 @@ class Matroid:
 
     def __init__(self, ground: Sequence[str]):
         ground = tuple(ground)
-        if len(set(ground)) != len(ground):
+        self._ground_set = frozenset(ground)
+        if len(self._ground_set) != len(ground):
             raise MatroidError("duplicate ground elements: %r" % (ground,))
         self.ground = ground
-        self._ground_set = frozenset(ground)
         self._rank_cache: dict[frozenset, int] = {}
+        self._fresh: dict[str, int] = {}
 
     # -- core queries ----------------------------------------------------
 
@@ -80,19 +81,30 @@ class Matroid:
         return self, {}
 
     def extend_parallel(self, s: str, new_id: str | None = None) -> tuple["Matroid", str]:
-        """Add a fresh element parallel to ``s``; returns (new oracle, new id)."""
+        """Add a fresh element parallel to ``s``; returns (new oracle, new id).
+
+        The id defaults to s followed by the fewest primes (') that make
+        it unused.  ``_fresh`` maps s to a prime count below which every
+        such id is taken, so a long chain of extensions, as the reduction
+        loop builds, does not probe every taken id again.
+        """
         if s not in self._ground_set:
             raise MatroidError("cannot extend parallel to unknown element %r" % s)
         if self.rank({s}) != 1:
             raise MatroidError("cannot extend parallel to the loop %r" % s)
+        fresh = self._fresh
         if new_id is None:
-            new_id = s + "'"
+            new_id = s + "'" * fresh.get(s, 1)
             while new_id in self._ground_set:
                 new_id += "'"
+            # s with fewer primes is taken here, so in every extension too
+            fresh = {**fresh, s: len(new_id) - len(s) + 1}
         elif new_id in self._ground_set:
             raise MatroidError("new element id %r already in ground set" % new_id)
         root, twins = self.twin_map()
-        return ParallelExtension(root, {**twins, new_id: twins.get(s, s)}), new_id
+        ext = ParallelExtension(root, {**twins, new_id: twins.get(s, s)})
+        ext._fresh = fresh
+        return ext, new_id
 
     def truncate(self, b: int) -> "Matroid":
         if b < 0:

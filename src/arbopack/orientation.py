@@ -141,7 +141,7 @@ def _step_by_flow(net: flow.Network, slack, gap: list, i: int,
     demand = [max(-x, 0) for x in gap]
     shift = k + sum(demand)
     single = slack.evaluate(frozenset((i,))) + gap[i] + shift
-    value = net.min_cut((net.inst.vertices[i],), (), single + 1,
+    value = net.min_cut((net.vertices[i],), (), single + 1,
                         supply, demand)
     return sfm.SfmResult(net.unreached(), value - shift)
 

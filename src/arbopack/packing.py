@@ -20,6 +20,19 @@ pinned minimization per candidate, not a check over all nonempty sets.
 Under the ``flow`` engine that is one flow on D' into v, with u as its
 source, capped at k = r(S).
 
+One ``ReductionState`` carries D through the whole loop and is changed in
+place, since D' differs from D by one arc and one root.  Its
+``flow.Network`` is built once: a deleted arc stays in the network with
+capacity 0, and a twin is appended as one more element with the bit of
+s, so the network's rank memo, keyed by bit masks of the root oracle's
+elements, stays valid from the first step to the last.  A rejected
+candidate is undone.  The class of each arc (good, or bad with its
+witnesses) is cached and read from the same masks and memo; adding s' at
+v changes S_v alone, so a step re-classifies only the arcs at v.  Under
+``brute`` and ``min-norm-point`` each candidate's D' is still built as an
+instance of its own for the objective.  The base case builds one final
+instance, which ``base_case_packing`` re-checks on its own.
+
 ``Packing`` and ``verify_packing`` serve both sides: on a ``RootedGraph``
 a tree's link ids are edge ids, and ``orientation.pack_undirected``
 returns the packing of the oriented digraph as it is.
@@ -31,6 +44,7 @@ except the verifier.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -152,18 +166,126 @@ def verify_packing(inst: RootedInstance, packing: Packing) -> Optional[Failure]:
 # -- constructive solver --------------------------------------------------------
 
 
-def find_reduction(inst: RootedDigraph, engine: str = "flow"):
-    """First bad-arc/witness pair whose reduced instance stays M-connected.
+class ReductionState:
+    """D at the current step of one reduction loop, changed in place.
 
-    Returns (step, reduced instance) or None at the base case (no bad arc).
-    ``inst`` must be M-connected: each candidate is then decided by
+    ``net`` is one ``flow.Network`` for the whole loop.  A candidate
+    (arc j = uv, element x = s) is applied by ``apply``: j is removed
+    (``live[j]`` and the network's capacity template), a twin of s is
+    appended at v to ``roots`` and to the network, and ``matroid`` is
+    extended by ``Matroid.extend_parallel``, which names the twin.
+    ``undo`` takes a rejected candidate back and ``commit`` keeps an
+    accepted one.
+
+    ``witness[j]`` caches the class of arc j: the elements x at its tail,
+    by network index in ground order, with r(S_h + x) > r(S_h), read from
+    ``mask`` (S_w as a bit mask) and the network's rank memo; the arc is
+    bad iff the tuple is nonempty, and ``bad`` lists the live bad arcs in
+    arc order.  A commit changes S_v alone, so it re-classifies only the
+    arcs with head or tail v, found through ``touching[v]``.
+    """
+
+    def __init__(self, inst: RootedDigraph, engine: str = "flow"):
+        self.inst = inst
+        self.engine = engine
+        self.net = net = flow.Network(inst)
+        self.matroid = inst.matroid
+        self.k = inst.matroid.full_rank()
+        self.roots = list(inst.roots)
+        pos = net.pos
+        self.tail = [pos[t] for _, t, _ in inst.arcs]
+        self.head = [pos[h] for _, _, h in inst.arcs]
+        self.live = [True] * len(inst.arcs)
+        self.touching: list = [[] for _ in pos]
+        for j, (t, h) in enumerate(zip(self.tail, self.head)):
+            self.touching[t].append(j)
+            self.touching[h].append(j)
+        ground = {e: i for i, e in enumerate(inst.matroid.ground)}
+        self.order = [ground[e] for e, _ in inst.roots]
+        self.mask = [0] * len(pos)
+        for x, i in enumerate(net.home):
+            self.mask[i] |= net.ebit[x]
+        self.witness = [self._witness(j) for j in range(len(inst.arcs))]
+        self.bad = [j for j, w in enumerate(self.witness) if w]
+        self._trial = None
+
+    def _witness(self, j: int) -> tuple:
+        net, rank = self.net, self.net.rank
+        span = self.mask[self.head[j]]
+        r = rank[span]
+        return tuple(sorted((x for x in net.at[self.tail[j]]
+                             if rank[span | net.ebit[x]] > r),
+                            key=self.order.__getitem__))
+
+    def candidates(self):
+        """(arc index, element index) per candidate: bad arcs in arc order,
+        each one's witnesses in ground order."""
+        for j in self.bad:
+            for x in self.witness[j]:
+                yield j, x
+
+    def apply(self, j: int, x: int) -> ReductionStep:
+        """Make D' of candidate (j, x) the state; ``undo`` or ``commit`` next."""
+        a, t, h = self.inst.arcs[j]
+        s = self.roots[x][0]
+        m2, s_new = self.matroid.extend_parallel(s)
+        self._trial = (j, self.matroid)
+        self.live[j] = False
+        self.net.remove_arc(j)
+        self.order.append(len(self.order))
+        self.net.add_twin(x, self.head[j])
+        self.roots.append((s_new, h))
+        self.matroid = m2
+        return ReductionStep(a, t, h, s, s_new)
+
+    def undo(self) -> None:
+        j, self.matroid = self._trial
+        self._trial = None
+        self.live[j] = True
+        self.net.restore_arc(j)
+        self.order.pop()
+        self.net.pop_element()
+        self.roots.pop()
+
+    def commit(self) -> None:
+        j, _ = self._trial
+        self._trial = None
+        del self.bad[bisect.bisect_left(self.bad, j)]
+        self.witness[j] = ()
+        v = self.head[j]
+        self.mask[v] |= self.net.ebit[-1]
+        for i in self.touching[v]:
+            if not self.live[i]:
+                continue
+            was, now = self.witness[i], self._witness(i)
+            self.witness[i] = now
+            if now and not was:
+                bisect.insort(self.bad, i)
+            elif was and not now:
+                del self.bad[bisect.bisect_left(self.bad, i)]
+
+    def digraph(self) -> RootedDigraph:
+        """D' as an instance of its own."""
+        arcs = [arc for arc, ok in zip(self.inst.arcs, self.live) if ok]
+        return RootedDigraph(self.inst.vertices, arcs, self.roots,
+                             self.matroid)
+
+
+def find_reduction(red: ReductionState) -> Optional[ReductionStep]:
+    """Take the first candidate whose D' stays M-connected.
+
+    The accepted step is committed to ``red``; None at the base case (no
+    bad arc).  D must be M-connected: each candidate is then decided by
     ``_keeps_connected``, which reads def' on the sets holding the head
     and not the tail (see the module docstring).
     """
     tried = []
-    for step, reduced, ok in _candidates(inst, engine):
-        if ok:
-            return step, reduced
+    for j, x in red.candidates():
+        step = red.apply(j, x)
+        if _keeps_connected(red, step, red.engine):
+            red.commit()
+            return step
+        red.undo()
         tried.append(step)
     if not tried:
         return None
@@ -171,41 +293,24 @@ def find_reduction(inst: RootedDigraph, engine: str = "flow"):
         "find_reduction: no candidate keeps the instance M-connected "
         "(tripwire): engine %s, bad arcs %s, candidates tried %d, "
         "arcs %d, roots %d"
-        % (engine, list(dict.fromkeys(st.arc_id for st in tried)), len(tried),
-           len(inst.arcs), len(inst.roots)))
+        % (red.engine, list(dict.fromkeys(st.arc_id for st in tried)),
+           len(tried), red.net.live_arcs, len(red.roots)))
 
 
-def _candidates(inst: RootedDigraph, engine: str):
-    """(step, reduced instance, whether it stays M-connected) per candidate.
-
-    Bad arcs in arc order; for each, its witnesses in ground order.  Each
-    verdict is computed when its candidate is drawn.
-    """
-    ground_order = {e: i for i, e in enumerate(inst.matroid.ground)}
-    for a, t, h in inst.arcs:
-        kind, witness = classify_arc(inst, a)
-        if kind != "bad":
-            continue
-        rest = [arc for arc in inst.arcs if arc[0] != a]
-        for s in sorted(witness, key=ground_order.__getitem__):
-            m2, s_new = inst.matroid.extend_parallel(s)
-            reduced = RootedDigraph(inst.vertices, rest,
-                                    inst.roots + ((s_new, h),), m2)
-            yield (ReductionStep(a, t, h, s, s_new), reduced,
-                   _keeps_connected(reduced, t, h, engine))
-
-
-def _keeps_connected(reduced: RootedDigraph, u: str, v: str,
+def _keeps_connected(red: ReductionState, step: ReductionStep,
                      engine: str) -> bool:
-    """Whether D' = ``reduced`` is M-connected, given that D is.
+    """Whether D' = ``red``, with ``step`` applied, is M-connected, given
+    that D is.
 
     def' can fall below def only on sets that hold v and not u, so this
     minimizes def' over those sets alone: u is dropped and v pinned.
-    Only the minimum value is read, never a minimizer.
+    Only the minimum value is read, never a minimizer.  ``flow`` asks the
+    shared network; the other engines minimize over a copy of D'.
     """
+    u, v = step.tail, step.head
     if engine == "flow":
-        k = reduced.matroid.full_rank()
-        return flow.Network(reduced).min_cut((v,), (u,), k) >= k
+        return red.net.min_cut((v,), (u,), red.k) >= red.k
+    reduced = red.digraph()
     # with u indexed last, the sets without u are those over the first
     # n - 1 indices, and def' is evaluated on them as it is
     rest = [w for w in reduced.vertices if w != u]
@@ -234,18 +339,21 @@ def lift_packing(packing: Packing, step: ReductionStep,
         v1 = tree_vertices(t1.arcs, inst, t1.root_vertex)
         v2 = tree_vertices(t2.arcs, inst, t2.root_vertex)
         if v1 is None or v2 is None:
+            fault = "a twin tree is not an arborescence"
+        elif v1 & v2:
+            fault = "the trees rooted at the twins share a vertex"
+        elif step.tail not in v1 or step.head != t2.root_vertex:
+            fault = "the removed arc does not join the twin trees"
+        else:
+            fault = None
+        if fault is not None:
             raise TheoremViolation(
-                "a twin tree is not an arborescence (tripwire)")
-        if v1 & v2:
-            raise TheoremViolation(
-                "trees rooted at parallel twins share a vertex (tripwire)"
-            )
-        if step.tail not in v1 or step.head != t2.root_vertex:
-            raise TheoremViolation("removed arc does not join the twin trees")
-    rest = tuple(
-        t for t in packing.trees
-        if t.root_element not in (step.element, step.new_element)
-    )
+                "lift_packing: %s (tripwire): arc %s from %s to %s, "
+                "element %s, twin %s" % (fault, step.arc_id, step.tail,
+                                         step.head, step.element,
+                                         step.new_element))
+    pair = {step.element, step.new_element}
+    rest = tuple([t for t in packing.trees if t.root_element not in pair])
     merged = Tree(step.element, t1.root_vertex,
                   t1.arcs | t2.arcs | {step.arc_id})
     return Packing(rest + (merged,))
@@ -271,17 +379,16 @@ def _construct(inst: RootedDigraph, engine: str,
     ``inst``: an independent placement and M-connectivity.
     """
     steps: list[ReductionStep] = []
-    cur = inst
+    red = ReductionState(inst, engine)
     while True:
-        red = find_reduction(cur, engine=engine)
-        if red is None:
+        step = find_reduction(red)
+        if step is None:
             break
-        step, cur = red
         steps.append(step)
         if trace is not None:
             trace.append(step)
 
-    packing = base_case_packing(cur)
+    packing = base_case_packing(red.digraph())
     for step in reversed(steps):
         packing = lift_packing(packing, step, inst)
     # report trees in the original root order

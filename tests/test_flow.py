@@ -202,6 +202,25 @@ def test_dependent_augmentation_trips():
     assert issubclass(flow.FlowViolation, RuntimeError)
 
 
+
+def test_dependent_augmentation_on_a_changed_network_reports_live_counts():
+    # the network of test_dependent_augmentation_trips, built with one more
+    # arc and one more vertex Z; the arc is removed, and a twin of a is
+    # placed at Z, which no arc leaves, so the flows run as before
+    inst = RootedDigraph(["t", "A", "B", "C", "Z"],
+                         [("e1", "A", "t"), ("e2", "C", "A"), ("e3", "B", "t"),
+                          ("e4", "t", "C")],
+                         [("a", "A"), ("b", "B"), ("c", "C")],
+                         Lying(["a", "b", "c"]))
+    net = flow.Network(inst)
+    net.remove_arc(3)
+    net.add_twin(0, net.pos["Z"])
+    with pytest.raises(flow.FlowViolation) as exc:
+        net.min_cut({"t"}, (), 2)
+    assert str(exc.value).endswith(
+        "augmentation 2 (tripwire): engine flow, sinks ['t'], sources [], "
+        "arcs 3, roots 4")
+
 def write(tmp_path, name, inst) -> str:
     path = tmp_path / name
     path.write_text(emit_instance(inst))

@@ -162,6 +162,25 @@ def test_chained_extensions_use_one_flat_twin_map(monkeypatch):
         assert m.rank(q) == root.rank({to_root[e] for e in q}), sorted(q)
 
 
+def test_extension_ids_take_the_fewest_free_primes():
+    # a tree of extensions, not a chain: the reduction loop extends one
+    # oracle once per candidate and keeps only the accepted one
+    rng = random.Random(31)
+    kept = [FreeMatroid(["s", "s'", "t"])]
+    for _ in range(400):
+        m = rng.choice(kept[-5:])
+        s = rng.choice(m.ground)
+        expected = s + "'"
+        while expected in m.ground:
+            expected += "'"
+        if rng.random() < 0.1:
+            m2, s_new = m.extend_parallel(s, expected)
+        else:
+            m2, s_new = m.extend_parallel(s)
+        assert s_new == expected
+        assert m2.ground == m.ground + (s_new,)
+        kept.append(m2)
+
 def test_parallel_to_loop_rejected():
     loopy = UniformMatroid(["s1"], 0)
     with pytest.raises(MatroidError):

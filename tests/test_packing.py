@@ -4,11 +4,12 @@ import random
 import pytest
 
 from conftest import digraph, planted_digraph, random_digraph
-from arbopack import packing
+from arbopack import flow, packing
 from arbopack.connectivity import (
     Certificate,
     check_independent_placement,
     check_m_connected,
+    classify_arc,
     deficiency_objective,
 )
 from arbopack.graphs import InstanceError, RootedDigraph, SizeLimitError
@@ -21,8 +22,9 @@ from arbopack.matroid import (
 from arbopack.packing import (
     InfeasibleBound,
     Packing,
+    ReductionState,
+    TheoremViolation,
     Tree,
-    _candidates,
     base_case_packing,
     brute_force_packing,
     find_packing,
@@ -78,7 +80,9 @@ def test_dependent_placement_certificate_first():
 
 def test_reduction_on_single_bad_arc():
     d = digraph(["a", "b"], ["a1:a>b"], ["s1@a"], FreeMatroid(["s1"]))
-    step, reduced = find_reduction(d)
+    red = ReductionState(d)
+    step = find_reduction(red)
+    reduced = red.digraph()
     assert (step.arc_id, step.element) == ("a1", "s1")
     # reduced instance: no arcs, s1 at a plus a parallel twin at b
     assert len(reduced.arcs) == 0
@@ -90,12 +94,12 @@ def test_reduction_on_single_bad_arc():
 def test_all_good_arcs_signal_base_case():
     d = digraph(["a", "b"], ["a1:a>b"], ["s1@a", "s2@b"],
                 UniformMatroid(["s1", "s2"], 1))
-    assert find_reduction(d) is None
+    assert find_reduction(ReductionState(d)) is None
 
 
 def test_reduction_canonical_order_prefers_first_arc():
     d = digraph(["a", "b"], ["r1:a>b", "r2:a>b"], ["s1@a"], FreeMatroid(["s1"]))
-    step, _ = find_reduction(d)
+    step = find_reduction(ReductionState(d))
     assert step.arc_id == "r1" and step.element == "s1"
 
 
@@ -107,16 +111,15 @@ def test_reduction_invariants_along_a_run():
         if not feasible(d):
             continue
         runs += 1
-        cur = d
+        red = ReductionState(d)
         steps = 0
-        while True:
-            red = find_reduction(cur)
-            if red is None:
-                break
-            step, cur = red
+        while find_reduction(red) is not None:
             steps += 1
+            cur = red.digraph()
             assert check_independent_placement(cur).ok
             assert check_m_connected(cur).ok
+        cur = red.digraph()
+        assert all(classify_arc(cur, a)[0] == "good" for a, _, _ in cur.arcs)
         # arcs removed once per step; roots grow by one per step
         assert len(d.arcs) - len(cur.arcs) == steps
         assert len(cur.roots) - len(d.roots) == steps
@@ -144,37 +147,46 @@ def pinned_matches_full_check(inst, engine, evaluated) -> tuple[int, int]:
     """Compare the pinned check with a full check on every candidate.
 
     Walks the solver's run on the M-connected ``inst``; at each step every
-    candidate, not only the first accepted, gets both verdicts, the full
-    one from the brute engine, the reference oracle; the flow engine's
-    pinned verdict must equal it too.  def' must be read only on sets
+    candidate, not only the first accepted, is applied to the state and
+    gets both verdicts, the full one from the brute engine, the reference
+    oracle; the flow engine's pinned verdict, read off the state's
+    network, must equal it too.  The step ``find_reduction`` then takes
+    must be the first candidate accepted.  def' must be read only on sets
     that hold the head v and not the tail u, with brute on each of them
     once, and the flow engine reads it on none.  Returns (candidates,
     rejected).
     """
     candidates = rejected = 0
-    cur = inst
-    while cur is not None:
-        nxt = None
+    red = ReductionState(inst, engine)
+    while True:
+        first = None
         evaluated.clear()
-        for step, reduced, pinned in _candidates(cur, engine):
+        for j, x in red.candidates():
+            step = red.apply(j, x)
+            reduced = red.digraph()
+            pinned = packing._keeps_connected(red, step, engine)
             full = check_m_connected(reduced, "brute").ok
-            assert pinned == full, (cur, step)
+            assert pinned == full, (reduced, step)
             u, v = step.tail, step.head
             read = len(evaluated)
-            assert packing._keeps_connected(reduced, u, v, "flow") == full, \
-                (cur, step)
-            assert len(evaluated) == read, (cur, step)
-            assert all(v in X and u not in X for X in evaluated), (cur, step)
+            assert packing._keeps_connected(red, step, "flow") == full, \
+                (reduced, step)
+            assert len(evaluated) == read, (reduced, step)
+            assert all(v in X and u not in X for X in evaluated), \
+                (reduced, step)
             if engine == "brute":
                 assert len(set(evaluated)) == len(evaluated) \
-                    == 2 ** (len(cur.vertices) - 2), (cur, step)
+                    == 2 ** (len(inst.vertices) - 2), (reduced, step)
+            red.undo()
             candidates += 1
             rejected += not pinned
-            if pinned and nxt is None:
-                nxt = reduced
+            if pinned and first is None:
+                first = step
             evaluated.clear()
-        cur = nxt
-    return candidates, rejected
+        taken = find_reduction(red)
+        assert taken == first, (red.digraph(), taken, first)
+        if taken is None:
+            return candidates, rejected
 
 
 def test_pinned_check_matches_full_check_on_the_sweep(evaluated):
@@ -203,6 +215,75 @@ def test_pinned_check_matches_full_check_min_norm_point(evaluated):
     assert rejected > 0 and candidates > rejected
 
 
+@pytest.mark.parametrize("engine", ["flow", "brute", "min-norm-point"])
+def test_changed_network_matches_a_fresh_build(engine):
+    """After every accepted step, the network changed in place gives the
+    same cuts, and the same largest minimizers, as one built on D', and
+    the cached arc classes are ``classify_arc``'s on D'.
+
+    The cap is above every cut, so each flow reads the minimum itself,
+    pinned at every vertex w, with no source and with each other vertex
+    as the source.
+    """
+    rng = random.Random(4111)
+    instances = [planted_digraph(rng, n, kind) for n in (4, 5, 6)
+                 for kind in ("free", "uniform", "partition", "graphic",
+                              "linear")]
+    while len(instances) < 40:
+        d = random_digraph(rng, max_v=5, max_arcs=7)
+        if feasible(d):
+            instances.append(d)
+    # tight, with both roots at one vertex: there a candidate is rejected
+    # now and then, and the network must be the same after its undo
+    while len(instances) < 100:
+        verts = ["v%d" % i for i in range(rng.randint(3, 5))]
+        arcs = ["a%d:%s>%s" % (i, *rng.sample(verts, 2))
+                for i in range(2 * len(verts) - 2)]
+        d = digraph(verts, arcs, ["s0@v0", "s1@v0"], FreeMatroid(["s0", "s1"]))
+        if feasible(d):
+            instances.append(d)
+    steps = rejected = 0
+    for inst in instances:
+        red = ReductionState(inst, engine)
+        while True:
+            drawn = [(red.inst.arcs[j][0], red.roots[x][0])
+                     for j, x in red.candidates()]
+            step = find_reduction(red)
+            if step is None:
+                assert not drawn
+                break
+            steps += 1
+            rejected += drawn.index((step.arc_id, step.element))
+            cur = red.digraph()
+            fresh = flow.Network(cur)
+            cap = len(cur.arcs) + red.k + 1
+            for w in cur.vertices:
+                for src in [()] + [(u,) for u in cur.vertices if u != w]:
+                    got = red.net.min_cut((w,), src, cap)
+                    assert got == fresh.min_cut((w,), src, cap), \
+                        (cur, w, src)
+                    assert red.net.unreached() == fresh.unreached(), \
+                        (cur, w, src)
+            classes = {a: classify_arc(cur, a) for a, _, _ in cur.arcs}
+            cached = {a: ("bad", frozenset(red.roots[x][0] for x in w))
+                      if w else ("good", frozenset())
+                      for (a, _, _), w in zip(red.inst.arcs, red.witness)
+                      if a in classes}
+            assert cached == classes, cur
+            # the candidates of the next step, in the order of a fresh run
+            ground = {e: i for i, e in enumerate(cur.matroid.ground)}
+            assert [(red.inst.arcs[j][0], red.roots[x][0])
+                    for j, x in red.candidates()] == [
+                (a, s) for a, _, _ in cur.arcs
+                for s in sorted(classes[a][1], key=ground.__getitem__)], cur
+            assert red.net.live_arcs == len(cur.arcs)
+            assert (red.net.home, red.net.ebit, red.net.at) == \
+                (fresh.home, fresh.ebit, fresh.at), cur
+            assert all(fresh.rank[b] == r for b, r in red.net.rank.items())
+    # rejected candidates were undone before the accepted one
+    assert steps > 100 and rejected > 0
+
+
 # -- base case / lift ----------------------------------------------------------------
 
 
@@ -222,8 +303,9 @@ def test_base_case_rank_one_chain():
 
 def test_lift_smallest_case():
     d = digraph(["a", "b"], ["a1:a>b"], ["s1@a"], FreeMatroid(["s1"]))
-    step, reduced = find_reduction(d)
-    p_reduced = base_case_packing(reduced)
+    red = ReductionState(d)
+    step = find_reduction(red)
+    p_reduced = base_case_packing(red.digraph())
     lifted = lift_packing(p_reduced, step, d)
     assert verify_packing(d, lifted) is None
     assert lifted.trees[0].arcs == {"a1"}
@@ -239,14 +321,32 @@ def test_two_successive_lifts_on_path():
 
 def test_lift_rejects_overlapping_trees():
     d = digraph(["a", "b"], ["a1:a>b"], ["s1@a"], FreeMatroid(["s1"]))
-    step, _ = find_reduction(d)
+    step = find_reduction(ReductionState(d))
     overlapping = Packing((
         Tree(step.element, "a", frozenset()),
         Tree(step.new_element, "a", frozenset()),  # same vertex as the twin
     ))
-    from arbopack.packing import TheoremViolation
     with pytest.raises(TheoremViolation):
         lift_packing(overlapping, step, d)
+
+
+@pytest.mark.parametrize("roots, arcs, fault", [
+    (("a", "a"), (), "the trees rooted at the twins share a vertex"),
+    (("a", "b"), ("a1",), "a twin tree is not an arborescence"),
+    (("b", "a"), (), "the removed arc does not join the twin trees"),
+])
+def test_lift_tripwires_name_the_step(roots, arcs, fault):
+    d = digraph(["a", "b"], ["a1:a>b"], ["s1@a"], FreeMatroid(["s1"]))
+    step = find_reduction(ReductionState(d))
+    bad = Packing((
+        Tree(step.element, roots[0], frozenset()),
+        Tree(step.new_element, roots[1], frozenset(arcs)),
+    ))
+    with pytest.raises(TheoremViolation) as exc:
+        lift_packing(bad, step, d)
+    assert str(exc.value) == (
+        "lift_packing: %s (tripwire): arc a1 from a to b, element s1, "
+        "twin s1'" % fault)
 
 
 # -- verifier -----------------------------------------------------------------------
