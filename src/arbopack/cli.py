@@ -111,8 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=["flow", "brute", "min-norm-point"],
                    default="flow",
                    help="flow (default): augmenting paths decide the "
-                        "connectivity checks and the orientation greedy, and "
-                        "mincost separation runs brute; brute: subset "
+                        "connectivity checks, the orientation greedy and "
+                        "mincost separation of 0/1 points, and separation "
+                        "of fractional points runs brute; brute: subset "
                         "enumeration, at most 24 vertices; min-norm-point: "
                         "exact Fujishige-Wolfe")
     p.add_argument("--trace", action="store_true",

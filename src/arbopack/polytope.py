@@ -6,17 +6,22 @@ for nonempty X, and the mass equality x(A) = k|V| - |S|.  Separation of
 the cut family is submodular minimization of x(entering X) + rank(S_X) - k,
 run in integers: the point is scaled once by the lcm D of its
 denominators, and the objective minimized is D times the cut objective,
-whose minimizers and sign are the same.  Under the ``flow`` engine it is
-minimized by brute force, since its flows take unit arcs and integer
-per-vertex supplies and demands only; it is the one brute minimization
-left on that engine's paths.  The feasibility check and the final
-construction on the 0/1 support do run on the flow.
+whose minimizers and sign are the same.  Under the ``flow`` engine a 0/1
+point (D = 1) is decided by ``check_m_connected`` on its support, n
+flows; a fractional point is minimized by brute force, with its cap of 24
+vertices, since the flows take unit arcs only.  That is the one brute
+minimization left on the ``flow`` engine's paths.
 
-Min-cost optimization is an exact cutting-plane loop: solve the current
-relaxation, separate the optimum, add the violated constraint, repeat; the
-final optimum is a vertex of the polytope and hence 0/1.  The first
-relaxation is solved cold; each later one is re-solved from the previous
-optimal tableau by dual-simplex pivots (``solve_lp``'s ``start``).
+Min-cost optimization is an exact cutting-plane loop.  It starts at the
+optimum of the relaxation by boxes and the in-degree equalities
+x(entering v) = d(v) = k - r(S_v) (the singleton cuts, tight on every
+point of the polytope), which splits by head: the d(v) cheapest arcs into
+each v, found with no simplex.  Then: separate the current optimum, add
+the violated cut, solve again, repeat; the final optimum is a vertex of
+the polytope and hence 0/1.  The first LP, on the boxes, the equalities
+and the first cut, is solved cold; each later one is re-solved from the
+previous optimal tableau by dual-simplex pivots (``solve_lp``'s
+``start``).
 """
 
 from __future__ import annotations
@@ -92,7 +97,8 @@ def separate(inst: RootedDigraph, x: RationalVector,
 
     Order: box constraints in canonical arc order, then the mass equality,
     then the minimizing cut.  Every test runs on x times the lcm of its
-    denominators, in ints.
+    denominators, in ints.  Under ``flow`` a 0/1 point's cut objective is
+    the deficiency of its support, decided by ``check_m_connected``.
     """
     scale = math.lcm(*(v.denominator for v in x.entries.values()))
     weights = {a: v.numerator * (scale // v.denominator)
@@ -106,22 +112,27 @@ def separate(inst: RootedDigraph, x: RationalVector,
     if sum(weights.values()) != mass_rhs(inst) * scale:
         return PolytopeConstraint("mass-equality", rhs=mass_rhs(inst))
 
-    res = sfm.minimize(deficiency_objective(inst, weights, scale),
-                       engine=engine)
-    if res.value < 0:
+    if scale == 1 and engine == "flow":
+        cert = check_m_connected(RootedDigraph(
+            inst.vertices, [arc for arc in inst.arcs if weights[arc[0]]],
+            inst.roots, inst.matroid), engine="flow")
+        if cert.ok:
+            return None
+        xset = cert.vertex_set
+    else:
+        res = sfm.minimize(deficiency_objective(inst, weights, scale),
+                           engine=engine)
+        if res.value >= 0:
+            return None
         xset = frozenset(inst.vertices[i] for i in res.minimizer)
-        rhs = inst.matroid.full_rank() - inst.matroid.rank(inst.elements_in(xset))
-        return PolytopeConstraint("cut", vertex_set=xset, rhs=rhs)
-    return None
+    rhs = inst.matroid.full_rank() - inst.matroid.rank(inst.elements_in(xset))
+    return PolytopeConstraint("cut", vertex_set=xset, rhs=rhs)
 
 
-def _cut_row(inst: RootedDigraph, pos: dict, cut: PolytopeConstraint):
+def _cut_row(inst: RootedDigraph, cut: PolytopeConstraint):
     """The row x(entering X) >= rhs of a cut."""
-    row = [0] * len(pos)
-    for a, t, h in inst.arcs:
-        if h in cut.vertex_set and t not in cut.vertex_set:
-            row[pos[a]] = 1
-    return row, ">=", cut.rhs
+    xs = cut.vertex_set
+    return [int(h in xs and t not in xs) for _, t, h in inst.arcs], ">=", cut.rhs
 
 
 def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
@@ -129,7 +140,12 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
                      ) -> Union[tuple[Packing, Fraction], Certificate]:
     """Cutting-plane minimum-cost packing; exact throughout.
 
-    ``lp_trace``, a list, receives (x, objective, pivots) for every
+    The loop starts at the optimum of the relaxation by boxes and the
+    in-degree equalities x(entering v) = d(v) = k - r(S_v) alone: the d(v)
+    cheapest arcs into each v, ties broken by canonical arc order.  Only a
+    cut that point violates starts the LP, whose rows are the boxes, the
+    equalities and the cuts found.  ``lp_trace``, a list, receives
+    (x, objective, pivots) for that point, with 0 pivots, and for every
     relaxation solved.
     """
     ids = [a for a, _, _ in inst.arcs]
@@ -147,29 +163,40 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
         return "(tripwire): engine %s, cuts %d, vertices %d, arcs %d" % (
             engine, len(seen_cuts), len(inst.vertices), len(ids))
 
-    pos = {a: j for j, a in enumerate(ids)}
+    k = inst.matroid.full_rank()
+    c_vec = [Fraction(costs[a]) for a in ids]
+    entering: dict = {v: [] for v in inst.vertices}
+    for j, (_, _, h) in enumerate(inst.arcs):
+        entering[h].append(j)
     rows: list = []
     for j in range(len(ids)):  # boxes: x <= 1 (x >= 0 is implicit)
         row = [0] * len(ids)
         row[j] = 1
         rows.append((row, "<=", 1))
-    rows.append(([1] * len(ids), "=", mass_rhs(inst)))
-    c_vec = [Fraction(costs[a]) for a in ids]
+    seen_cuts: set = set()
+    # the in-degree equalities x(entering v) = d(v), and the optimum over
+    # them and the boxes: the d(v) cheapest arcs into each v
+    chosen: set = set()
+    for v, into in entering.items():
+        need = k - inst.matroid.rank(inst.elements_at(v))
+        if len(into) < need:
+            # M-connectivity was pre-checked, and {v} is one of its sets
+            raise TheoremViolation(
+                "min_cost_packing: vertex %s has %d entering arcs, fewer "
+                "than d(%s)=%d %s" % (v, len(into), v, need, context()))
+        chosen.update(sorted(into, key=lambda j: (c_vec[j], j))[:need])
+        row = [0] * len(ids)
+        for j in into:
+            row[j] = 1
+        rows.append((row, "=", need))
+    x = RationalVector.characteristic(inst, (ids[j] for j in chosen))
+    if lp_trace is not None:
+        lp_trace.append((dict(x.entries), sum(c_vec[j] for j in chosen), 0))
     # a cut's rhs is a function of its vertex set, so at most 2^n - 1
     # distinct cuts exist and a repeated one trips the check below: the
     # loop ends within 2^n iterations
-    seen_cuts: set = set()
     res = None
     while True:
-        res = solve_lp(c_vec, rows, start=res)
-        if res.status != OPTIMAL:
-            # feasibility was pre-checked; the polytope is nonempty
-            raise TheoremViolation(
-                "min_cost_packing: the relaxation is %s on a feasible "
-                "instance %s" % (res.status, context()))
-        x = RationalVector(dict(zip(ids, res.x)))
-        if lp_trace is not None:
-            lp_trace.append((dict(x.entries), res.objective, res.pivots))
         violated = separate(inst, x, engine=engine)
         if violated is None:
             break
@@ -185,7 +212,16 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
                 "min_cost_packing: separation returned the cut on %s again "
                 "%s" % (sorted(violated.vertex_set), context()))
         seen_cuts.add(violated.vertex_set)
-        rows.append(_cut_row(inst, pos, violated))
+        rows.append(_cut_row(inst, violated))
+        res = solve_lp(c_vec, rows, start=res)
+        if res.status != OPTIMAL:
+            # feasibility was pre-checked; the polytope is nonempty
+            raise TheoremViolation(
+                "min_cost_packing: the relaxation is %s on a feasible "
+                "instance %s" % (res.status, context()))
+        x = RationalVector(dict(zip(ids, res.x)))
+        if lp_trace is not None:
+            lp_trace.append((dict(x.entries), res.objective, res.pivots))
 
     fractional = sorted(a for a, v in x.entries.items() if v not in (0, 1))
     if fractional:

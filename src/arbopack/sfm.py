@@ -3,8 +3,10 @@
 Two engines:
 
 * ``brute`` - exhaustive enumeration, exact, hard cap on the ground size.
-  This is the reference oracle.  A ``("contains", v)`` family is walked
-  over the subsets of the other indices only.
+  This is the reference oracle.  It walks the family in the lex order of
+  sorted index tuples, so the first minimum it meets is the lex-smallest
+  minimizer; a ``("contains", v)`` family is walked over its own sets
+  only.
 * ``min-norm-point`` - Fujishige-Wolfe over the base polytope in exact
   arithmetic, so no tolerances exist.  Greedy vertices of an
   integer-valued objective are integer vectors; an objective with
@@ -26,11 +28,12 @@ contraction/deletion: pin a set I in and a set E out, minimize the induced
 (still submodular) function on the rest.
 
 The library's default engine, ``flow`` (``arbopack.flow``), is no
-submodular minimizer: it decides the integer deficiency checks and the
-steps of the orientation greedy by augmenting paths.  The one
-minimization that stays submodular under it, separation, with arc
-weights that are the LP point times its common denominator, runs
-``brute``, which ``minimize`` takes ``flow`` to mean.
+submodular minimizer: it decides the integer deficiency checks, the
+separation of 0/1 points and the steps of the orientation greedy by
+augmenting paths.  The one minimization that stays submodular under it,
+the separation of a fractional LP point, with arc weights that are the
+point times its common denominator, runs ``brute``, which ``minimize``
+takes ``flow`` to mean.
 """
 
 from __future__ import annotations
@@ -101,10 +104,6 @@ def _family_pin(obj: SubmodularObjective) -> frozenset | None:
     raise ValueError("unknown family %r" % (fam,))
 
 
-def _lex_key(s: frozenset) -> tuple:
-    return tuple(sorted(s))
-
-
 def minimize(obj: SubmodularObjective, engine: str = "brute",
              validate: bool = False) -> SfmResult:
     """Minimize over the objective's family with deterministic tie-break.
@@ -134,35 +133,46 @@ def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
             % (BRUTE_GROUND_LIMIT, n)
         )
     include = _family_pin(obj)
-    nonempty = include is None
-    pin = frozenset() if nonempty else include
-    free = [i for i in range(n) if i not in pin]
-    best_val = None
-    best_set = None
-    # the pin joined to each subset of the free indices, in increasing
-    # bit-mask order over them, each subset a union of two halves
-    half = len(free) // 2
-    low = _subsets(free[:half])
-    for high in _subsets(free[half:]):
-        high |= pin
-        for part in low:
-            s = part | high
-            if nonempty and not s:
-                continue
-            v = obj.evaluate(s)
-            if best_val is None or v < best_val or (
-                v == best_val and _lex_key(s) < _lex_key(best_set)
-            ):
-                best_val, best_set = v, s
+    evaluate = obj.evaluate
+    single = [frozenset((i,)) for i in range(n)]
+    best_val = best_set = None
+
+    # Each set is followed by its extensions by larger indices, depth
+    # first: that is the lex order of sorted index tuples, so the first
+    # minimum met is the lex-smallest minimizer.
+    def walk(s: frozenset, lo: int) -> None:
+        """Evaluate s + {j} for each j >= lo, each followed by its own
+        extensions."""
+        nonlocal best_val, best_set
+        for j in range(lo, n):
+            t = s | single[j]
+            v = evaluate(t)
+            if best_val is None or v < best_val:
+                best_val, best_set = v, t
+            if j < n - 1:
+                walk(t, j + 1)
+
+    def below(s: frozenset, lo: int, pin: int) -> None:
+        """The same walk over the sets that hold the pin, for an s without
+        it: s + {j} for each j from lo below the pin, then s + {pin}."""
+        nonlocal best_val, best_set
+        for j in range(lo, pin):
+            below(s | single[j], j + 1, pin)
+        t = s | single[pin]
+        v = evaluate(t)
+        if best_val is None or v < best_val:
+            best_val, best_set = v, t
+        walk(t, pin + 1)
+
+    if include is None:
+        walk(frozenset(), 0)
+    elif include:
+        below(frozenset(), 0, min(include))
+    else:  # ("all",): the empty set comes first
+        best_set = frozenset()
+        best_val = evaluate(best_set)
+        walk(best_set, 0)
     return SfmResult(best_set, best_val)
-
-
-def _subsets(items) -> list:
-    """Every subset of ``items``, the i-th holding the items at the set bits of i."""
-    out = [frozenset()]
-    for x in items:
-        out += [s | {x} for s in out]
-    return out
 
 
 # -- min-norm-point engine -----------------------------------------------------

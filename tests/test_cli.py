@@ -329,19 +329,38 @@ MINCOST_DOC = {
 }
 
 
+# the d(v) cheapest arcs into a and b form the cycle a-b, which the cut
+# on {a, b} rejects
+CYCLE_FIRST_DOC = {
+    "version": 1,
+    "vertices": ["r", "a", "b"],
+    "arcs": [{"id": "ra", "tail": "r", "head": "a"},
+             {"id": "rb", "tail": "r", "head": "b"},
+             {"id": "ab", "tail": "a", "head": "b"},
+             {"id": "ba", "tail": "b", "head": "a"}],
+    "roots": [{"element": "s1", "vertex": "r"}],
+    "matroid": {"type": "free"},
+    "costs": {"ra": 10, "rb": 10, "ab": 1, "ba": 1},
+}
+
+
 def test_mincost_lp_trace_reports_pivots(tmp_path, capsys):
-    path = write(tmp_path, "i.json", MINCOST_DOC)
-    assert run_command(["mincost", path]) == 0
-    plain = capsys.readouterr()
-    assert run_command(["--lp-trace", "mincost", path]) == 0
-    traced = capsys.readouterr()
-    assert plain.err == ""
-    assert json.loads(traced.out)["payload"] == json.loads(plain.out)["payload"]
-    lines = [json.loads(line) for line in traced.err.splitlines()]
-    assert lines and all(set(line) == {"objective", "pivots", "x"}
-                         for line in lines)
-    assert lines[0]["pivots"] > 0  # the cold solve runs phase 1
-    assert lines[-1]["objective"] == "3"
+    for doc, objectives in ((MINCOST_DOC, ["3"]),
+                            (CYCLE_FIRST_DOC, ["2", "11"])):
+        path = write(tmp_path, "i.json", doc)
+        assert run_command(["mincost", path]) == 0
+        plain = capsys.readouterr()
+        assert run_command(["--lp-trace", "mincost", path]) == 0
+        traced = capsys.readouterr()
+        assert plain.err == ""
+        assert (json.loads(traced.out)["payload"]
+                == json.loads(plain.out)["payload"])
+        lines = [json.loads(line) for line in traced.err.splitlines()]
+        assert lines and all(set(line) == {"objective", "pivots", "x"}
+                             for line in lines)
+        assert [line["objective"] for line in lines] == objectives
+        assert lines[0]["pivots"] == 0  # the greedy point solves no LP
+        assert all(line["pivots"] > 0 for line in lines[1:])  # cold solve
 
 
 @pytest.mark.parametrize("arcs, costs, status", [
@@ -379,6 +398,24 @@ def test_cutting_plane_tripwire_is_an_error_envelope(tmp_path, capsys,
     assert out["payload"]["message"] == (
         "min_cost_packing: separation returned the cut on ['a', 'b'] again "
         "(tripwire): engine flow, cuts 1, vertices 2, arcs 3")
+
+
+def test_greedy_step_tripwire_is_an_error_envelope(tmp_path, capsys,
+                                                  monkeypatch):
+    from arbopack import polytope
+    from arbopack.connectivity import Certificate
+
+    # a pre-check that passes an instance where b has no entering arc
+    monkeypatch.setattr(polytope, "check_m_connected",
+                        lambda inst, engine: Certificate("ok"))
+    doc = dict(MINCOST_DOC, arcs=[], costs={})
+    code, out = run(capsys, ["mincost", write(tmp_path, "i.json", doc)])
+    assert code == 1 and out["status"] == "error"
+    assert out["payload"] == {
+        "kind": "TheoremViolation",
+        "message": "min_cost_packing: vertex b has 0 entering arcs, fewer "
+                   "than d(b)=2 (tripwire): engine flow, cuts 0, vertices 2, "
+                   "arcs 0"}
 
 
 def test_orient_and_pack_undirected_cli(tmp_path, capsys):

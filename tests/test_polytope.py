@@ -159,6 +159,26 @@ def test_separation_matches_fraction_enumeration():
     assert found["scaled"] > 100
 
 
+def test_flow_separation_of_0_1_points_matches_brute():
+    # under flow a 0/1 point is decided by check_m_connected on its
+    # support; the cut, the lex-smallest minimizer with its rhs, must be
+    # brute enumeration's on every 0/1 point of the right mass
+    from arbopack.sweeps import iter_directed_instances
+
+    found = Counter()
+    for inst in iter_directed_instances(3, 4, 3):
+        ids = [a for a, _, _ in inst.arcs]
+        mass = mass_rhs(inst)
+        if not 0 <= mass <= len(ids):
+            continue
+        for chosen in itertools.combinations(ids, mass):
+            x = RationalVector.characteristic(inst, chosen)
+            want = separate(inst, x, engine="brute")
+            assert separate(inst, x, engine="flow") == want, (inst, chosen)
+            found[want and want.kind] += 1
+    assert found["cut"] > 10000 and found[None] > 1000
+
+
 # -- membership vs feasibility -----------------------------------------------------------
 
 
@@ -276,9 +296,11 @@ def test_min_cost_matches_brute_force_random():
      None, polytope.TheoremViolation,
      "the relaxation is infeasible on a feasible instance (tripwire): "
      "engine brute, cuts 1"),
-    (None, [Fraction(1, 2), 1, Fraction(1, 2)], polytope.IntegralityViolation,
+    # a real cut on the greedy point starts the (stubbed) LP
+    (polytope.PolytopeConstraint("cut", vertex_set=frozenset({"b"}), rhs=2),
+     [Fraction(1, 2), 1, Fraction(1, 2)], polytope.IntegralityViolation,
      "the cutting-plane optimum is fractional on arcs r1=1/2, r3=1/2 "
-     "(tripwire): engine brute, cuts 0"),
+     "(tripwire): engine brute, cuts 1"),
 ], ids=["built-in", "infeasible", "fractional"])
 def test_cutting_plane_tripwires_name_their_context(monkeypatch, cut, point,
                                                     error, message):
@@ -299,27 +321,96 @@ def test_cutting_plane_tripwires_name_their_context(monkeypatch, cut, point,
     assert str(info.value) == "min_cost_packing: %s, vertices 2, arcs 3" % message
 
 
+def noise_first_costs(extras, planted):
+    """The generated costs, with the ``planted`` arcs of a feasible free
+    ``generate_instance`` (its first ids) made dearer than every noise arc,
+    so the greedy point is built from noise arcs where it can be."""
+    ids = {"a%d" % i for i in range(planted)}
+    return {a: c + 1000 * (a in ids) for a, c in extras["costs"].items()}
+
+
 def test_cutting_plane_path_matches_the_fraction_tableau(monkeypatch):
     # every relaxation optimum, its objective and pivot count, the packing
     # and the cost are the same when the integer simplex is swapped for the
     # Fraction tableau, whose re-solves after each cut run the same
-    # dual-simplex rule; each run solves cold once and warm after that
-    cuts = 0
-    for seed in range(6):
+    # dual-simplex rule; each run whose greedy point is cut solves cold
+    # once and warm after that, and the others solve no LP
+    cuts = lp_runs = warm = 0
+    for seed in range(24):
         inst, extras = parse_instance(generate_instance(
-            seed, n=6, m=14, t=2, feasible_bias=True, costs=True))
+            seed, n=6, m=20, t=2, feasible_bias=True, costs=True))
+        costs = noise_first_costs(extras, 2 * 5)
         trace, fraction_trace, starts = [], [], []
 
         def fraction_lp(c, rows, start=None):
             starts.append(start)
             return reference_solve_lp(c, rows, start=start)
 
-        run = min_cost_packing(inst, extras["costs"], lp_trace=trace)
+        run = min_cost_packing(inst, costs, lp_trace=trace)
         with monkeypatch.context() as m:
             m.setattr(polytope, "solve_lp", fraction_lp)
-            fraction_run = min_cost_packing(inst, extras["costs"],
+            fraction_run = min_cost_packing(inst, costs,
                                             lp_trace=fraction_trace)
         assert (trace, run) == (fraction_trace, fraction_run)
-        assert starts[0] is None and None not in starts[1:]
+        assert trace[0][2] == 0 and len(starts) == len(trace) - 1
+        if starts:
+            assert starts[0] is None and None not in starts[1:]
         cuts += len(trace) - 1
-    assert cuts >= 12
+        lp_runs += bool(starts)
+        warm += max(len(starts) - 1, 0)
+    assert cuts >= 12 and lp_runs >= 8 and warm >= 4
+
+
+def test_greedy_point_is_the_optimum_of_the_degree_relaxation():
+    # the first trace line is the d(v) cheapest arcs into each v, ties to
+    # the earlier arc; the Fraction tableau on boxes and the in-degree
+    # equalities finds the same cost
+    rng = random.Random(4242)
+    checked = 0
+    while checked < 40:
+        d = random_digraph(rng, max_v=5, max_arcs=8, max_roots=3)
+        if not feasible(d):
+            continue
+        checked += 1
+        ids = [a for a, _, _ in d.arcs]
+        costs = {a: rng.randint(1, 4) for a in ids}
+        trace = []
+        min_cost_packing(d, costs, lp_trace=trace)
+        x, objective, pivots = trace[0]
+        k = d.matroid.full_rank()
+        rows = [([int(j == i) for j in range(len(ids))], "<=", 1)
+                for i in range(len(ids))]
+        for v in d.vertices:
+            into = [a for a, _, h in d.arcs if h == v]
+            need = k - d.matroid.rank(d.elements_at(v))
+            chosen = sorted(into, key=lambda a: (costs[a], ids.index(a)))
+            assert {a for a in into if x[a] == 1} == set(chosen[:need])
+            rows.append(([int(a in into) for a in ids], "=", need))
+        assert pivots == 0 and set(x.values()) <= {0, 1}
+        assert objective == reference_solve_lp(
+            [costs[a] for a in ids], rows).objective
+
+
+def test_min_cost_matches_enumeration_on_noise_first_costs():
+    # with the noise arcs cheapest the greedy point is often cut; the
+    # optimum equals the enumerated one on both branches, under every
+    # engine
+    rng = random.Random(2718)
+    branches = Counter()
+    seed = 0
+    while branches["lp"] < 20 or branches["greedy"] < 20:
+        seed += 1
+        n, t = rng.choice(((3, 2), (4, 1), (4, 2), (5, 1)))
+        m = t * (n - 1) + rng.randint(1, 3)
+        inst, extras = parse_instance(generate_instance(
+            seed, n=n, m=m, t=t, feasible_bias=True, costs=True))
+        costs = noise_first_costs(extras, t * (n - 1))
+        best = min(sum(costs[a] for a in p.arc_set())
+                   for p in enumerate_packings(inst))
+        for engine in ("flow", "brute", "min-norm-point"):
+            trace = []
+            packing, cost = min_cost_packing(inst, costs, engine=engine,
+                                             lp_trace=trace)
+            assert cost == best, (inst, engine)
+            assert verify_packing(inst, packing) is None
+        branches["lp" if len(trace) > 1 else "greedy"] += 1
