@@ -1,26 +1,37 @@
 #!/usr/bin/env python3
 """Time `mincost` on planted instances of growing size, layer by layer.
 
-Usage: python3 scripts/bench_mincost.py [--src DIR] [--sizes 10,12,...]
-                                        [--repeat R] [--budget S] [--json F]
+Usage: python3 scripts/bench_mincost.py [--src DIR] [--json F]
 
 Each instance is built as in ROADMAP.md: ``instances._generate_raw`` with
-``random.Random(7)``, a free matroid, t=2 roots and m=2n arcs, feasible by
-construction, with a cost table.  For each size n the script times
-``polytope.min_cost_packing`` R times (median reported) and prints one row
-with the split of the last run:
+``random.Random(7)`` and a free matroid, feasible by construction (t
+planted arborescences, then random noise arcs up to m), with a cost
+table.  Two families, in this order:
 
-* ``lp``: LP solves (``solve_lp`` calls), their pivots and seconds;
+* ``noise-first``: t=1, m=4n, with the planted arcs (the first t(n-1)
+  ids) made 1000 dearer than every noise arc.  The greedy start takes
+  the cheapest noise arc into each vertex; their cycles are cut, the LP
+  runs, and some of its optima are fractional, which brute separates;
+* ``planted``: t=2, m=2n, the generated costs.
+
+For each family the size grows through ``SIZES`` until a run takes more
+than ``BUDGET`` seconds (the run is stopped there) or brute separation
+meets its size cap; each size is timed ``REPEAT`` times (median
+reported), and one row gives the split of the last run:
+
+* ``lp``: ``solve_lp`` calls (the split greedy start, where the library
+  has one, counts as one, with 0 pivots), their pivots and seconds;
 * ``sep_flow`` / ``sep_brute``: separations that ran no submodular
   minimization (the flow decides them), and those that ran one (brute),
   with their seconds;
 * ``construct``: seconds of ``_construct``, the split of the 0/1 optimum
-  into trees.
+  into trees;
+* ``rss_mb``: the peak resident size of the process so far.
 
-The sizes grow until a run takes more than ``--budget`` seconds.  The
-library is imported from ``--src`` (default: ``src/`` next to this
-script), so the same script times another checkout.  ``--json`` writes
-the rows to a file as well.
+``SIZES`` stops at n=2048: the LP rows are dense, m + n rows of m
+entries, about 25M list slots there.  The library is imported from
+``--src`` (default: ``src/`` next to this script), so the same script
+times another checkout.  ``--json`` writes the rows to a file as well.
 """
 
 import argparse
@@ -28,19 +39,36 @@ import contextlib
 import json
 import pathlib
 import random
+import resource
+import signal
 import statistics
 import sys
 import time
 
 HERE = pathlib.Path(__file__).resolve().parent
+SIZES = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024,
+         1536, 2048)
+REPEAT = 3
+BUDGET = 60.0
+FAMILIES = {"noise-first": (1, 4), "planted": (2, 2)}  # t, m / n
 
 
-def instance(n: int):
+class OverBudget(Exception):
+    pass
+
+
+def instance(n: int, family: str):
     from arbopack.instances import _generate_raw, parse_instance
 
-    text = _generate_raw(random.Random(7), n, 2 * n, 2, "free",
+    t, per_vertex = FAMILIES[family]
+    text = _generate_raw(random.Random(7), n, per_vertex * n, t, "free",
                          True, True, True)
-    return parse_instance(text)
+    inst, extras = parse_instance(text)
+    costs = extras["costs"]
+    if family == "noise-first":
+        planted = {"a%d" % i for i in range(t * (n - 1))}
+        costs = {a: c + 1000 * (a in planted) for a, c in costs.items()}
+    return inst, costs
 
 
 @contextlib.contextmanager
@@ -91,40 +119,62 @@ def timed_layers(polytope):
         polytope.sfm.minimize = minimize
 
 
+def _stop(signum, frame):
+    raise OverBudget
+
+
+def run_size(polytope, n: int, family: str) -> dict:
+    """The row of one size; its ``stop`` names why the family ends there."""
+    inst, costs = instance(n, family)
+    row = {"family": family, "n": n, "m": len(inst.arcs),
+           "t": len(inst.roots)}
+    times = []
+    for _ in range(REPEAT):
+        with timed_layers(polytope) as split:
+            signal.setitimer(signal.ITIMER_REAL, BUDGET)
+            t0 = time.perf_counter()
+            try:
+                _, cost = polytope.min_cost_packing(inst, costs)
+            except OverBudget:
+                row["stop"] = "over %g s" % BUDGET
+            except polytope.sfm.SfmSizeError as exc:
+                row["stop"] = str(exc)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            times.append(time.perf_counter() - t0)
+        if "stop" in row:
+            break
+        row["cost"] = str(cost)
+    row.update(seconds=round(statistics.median(times), 5), runs=len(times))
+    row.update({k: round(v, 5) if isinstance(v, float) else v
+                for k, v in split.items()})
+    row["rss_mb"] = round(resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    return row
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(HERE.parent / "src"))
-    ap.add_argument("--sizes", default="10,12,14,16,18,20,24,32,48,64")
-    ap.add_argument("--repeat", type=int, default=3)
-    ap.add_argument("--budget", type=float, default=10.0)
     ap.add_argument("--json")
     args = ap.parse_args()
     sys.path.insert(0, args.src)
     from arbopack import polytope
 
+    signal.signal(signal.SIGALRM, _stop)
     rows = []
-    for n in map(int, args.sizes.split(",")):
-        inst, extras = instance(n)
-        times = []
-        for _ in range(args.repeat):
-            with timed_layers(polytope) as split:
-                t0 = time.perf_counter()
-                _, cost = polytope.min_cost_packing(inst, extras["costs"])
-                times.append(time.perf_counter() - t0)
-            if times[-1] > args.budget:
+    for family in FAMILIES:
+        for n in SIZES:
+            row = run_size(polytope, n, family)
+            rows.append(row)
+            print("%(family)s n=%(n)4d %(seconds)8.4f s (runs %(runs)d) | "
+                  "lp %(lp_solves)d solves %(lp_pivots)d pivots %(lp_s).4f s"
+                  " | sep flow %(sep_flow)d %(sep_flow_s).4f s, brute "
+                  "%(sep_brute)d %(sep_brute_s).4f s | construct "
+                  "%(construct_s).4f s | %(rss_mb)s MB" % row,
+                  row.get("stop", "cost " + row.get("cost", "")), flush=True)
+            if "stop" in row:
                 break
-        row = {"n": n, "m": 2 * n, "cost": str(cost),
-               "seconds": round(statistics.median(times), 5), "runs": len(times)}
-        row.update({k: round(v, 5) if isinstance(v, float) else v
-                    for k, v in split.items()})
-        rows.append(row)
-        print("n=%(n)3d cost=%(cost)s %(seconds).4f s (runs %(runs)d) | lp "
-              "%(lp_solves)d solves %(lp_pivots)d pivots %(lp_s).4f s | "
-              "sep flow %(sep_flow)d %(sep_flow_s).4f s, brute "
-              "%(sep_brute)d %(sep_brute_s).4f s | construct "
-              "%(construct_s).4f s" % row, flush=True)
-        if max(times) > args.budget:
-            break
     if args.json:
         pathlib.Path(args.json).write_text(json.dumps(rows, indent=1) + "\n")
 

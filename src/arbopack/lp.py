@@ -25,6 +25,12 @@ After phase 1 the artificial columns, and the rows whose artificial stays
 basic on a zero row, are dropped: phase 2 may not use them, and the basis
 left has the same determinant.
 
+Split rows: when the rows only box every column to [0, 1] and hold the
+blocks of a partition of the columns to integer sums by one 0/1 equality
+each, the LP splits by block, and its optimum is the d cheapest columns of
+each block held to d, ties to the lower index.  That vertex is returned
+with no tableau and no pivots.
+
 Warm start (``solve_lp(c, rows, start=previous)``): the optimal tableau
 of the previous solve is kept in its result.  Each appended inequality
 row, scaled to ints by the lcm of its own denominators and written as
@@ -187,15 +193,21 @@ def solve_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]],
     sense is one of '<=', '>=', '='.  Upper bounds on variables must be
     supplied as ordinary rows.
 
-    ``start`` is an optimal result of an earlier call with the same c
-    whose rows are a prefix of ``rows``; the rows past that prefix must
-    be inequalities, and the LP is re-solved from the kept tableau by
+    Split rows (see the module docstring) are solved with no simplex,
+    and their optimum keeps no tableau, so it cannot be a ``start``.
+
+    ``start`` is an optimal result of an earlier simplex solve with the
+    same c whose rows are a prefix of ``rows``; the rows past that prefix
+    must be inequalities, and the LP is re-solved from the kept tableau by
     dual-simplex pivots.  Any other ``start`` raises ``ValueError``.
     """
     if start is not None:
         return _resolve(c, rows, start)
     n = len(c)
     c = _exact(c)
+    split = _split(c, rows)
+    if split is not None:
+        return split
     norm: list[tuple[list, str]] = []
     for coeffs, sense, rhs in rows:
         entries = _exact([*coeffs, rhs])
@@ -253,10 +265,40 @@ def solve_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]],
     return tab.result()
 
 
+def _split(c: list, rows) -> Optional[LpResult]:
+    """The optimum of split rows, or None for any other rows."""
+    boxed = [False] * len(c)
+    blocks = []
+    for coeffs, sense, rhs in rows:
+        nonzero = len(coeffs) - coeffs.count(0)
+        if sense == "<=" and rhs == 1 and nonzero == 1 and 1 in coeffs:
+            boxed[coeffs.index(1)] = True
+        elif (sense == "=" and coeffs.count(1) == nonzero
+              and 0 <= rhs <= nonzero and rhs == int(rhs)):
+            blocks.append(([j for j, a in enumerate(coeffs) if a], int(rhs)))
+        else:
+            return None
+    if not all(boxed) or sorted(
+            j for support, _ in blocks for j in support) != list(range(len(c))):
+        return None
+    scale = _lcm(c)
+    cost = _ints(c, scale)
+    x = [Fraction(0)] * len(c)
+    one = Fraction(1)
+    chosen = []
+    for support, d in blocks:  # support ascends and sorted() is stable
+        chosen += sorted(support, key=cost.__getitem__)[:d]
+    for j in chosen:
+        x[j] = one
+    return LpResult(OPTIMAL, x=x,
+                    objective=Fraction(sum(cost[j] for j in chosen), scale))
+
+
 def _resolve(c: Sequence, rows: Sequence, start: LpResult) -> LpResult:
     old = start.tableau
     if start.status != OPTIMAL or not isinstance(old, _Tableau):
-        raise ValueError("start is not an optimal result of solve_lp")
+        raise ValueError("start is not an optimal simplex result of "
+                         "solve_lp: it holds no tableau")
     k = len(old.rows)
     if _exact(c) != old.c or len(rows) < k or _snapshot(rows[:k]) != old.rows:
         raise ValueError("start was solved for other costs or other rows "

@@ -15,13 +15,13 @@ minimization left on the ``flow`` engine's paths.
 Min-cost optimization is an exact cutting-plane loop.  It starts at the
 optimum of the relaxation by boxes and the in-degree equalities
 x(entering v) = d(v) = k - r(S_v) (the singleton cuts, tight on every
-point of the polytope), which splits by head: the d(v) cheapest arcs into
-each v, found with no simplex.  Then: separate the current optimum, add
-the violated cut, solve again, repeat; the final optimum is a vertex of
-the polytope and hence 0/1.  The first LP, on the boxes, the equalities
-and the first cut, is solved cold; each later one is re-solved from the
-previous optimal tableau by dual-simplex pivots (``solve_lp``'s
-``start``).
+point of the polytope), which splits by head: ``solve_lp`` takes the d(v)
+cheapest arcs into each v with no simplex.  Then: separate the current
+optimum, add the violated cut, solve again, repeat; the final optimum is
+a vertex of the polytope and hence 0/1.  The first simplex solve, on the
+boxes, the equalities and the first cut, is cold; each later one is
+re-solved from the previous optimal tableau by dual-simplex pivots
+(``solve_lp``'s ``start``).
 """
 
 from __future__ import annotations
@@ -140,13 +140,13 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
                      ) -> Union[tuple[Packing, Fraction], Certificate]:
     """Cutting-plane minimum-cost packing; exact throughout.
 
-    The loop starts at the optimum of the relaxation by boxes and the
-    in-degree equalities x(entering v) = d(v) = k - r(S_v) alone: the d(v)
-    cheapest arcs into each v, ties broken by canonical arc order.  Only a
-    cut that point violates starts the LP, whose rows are the boxes, the
-    equalities and the cuts found.  ``lp_trace``, a list, receives
-    (x, objective, pivots) for that point, with 0 pivots, and for every
-    relaxation solved.
+    The first relaxation has the boxes and the in-degree equalities
+    x(entering v) = d(v) = k - r(S_v) alone; ``solve_lp`` solves it as
+    split rows: the d(v) cheapest arcs into each v, ties broken by
+    canonical arc order, with no simplex.  Only a cut that point violates
+    starts the simplex; each relaxation after it adds one cut.
+    ``lp_trace``, a list, receives (x, objective, pivots) for every
+    relaxation solved, the first with 0 pivots.
     """
     ids = [a for a, _, _ in inst.arcs]
     missing = set(ids) - set(costs)
@@ -174,29 +174,33 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
         row[j] = 1
         rows.append((row, "<=", 1))
     seen_cuts: set = set()
-    # the in-degree equalities x(entering v) = d(v), and the optimum over
-    # them and the boxes: the d(v) cheapest arcs into each v
-    chosen: set = set()
-    for v, into in entering.items():
+    for v, into in entering.items():  # x(entering v) = d(v)
         need = k - inst.matroid.rank(inst.elements_at(v))
         if len(into) < need:
             # M-connectivity was pre-checked, and {v} is one of its sets
             raise TheoremViolation(
                 "min_cost_packing: vertex %s has %d entering arcs, fewer "
                 "than d(%s)=%d %s" % (v, len(into), v, need, context()))
-        chosen.update(sorted(into, key=lambda j: (c_vec[j], j))[:need])
         row = [0] * len(ids)
         for j in into:
             row[j] = 1
         rows.append((row, "=", need))
-    x = RationalVector.characteristic(inst, (ids[j] for j in chosen))
-    if lp_trace is not None:
-        lp_trace.append((dict(x.entries), sum(c_vec[j] for j in chosen), 0))
+    # these rows split by head: solve_lp takes the d(v) cheapest arcs
+    # into each v with no simplex, and the first LP with a cut is cold
+    res = solve_lp(c_vec, rows, start=None)
+    start = None
     # a cut's rhs is a function of its vertex set, so at most 2^n - 1
     # distinct cuts exist and a repeated one trips the check below: the
     # loop ends within 2^n iterations
-    res = None
     while True:
+        if res.status != OPTIMAL:
+            # feasibility was pre-checked; the polytope is nonempty
+            raise TheoremViolation(
+                "min_cost_packing: the relaxation is %s on a feasible "
+                "instance %s" % (res.status, context()))
+        x = RationalVector(dict(zip(ids, res.x)))
+        if lp_trace is not None:
+            lp_trace.append((dict(x.entries), res.objective, res.pivots))
         violated = separate(inst, x, engine=engine)
         if violated is None:
             break
@@ -213,15 +217,7 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
                 "%s" % (sorted(violated.vertex_set), context()))
         seen_cuts.add(violated.vertex_set)
         rows.append(_cut_row(inst, violated))
-        res = solve_lp(c_vec, rows, start=res)
-        if res.status != OPTIMAL:
-            # feasibility was pre-checked; the polytope is nonempty
-            raise TheoremViolation(
-                "min_cost_packing: the relaxation is %s on a feasible "
-                "instance %s" % (res.status, context()))
-        x = RationalVector(dict(zip(ids, res.x)))
-        if lp_trace is not None:
-            lp_trace.append((dict(x.entries), res.objective, res.pivots))
+        res = start = solve_lp(c_vec, rows, start=start)
 
     fractional = sorted(a for a, v in x.entries.items() if v not in (0, 1))
     if fractional:

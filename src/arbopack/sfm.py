@@ -5,8 +5,8 @@ Two engines:
 * ``brute`` - exhaustive enumeration, exact, hard cap on the ground size.
   This is the reference oracle.  It walks the family in the lex order of
   sorted index tuples, so the first minimum it meets is the lex-smallest
-  minimizer; a ``("contains", v)`` family is walked over its own sets
-  only.
+  minimizer; for a ``("contains", v)`` family it evaluates only the sets
+  that hold v.
 * ``min-norm-point`` - Fujishige-Wolfe over the base polytope in exact
   arithmetic, so no tolerances exist.  Greedy vertices of an
   integer-valued objective are integer vectors; an objective with
@@ -140,38 +140,30 @@ def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
     # Each set is followed by its extensions by larger indices, depth
     # first: that is the lex order of sorted index tuples, so the first
     # minimum met is the lex-smallest minimizer.
-    def walk(s: frozenset, lo: int) -> None:
-        """Evaluate s + {j} for each j >= lo, each followed by its own
-        extensions."""
+    def walk(s: frozenset, lo: int, pin: int) -> None:
+        """Visit s + {j} for each j >= lo, each followed by its own
+        extensions.  Until a set holds the pin it is only a path to the
+        sets that do: not evaluated, and not extended past the pin; -1
+        stands for no pin left to take."""
         nonlocal best_val, best_set
-        for j in range(lo, n):
+        for j in range(lo, n if pin < 0 else pin + 1):
             t = s | single[j]
-            v = evaluate(t)
-            if best_val is None or v < best_val:
-                best_val, best_set = v, t
+            rest = pin if j < pin else -1
+            if rest < 0:
+                v = evaluate(t)
+                if best_val is None or v < best_val:
+                    best_val, best_set = v, t
             if j < n - 1:
-                walk(t, j + 1)
-
-    def below(s: frozenset, lo: int, pin: int) -> None:
-        """The same walk over the sets that hold the pin, for an s without
-        it: s + {j} for each j from lo below the pin, then s + {pin}."""
-        nonlocal best_val, best_set
-        for j in range(lo, pin):
-            below(s | single[j], j + 1, pin)
-        t = s | single[pin]
-        v = evaluate(t)
-        if best_val is None or v < best_val:
-            best_val, best_set = v, t
-        walk(t, pin + 1)
+                walk(t, j + 1, rest)
 
     if include is None:
-        walk(frozenset(), 0)
+        walk(frozenset(), 0, -1)
     elif include:
-        below(frozenset(), 0, min(include))
+        walk(frozenset(), 0, min(include))
     else:  # ("all",): the empty set comes first
         best_set = frozenset()
         best_val = evaluate(best_set)
-        walk(best_set, 0)
+        walk(best_set, 0, -1)
     return SfmResult(best_set, best_val)
 
 

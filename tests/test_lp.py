@@ -346,12 +346,74 @@ def test_warm_start_matches_a_cold_solve_on_random_lps():
     assert dual_pivots > 300
 
 
+def random_split_rows(rng, n):
+    """Boxes on every column and one 0/1 equality per block of a random
+    partition of the columns (empty blocks too), held to 0..|block|."""
+    label = [rng.randrange(max(n // 2, 1)) for _ in range(n)]
+    rows = [([int(i == j) for i in range(n)], "<=", 1) for j in range(n)]
+    for b in range(max(n // 2, 1) + rng.randint(0, 1)):
+        block = [j for j in range(n) if label[j] == b]
+        rows.append(([int(label[i] == b) for i in range(n)], "=",
+                     rng.randint(0, len(block))))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_split_rows_take_the_cheapest_columns_without_pivots():
+    # the optimum of the Fraction tableau, at a 0/1 vertex that holds the
+    # d cheapest columns of each block, ties to the lower index
+    rng = random.Random(1985)
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        c = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+             for _ in range(n)]
+        rows = random_split_rows(rng, n)
+        res = solve_lp(c, rows)
+        assert res.status == OPTIMAL and res.pivots == 0
+        assert res.tableau is None
+        assert res.objective == reference_solve_lp(c, rows).objective
+        assert_basic_feasible(res.x, rows)
+        for coeffs, sense, d in rows:
+            if sense == "=":
+                block = [j for j in range(n) if coeffs[j]]
+                cheap = sorted(block, key=lambda j: (c[j], j))[:d]
+                assert [j for j in block if res.x[j]] == sorted(cheap)
+
+
+def test_rows_that_do_not_split_run_the_simplex():
+    rng = random.Random(1986)
+    spoilers = [
+        lambda n: ([1] * n, ">=", 1),                          # a cut
+        lambda n: ([int(j == 0) for j in range(n)], "<=", 2),  # a wider box
+        lambda n: ([2] + [0] * (n - 1), "=", 2),               # coefficient 2
+        lambda n: ([1] * n, "=", 1),                           # blocks overlap
+    ]
+    for spoil in spoilers:
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            c = [rng.randint(-3, 3) for _ in range(n)]
+            rows = random_split_rows(rng, n) + [spoil(n)]
+            assert solve_lp(c, rows) == reference_solve_lp(c, rows)
+    # a block held to more than its size, to a negative sum, or to a
+    # fraction
+    for rhs in (3, -1, Fraction(1, 2)):
+        rows = [([1, 0], "<=", 1), ([0, 1], "<=", 1), ([1, 1], "=", rhs)]
+        res = solve_lp([1, 2], rows)
+        assert res == reference_solve_lp([1, 2], rows)
+        assert (res.status == INFEASIBLE) == (rhs != Fraction(1, 2))
+    # a column that no equality holds
+    rows = [([1, 0], "<=", 1), ([0, 1], "<=", 1), ([1, 0], "=", 1)]
+    assert solve_lp([1, -1], rows) == reference_solve_lp([1, -1], rows)
+    assert solve_lp([1, -1], rows).pivots > 0
+
+
 def test_warm_start_rejects_a_bad_start():
     c = [1, 2]
     rows = [([1, 0], "<=", 1), ([0, 1], "<=", 1), ([1, 1], ">=", 1)]
     res = solve_lp(c, rows)
     assert res.status == OPTIMAL and res.pivots > 0
     cut = ([0, 1], ">=", Fraction(1, 2))
+    split = rows[:2] + [([1, 1], "=", 1)]
     again = solve_lp(c, rows + [cut], start=res)
     assert again.status == OPTIMAL and again.objective == Fraction(3, 2)
     # the start can be re-used: solving from it does not change it
@@ -367,6 +429,8 @@ def test_warm_start_rejects_a_bad_start():
         (c, rows + [cut], LpResult(OPTIMAL, x=res.x, objective=res.objective)),
         (c, rows + [cut], solve_lp(c, rows + [([1, 1], ">=", 3)])),
         (c, rows + [cut], solve_lp([-1], [([0], "<=", 1)])),
+        # split rows are solved with no tableau to re-solve from
+        (c, split + [cut], solve_lp(c, split)),
     ]
     for cost, more, start in bad:
         with pytest.raises(ValueError):
