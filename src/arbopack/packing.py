@@ -30,8 +30,9 @@ candidate is undone.  The class of each arc (good, or bad with its
 witnesses) is cached and read from the same masks and memo; adding s' at
 v changes S_v alone, so a step re-classifies only the arcs at v.  Under
 ``brute`` and ``min-norm-point`` each candidate's D' is still built as an
-instance of its own for the objective.  The base case builds one final
-instance, which ``base_case_packing`` re-checks on its own.
+instance of its own for the objective, once, with u indexed last.  The
+base case builds one final instance, which ``base_case_packing``
+re-checks on its own.
 
 ``Packing`` and ``verify_packing`` serve both sides: on a ``RootedGraph``
 a tree's link ids are edge ids, and ``orientation.pack_undirected``
@@ -264,11 +265,14 @@ class ReductionState:
             elif was and not now:
                 del self.bad[bisect.bisect_left(self.bad, i)]
 
-    def digraph(self) -> RootedDigraph:
-        """D' as an instance of its own."""
+    def digraph(self, last: Optional[str] = None) -> RootedDigraph:
+        """D' as an instance of its own, with vertex ``last``, if given,
+        moved to the end of the vertex order."""
+        verts = self.inst.vertices
+        if last is not None:
+            verts = [w for w in verts if w != last] + [last]
         arcs = [arc for arc, ok in zip(self.inst.arcs, self.live) if ok]
-        return RootedDigraph(self.inst.vertices, arcs, self.roots,
-                             self.matroid)
+        return RootedDigraph(verts, arcs, self.roots, self.matroid)
 
 
 def find_reduction(red: ReductionState) -> Optional[ReductionStep]:
@@ -310,14 +314,12 @@ def _keeps_connected(red: ReductionState, step: ReductionStep,
     u, v = step.tail, step.head
     if engine == "flow":
         return red.net.min_cut((v,), (u,), red.k) >= red.k
-    reduced = red.digraph()
     # with u indexed last, the sets without u are those over the first
     # n - 1 indices, and def' is evaluated on them as it is
-    rest = [w for w in reduced.vertices if w != u]
-    obj = deficiency_objective(RootedDigraph(
-        rest + [u], reduced.arcs, reduced.roots, reduced.matroid))
-    pinned = sfm.SubmodularObjective(len(rest), obj.evaluate,
-                                     ("contains", rest.index(v)))
+    reduced = red.digraph(last=u)
+    obj = deficiency_objective(reduced)
+    pinned = sfm.SubmodularObjective(obj.n - 1, obj.evaluate,
+                                     ("contains", reduced.vertices.index(v)))
     return sfm.minimize(pinned, engine=engine).value >= 0
 
 

@@ -12,11 +12,13 @@ Two engines:
   integer-valued objective are integer vectors; an objective with
   rational values is run scaled by the lcm of the denominators it has
   shown, which changes no step.  Wolfe keeps the Gram matrix of its point
-  set across cycles, solves the affine minimization on it by
-  fraction-free elimination, and holds the current point as an integer
-  vector over one common denominator.  ``Fraction`` is used only in the
-  line search.  The lex-smallest minimizer costs up to n more runs, so it
-  is computed only when ``SfmResult.minimizer`` is read.
+  set across cycles, solves the affine minimization on it by Bareiss
+  elimination, and holds the current point as an integer vector over one
+  common denominator.  ``Fraction`` is used only in the line search.  The
+  nonempty family is split by smallest index: run v pins v and excludes
+  0..v-1, on a free ground of n - 1 - v indices.  The lex-smallest
+  minimizer reuses those runs; past its first index it costs up to n - 2
+  more, so it is computed only when ``SfmResult.minimizer`` is read.
 
 Objectives evaluate on frozensets of integer ground indices 0..n-1 and may
 return ints or Fractions.  Every objective the library builds is
@@ -172,19 +174,28 @@ def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
 
 def _minimize_mnp(obj: SubmodularObjective) -> SfmResult:
     include = _family_pin(obj)
-    nonempty = include is None
-    if nonempty:
-        # the min over the sets that contain v, over every v (for the
-        # deficiency objective the empty set always attains the
-        # unconstrained minimum, so a run over all sets would not help)
-        best_val = min(_pinned_min(obj, frozenset({v}), frozenset())
-                       for v in range(obj.n))
-        include = frozenset()
-    else:
+    if include is not None:
         best_val = _pinned_min(obj, include, frozenset())
+        return SfmResult(None, best_val, lambda: _canonical_minimizer(
+            obj, best_val, include, False,
+            lambda inc, exc: _pinned_min(obj, inc, exc)))
+    # run v is the min over the sets whose smallest index is v: it pins v
+    # and excludes 0..v-1, so the free grounds shrink from n - 1 to 0 (for
+    # the deficiency objective the empty set always attains the
+    # unconstrained minimum, so a run over all sets would not help)
+    runs = [_pinned_min(obj, frozenset({v}), frozenset(range(v)))
+            for v in range(obj.n)]
+    best_val = min(runs)
+
+    def pinned_min(inc, exc):
+        # until an index is chosen, the canonical minimizer asks for run i
+        i = min(inc)
+        if len(inc) == 1 and exc == frozenset(range(i)):
+            return runs[i]
+        return _pinned_min(obj, inc, exc)
+
     return SfmResult(None, best_val, lambda: _canonical_minimizer(
-        obj, best_val, include, nonempty,
-        lambda inc, exc: _pinned_min(obj, inc, exc)))
+        obj, best_val, frozenset(), True, pinned_min))
 
 
 def _canonical_minimizer(obj, best_val, include, nonempty,
@@ -232,7 +243,7 @@ def _pinned_min(obj: SubmodularObjective, include: frozenset,
     def g(js: frozenset):
         return obj.evaluate(include | {idx[j] for j in js}) - base
 
-    xn, _ = _wolfe_min_norm(len(free), g)
+    xn, _ = _wolfe_min_norm(len(free), g, include, exclude)
     return g(frozenset(j for j in range(len(free)) if xn[j] <= 0)) + base
 
 
@@ -289,44 +300,51 @@ def _solve_affine(G: list[list]):
 
     ``G`` is the integer Gram matrix of the points of S.  Solves the
     bordered normal equations [G 1; 1 0] (mu, lambda) = (0, 1) by
-    fraction-free Gauss-Jordan elimination (row <- row * p - f * pivot_row,
-    each row divided by its gcd), pivoting in column order on the first
-    nonzero entry.  Affinely dependent point sets get free coefficients
-    fixed at 0 (any solution of the consistent system is a valid
-    affine-minimizer representation).  Returns (numerators, denominator),
-    denominator > 0.
+    fraction-free (Bareiss) Gauss-Jordan elimination: every row but the
+    pivot row becomes (row * p - f * pivot_row) / p', p the pivot and p'
+    the one before it, a division that is exact.  Each pivot row then
+    reads p * mu[c] = rhs, p the last pivot; columns left of the pivot
+    column are read no more and not updated.  Pivoting is in column order
+    on the first nonzero entry.  Affinely dependent point sets get
+    free coefficients fixed at 0 (any solution of the consistent system is
+    a valid affine-minimizer representation).  Returns (numerators,
+    denominator), denominator > 0.
     """
     m = len(G)
     A = [row + [1, 0] for row in G]
     A.append([1] * m + [0, 1])
     rows = m + 1
     r = 0
+    prev = 1
     pivots = []
     for c in range(m + 1):  # the last column is the right-hand side
         piv = next((i for i in range(r, rows) if A[i][c] != 0), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
-        prow = A[r]
-        p = prow[c]
+        p = A[r][c]
+        tail = A[r][c:]
         for i in range(rows):
-            f = A[i][c]
-            if i != r and f != 0:
-                A[i] = _reduced([a * p - f * b for a, b in zip(A[i], prow)])
+            if i != r:
+                row = A[i]
+                f = row[c]
+                row[c:] = [(a * p - f * b) // prev
+                           for a, b in zip(row[c:], tail)]
+        prev = p
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    # row i now reads A[i][c] * mu[c] = A[i][-1] for its pivot column c < m
-    solved = [(A[i][c], A[i][-1], c) for i, c in enumerate(pivots) if c < m]
     mu = [0] * m
-    den = lcm(*(p for p, _, _ in solved))
-    for p, rhs, c in solved:
-        mu[c] = rhs * (den // p)
-    return mu, den
+    for i, c in enumerate(pivots):
+        if c < m:
+            mu[c] = A[i][-1]
+    if prev < 0:
+        return [-a for a in mu], -prev
+    return mu, prev
 
 
-def _wolfe_min_norm(n: int, g):
+def _wolfe_min_norm(n: int, g, pinned=(), excluded=()):
     """Exact Wolfe algorithm: min-norm point x* of the base polytope of g.
 
     Returns a positive multiple of x* as (numerators, denominator),
@@ -338,13 +356,22 @@ def _wolfe_min_norm(n: int, g):
     order of every greedy step and every test's outcome as they were.  x
     is an integer vector over one denominator and the Gram matrix of S is
     kept across cycles, so ``Fraction`` appears only in the line search.
+    ``pinned`` and ``excluded``, the indices the run's family fixes, name
+    the run in the tripwires.
     """
     q, scale = _scaled(_greedy_vertex(n, g, [0] * n), 1)
     xn, xd = q, 1
     S = [q]
     G = [[_dot(q, q)]]
     lamn, lamd = [1], 1
-    for _ in range(_MNP_ITER_CAP):
+
+    def tripwire(what: str, cycles: int) -> RuntimeError:
+        return RuntimeError(
+            "min-norm-point %s (tripwire): free ground %d, pinned %s, "
+            "excluded %s, major cycles %d, |S| %d"
+            % (what, n, sorted(pinned), sorted(excluded), cycles, len(S)))
+
+    for cycles in range(_MNP_ITER_CAP):
         q, new_scale = _scaled(_greedy_vertex(n, g, xn), scale)
         if new_scale != scale:
             k = new_scale // scale
@@ -357,8 +384,7 @@ def _wolfe_min_norm(n: int, g):
         if q in S:
             # x is the affine minimizer of S, so x.q == x.x for every q in S
             # and the test above has already returned
-            raise RuntimeError(
-                "min-norm-point: greedy vertex already in S (tripwire)")
+            raise tripwire("greedy vertex already in S", cycles)
         for row, s in zip(G, S):
             row.append(_dot(s, q))
         S.append(q)
@@ -382,7 +408,7 @@ def _wolfe_min_norm(n: int, g):
             S = [S[i] for i in keep]
             G = [[G[i][j] for j in keep] for i in keep]
             lamn = [lamn[i] for i in keep]
-    raise RuntimeError("min-norm-point failed to converge (tripwire)")
+    raise tripwire("failed to converge", _MNP_ITER_CAP)
 
 
 # -- validation ----------------------------------------------------------------

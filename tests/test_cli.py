@@ -508,7 +508,8 @@ def test_plain_runtime_tripwire_is_an_error_envelope(tmp_path, capsys,
     assert code == 1 and out["status"] == "error"
     assert out["payload"] == {
         "kind": "RuntimeError",
-        "message": "min-norm-point failed to converge (tripwire)"}
+        "message": "min-norm-point failed to converge (tripwire): free "
+                   "ground 1, pinned [0], excluded [], major cycles 0, |S| 1"}
 
 
 def test_pack_bounded_cli(tmp_path, capsys):

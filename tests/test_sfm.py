@@ -79,15 +79,34 @@ def test_constrained_families_reduce_to_filtered_enumeration(engine):
             assert obj.evaluate(got.minimizer) == expected
 
 
-def test_engine_agreement_on_deficiency_objectives():
+def test_engine_agreement_on_deficiency_objectives(monkeypatch):
+    # min-norm-point minimizes over the nonempty sets by one Wolfe run per
+    # smallest index v (v pinned, 0..v-1 excluded), on free grounds of
+    # n - 1, n - 2, ..., 1 indices; the last run needs no Wolfe.  A
+    # singleton lex-smallest minimizer is read off those runs alone.
+    sizes = []
+    wolfe = sfm._wolfe_min_norm
+
+    def recorded(n, g, *context):
+        sizes.append(n)
+        return wolfe(n, g, *context)
+
+    monkeypatch.setattr(sfm, "_wolfe_min_norm", recorded)
     rng = random.Random(23)
+    singletons = 0
     for _ in range(200):
         d = random_digraph(rng, max_v=5, max_arcs=7)
         obj = deficiency_objective(d)
         b = minimize(obj, engine="brute")
+        sizes.clear()
         m = minimize(obj, engine="min-norm-point")
+        assert sizes == list(range(obj.n - 1, 0, -1))
         assert b.value == m.value
         assert b.minimizer == m.minimizer  # canonical tie-break shared
+        if len(b.minimizer) == 1 and obj.n > 1:
+            singletons += 1
+            assert len(sizes) == obj.n - 1
+    assert singletons > 50
 
 
 def test_deficiency_of_whole_vertex_set_is_zero():
@@ -187,6 +206,63 @@ def test_wolfe_point_scales_with_the_objective(monkeypatch):
         assert [(a > 0) - (a < 0) for a in xn] == [(b > 0) - (b < 0) for b in yn]
         assert all(a * yn[j] == b * xn[j] for a, b in zip(xn, yn) for j in range(n))
     assert seen["rescales"] > 0
+
+
+def _fraction_affine_solve(G):
+    """mu of [G 1; 1 0] (mu, lambda) = (0, 1), solved in Fractions by
+    reduced row echelon form with the free unknowns at 0, and whether the
+    system is singular (the points affinely dependent)."""
+    m = len(G)
+    A = [[Fraction(a) for a in row] + [Fraction(1), Fraction(0)] for row in G]
+    A.append([Fraction(1)] * m + [Fraction(0), Fraction(1)])
+    pivots, r = [], 0
+    for c in range(m + 1):
+        piv = next((i for i in range(r, m + 1) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        A[r] = [a / A[r][c] for a in A[r]]
+        for i in range(m + 1):
+            if i != r and A[i][c]:
+                A[i] = [a - A[i][c] * b for a, b in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+    assert all(not row[-1] for row in A[r:])  # the system is consistent
+    mu = [Fraction(0)] * m
+    for i, c in enumerate(pivots):
+        if c < m:
+            mu[c] = A[i][-1]
+    return mu, r <= m
+
+
+def test_solve_affine_matches_a_fraction_solve():
+    # random integer point sets, many of them with repeated points, zero
+    # points and integer affine combinations of earlier points, which make
+    # the Gram matrix singular and the elimination swap rows
+    rng = random.Random(41)
+    singular = 0
+    for _ in range(5000):
+        dim = rng.randint(1, 5)
+        pts = []
+        for _ in range(rng.randint(1, 6)):
+            roll = rng.random()
+            if pts and roll < 0.15:
+                pts.append(list(rng.choice(pts)))
+            elif len(pts) > 1 and roll < 0.3:
+                a, b = rng.sample(pts, 2)
+                c = rng.randint(-3, 3)
+                pts.append([c * x + (1 - c) * y for x, y in zip(a, b)])
+            elif roll < 0.35:
+                pts.append([0] * dim)
+            else:
+                pts.append([rng.randint(-9, 9) for _ in range(dim)])
+        G = [[sum(x * y for x, y in zip(p, q)) for q in pts] for p in pts]
+        mun, mud = sfm._solve_affine([row[:] for row in G])
+        mu, dependent = _fraction_affine_solve(G)
+        assert mud > 0
+        assert [Fraction(a, mud) for a in mun] == mu
+        singular += dependent
+    assert singular > 1000
 
 
 def test_min_cost_engines_agree():
