@@ -1,47 +1,45 @@
-"""Exact rational LP: dense two-phase simplex with Bland's rule, and
-dual-simplex re-solves after appended inequality rows.
+"""Exact rational LP for the cutting-plane loop: split rows solved by a
+greedy choice, and dual-simplex re-solves after appended inequality rows.
 
-Small and deterministic: pivoting is Bland's rule (guaranteed
-termination), and solutions returned are basic, i.e. vertices of the
-feasible polyhedron.
+Split rows box every column to [0, 1], one row ``x_j <= 1`` per column,
+and hold the blocks of a partition of the columns to integer sums by one
+0/1 equality each.  Without a ``start``, ``solve_lp`` takes only these
+rows.  The LP splits by block, and its optimum is the d cheapest columns
+of each block held to d, ties to the lower index, found with no pivots.
+A block held to a sum below 0 or above its size makes it infeasible.
 
-The tableau holds Python ints over one common denominator D: the true
+The optimum keeps its basis.  The columns are the n structural ones, then
+one slack per box, in row order.  In each block the marginal column (the
+d-th cheapest, or the cheapest when d = 0) has x and its slack basic;
+every other chosen column has x basic, and every other unchosen column
+its slack.  An empty block's equality 0 = 0 has no basic variable and is
+dropped.  The basis is unimodular, so its tableau has entries 0 and +-1
+over D = 1, and it is dual feasible: the reduced cost of an unchosen
+column is its cost minus the marginal one, and that of a chosen column's
+slack is the marginal cost minus the column's, both >= 0.
+
+Re-solve (``solve_lp(c, rows, start=previous)``): a split optimum keeps
+its rows as given, with no copy and no tableau, so a run that needs no
+re-solve pays for neither.  The first re-solve writes out the split
+basis's tableau from them, and each later result keeps its own.  The
+tableau holds Python ints over one common denominator D: the true
 entry is T/D, and each basic column holds D in its row (integer-preserving
-elimination; Edmonds 1967, Bareiss 1968).  Structural coefficients and
-right-hand sides are scaled by the lcm of their denominators; slack and
-artificial columns stay +-1, which scales every slack and artificial
-variable alike and so changes no ratio test, reduced-cost sign or phase-1
-outcome.  A pivot on (r, c) with p = T[r][c] maps every other row to
+elimination; Edmonds 1967, Bareiss 1968).  The reduced costs are one more
+row R (reduced cost = R/D), priced on the costs scaled to ints by the lcm
+of their denominators.  Each appended inequality row, scaled to ints by
+the lcm of its own denominators and written as ``<=`` with a new basic
+slack, is eliminated against the tableau as D*row - sum of
+row[basis_i]*T_i, which needs no division and keeps D.  The basis stays
+dual feasible, and dual-simplex pivots under the smallest-index rule
+(Bland's rule on the dual, which terminates) restore primal feasibility or
+find the row that makes the LP infeasible.  The boxes keep every LP
+bounded.  A pivot on (r, c), whose entry T[r][c] is negative, negates
+row r first, which negates the whole new tableau and keeps D > 0; with
+p = -T[r][c] every other row i, R included, becomes
 (T_i*p - T_i[c]*T_r) // D, a division that is exact by Sylvester's
-identity, and sets D = p.  A negative p occurs when phase 1 drives a
-basic artificial out on a zero row, and on every dual-simplex pivot; the
-pivot row is negated first, which negates the whole new tableau and keeps
-D > 0.
-
-The reduced costs are one more tableau row R (reduced cost = R/D), built
-once per phase as obj*D - sum of c_B*T_i with the costs scaled to ints,
-and updated by every pivot like any other row.  Basic columns hold 0 in R.
-After phase 1 the artificial columns, and the rows whose artificial stays
-basic on a zero row, are dropped: phase 2 may not use them, and the basis
-left has the same determinant.
-
-Split rows: when the rows only box every column to [0, 1] and hold the
-blocks of a partition of the columns to integer sums by one 0/1 equality
-each, the LP splits by block, and its optimum is the d cheapest columns of
-each block held to d, ties to the lower index.  That vertex is returned
-with no tableau and no pivots.
-
-Warm start (``solve_lp(c, rows, start=previous)``): the optimal tableau
-of the previous solve is kept in its result.  Each appended inequality
-row, scaled to ints by the lcm of its own denominators and written as
-``<=`` with a new basic slack, is eliminated against it as
-D*row - sum of row[basis_i]*T_i, which needs no division and keeps D.
-The basis stays dual feasible, and dual-simplex pivots under the
-smallest-index rule (Bland's rule on the dual, which terminates) restore
-primal feasibility or find the row that makes the LP infeasible.  Scaling
-one row or one variable by a positive factor changes no ratio test of
-either simplex, so the pivots are those of the same rule on the unscaled
-rational tableau.
+identity, and D becomes p.  Scaling one row or one variable by a
+positive factor changes no ratio test, so the pivots are those of the
+same rule on the unscaled rational tableau.
 """
 
 from __future__ import annotations
@@ -53,9 +51,6 @@ from typing import Optional, Sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
-_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 @dataclass(frozen=True)
@@ -63,8 +58,8 @@ class LpResult:
     status: str
     x: Optional[list] = None
     objective: Optional[Fraction] = None
-    pivots: int = 0  # pivots of this solve, phase 1 and drive-outs included
-    # the optimal tableau, read by the next solve's ``start``
+    pivots: int = 0  # pivots of this solve
+    # the optimal basis and its tableau, read by the next solve's ``start``
     tableau: Optional[object] = field(default=None, compare=False, repr=False)
 
 
@@ -83,23 +78,26 @@ def _lcm(values) -> int:
 
 
 class _Tableau:
-    """T (rows, rhs last), the basis, D, and the reduced-cost row R."""
+    """T (rows, rhs last), the basis, D and the reduced-cost row R of the
+    rows solved.  A split optimum's tableau has no T: it keeps the rows as
+    given, and ``_split_tableau`` writes T out from them when a re-solve
+    starts there; a written tableau keeps a snapshot of its rows."""
 
-    __slots__ = ("T", "basis", "D", "R", "n", "c", "cscale", "rows", "pivots")
+    __slots__ = ("T", "basis", "D", "R", "n", "c", "cscale", "rows",
+                 "pivots")
 
-    def __init__(self, T: list, basis: list, D: int, n: int):
-        self.T, self.basis, self.D, self.n = T, basis, D, n
+    def __init__(self, c: list, rows: tuple, T: Optional[list] = None,
+                 basis: Sequence = (), D: int = 1):
+        self.c, self.n, self.cscale, self.rows = c, len(c), _lcm(c), rows
+        self.T, self.basis, self.D = T, list(basis), D
         self.R: list = []
-        self.c: list = []
-        self.cscale = 1  # the phase-2 R is priced on c times cscale
-        self.rows: tuple = ()
         self.pivots = 0
 
     def pivot(self, r: int, col: int) -> None:
         T, D = self.T, self.D
-        pr = T[r]
-        if pr[col] < 0:  # negate so that D stays positive
-            pr = T[r] = [-b for b in pr]
+        # the dual simplex pivots on a negative entry: negate its row so
+        # that D stays positive
+        pr = T[r] = [-b for b in T[r]]
         p = pr[col]
         for i, row in enumerate(T):
             if i != r:
@@ -109,12 +107,11 @@ class _Tableau:
                 elif p != D:
                     T[i] = [a * p // D for a in row]
         R = self.R
-        if R:
-            f = R[col]
-            if f:
-                self.R = [(a * p - f * b) // D for a, b in zip(R, pr)]
-            elif p != D:
-                self.R = [a * p // D for a in R]
+        f = R[col]
+        if f:
+            self.R = [(a * p - f * b) // D for a, b in zip(R, pr)]
+        elif p != D:
+            self.R = [a * p // D for a in R]
         self.D = p
         self.basis[r] = col
         self.pivots += 1
@@ -126,29 +123,6 @@ class _Tableau:
             if obj[b]:
                 red = [v - obj[b] * t for v, t in zip(red, row)]
         self.R = red
-
-    def primal(self, limit: int) -> str:
-        """Bland's rule over the columns below limit."""
-        T, basis = self.T, self.basis
-        while True:
-            red = self.R
-            col = next((j for j in range(limit) if red[j] < 0), None)
-            if col is None:
-                return OPTIMAL
-            # Bland: smallest ratio T_i[-1]/T_i[col], then smallest basis var
-            row = None
-            for i, t in enumerate(T):
-                a = t[col]
-                if a > 0:
-                    if row is None:
-                        row = i
-                        continue
-                    lhs, rhs = t[-1] * T[row][col], T[row][-1] * a
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
-                        row = i
-            if row is None:
-                return UNBOUNDED
-            self.pivot(row, col)
 
     def dual(self) -> str:
         """Dual simplex from a dual-feasible basis, smallest-index rule."""
@@ -190,131 +164,127 @@ def solve_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]],
              start: Optional[LpResult] = None) -> LpResult:
     """Minimize c.x subject to rows (coeffs, sense, rhs) and x >= 0.
 
-    sense is one of '<=', '>=', '='.  Upper bounds on variables must be
-    supplied as ordinary rows.
+    sense is one of '<=', '>=', '='.  Without ``start`` the rows must be
+    split rows (see the module docstring); any other rows raise
+    ``ValueError``.
 
-    Split rows (see the module docstring) are solved with no simplex,
-    and their optimum keeps no tableau, so it cannot be a ``start``.
-
-    ``start`` is an optimal result of an earlier simplex solve with the
-    same c whose rows are a prefix of ``rows``; the rows past that prefix
-    must be inequalities, and the LP is re-solved from the kept tableau by
+    ``start`` is an optimal result of an earlier solve with the same c
+    whose rows are a prefix of ``rows``; the rows past that prefix must be
+    inequalities, and the LP is re-solved from the start's basis by
     dual-simplex pivots.  Any other ``start`` raises ``ValueError``.
     """
     if start is not None:
         return _resolve(c, rows, start)
-    n = len(c)
     c = _exact(c)
-    split = _split(c, rows)
-    if split is not None:
-        return split
-    norm: list[tuple[list, str]] = []
-    for coeffs, sense, rhs in rows:
-        entries = _exact([*coeffs, rhs])
-        if entries[-1] < 0:  # keep rhs non-negative for phase 1
-            entries = [-v for v in entries]
-            sense = _FLIP[sense]
-        norm.append((entries, sense))
-    scale = _lcm(v for entries, _ in norm for v in entries)
-
-    # columns: n structural, then one slack/surplus per inequality, then
-    # one artificial per '>='/'=' row
-    nslack = sum(1 for _, sense in norm if sense != "=")
-    first_art = n + nslack
-    ncols = first_art + sum(1 for _, sense in norm if sense != "<=")
-    T: list[list[int]] = []
-    basis: list[int] = []
-    slack, art = n, first_art
-    for entries, sense in norm:
-        row = _ints(entries, scale)
-        row[-1:-1] = [0] * (ncols - n)
-        if sense == "<=":
-            row[slack] = 1
-            basis.append(slack)
-        else:
-            if sense == ">=":
-                row[slack] = -1
-            row[art] = 1
-            basis.append(art)
-            art += 1
-        slack += sense != "="
-        T.append(row)
-    tab = _Tableau(T, basis, 1, n)
-
-    if first_art < ncols:
-        tab.price([0] * first_art + [1] * (ncols - first_art))
-        tab.primal(ncols)
-        if any(row[-1] for row, b in zip(tab.T, basis) if b >= first_art):
-            return LpResult(INFEASIBLE, pivots=tab.pivots)
-        tab.R = []
-        # drive remaining artificials out of the basis where possible
-        for i, row in enumerate(tab.T):
-            if basis[i] >= first_art:
-                col = next((j for j in range(first_art) if row[j] != 0), None)
-                if col is not None:
-                    tab.pivot(i, col)
-        keep = [i for i, b in enumerate(basis) if b < first_art]
-        tab.T = [tab.T[i][:first_art] + tab.T[i][-1:] for i in keep]
-        tab.basis = [basis[i] for i in keep]
-
-    tab.cscale = _lcm(c)
-    tab.price(_ints(c, tab.cscale) + [0] * nslack)
-    if tab.primal(first_art) == UNBOUNDED:
-        return LpResult(UNBOUNDED, pivots=tab.pivots)
-    tab.c, tab.rows = c, _snapshot(rows)
-    return tab.result()
+    split = _parse(rows, len(c))
+    if split is None:
+        raise ValueError("without a start, the rows must be split rows: a "
+                         "box x_j <= 1 per column and 0/1 equalities that "
+                         "partition the columns, with integer sums")
+    blocks = split[1]
+    if any(not 0 <= d <= len(support) for support, d in blocks):
+        return LpResult(INFEASIBLE)
+    tab = _Tableau(c, tuple(rows))
+    cost = _ints(c, tab.cscale)
+    x = [Fraction(0)] * len(c)
+    one, total = Fraction(1), 0
+    for support, d in blocks:  # support ascends and sorted() is stable
+        for j in sorted(support, key=cost.__getitem__)[:d]:
+            x[j] = one
+            total += cost[j]
+    return LpResult(OPTIMAL, x=x, objective=Fraction(total, tab.cscale),
+                    tableau=tab)
 
 
-def _split(c: list, rows) -> Optional[LpResult]:
-    """The optimum of split rows, or None for any other rows."""
-    boxed = [False] * len(c)
+def _parse(rows, n: int) -> Optional[tuple]:
+    """(box, blocks) of split rows: the row of each column's box, and the
+    ascending support and the sum of each equality; None for other rows."""
+    box: list = [None] * n
     blocks = []
-    for coeffs, sense, rhs in rows:
-        nonzero = len(coeffs) - coeffs.count(0)
-        if sense == "<=" and rhs == 1 and nonzero == 1 and 1 in coeffs:
-            boxed[coeffs.index(1)] = True
-        elif (sense == "=" and coeffs.count(1) == nonzero
-              and 0 <= rhs <= nonzero and rhs == int(rhs)):
+    for i, (coeffs, sense, rhs) in enumerate(rows):
+        if len(coeffs) != n:
+            return None
+        nonzero = n - coeffs.count(0)
+        if (sense == "<=" and rhs == 1 and nonzero == 1 and 1 in coeffs
+                and box[coeffs.index(1)] is None):
+            box[coeffs.index(1)] = i
+        elif sense == "=" and coeffs.count(1) == nonzero and rhs == int(rhs):
             blocks.append(([j for j, a in enumerate(coeffs) if a], int(rhs)))
         else:
             return None
-    if not all(boxed) or sorted(
-            j for support, _ in blocks for j in support) != list(range(len(c))):
+    if None in box or sorted(
+            j for support, _ in blocks for j in support) != list(range(n)):
         return None
-    scale = _lcm(c)
-    cost = _ints(c, scale)
-    x = [Fraction(0)] * len(c)
-    one = Fraction(1)
-    chosen = []
-    for support, d in blocks:  # support ascends and sorted() is stable
-        chosen += sorted(support, key=cost.__getitem__)[:d]
-    for j in chosen:
-        x[j] = one
-    return LpResult(OPTIMAL, x=x,
-                    objective=Fraction(sum(cost[j] for j in chosen), scale))
+    return box, blocks
+
+
+def _split_tableau(c: list, rows: tuple) -> _Tableau:
+    """The tableau of the split basis (module docstring) of split rows."""
+    split = _parse(rows, len(c))
+    if split is None:
+        raise ValueError("the split rows of start were changed in place")
+    n = len(c)
+    box, blocks = split
+    slack = [0] * n  # column j's slack column, in the order of the boxes
+    for s, j in enumerate(sorted(range(n), key=box.__getitem__)):
+        slack[j] = n + s
+    tab = _Tableau(c, _snapshot(rows))
+    cost = _ints(c, tab.cscale)
+    T, basis = [], []
+    for support, d in blocks:
+        if not support:
+            continue
+        order = sorted(support, key=cost.__getitem__)
+        mu = order[max(d - 1, 0)]
+        # x_mu + x(unchosen) - s(chosen) = min(d, 1), the equality less the
+        # chosen boxes; s_mu's row is box mu less that row
+        xrow, srow = [0] * (2 * n + 1), [0] * (2 * n + 1)
+        xrow[mu] = srow[slack[mu]] = 1
+        xrow[-1] = min(d, 1)
+        srow[-1] = 1 - xrow[-1]
+        for i, j in enumerate(order):
+            if j == mu:
+                continue
+            row = [0] * (2 * n + 1)
+            row[j] = row[slack[j]] = row[-1] = 1
+            T.append(row)
+            if i < d:
+                basis.append(j)
+                xrow[slack[j]], srow[slack[j]] = -1, 1
+            else:
+                basis.append(slack[j])
+                xrow[j], srow[j] = 1, -1
+        T += [xrow, srow]
+        basis += [mu, slack[mu]]
+    tab.T, tab.basis = T, basis
+    tab.price(cost + [0] * n)
+    return tab
 
 
 def _resolve(c: Sequence, rows: Sequence, start: LpResult) -> LpResult:
     old = start.tableau
     if start.status != OPTIMAL or not isinstance(old, _Tableau):
-        raise ValueError("start is not an optimal simplex result of "
-                         "solve_lp: it holds no tableau")
-    k = len(old.rows)
-    if _exact(c) != old.c or len(rows) < k or _snapshot(rows[:k]) != old.rows:
+        raise ValueError("start is not an optimal result of solve_lp: it "
+                         "holds no basis")
+    n, k = old.n, len(old.rows)
+    head = tuple(rows[:k]) if old.T is None else _snapshot(rows[:k])
+    if _exact(c) != old.c or len(rows) < k or head != old.rows:
         raise ValueError("start was solved for other costs or other rows "
                          "than a prefix of these")
     added = rows[k:]
-    if any(sense not in ("<=", ">=") or len(coeffs) != old.n
+    if any(sense not in ("<=", ">=") or len(coeffs) != n
            for coeffs, sense, _ in added):
         raise ValueError("appended rows must be inequalities over %d "
-                         "variables" % old.n)
-    n, D = old.n, old.D
+                         "variables" % n)
+    if old.T is None:
+        old = _split_tableau(old.c, head)
+    D = old.D
     width = len(old.R) - 1  # columns before the new slacks
     grow = [0] * len(added)
-    tab = _Tableau([row[:-1] + grow + row[-1:] for row in old.T],
-                   list(old.basis), D, n)
+    tab = _Tableau(old.c, old.rows + _snapshot(added),
+                   [row[:-1] + grow + row[-1:] for row in old.T],
+                   old.basis, D)
     tab.R = old.R[:-1] + grow + old.R[-1:]
-    tab.cscale = old.cscale
     for s, (coeffs, sense, rhs) in enumerate(added):
         entries = _exact([*coeffs, rhs])
         if sense == ">=":
@@ -329,5 +299,4 @@ def _resolve(c: Sequence, rows: Sequence, start: LpResult) -> LpResult:
         tab.basis.append(width + s)
     if tab.dual() == INFEASIBLE:
         return LpResult(INFEASIBLE, pivots=tab.pivots)
-    tab.c, tab.rows = old.c, old.rows + _snapshot(added)
     return tab.result()

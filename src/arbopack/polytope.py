@@ -18,10 +18,9 @@ x(entering v) = d(v) = k - r(S_v) (the singleton cuts, tight on every
 point of the polytope), which splits by head: ``solve_lp`` takes the d(v)
 cheapest arcs into each v with no simplex.  Then: separate the current
 optimum, add the violated cut, solve again, repeat; the final optimum is
-a vertex of the polytope and hence 0/1.  The first simplex solve, on the
-boxes, the equalities and the first cut, is cold; each later one is
-re-solved from the previous optimal tableau by dual-simplex pivots
-(``solve_lp``'s ``start``).
+a vertex of the polytope and hence 0/1.  Each solve after a cut is a
+re-solve by dual-simplex pivots from the previous optimal basis
+(``solve_lp``'s ``start``), the first one from the greedy vertex's.
 """
 
 from __future__ import annotations
@@ -143,10 +142,11 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
     The first relaxation has the boxes and the in-degree equalities
     x(entering v) = d(v) = k - r(S_v) alone; ``solve_lp`` solves it as
     split rows: the d(v) cheapest arcs into each v, ties broken by
-    canonical arc order, with no simplex.  Only a cut that point violates
-    starts the simplex; each relaxation after it adds one cut.
-    ``lp_trace``, a list, receives (x, objective, pivots) for every
-    relaxation solved, the first with 0 pivots.
+    canonical arc order, with no simplex.  Each relaxation after it adds
+    one violated cut and is re-solved by the dual simplex from the last
+    optimal basis, the greedy vertex's first.  ``lp_trace``, a list,
+    receives (x, objective, pivots) for every relaxation solved, the first
+    with 0 pivots.
     """
     ids = [a for a, _, _ in inst.arcs]
     missing = set(ids) - set(costs)
@@ -186,9 +186,8 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
             row[j] = 1
         rows.append((row, "=", need))
     # these rows split by head: solve_lp takes the d(v) cheapest arcs
-    # into each v with no simplex, and the first LP with a cut is cold
-    res = solve_lp(c_vec, rows, start=None)
-    start = None
+    # into each v with no simplex, and each cut is re-solved from there
+    res = solve_lp(c_vec, rows)
     # a cut's rhs is a function of its vertex set, so at most 2^n - 1
     # distinct cuts exist and a repeated one trips the check below: the
     # loop ends within 2^n iterations
@@ -217,7 +216,7 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
                 "%s" % (sorted(violated.vertex_set), context()))
         seen_cuts.add(violated.vertex_set)
         rows.append(_cut_row(inst, violated))
-        res = start = solve_lp(c_vec, rows, start=start)
+        res = solve_lp(c_vec, rows, start=res)
 
     fractional = sorted(a for a, v in x.entries.items() if v not in (0, 1))
     if fractional:

@@ -8,10 +8,9 @@ Two engines:
   minimizer; for a ``("contains", v)`` family it evaluates only the sets
   that hold v.
 * ``min-norm-point`` - Fujishige-Wolfe over the base polytope in exact
-  arithmetic, so no tolerances exist.  Greedy vertices of an
-  integer-valued objective are integer vectors; an objective with
-  rational values is run scaled by the lcm of the denominators it has
-  shown, which changes no step.  Wolfe keeps the Gram matrix of its point
+  arithmetic, so no tolerances exist.  It takes integer-valued objectives
+  only, whose greedy vertices are integer vectors; a vertex with another
+  entry raises ``ValueError``.  Wolfe keeps the Gram matrix of its point
   set across cycles, solves the affine minimization on it by Bareiss
   elimination, and holds the current point as an integer vector over one
   common denominator.  ``Fraction`` is used only in the line search.  The
@@ -20,14 +19,13 @@ Two engines:
   minimizer reuses those runs; past its first index it costs up to n - 2
   more, so it is computed only when ``SfmResult.minimizer`` is read.
 
-Objectives evaluate on frozensets of integer ground indices 0..n-1 and may
-return ints or Fractions.  Every objective the library builds is
-integer-valued: separation hands over its cut objective scaled by the
-common denominator of the LP point (``polytope.separate``), so no library
-path gives min-norm-point a rational objective; its rescaling serves
-objectives built by callers.  Families beyond "all" are handled by
-contraction/deletion: pin a set I in and a set E out, minimize the induced
-(still submodular) function on the rest.
+Objectives evaluate on frozensets of integer ground indices 0..n-1 and
+return ints (``brute`` also takes Fractions).  Every objective the library
+builds is integer-valued: separation hands over its cut objective scaled
+by the common denominator of the LP point (``polytope.separate``).
+Families beyond "all" are handled by contraction/deletion: pin a set I in
+and a set E out, minimize the induced (still submodular) function on the
+rest.
 
 The library's default engine, ``flow`` (``arbopack.flow``), is no
 submodular minimizer: it decides the integer deficiency checks, the
@@ -42,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Callable
 
@@ -54,10 +52,6 @@ _MNP_ITER_CAP = 100000
 
 class SfmSizeError(SizeLimitError):
     """The brute engine's ground-size cap was exceeded."""
-
-
-class SfmContractError(RuntimeError):
-    """Non-submodular objective detected in validation mode."""
 
 
 @dataclass(frozen=True)
@@ -106,8 +100,7 @@ def _family_pin(obj: SubmodularObjective) -> frozenset | None:
     raise ValueError("unknown family %r" % (fam,))
 
 
-def minimize(obj: SubmodularObjective, engine: str = "brute",
-             validate: bool = False) -> SfmResult:
+def minimize(obj: SubmodularObjective, engine: str = "brute") -> SfmResult:
     """Minimize over the objective's family with deterministic tie-break.
 
     The reported minimizer is the lexicographically smallest one in the
@@ -115,8 +108,6 @@ def minimize(obj: SubmodularObjective, engine: str = "brute",
     """
     if obj.n <= 0:
         raise ValueError("empty ground set")
-    if validate:
-        _validate_submodular(obj)
     if engine in ("brute", "flow"):
         return _minimize_brute(obj)
     if engine == "min-norm-point":
@@ -284,17 +275,6 @@ def _blend(un: list, ud, vn: list, vd, theta: Fraction):
     return nums, den
 
 
-def _scaled(q: list, scale: int):
-    """(q * scale', scale') for scale' the lcm of scale and q's denominators.
-
-    The objective's values may be ints or Fractions; the result is ints.
-    """
-    if scale == 1 and all(type(a) is int for a in q):
-        return q, 1
-    scale = lcm(scale, *(a.denominator for a in q))
-    return [int(a * scale) for a in q], scale
-
-
 def _solve_affine(G: list[list]):
     """Coefficients of the min-norm point in the affine hull of S.
 
@@ -350,35 +330,39 @@ def _wolfe_min_norm(n: int, g, pinned=(), excluded=()):
     Returns a positive multiple of x* as (numerators, denominator),
     denominator > 0.  The minimal minimizer of g is {i : x*_i < 0} and
     the maximal one is {i : x*_i <= 0}.  Points of S are greedy vertices,
-    integer for an integer-valued g.  A g with rational values is run as
-    scale * g, scale the lcm of the denominators met so far; a vertex with
-    a new denominator rescales S, its Gram matrix and x, which leaves the
-    order of every greedy step and every test's outcome as they were.  x
-    is an integer vector over one denominator and the Gram matrix of S is
-    kept across cycles, so ``Fraction`` appears only in the line search.
-    ``pinned`` and ``excluded``, the indices the run's family fixes, name
-    the run in the tripwires.
+    integer vectors of an integer-valued g; a vertex with another entry
+    raises ``ValueError``.  x is an integer vector over one denominator and
+    the Gram matrix of S is kept across cycles, so ``Fraction`` appears
+    only in the line search.  ``pinned`` and ``excluded``, the indices the
+    run's family fixes, name the run in the tripwires and that error.
     """
-    q, scale = _scaled(_greedy_vertex(n, g, [0] * n), 1)
+    S: list = []
+
+    def run(cycles: int) -> str:
+        return ("free ground %d, pinned %s, excluded %s, major cycles %d, "
+                "|S| %d" % (n, sorted(pinned), sorted(excluded), cycles,
+                            len(S)))
+
+    def tripwire(what: str, cycles: int) -> RuntimeError:
+        return RuntimeError("min-norm-point %s (tripwire): %s"
+                            % (what, run(cycles)))
+
+    def vertex(w: list, cycles: int) -> list:
+        q = _greedy_vertex(n, g, w)
+        if any(type(a) is not int for a in q):
+            raise ValueError("min-norm-point takes integer-valued objectives "
+                             "only, and a greedy vertex is %s: %s"
+                             % ([str(a) for a in q], run(cycles)))
+        return q
+
+    q = vertex([0] * n, 0)
     xn, xd = q, 1
-    S = [q]
+    S.append(q)
     G = [[_dot(q, q)]]
     lamn, lamd = [1], 1
 
-    def tripwire(what: str, cycles: int) -> RuntimeError:
-        return RuntimeError(
-            "min-norm-point %s (tripwire): free ground %d, pinned %s, "
-            "excluded %s, major cycles %d, |S| %d"
-            % (what, n, sorted(pinned), sorted(excluded), cycles, len(S)))
-
     for cycles in range(_MNP_ITER_CAP):
-        q, new_scale = _scaled(_greedy_vertex(n, g, xn), scale)
-        if new_scale != scale:
-            k = new_scale // scale
-            S = [[a * k for a in s] for s in S]
-            G = [[a * k * k for a in row] for row in G]
-            xn = [a * k for a in xn]
-            scale = new_scale
+        q = vertex(xn, cycles)
         if _dot(xn, xn) <= xd * _dot(xn, q):
             return xn, xd
         if q in S:
@@ -409,22 +393,3 @@ def _wolfe_min_norm(n: int, g, pinned=(), excluded=()):
             G = [[G[i][j] for j in keep] for i in keep]
             lamn = [lamn[i] for i in keep]
     raise tripwire("failed to converge", _MNP_ITER_CAP)
-
-
-# -- validation ----------------------------------------------------------------
-
-
-def _validate_submodular(obj: SubmodularObjective, trials: int = 200, seed: int = 0) -> None:
-    import random
-
-    rng = random.Random(seed)
-    ground = list(range(obj.n))
-    for _ in range(trials):
-        X = frozenset(v for v in ground if rng.random() < 0.5)
-        Y = frozenset(v for v in ground if rng.random() < 0.5)
-        lhs = obj.evaluate(X) + obj.evaluate(Y)
-        rhs = obj.evaluate(X & Y) + obj.evaluate(X | Y)
-        if lhs < rhs:
-            raise SfmContractError(
-                "submodularity violated at X=%r Y=%r" % (sorted(X), sorted(Y))
-            )

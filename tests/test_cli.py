@@ -360,7 +360,7 @@ def test_mincost_lp_trace_reports_pivots(tmp_path, capsys):
                              for line in lines)
         assert [line["objective"] for line in lines] == objectives
         assert lines[0]["pivots"] == 0  # the greedy point solves no LP
-        assert all(line["pivots"] > 0 for line in lines[1:])  # cold solve
+        assert all(line["pivots"] > 0 for line in lines[1:])  # cut off
 
 
 @pytest.mark.parametrize("arcs, costs, status", [

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from arbopack.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, solve_lp
+from arbopack.lp import INFEASIBLE, OPTIMAL, LpResult, solve_lp
+
+UNBOUNDED = "unbounded"  # the reference's own outcome; solve_lp has none
 
 
 class _Reference:
@@ -76,17 +78,16 @@ class _Reference:
                         pivots=self.pivots, tableau=self)
 
 
-def reference_solve_lp(c, rows, events=None, start=None):
-    """The dense Fraction tableau that solve_lp replaced: the test oracle.
+def reference_solve_lp(c, rows, start=None):
+    """A dense two-phase Fraction tableau under Bland's rule: the test
+    oracle, for any rows.
 
     It re-derives the reduced costs from the basis on every iteration and
     normalizes the pivot row, so it shares no arithmetic with solve_lp.
-    events, a Counter, counts drive-out pivots on a negative entry
-    ("negative-drive-out") and artificials left basic on a zero row
-    ("redundant-row").  With ``start`` (an optimal result of this
-    function), the rows past those of ``start`` are appended to its
-    tableau, each with a new basic slack, and the LP is re-solved by the
-    dual simplex.
+    With ``start`` (an optimal result of this function or of
+    ``reference_split_lp``), the rows past those of ``start`` are appended
+    to its tableau, each with a new basic slack, and the LP is re-solved
+    by the dual simplex.
     """
     if start is not None:
         return _reference_resolve(c, rows, start.tableau)
@@ -139,16 +140,54 @@ def reference_solve_lp(c, rows, events=None, start=None):
             if basis[i] in arts:
                 col = next((j for j in range(ncols)
                             if j not in arts and T[i][j] != 0), None)
-                if events is not None:
-                    events["redundant-row" if col is None else
-                           "negative-drive-out" if T[i][col] < 0 else
-                           "positive-drive-out"] += 1
                 if col is not None:
                     tab.pivot(i, col)
 
     phase2 = c + [Fraction(0)] * (ncols - n)
     if tab.run_simplex(phase2, set(range(ncols)) - arts) == UNBOUNDED:
         return LpResult(UNBOUNDED, pivots=tab.pivots)
+    return tab.result()
+
+
+def reference_split_lp(c, rows):
+    """The Fraction tableau of split rows at the basis solve_lp keeps.
+
+    Per block: the d cheapest columns, ties to the lower index, have x
+    basic; the marginal one (the d-th cheapest, or the cheapest when
+    d = 0) has its slack basic too; every other column has its slack
+    basic.  The tableau is found by Gauss-Jordan pivots into that basis on
+    the rows as given (one slack per box, in row order); the rows of empty
+    blocks are left all zero and dropped.
+    """
+    n = len(c)
+    c = [Fraction(v) for v in c]
+    slack = {}
+    for coeffs, sense, _ in rows:
+        if sense == "<=":
+            slack[coeffs.index(1)] = n + len(slack)
+    width = n + len(slack)
+    T, basic = [], []
+    for coeffs, sense, rhs in rows:
+        row = [Fraction(v) for v in coeffs] + [Fraction(0)] * len(slack)
+        if sense == "<=":
+            row[slack[coeffs.index(1)]] = Fraction(1)
+        T.append(row + [Fraction(rhs)])
+        block = [j for j in range(n) if coeffs[j]]
+        if sense == "=" and block:
+            order = sorted(block, key=lambda j: (c[j], j))
+            mu = order[max(rhs - 1, 0)]
+            basic += [mu, slack[mu]]
+            basic += [j if i < rhs else slack[j]
+                      for i, j in enumerate(order) if j != mu]
+    tab = _Reference(c, list(rows), T, [None] * len(T), set())
+    for col in basic:
+        tab.pivot(next(i for i, b in enumerate(tab.basis)
+                       if b is None and T[i][col]), col)
+    assert all(not any(row) for row, b in zip(T, tab.basis) if b is None)
+    tab.T = [row for row, b in zip(T, tab.basis) if b is not None]
+    tab.basis = [b for b in tab.basis if b is not None]
+    tab.pivots = 0
+    assert min(tab.reduced(c + [Fraction(0)] * (width - n)), default=0) >= 0
     return tab.result()
 
 
@@ -180,37 +219,51 @@ def _reference_resolve(c, rows, old):
     return tab.result()
 
 
-def random_lp(rng):
-    """A small LP with rational data, built to hit every simplex branch.
-
-    Zero right-hand sides make degenerate ratio ties, some rows have a
-    negative right-hand side, and scaled copies of earlier rows (mixed
-    senses, rhs scaled too) leave artificials basic at the end of phase 1
-    or force a drive-out pivot on a negative entry.
-    """
-    n = rng.randint(1, 5)
-
-    def q():
-        return Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 4)))
-
-    c = [q() for _ in range(n)]
-    rows = []
-    for _ in range(rng.randint(0, 5)):
-        coeffs = [q() if rng.random() < 0.7 else 0 for _ in range(n)]
-        rhs = rng.choice((0, 0, 1, q(), rng.randint(-3, 3)))
-        rows.append((coeffs, rng.choice(("<=", "<=", ">=", "=")), rhs))
-    for _ in range(rng.choice((0, 0, 1, 2))):
-        if rows:
-            coeffs, sense, rhs = rng.choice(rows)
-            k = Fraction(rng.choice((1, 2, -1, -3)), rng.choice((1, 2)))
-            if k < 0:
-                sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-            rows.append(([k * v for v in coeffs], sense, k * rhs))
-    if rng.random() < 0.6:  # boxes keep most LPs bounded
-        rows.extend(([int(i == j) for i in range(n)], "<=", rng.randint(0, 3))
-                    for j in range(n))
+def random_split_rows(rng, n):
+    """Boxes on every column and one 0/1 equality per block of a random
+    partition of the columns (empty blocks too), held to 0..|block|."""
+    label = [rng.randrange(max(n // 2, 1)) for _ in range(n)]
+    rows = [([int(i == j) for i in range(n)], "<=", 1) for j in range(n)]
+    for b in range(max(n // 2, 1) + rng.randint(0, 1)):
+        block = [j for j in range(n) if label[j] == b]
+        rows.append(([int(label[i] == b) for i in range(n)], "=",
+                     rng.choice((0, len(block), rng.randint(0, len(block))))))
     rng.shuffle(rows)
-    return c, rows
+    return rows
+
+
+def random_costs(rng, n):
+    """Rational costs with many ties."""
+    return [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+            for _ in range(n)]
+
+
+def random_cut(rng, x):
+    """An inequality that cuts x off about half the time; the random rhs
+    shift makes some of them empty the feasible set."""
+    coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+              for _ in x]
+    value = sum(a * v for a, v in zip(coeffs, x))
+    shift = Fraction(rng.choice((-6, -1, -1, 0, 1, 1, 6)), rng.choice((1, 2, 4)))
+    return coeffs, rng.choice(("<=", ">=")), value + shift
+
+
+def split_lp_chains(seed, count):
+    """(c, split, cuts, results) of random split LPs and 1-4 random cuts:
+    results[i] solves the split rows plus the first i cuts, re-solved from
+    results[i - 1], until one is infeasible."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 7)
+        c = random_costs(rng, n)
+        split = random_split_rows(rng, n)
+        cuts, results = [], [solve_lp(c, split)]
+        for _ in range(rng.randint(1, 4)):
+            if results[-1].status != OPTIMAL:
+                break
+            cuts.append(random_cut(rng, results[-1].x))
+            results.append(solve_lp(c, split + cuts, start=results[-1]))
+        yield c, split, cuts, results
 
 
 def test_forced_variable():
@@ -222,8 +275,12 @@ def test_forced_variable():
 
 
 def test_infeasible_rhs_exceeds_capacity():
-    res = solve_lp([0, 0], [([1, 0], "<=", 1), ([0, 1], "<=", 1),
-                            ([1, 1], ">=", 3)])
+    # x + y = 1 within the boxes, then a cut asks for more than the boxes
+    # hold
+    rows = [([1, 0], "<=", 1), ([0, 1], "<=", 1), ([1, 1], "=", 1)]
+    res = solve_lp([0, 0], rows)
+    assert res.status == OPTIMAL
+    res = solve_lp([0, 0], rows + [([1, 1], ">=", 3)], start=res)
     assert res.status == INFEASIBLE
 
 
@@ -235,40 +292,20 @@ def test_two_variables_forced_to_upper_bound():
     assert res.objective == 6
 
 
-def test_unbounded():
-    res = solve_lp([-1], [([0], "<=", 1)])
-    assert res.status == UNBOUNDED
-
-
 def test_exact_fractional_optimum():
-    # min x+y with x+2y >= 1, 2x+y >= 1, boxes
-    res = solve_lp([1, 1], [([1, 0], "<=", 1), ([0, 1], "<=", 1),
-                            ([1, 2], ">=", 1), ([2, 1], ">=", 1)])
-    assert res.status == OPTIMAL
+    # min x+y subject to x+y+z = 1, boxes, and the cuts x+2y >= 1 and
+    # 2x+y >= 1 that reject the greedy point z = 1
+    c = [1, 1, 0]
+    rows = [([1, 0, 0], "<=", 1), ([0, 1, 0], "<=", 1), ([0, 0, 1], "<=", 1),
+            ([1, 1, 1], "=", 1)]
+    res = solve_lp(c, rows)
+    assert res.x == [0, 0, 1] and res.objective == 0
+    for cut in (([1, 2, 0], ">=", 1), ([2, 1, 0], ">=", 1)):
+        rows = rows + [cut]
+        res = solve_lp(c, rows, start=res)
+        assert res.status == OPTIMAL and res.pivots > 0
     assert res.objective == Fraction(2, 3)
-    assert res.x == [Fraction(1, 3), Fraction(1, 3)]
-
-
-def test_negative_rhs_normalization():
-    # -x <= -1 is x >= 1
-    res = solve_lp([1], [([1], "<=", 2), ([-1], "<=", -1)])
-    assert res.status == OPTIMAL
-    assert res.x == [Fraction(1)]
-
-
-def test_matches_the_fraction_tableau_on_random_lps():
-    rng = random.Random(20121207)
-    outcomes, events = Counter(), Counter()
-    for _ in range(2000):
-        c, rows = random_lp(rng)
-        want = reference_solve_lp(c, rows, events)
-        got = solve_lp(c, rows)
-        assert got == want, (c, rows)
-        outcomes[got.status] += 1
-    assert min(outcomes[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) > 100
-    assert events["negative-drive-out"] > 100
-    assert events["positive-drive-out"] > 20
-    assert events["redundant-row"] > 50
+    assert res.x == [Fraction(1, 3)] * 3
 
 
 def _rank(vectors):
@@ -304,59 +341,48 @@ def assert_basic_feasible(x, rows):
     assert _rank(tight) == n
 
 
-def random_cut(rng, x):
-    """An inequality that cuts x off about half the time; the random rhs
-    shift makes some of them empty the feasible set."""
-    coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
-              for _ in x]
-    value = sum(a * v for a, v in zip(coeffs, x))
-    shift = Fraction(rng.choice((-6, -1, -1, 0, 1, 1, 6)), rng.choice((1, 2, 4)))
-    return coeffs, rng.choice(("<=", ">=")), value + shift
-
-
 def test_warm_start_matches_a_cold_solve_on_random_lps():
-    # rows appended one at a time and re-solved from the previous result:
-    # the status and the optimum are those of a cold solve of all the rows,
-    # x is a vertex, and every pivot is the one the Fraction tableau's
-    # dual simplex takes under the same rule
-    rng = random.Random(1207)
-    outcomes, chains = Counter(), 0
-    dual_pivots = 0
-    for _ in range(500):
-        c, rows = random_lp(rng)
-        got = solve_lp(c, rows)
-        ref = reference_solve_lp(c, rows)
-        chains += got.status == OPTIMAL
-        while got.status == OPTIMAL and len(rows) < 16:
-            rows = rows + [random_cut(rng, got.x)]
+    # random split LPs (rational costs with ties, d = 0, d = block size,
+    # empty blocks), each re-solved after 1-4 random cuts from the split
+    # basis: the status and the optimum are those of a cold two-phase
+    # solve of all the rows, x is a vertex, and the split basis is dual
+    # feasible (reduced costs >= 0 in the tableau solve_lp writes)
+    outcomes, pivots = Counter(), 0
+    for c, split, cuts, results in split_lp_chains(1207, 900):
+        assert results[0].status == OPTIMAL and results[0].pivots == 0
+        again = solve_lp(c, split, start=results[0])
+        assert again == results[0]
+        assert min(again.tableau.R[:-1], default=0) >= 0
+        for i, warm in enumerate(results[1:], 1):
+            rows = split + cuts[:i]
             cold = reference_solve_lp(c, rows)
-            warm = solve_lp(c, rows, start=got)
-            assert warm.status == cold.status, (c, rows)
-            assert warm.objective == cold.objective, (c, rows)
+            assert (warm.status, warm.objective) == (
+                cold.status, cold.objective), (c, rows)
             if warm.status == OPTIMAL:
                 assert_basic_feasible(warm.x, rows)
-            ref = reference_solve_lp(c, rows, start=ref)
-            assert warm == ref, (c, rows)
             outcomes[warm.status] += 1
-            dual_pivots += warm.pivots
-            got = warm
-    assert chains > 200
-    assert outcomes[OPTIMAL] > 500 and outcomes[INFEASIBLE] > 150
-    assert outcomes[UNBOUNDED] == 0
-    assert dual_pivots > 300
+            pivots += warm.pivots
+        # all the cuts at once, from the split basis
+        once = solve_lp(c, split + cuts, start=results[0])
+        assert (once.status, once.objective) == (
+            results[-1].status, results[-1].objective)
+    assert outcomes[OPTIMAL] > 800 and outcomes[INFEASIBLE] > 450
+    assert pivots > 350
 
 
-def random_split_rows(rng, n):
-    """Boxes on every column and one 0/1 equality per block of a random
-    partition of the columns (empty blocks too), held to 0..|block|."""
-    label = [rng.randrange(max(n // 2, 1)) for _ in range(n)]
-    rows = [([int(i == j) for i in range(n)], "<=", 1) for j in range(n)]
-    for b in range(max(n // 2, 1) + rng.randint(0, 1)):
-        block = [j for j in range(n) if label[j] == b]
-        rows.append(([int(label[i] == b) for i in range(n)], "=",
-                     rng.randint(0, len(block))))
-    rng.shuffle(rows)
-    return rows
+def test_matches_the_fraction_tableau_on_random_lps():
+    # every re-solve after a cut equals the Fraction tableau's dual
+    # simplex under the same rule from the same split basis: status, x,
+    # objective and pivots
+    outcomes = Counter()
+    for c, split, cuts, results in split_lp_chains(20121207, 800):
+        ref = reference_split_lp(c, split)
+        assert results[0] == ref, (c, split)
+        for i, warm in enumerate(results[1:], 1):
+            ref = reference_solve_lp(c, split + cuts[:i], start=ref)
+            assert warm == ref, (c, split + cuts[:i])
+            outcomes[warm.status] += 1
+    assert outcomes[OPTIMAL] > 700 and outcomes[INFEASIBLE] > 400
 
 
 def test_split_rows_take_the_cheapest_columns_without_pivots():
@@ -365,12 +391,11 @@ def test_split_rows_take_the_cheapest_columns_without_pivots():
     rng = random.Random(1985)
     for _ in range(300):
         n = rng.randint(0, 8)
-        c = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
-             for _ in range(n)]
+        c = random_costs(rng, n)
         rows = random_split_rows(rng, n)
         res = solve_lp(c, rows)
         assert res.status == OPTIMAL and res.pivots == 0
-        assert res.tableau is None
+        assert res.tableau.T is None  # written out by a re-solve only
         assert res.objective == reference_solve_lp(c, rows).objective
         assert_basic_feasible(res.x, rows)
         for coeffs, sense, d in rows:
@@ -380,58 +405,66 @@ def test_split_rows_take_the_cheapest_columns_without_pivots():
                 assert [j for j in block if res.x[j]] == sorted(cheap)
 
 
-def test_rows_that_do_not_split_run_the_simplex():
+def test_rows_that_do_not_split_need_a_start():
     rng = random.Random(1986)
     spoilers = [
         lambda n: ([1] * n, ">=", 1),                          # a cut
         lambda n: ([int(j == 0) for j in range(n)], "<=", 2),  # a wider box
+        lambda n: ([int(j == 0) for j in range(n)], "<=", 1),  # a box again
         lambda n: ([2] + [0] * (n - 1), "=", 2),               # coefficient 2
         lambda n: ([1] * n, "=", 1),                           # blocks overlap
+        lambda n: ([1] * (n + 1), "=", 1),                     # a long row
     ]
     for spoil in spoilers:
         for _ in range(20):
             n = rng.randint(1, 6)
-            c = [rng.randint(-3, 3) for _ in range(n)]
             rows = random_split_rows(rng, n) + [spoil(n)]
-            assert solve_lp(c, rows) == reference_solve_lp(c, rows)
-    # a block held to more than its size, to a negative sum, or to a
-    # fraction
-    for rhs in (3, -1, Fraction(1, 2)):
-        rows = [([1, 0], "<=", 1), ([0, 1], "<=", 1), ([1, 1], "=", rhs)]
-        res = solve_lp([1, 2], rows)
-        assert res == reference_solve_lp([1, 2], rows)
-        assert (res.status == INFEASIBLE) == (rhs != Fraction(1, 2))
-    # a column that no equality holds
-    rows = [([1, 0], "<=", 1), ([0, 1], "<=", 1), ([1, 0], "=", 1)]
-    assert solve_lp([1, -1], rows) == reference_solve_lp([1, -1], rows)
-    assert solve_lp([1, -1], rows).pivots > 0
+            with pytest.raises(ValueError):
+                solve_lp([rng.randint(-3, 3) for _ in range(n)], rows)
+    boxes = [([1, 0], "<=", 1), ([0, 1], "<=", 1)]
+    for rows in (boxes + [([1, 1], "=", Fraction(1, 2))],  # a fraction
+                 boxes + [([1, 0], "=", 1)]):    # a column no equality holds
+        with pytest.raises(ValueError):
+            solve_lp([1, 2], rows)
+    # a block held to more than its size or to a negative sum is split,
+    # and infeasible
+    for rhs in (3, -1):
+        rows = boxes + [([1, 1], "=", rhs)]
+        assert solve_lp([1, 2], rows) == LpResult(INFEASIBLE)
+        assert reference_solve_lp([1, 2], rows).status == INFEASIBLE
 
 
 def test_warm_start_rejects_a_bad_start():
     c = [1, 2]
-    rows = [([1, 0], "<=", 1), ([0, 1], "<=", 1), ([1, 1], ">=", 1)]
-    res = solve_lp(c, rows)
-    assert res.status == OPTIMAL and res.pivots > 0
+    split = [([1, 0], "<=", 1), ([0, 1], "<=", 1), ([1, 1], "=", 1)]
+    res = solve_lp(c, split)
+    assert res.status == OPTIMAL and res.x == [1, 0]
     cut = ([0, 1], ">=", Fraction(1, 2))
-    split = rows[:2] + [([1, 1], "=", 1)]
-    again = solve_lp(c, rows + [cut], start=res)
+    again = solve_lp(c, split + [cut], start=res)
     assert again.status == OPTIMAL and again.objective == Fraction(3, 2)
-    # the start can be re-used: solving from it does not change it
-    assert solve_lp(c, rows + [cut], start=res) == again
-    assert solve_lp(c, rows, start=res) == LpResult(
-        OPTIMAL, x=res.x, objective=res.objective, pivots=0)
+    assert again.pivots > 0
+    # a start can be re-used: solving from it does not change it
+    assert solve_lp(c, split + [cut], start=res) == again
+    assert solve_lp(c, split, start=res) == res
+    assert solve_lp(c, split + [cut], start=again) == LpResult(
+        OPTIMAL, x=again.x, objective=again.objective, pivots=0)
     bad = [
-        ([2, 2], rows + [cut], res),                # other costs
-        (c, [([1, 0], "<=", 2)] + rows[1:] + [cut], res),  # not a prefix
-        (c, rows[:2], res),                         # fewer rows
-        (c, rows + [([1, 1], "=", 1)], res),        # an equality appended
-        (c, rows + [([1], ">=", 0)], res),          # a short row
-        (c, rows + [cut], LpResult(OPTIMAL, x=res.x, objective=res.objective)),
-        (c, rows + [cut], solve_lp(c, rows + [([1, 1], ">=", 3)])),
-        (c, rows + [cut], solve_lp([-1], [([0], "<=", 1)])),
-        # split rows are solved with no tableau to re-solve from
-        (c, split + [cut], solve_lp(c, split)),
+        ([2, 2], split + [cut], res),                 # other costs
+        (c, [([1, 0], "<=", 2)] + split[1:] + [cut], res),  # not a prefix
+        (c, split[::-1] + [cut], res),                # the rows reordered
+        (c, split[:2], res),                          # fewer rows
+        (c, split + [([1, 1], "=", 1)], res),         # an equality appended
+        (c, split + [([1], ">=", 0)], res),           # a short row
+        (c, split + [([1, 0], ">=", 1)], again),      # another cut before
+        (c, split + [cut], LpResult(OPTIMAL, x=res.x, objective=res.objective)),
+        (c, split + [cut], solve_lp(c, split + [([1, 1], ">=", 3)], start=res)),
+        # a start solved on other split rows
+        (c, split + [cut], solve_lp(c, split[:2] + [([1, 1], "=", 2)])),
     ]
     for cost, more, start in bad:
         with pytest.raises(ValueError):
             solve_lp(cost, more, start=start)
+    # a split row changed in place after the solve
+    split[2][0][0] = 2
+    with pytest.raises(ValueError):
+        solve_lp(c, split + [cut], start=res)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import digraph, random_digraph
-from test_lp import reference_solve_lp
+from test_lp import reference_solve_lp, reference_split_lp
 from arbopack import polytope
 from arbopack.connectivity import (
     Certificate,
@@ -314,7 +314,7 @@ def test_cutting_plane_tripwires_name_their_context(monkeypatch, cut, point,
 
     monkeypatch.setattr(polytope, "separate", separate_once)
     if point is not None:
-        monkeypatch.setattr(polytope, "solve_lp", lambda c, rows, start: (
+        monkeypatch.setattr(polytope, "solve_lp", lambda c, rows, start=None: (
             LpResult("optimal", x=point, objective=Fraction(3))))
     with pytest.raises(error) as info:
         min_cost_packing(d, {"r1": 1, "r2": 5, "r3": 2}, engine="brute")
@@ -331,12 +331,11 @@ def noise_first_costs(extras, planted):
 
 def test_cutting_plane_path_matches_the_fraction_tableau(monkeypatch):
     # every relaxation optimum, its objective and pivot count, the packing
-    # and the cost are the same when the integer simplex is swapped for the
-    # Fraction tableau, whose re-solves after each cut run the same
-    # dual-simplex rule; the first relaxation is split rows, solved with
-    # no tableau, and each run whose greedy point is cut then solves cold
-    # once and warm after that
-    cuts = lp_runs = warm = 0
+    # and the cost are the same when the integer LP is swapped for the
+    # Fraction tableau, which starts at the same split basis and re-solves
+    # after each cut by the same dual-simplex rule; only the first solve
+    # has no start
+    cuts = lp_runs = chains = 0
     for seed in range(24):
         inst, extras = parse_instance(generate_instance(
             seed, n=6, m=20, t=2, feasible_bias=True, costs=True))
@@ -345,8 +344,8 @@ def test_cutting_plane_path_matches_the_fraction_tableau(monkeypatch):
 
         def fraction_lp(c, rows, start=None):
             starts.append(start)
-            if len(starts) == 1:  # split rows: no tableau to compare
-                return solve_lp(c, rows, start=start)
+            if start is None:
+                return reference_split_lp(c, rows)
             return reference_solve_lp(c, rows, start=start)
 
         run = min_cost_packing(inst, costs, lp_trace=trace)
@@ -356,12 +355,11 @@ def test_cutting_plane_path_matches_the_fraction_tableau(monkeypatch):
                                             lp_trace=fraction_trace)
         assert (trace, run) == (fraction_trace, fraction_run)
         assert trace[0][2] == 0 and len(starts) == len(trace)
-        assert starts[:2] == [None] * min(len(starts), 2)
-        assert None not in starts[2:]
+        assert starts[0] is None and None not in starts[1:]
         cuts += len(trace) - 1
-        lp_runs += len(starts) > 1
-        warm += max(len(starts) - 2, 0)
-    assert cuts >= 12 and lp_runs >= 8 and warm >= 4
+        lp_runs += len(trace) > 1
+        chains += len(trace) > 2
+    assert cuts >= 12 and lp_runs >= 8 and chains >= 4
 
 
 def test_greedy_point_is_the_optimum_of_the_degree_relaxation():
