@@ -26,7 +26,10 @@ reported), and one row gives the split of the last run:
   with their seconds;
 * ``construct``: seconds of ``_construct``, the split of the 0/1 optimum
   into trees;
-* ``rss_mb``: the peak resident size of the process so far.
+* ``rss_mb``: the peak resident size of the process that ran the size.
+
+Each size runs in a fresh process, so its ``rss_mb`` is its own peak,
+not that of an earlier, larger size or family.
 
 ``SIZES`` stops at n=2048: the LP rows are dense, m + n rows of m
 entries, about 25M list slots there.  The library is imported from
@@ -37,6 +40,7 @@ times another checkout.  ``--json`` writes the rows to a file as well.
 import argparse
 import contextlib
 import json
+import multiprocessing
 import pathlib
 import random
 import resource
@@ -153,19 +157,26 @@ def run_size(polytope, n: int, family: str) -> dict:
     return row
 
 
+def run_fresh(src: str, n: int, family: str) -> dict:
+    """``run_size`` with the library of ``src``, in a process of its own."""
+    sys.path.insert(0, src)
+    from arbopack import polytope
+
+    signal.signal(signal.SIGALRM, _stop)
+    return run_size(polytope, n, family)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(HERE.parent / "src"))
     ap.add_argument("--json")
     args = ap.parse_args()
-    sys.path.insert(0, args.src)
-    from arbopack import polytope
-
-    signal.signal(signal.SIGALRM, _stop)
+    spawn = multiprocessing.get_context("spawn")
     rows = []
     for family in FAMILIES:
         for n in SIZES:
-            row = run_size(polytope, n, family)
+            with spawn.Pool(1) as fresh:
+                row = fresh.apply(run_fresh, (args.src, n, family))
             rows.append(row)
             print("%(family)s n=%(n)4d %(seconds)8.4f s (runs %(runs)d) | "
                   "lp %(lp_solves)d solves %(lp_pivots)d pivots %(lp_s).4f s"

@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Time `pack` and `pack-undirected` on planted instances of growing size.
+
+Usage: python3 scripts/bench_pack.py [--src DIR] [--json F]
+
+Each instance is built as in ROADMAP.md: ``instances._generate_raw`` with
+``random.Random(7)``, a free matroid, t=2 and m=2n, feasible by
+construction (t planted arborescences or spanning trees, then random
+noise links up to m).  For each command the size doubles from 256 until
+a run takes more than ``BUDGET`` seconds (the run is stopped there) or
+``SIZES`` ends.  Each size runs once, in a fresh process, so its row
+shows its own peak and no other size's; the row gives
+
+* ``seconds``: the whole call (``find_packing`` or ``pack_undirected``);
+* ``check_s``: ``check_m_connected``, the input check of ``pack`` and
+  the tripwire that ``orient_m_connected`` runs on its orientation;
+* ``orient_s``: ``orient_m_connected``, its tripwire check included
+  (``pack-undirected`` only);
+* ``construct_s`` and ``steps``: ``_construct``, the reduction loop with
+  its lift and verification, and the number of steps it took;
+* ``rss_mb``: the peak resident size of that process.
+
+``SIZES`` stops at 8192: twin ids grow by one prime per twin of the same
+stem, so they hold O(n^2) characters, about 67M at n=8192.  The library
+is imported from ``--src`` (default: ``src/`` next to this script), so
+the same script times another checkout.  ``--json`` writes the rows to a
+file as well.
+"""
+
+import argparse
+import json
+import multiprocessing
+import pathlib
+import random
+import resource
+import signal
+import sys
+import time
+
+HERE = pathlib.Path(__file__).resolve().parent
+SIZES = (256, 512, 1024, 2048, 4096, 8192)
+BUDGET = 60.0
+COMMANDS = ("pack", "pack-undirected")
+
+
+class OverBudget(Exception):
+    pass
+
+
+def _stop(signum, frame):
+    raise OverBudget
+
+
+def instance(n: int, command: str):
+    from arbopack.instances import _generate_raw, parse_instance
+
+    text = _generate_raw(random.Random(7), n, 2 * n, 2, "free",
+                         command == "pack", False, True)
+    return parse_instance(text)[0]
+
+
+def run_one(src: str, command: str, n: int) -> dict:
+    """The row of one size, run in this process with the library of
+    ``src``."""
+    sys.path.insert(0, src)
+    from arbopack import orientation, packing
+
+    inst = instance(n, command)
+    row = {"command": command, "n": n, "m": len(inst.links),
+           "t": len(inst.roots)}
+    split = {"check_s": 0.0, "orient_s": 0.0, "construct_s": 0.0, "steps": 0}
+
+    def timed(fn, key):
+        def wrapped(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                split[key] += time.perf_counter() - t0
+        return wrapped
+
+    construct = packing._construct
+
+    def counted(inst, engine, trace=None):
+        steps = [] if trace is None else trace
+        try:
+            return construct(inst, engine, steps)
+        finally:
+            split["steps"] += len(steps)
+
+    check = timed(packing.check_m_connected, "check_s")
+    packing.check_m_connected = orientation.check_m_connected = check
+    packing._construct = orientation._construct = timed(counted,
+                                                        "construct_s")
+    orientation.orient_m_connected = timed(orientation.orient_m_connected,
+                                           "orient_s")
+    solve = (packing.find_packing if command == "pack"
+             else orientation.pack_undirected)
+    signal.signal(signal.SIGALRM, _stop)
+    signal.setitimer(signal.ITIMER_REAL, BUDGET)
+    t0 = time.perf_counter()
+    try:
+        out = solve(inst)
+        row["trees"] = len(out.trees)
+    except OverBudget:
+        row["stop"] = "over %g s" % BUDGET
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    row["seconds"] = round(time.perf_counter() - t0, 4)
+    row.update({k: round(v, 4) if isinstance(v, float) else v
+                for k, v in split.items()})
+    row["rss_mb"] = round(resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    return row
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(HERE.parent / "src"))
+    ap.add_argument("--json")
+    args = ap.parse_args()
+    spawn = multiprocessing.get_context("spawn")
+    rows = []
+    for command in COMMANDS:
+        for n in SIZES:
+            with spawn.Pool(1) as fresh:
+                row = fresh.apply(run_one, (args.src, command, n))
+            rows.append(row)
+            print("%(command)s n=%(n)5d %(seconds)9.4f s | check "
+                  "%(check_s).4f s | orient %(orient_s).4f s | construct "
+                  "%(construct_s).4f s, %(steps)d steps | %(rss_mb)s MB"
+                  % row, row.get("stop", ""), flush=True)
+            if "stop" in row:
+                break
+    if args.json:
+        pathlib.Path(args.json).write_text(json.dumps(rows, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

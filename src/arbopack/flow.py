@@ -14,25 +14,27 @@ no set of the family holds them.
 
 ``Network.min_cut`` grows I and the paths one unit at a time.  It first
 takes, greedily, the elements placed at sinks that keep I independent:
-each is a path of no arcs.  After that each augmenting path is found by one
-breadth-first search from a virtual source over
-vertices and elements.  It starts at a vertex of U, or at an element y
-outside I with I + y independent, and it moves
+each is a path of no arcs.  The residual graph of a partial flow has
+vertices and elements as nodes, and a path of it may
 
-* along an unused arc, or back along a used one;
-* from a vertex w to an element x of I placed at w (x stops supplying w);
-* from x in I to an element y outside I with I - x + y independent;
-* from an element y outside I to its vertex (y starts supplying it);
+* go along an unused arc, or back along a used one;
+* go from a vertex w to an element x of I placed at w (x stops supplying w);
+* go from x in I to an element y outside I with I - x + y independent;
+* go from an element y outside I to its vertex (y starts supplying it).
 
-and it ends at the first sink taken off the queue.  Flipping the arcs and
-toggling the elements along the path adds one unit.  The path is a
-shortest one, so its element exchanges have no shortcut: for i < j,
-I - x_i + y_j is dependent, and so is I + y_j for every y_j after the
-first.  By the exchange lemma of matroid intersection (Schrijver 2003,
-the matroid intersection chapter) I toggled along the path is then
-independent again.  When no path exists, the vertices the search cannot
-reach form the largest minimizer, whose value is the number of paths
-found.
+A path starts at a vertex of U or at an element y outside I with I + y
+independent, and it ends at a sink.  Each augmenting path is found by one
+breadth-first search backwards from the sinks, which tests every node it
+discovers for a start and stops at the first one, so it visits only
+nodes no farther from the sinks than that start, not every element of S.
+Flipping the arcs and toggling the elements along the path adds one
+unit.  The path is a shortest one, so its element exchanges have no
+shortcut: for i < j, I - x_i + y_j is dependent, and so is I + y_j for
+every y_j after the first.  By the exchange lemma of matroid intersection
+(Schrijver 2003, the matroid intersection chapter) I toggled along the
+path is then independent again.  When no path exists, the vertices no
+start reaches form the largest minimizer, whose value is the number of
+paths found.
 
 Integer per-vertex supplies and demands add supply(X) + demand(V - X) to
 the cut of X: a vertex with supply left is one more start of the search,
@@ -56,13 +58,19 @@ class Network:
     """An instance as index lists, built once and then changed in place.
 
     ``adj[w]`` holds (c, u) for each residual arc from vertex w to vertex
-    u: c = 2j for arc j itself and 2j + 1 for its reverse.  ``cap`` is
-    the residual capacity every ``min_cut`` starts from, 1 on c = 2j and
-    0 on 2j + 1.  Element x (node n + x of the search) is the x-th root:
-    ``home[x]`` is its vertex and ``ebit[x]`` the bit of its root element
-    in the root oracle of ``Matroid.twin_map``, so twins are parallel by
-    construction.  ``rank[mask]`` is that oracle's rank of a bit mask,
-    memoized.
+    u: c = 2j for arc j itself and 2j + 1 for its reverse, so c ^ 1 is
+    the residual arc from u to w.  ``cap`` is the residual capacity every
+    ``min_cut`` starts from, 1 on c = 2j and 0 on 2j + 1; ``min_cut``
+    flips it in place and restores it before it returns.  Element x (node n + x
+    of the search) is the x-th root: ``home[x]`` is its vertex and
+    ``ebit[x]`` the bit of its root element in the root oracle of
+    ``Matroid.twin_map``, so twins are parallel by construction.
+    ``rank[mask]`` is that oracle's rank of a bit mask, memoized.
+
+    A search marks the nodes it discovers by writing its own number into
+    ``seen``, so no per-search array is allocated or cleared; ``succ``
+    holds each discovered node's next node on its way to a sink, and
+    ``via`` the residual arc a vertex leaves by.
 
     The reduction loop (``packing.ReductionState``) changes the network
     in place instead of building a new one per step.  ``remove_arc(j)``
@@ -91,26 +99,39 @@ class Network:
         for x, i in enumerate(self.home):
             at[i].append(x)
         self.rank = _Ranks(root)
-        self._prev = None
+        nodes = len(pos) + len(self.home)
+        self.seen = [0] * nodes
+        self.succ = [0] * nodes
+        self.via = [0] * len(pos)
+        self._stamp = 0
+        self._kept = None
 
     def remove_arc(self, j: int) -> None:
         self.cap[2 * j] = 0
         self.live_arcs -= 1
+        self._kept = None
 
     def restore_arc(self, j: int) -> None:
         self.cap[2 * j] = 1
         self.live_arcs += 1
+        self._kept = None
 
     def add_twin(self, x: int, i: int) -> None:
         """Append a twin of element x at vertex index i."""
         self.at[i].append(len(self.home))
         self.home.append(i)
         self.ebit.append(self.ebit[x])
+        self.seen.append(0)
+        self.succ.append(0)
+        self._kept = None
 
     def pop_element(self) -> None:
         """Remove the last element, as ``add_twin`` appended it."""
         self.ebit.pop()
         self.at[self.home.pop()].pop()
+        self.seen.pop()
+        self.succ.pop()
+        self._kept = None
 
     def min_cut(self, sinks: Iterable[str], sources: Iterable[str],
                 cap: int, supply: Optional[list] = None,
@@ -123,121 +144,193 @@ class Network:
         index, all 0 when left out: a virtual source feeds vertex w up to
         supply[w] units, and w passes up to demand[w] units on to a
         virtual sink that every X holds.  At most ``cap`` augmentations,
-        all in integers.  When the value is below ``cap`` the last search
-        has failed, and ``unreached()`` gives the largest minimizer.
+        all in integers, each found by a search backwards from the sinks
+        (see the module docstring).  ``cap`` is flipped along each path
+        and restored, from the log of flips, before the call returns or
+        raises.  When the value is below ``cap`` the last search has
+        failed, and ``unreached()`` gives the largest minimizer.
         """
-        verts = self.vertices
-        n = len(verts)
         pos, adj, home, ebit, at, rank = (self.pos, self.adj, self.home,
                                           self.ebit, self.at, self.rank)
-        self._prev = None
+        n = len(pos)
+        self._kept = None
         # units a vertex may still end a path with; -1 for no limit
-        sink = [0] * n if demand is None else list(demand)
-        for v in sinks:
-            sink[pos[v]] = -1
-        starts = given = [pos[v] for v in sources]
-        if -1 not in sink or any(sink[i] == -1 for i in starts):
-            raise ValueError("the sinks must be nonempty and miss the sources")
+        sink = {}
+        if demand is not None:
+            sink = {i: d for i, d in enumerate(demand) if d}
+        ends = sorted({pos[v] for v in sinks})
+        for i in ends:
+            sink[i] = -1
         # units a vertex may still start a path with; -1 for no limit
-        feed = None
+        feed = {}
         if supply is not None:
-            feed = list(supply)
-            for i in given:
-                feed[i] = -1
-        res = self.cap[:]   # residual capacity: arc 2j, reverse 2j+1
-        supplying = [False] * len(home)
+            feed = {i: f for i, f in enumerate(supply) if f}
+        given = [pos[v] for v in sources]
+        for i in given:
+            feed[i] = -1
+        if not ends or any(sink.get(i) == -1 for i in given):
+            raise ValueError("the sinks must be nonempty and miss the sources")
+        res, seen, succ, via = self.cap, self.seen, self.succ, self.via
+        log = []        # residual arcs flipped, each undone in the finally
+        inside = {}     # I, the supplying elements, in the order they joined
         mask = size = 0
-        for i in range(n):
-            if sink[i] == -1:
-                for x in at[i]:
-                    if size < cap and rank[mask | ebit[x]] > size:
-                        supplying[x] = True
-                        mask |= ebit[x]
-                        size += 1
+        for i in ends:
+            for x in at[i]:
+                if size < cap and rank[mask | ebit[x]] > size:
+                    inside[x] = None
+                    mask |= ebit[x]
+                    size += 1
         value = size
-        while value < cap:
-            if feed is not None:
-                starts = [i for i, f in enumerate(feed) if f]
-            prev: list = [None] * (n + len(home))   # -1: the virtual source
-            via = [0] * n                           # residual arc into a vertex
-            queue = []
-            for i in starts:
-                prev[i] = -1
-                queue.append(i)
-            # an element y only leads to its vertex, so y is left out once that
-            # vertex is reached; this also leaves out the elements at sources
-            for y, b in enumerate(ebit):
-                if (not supplying[y] and prev[home[y]] is None
-                        and rank[mask | b] > size):
-                    prev[n + y] = -1
-                    queue.append(n + y)
-            end = None
-            for node in queue:  # grows while it is read: breadth-first order
-                if node < n:
-                    if sink[node]:
-                        end = node
+        try:
+            while value < cap:
+                self._stamp = stamp = self._stamp + 1
+                start = None
+                queue = []
+                for i in sink:
+                    seen[i], succ[i] = stamp, -1
+                    if i in feed:
+                        start = i
                         break
-                    for c, w in adj[node]:
-                        if res[c] and prev[w] is None:
-                            prev[w], via[w] = node, c
+                    queue.append(i)
+                for node in queue:  # grows while it is read: breadth first
+                    if start is not None:
+                        break
+                    if node < n:
+                        # residual arcs into the vertex, then the elements
+                        # outside I that would start supplying it
+                        for c, w in adj[node]:
+                            if res[c ^ 1] and seen[w] != stamp:
+                                seen[w], succ[w], via[w] = stamp, node, c ^ 1
+                                if w in feed:
+                                    start = w
+                                    break
+                                queue.append(w)
+                        if start is None:
+                            for y in at[node]:
+                                if y not in inside and seen[n + y] != stamp:
+                                    seen[n + y], succ[n + y] = stamp, node
+                                    if rank[mask | ebit[y]] > size:
+                                        start = n + y
+                                        break
+                                    queue.append(n + y)
+                    elif node - n in inside:
+                        w = home[node - n]   # x stops supplying its vertex
+                        if seen[w] != stamp:
+                            seen[w], succ[w] = stamp, node
+                            if w in feed:
+                                start = w
                             queue.append(w)
-                    for x in at[node]:
-                        if supplying[x] and prev[n + x] is None:
-                            prev[n + x] = node
-                            queue.append(n + x)
-                elif supplying[node - n]:
-                    rest = mask ^ ebit[node - n]
-                    for y, b in enumerate(ebit):
-                        if (not supplying[y] and prev[n + y] is None
-                                and prev[home[y]] is None
-                                and rank[rest | b] == size):
-                            prev[n + y] = node
-                            queue.append(n + y)
-                elif prev[home[node - n]] is None:
-                    prev[home[node - n]] = node
-                    queue.append(home[node - n])
-            if end is None:
-                self._prev = prev
-                return value
-            if sink[end] > 0:
-                sink[end] -= 1
-            node = end
-            while True:
-                p = prev[node]
-                if node >= n:
-                    x = node - n
-                    supplying[x] = not supplying[x]
-                    mask ^= ebit[x]
-                    size += 1 if supplying[x] else -1
-                elif 0 <= p < n:
-                    c = via[node]
-                    res[c] = 0
-                    res[c ^ 1] = 1
-                if p == -1:
-                    break
-                node = p
-            if feed is not None and node < n and feed[node] > 0:
-                feed[node] -= 1
-            # two supplying twins would cancel in the mask: the rank falls short
-            if rank[mask] != size:
-                raise FlowViolation(
-                    "min_cut: the supplying elements are dependent after "
-                    "augmentation %d (tripwire): engine flow, sinks %s, sources "
-                    "%s, arcs %d, roots %d"
-                    % (value + 1,
-                       sorted(verts[i] for i in range(n) if sink[i] == -1),
-                       sorted(verts[i] for i in given), self.live_arcs,
-                       len(home)))
-            value += 1
-        return cap
+                    else:
+                        b = ebit[node - n]   # x in I exchanged for y
+                        for x in inside:
+                            if (seen[n + x] != stamp
+                                    and rank[mask ^ ebit[x] | b] == size):
+                                seen[n + x], succ[n + x] = stamp, node
+                                queue.append(n + x)
+                if start is None:
+                    self._kept = (log, inside, mask, size, feed)
+                    return value
+                if feed.get(start, 0) > 0:
+                    feed[start] -= 1
+                    if not feed[start]:
+                        del feed[start]
+                node = start
+                while True:
+                    nxt = succ[node]
+                    if node >= n:
+                        x = node - n
+                        if x in inside:
+                            del inside[x]
+                            size -= 1
+                        else:
+                            inside[x] = None
+                            size += 1
+                        mask ^= ebit[x]
+                    elif nxt == -1:
+                        break
+                    elif nxt < n:
+                        c = via[node]
+                        res[c], res[c ^ 1] = 0, 1
+                        log.append(c)
+                    node = nxt
+                if sink[node] > 0:
+                    sink[node] -= 1
+                    if not sink[node]:
+                        del sink[node]
+                # two supplying twins would cancel in the mask: the rank
+                # falls short
+                if rank[mask] != size:
+                    raise FlowViolation(
+                        "min_cut: the supplying elements are dependent after "
+                        "augmentation %d (tripwire): engine flow, sinks %s, "
+                        "sources %s, arcs %d, roots %d"
+                        % (value + 1, sorted(self.vertices[i] for i in ends),
+                           sorted(self.vertices[i] for i in given),
+                           self.live_arcs, len(home)))
+                value += 1
+            return cap
+        finally:
+            for c in log:
+                res[c] ^= 1
+                res[c ^ 1] ^= 1
 
     def unreached(self) -> frozenset:
         """Indices of the vertices the failed last search of ``min_cut``
-        did not reach: the largest minimizer of that cut."""
-        prev = self._prev
-        if prev is None:
+        left unreached: the largest minimizer of that cut.
+
+        The backward search stops where the sinks' side ends, so the set
+        is found here, on demand, by a search forwards from every start
+        over the residual graph the last call left, replayed from its log
+        of flips and undone again.
+        """
+        if self._kept is None:
             raise ValueError("the last min_cut reached its cap")
-        return frozenset(i for i in range(len(self.pos)) if prev[i] is None)
+        log, inside, mask, size, feed = self._kept
+        adj, home, ebit, at, rank, res, seen = (self.adj, self.home, self.ebit,
+                                                self.at, self.rank, self.cap,
+                                                self.seen)
+        n = len(self.pos)
+        self._stamp = stamp = self._stamp + 1
+        queue = list(feed)
+        for i in queue:
+            seen[i] = stamp
+        # an element y only leads to its vertex, so y is left out once that
+        # vertex is reached; this also leaves out the elements at sources
+        for y, b in enumerate(ebit):
+            if (y not in inside and seen[home[y]] != stamp
+                    and rank[mask | b] > size):
+                seen[n + y] = stamp
+                queue.append(n + y)
+        for c in log:
+            res[c] ^= 1
+            res[c ^ 1] ^= 1
+        try:
+            for node in queue:  # grows while it is read
+                if node < n:
+                    for c, w in adj[node]:
+                        if res[c] and seen[w] != stamp:
+                            seen[w] = stamp
+                            queue.append(w)
+                    for x in at[node]:
+                        if x in inside and seen[n + x] != stamp:
+                            seen[n + x] = stamp
+                            queue.append(n + x)
+                elif node - n in inside:
+                    rest = mask ^ ebit[node - n]
+                    for y, b in enumerate(ebit):
+                        if (y not in inside and seen[n + y] != stamp
+                                and seen[home[y]] != stamp
+                                and rank[rest | b] == size):
+                            seen[n + y] = stamp
+                            queue.append(n + y)
+                elif seen[home[node - n]] != stamp:
+                    seen[home[node - n]] = stamp
+                    queue.append(home[node - n])
+        finally:
+            for c in log:
+                res[c] ^= 1
+                res[c ^ 1] ^= 1
+        return frozenset(i for i in range(n) if seen[i] != stamp)
 
 
 class _Ranks(dict):

@@ -6,9 +6,10 @@ oracle: parallel extension and truncation.  Parallel extensions stay
 flat: extending an extension yields one ``ParallelExtension`` over the
 same root oracle, whose twin map sends every added element, a twin of a
 twin included, straight to its root element, so a rank query costs one
-call into the root oracle however many extensions were stacked.  Oracles
-are immutable after construction; rank queries are memoized per oracle on
-a canonical frozenset key.
+call into the root oracle however many extensions were stacked.
+``TwinIds`` holds the rule that names a twin.  Oracles are immutable
+after construction; rank queries are memoized per oracle on a canonical
+frozenset key.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class Matroid:
             raise MatroidError("duplicate ground elements: %r" % (ground,))
         self.ground = ground
         self._rank_cache: dict[frozenset, int] = {}
-        self._fresh: dict[str, int] = {}
 
     # -- core queries ----------------------------------------------------
 
@@ -83,33 +83,58 @@ class Matroid:
     def extend_parallel(self, s: str, new_id: str | None = None) -> tuple["Matroid", str]:
         """Add a fresh element parallel to ``s``; returns (new oracle, new id).
 
-        The id defaults to s followed by the fewest primes (') that make
-        it unused.  ``_fresh`` maps s to a prime count below which every
-        such id is taken, so a long chain of extensions, as the reduction
-        loop builds, does not probe every taken id again.
+        The id defaults to ``TwinIds(ground).name(s)``: s followed by the
+        fewest primes (') that make it unused.
         """
         if s not in self._ground_set:
             raise MatroidError("cannot extend parallel to unknown element %r" % s)
         if self.rank({s}) != 1:
             raise MatroidError("cannot extend parallel to the loop %r" % s)
-        fresh = self._fresh
         if new_id is None:
-            new_id = s + "'" * fresh.get(s, 1)
-            while new_id in self._ground_set:
-                new_id += "'"
-            # s with fewer primes is taken here, so in every extension too
-            fresh = {**fresh, s: len(new_id) - len(s) + 1}
+            new_id = TwinIds(self.ground).name(s)
         elif new_id in self._ground_set:
             raise MatroidError("new element id %r already in ground set" % new_id)
         root, twins = self.twin_map()
-        ext = ParallelExtension(root, {**twins, new_id: twins.get(s, s)})
-        ext._fresh = fresh
-        return ext, new_id
+        return ParallelExtension(root, {**twins, new_id: twins.get(s, s)}), new_id
 
     def truncate(self, b: int) -> "Matroid":
         if b < 0:
             raise MatroidError("truncation bound must be non-negative")
         return Truncation(self, b)
+
+
+class TwinIds:
+    """The rule that names a twin: s followed by the fewest primes (')
+    that make it unused among the ids taken so far.
+
+    An id is a base (the id without its trailing primes) and a prime
+    count.  Per base, ``_up`` maps each taken count c to a higher count,
+    every count in between being taken: a union-find over the counts, so
+    ``name`` finds the first free count above that of s in near-constant
+    time and builds one string, where probing s', s'', ... in turn would
+    build and hash one string per taken id.
+    """
+
+    def __init__(self, ids: Iterable[str] = ()):
+        self._up: dict[str, dict[int, int]] = {}
+        for e in ids:
+            self.take(e)
+
+    def take(self, e: str) -> None:
+        base = e.rstrip("'")
+        c = len(e) - len(base)
+        self._up.setdefault(base, {})[c] = c + 1
+
+    def name(self, s: str) -> str:
+        """The id of a new twin of s; ``take`` marks it used."""
+        base = s.rstrip("'")
+        up = self._up.get(base, {})
+        c = first = len(s) - len(base) + 1
+        while c in up:  # path splitting: each count visited skips ahead
+            nxt = up[c]
+            up[c] = up.get(nxt, nxt)
+            c = nxt
+        return s + "'" * (c - first + 1)
 
 
 class ParallelExtension(Matroid):

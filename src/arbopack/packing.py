@@ -7,7 +7,8 @@ the smaller instance D'; at the base case (no bad arc) every vertex's root
 set is a base and the packing is |S| singleton arborescences.  The
 recursion is run iteratively and unwound by lifting: the trees rooted at s
 and its twin are vertex-disjoint, so their union plus uv is again an
-arborescence.
+arborescence.  ``lift_packing`` undoes all the steps in one pass, by
+element index (see its docstring).
 
 D is M-connected at every step (the input is checked, and each accepted
 D' is again M-connected).  The deficiency of D' is
@@ -23,15 +24,18 @@ source, capped at k = r(S).
 One ``ReductionState`` carries D through the whole loop and is changed in
 place, since D' differs from D by one arc and one root.  Its
 ``flow.Network`` is built once: a deleted arc stays in the network with
-capacity 0, and a twin is appended as one more element with the bit of
-s, so the network's rank memo, keyed by bit masks of the root oracle's
-elements, stays valid from the first step to the last.  A rejected
-candidate is undone.  The class of each arc (good, or bad with its
-witnesses) is cached and read from the same masks and memo; adding s' at
-v changes S_v alone, so a step re-classifies only the arcs at v.  Under
-``brute`` and ``min-norm-point`` each candidate's D' is still built as an
-instance of its own for the objective, once, with u indexed last.  The
-base case builds one final instance, which ``base_case_packing``
+capacity 0, and a twin is appended as one more element with the bit of s,
+so the network's rank memo, keyed by bit masks of the root oracle's
+elements, stays valid from the first step to the last.  A twin is kept as
+its id and the index of its stem s, and no step builds a matroid.  A
+rejected candidate is undone.  The class of each arc (good, or bad with
+its witnesses) is cached and read from the same masks and memo; adding s'
+at v changes S_v alone, so a step re-classifies only the arcs at v.  Each
+search of the flow goes backwards from v and stops at the first start it
+meets, so a step costs about what its searches visit, not the size of D.
+Under ``brute`` and ``min-norm-point`` each candidate's D' is still built
+as an instance of its own for the objective, once, with u indexed last.
+The base case builds one final instance, which ``base_case_packing``
 re-checks on its own.
 
 ``Packing`` and ``verify_packing`` serve both sides: on a ``RootedGraph``
@@ -64,6 +68,7 @@ from .graphs import (
     SizeLimitError,
     tree_vertices,
 )
+from .matroid import ParallelExtension, TwinIds
 
 BRUTE_ARC_CAP = 10
 BRUTE_ROOT_CAP = 4
@@ -119,6 +124,7 @@ class ReductionStep:
     head: str
     element: str
     new_element: str
+    stem: int  # the element's index; step i's twin is len(inst.roots) + i
 
     def to_json(self) -> dict:
         return {
@@ -170,13 +176,16 @@ def verify_packing(inst: RootedInstance, packing: Packing) -> Optional[Failure]:
 class ReductionState:
     """D at the current step of one reduction loop, changed in place.
 
-    ``net`` is one ``flow.Network`` for the whole loop.  A candidate
-    (arc j = uv, element x = s) is applied by ``apply``: j is removed
-    (``live[j]`` and the network's capacity template), a twin of s is
-    appended at v to ``roots`` and to the network, and ``matroid`` is
-    extended by ``Matroid.extend_parallel``, which names the twin.
-    ``undo`` takes a rejected candidate back and ``commit`` keeps an
-    accepted one.
+    Elements are indexed as the roots of D are: those of the input in
+    its order, then one twin per accepted step.  ``net`` is one
+    ``flow.Network`` for the whole loop.  A candidate (arc j = uv,
+    element x = s) is applied by ``apply``: j is removed (``live[j]`` and
+    the network's capacity template), and a twin of s is appended at v to
+    ``roots``, to the network and to ``twins`` as its (id, stem index)
+    entry, named by ``ids`` (``matroid.TwinIds``).  ``undo`` takes a
+    rejected candidate back and ``commit`` keeps an accepted one.  No
+    step builds a matroid: ``digraph`` builds D as an instance of its own,
+    with one flat ``ParallelExtension``, only when asked.
 
     ``witness[j]`` caches the class of arc j: the elements x at its tail,
     by network index in ground order, with r(S_h + x) > r(S_h), read from
@@ -190,9 +199,10 @@ class ReductionState:
         self.inst = inst
         self.engine = engine
         self.net = net = flow.Network(inst)
-        self.matroid = inst.matroid
         self.k = inst.matroid.full_rank()
         self.roots = list(inst.roots)
+        self.twins: list[tuple[str, int]] = []
+        self.ids = TwinIds(inst.matroid.ground)
         pos = net.pos
         self.tail = [pos[t] for _, t, _ in inst.arcs]
         self.head = [pos[h] for _, _, h in inst.arcs]
@@ -229,28 +239,30 @@ class ReductionState:
         """Make D' of candidate (j, x) the state; ``undo`` or ``commit`` next."""
         a, t, h = self.inst.arcs[j]
         s = self.roots[x][0]
-        m2, s_new = self.matroid.extend_parallel(s)
-        self._trial = (j, self.matroid)
+        s_new = self.ids.name(s)
+        self._trial = j
         self.live[j] = False
         self.net.remove_arc(j)
         self.order.append(len(self.order))
         self.net.add_twin(x, self.head[j])
         self.roots.append((s_new, h))
-        self.matroid = m2
-        return ReductionStep(a, t, h, s, s_new)
+        self.twins.append((s_new, x))
+        return ReductionStep(a, t, h, s, s_new, x)
 
     def undo(self) -> None:
-        j, self.matroid = self._trial
+        j = self._trial
         self._trial = None
         self.live[j] = True
         self.net.restore_arc(j)
         self.order.pop()
         self.net.pop_element()
         self.roots.pop()
+        self.twins.pop()
 
     def commit(self) -> None:
-        j, _ = self._trial
+        j = self._trial
         self._trial = None
+        self.ids.take(self.twins[-1][0])
         del self.bad[bisect.bisect_left(self.bad, j)]
         self.witness[j] = ()
         v = self.head[j]
@@ -267,12 +279,24 @@ class ReductionState:
 
     def digraph(self, last: Optional[str] = None) -> RootedDigraph:
         """D' as an instance of its own, with vertex ``last``, if given,
-        moved to the end of the vertex order."""
+        moved to the end of the vertex order.
+
+        Its matroid is the input's root oracle with every twin mapped to
+        the root element its stem chain ends at: the oracle that
+        extending the input's matroid once per twin would give.
+        """
         verts = self.inst.vertices
         if last is not None:
             verts = [w for w in verts if w != last] + [last]
         arcs = [arc for arc, ok in zip(self.inst.arcs, self.live) if ok]
-        return RootedDigraph(verts, arcs, self.roots, self.matroid)
+        root, twins = self.inst.matroid.twin_map()
+        twins = dict(twins)
+        to_root = [twins.get(e, e) for e, _ in self.inst.roots]
+        for e, stem in self.twins:
+            to_root.append(to_root[stem])
+            twins[e] = to_root[-1]
+        return RootedDigraph(verts, arcs, self.roots,
+                             ParallelExtension(root, twins))
 
 
 def find_reduction(red: ReductionState) -> Optional[ReductionStep]:
@@ -331,20 +355,39 @@ def base_case_packing(inst: RootedDigraph) -> Packing:
     return Packing(tuple(Tree(e, v, frozenset()) for e, v in inst.roots))
 
 
-def lift_packing(packing: Packing, step: ReductionStep,
-                 inst: Optional[RootedDigraph] = None) -> Packing:
-    """Merge the trees rooted at s and its twin across the removed arc."""
-    by_root = {t.root_element: t for t in packing.trees}
-    t1 = by_root[step.element]
-    t2 = by_root[step.new_element]
-    if inst is not None:
-        v1 = tree_vertices(t1.arcs, inst, t1.root_vertex)
-        v2 = tree_vertices(t2.arcs, inst, t2.root_vertex)
+def lift_packing(inst: RootedDigraph, base: Packing,
+                 steps: list[ReductionStep]) -> Packing:
+    """Lift a packing of the reduced instance back through ``steps`` to
+    one of ``inst``, with its trees in the order of ``inst.roots``.
+
+    Tree i of ``base`` is rooted at element i of the reduced instance:
+    the roots of ``inst``, then the twin of step i at len(inst.roots) + i.
+    Undoing step i merges the twin's tree into its stem's across the
+    removed arc uv, so the two must be vertex-disjoint arborescences, u in
+    the stem's tree and v the twin's root.  One pass over the steps, the
+    last first, merges the vertex sets, each time the smaller into the
+    larger; a tree's arcs are those of every tree and step whose stem
+    chain ends at its root.
+    """
+    t0 = len(inst.roots)
+    trees = base.trees
+    spans: list = [None] * len(trees)
+
+    def vertex_set(i: int) -> Optional[set]:
+        if spans[i] is None:
+            got = tree_vertices(trees[i].arcs, inst, trees[i].root_vertex)
+            spans[i] = None if got is None else set(got)
+        return spans[i]
+
+    for i in range(len(steps) - 1, -1, -1):
+        step = steps[i]
+        v1, v2 = vertex_set(step.stem), vertex_set(t0 + i)
         if v1 is None or v2 is None:
             fault = "a twin tree is not an arborescence"
-        elif v1 & v2:
+        elif not v1.isdisjoint(v2):
             fault = "the trees rooted at the twins share a vertex"
-        elif step.tail not in v1 or step.head != t2.root_vertex:
+        elif (step.tail not in v1
+              or step.head != trees[t0 + i].root_vertex):
             fault = "the removed arc does not join the twin trees"
         else:
             fault = None
@@ -354,11 +397,20 @@ def lift_packing(packing: Packing, step: ReductionStep,
                 "element %s, twin %s" % (fault, step.arc_id, step.tail,
                                          step.head, step.element,
                                          step.new_element))
-    pair = {step.element, step.new_element}
-    rest = tuple([t for t in packing.trees if t.root_element not in pair])
-    merged = Tree(step.element, t1.root_vertex,
-                  t1.arcs | t2.arcs | {step.arc_id})
-    return Packing(rest + (merged,))
+        if len(v1) < len(v2):
+            v1, v2 = v2, v1
+        v1 |= v2
+        spans[step.stem], spans[t0 + i] = v1, None
+    owner = list(range(t0))
+    for step in steps:
+        owner.append(owner[step.stem])
+    arcs: list = [[] for _ in range(t0)]
+    for i, t in enumerate(trees):
+        arcs[owner[i]].extend(t.arcs)
+    for step in steps:
+        arcs[owner[step.stem]].append(step.arc_id)
+    return Packing(tuple(Tree(trees[r].root_element, trees[r].root_vertex,
+                              frozenset(arcs[r])) for r in range(t0)))
 
 
 def find_packing(inst: RootedDigraph, engine: str = "flow",
@@ -390,13 +442,7 @@ def _construct(inst: RootedDigraph, engine: str,
         if trace is not None:
             trace.append(step)
 
-    packing = base_case_packing(red.digraph())
-    for step in reversed(steps):
-        packing = lift_packing(packing, step, inst)
-    # report trees in the original root order
-    order = {e: i for i, (e, _) in enumerate(inst.roots)}
-    packing = Packing(tuple(sorted(packing.trees,
-                                   key=lambda t: order[t.root_element])))
+    packing = lift_packing(inst, base_case_packing(red.digraph()), steps)
     failure = verify_packing(inst, packing)
     if failure is not None:
         raise TheoremViolation(

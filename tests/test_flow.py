@@ -92,7 +92,7 @@ def enumerated(inst: RootedDigraph, sinks, sources, cap) -> int:
     return min(cap, *cuts(inst, sinks, sources).values())
 
 
-def random_case(rng: random.Random):
+def random_instance(rng: random.Random) -> RootedDigraph:
     dense = rng.random() < 0.5
     n = rng.randint(4, 8) if dense else rng.randint(1, 8)
     verts = ["v%d" % i for i in range(n)]
@@ -102,8 +102,12 @@ def random_case(rng: random.Random):
     inst = RootedDigraph(verts, arcs,
                          [(e, rng.choice(verts)) for e in elements],
                          random_matroid(rng, elements, rng.choice(KINDS)))
-    inst = with_twins(rng, inst, rng.randint(0, 3))
-    sinks = set(rng.sample(verts, rng.randint(1, n)))
+    return with_twins(rng, inst, rng.randint(0, 3))
+
+
+def random_query(rng: random.Random, verts):
+    """(sinks, sources, cap, supply, demand) of one ``min_cut`` call."""
+    sinks = set(rng.sample(verts, rng.randint(1, len(verts))))
     rest = [v for v in verts if v not in sinks]
     sources = set()
     if rest and rng.random() < 0.6:
@@ -113,31 +117,39 @@ def random_case(rng: random.Random):
     if rng.random() < 0.5:
         supply = [rng.choice((0, 0, 1, 2, 5)) for _ in verts]
         demand = [rng.choice((0, 0, 1, 3)) for _ in verts]
-    return inst, sinks, sources, cap, supply, demand
+    return sinks, sources, cap, supply, demand
 
 
 def test_flow_matches_enumeration():
     # below the cap the unreached vertices must be the largest minimizer,
-    # the union of all minimizers
+    # the union of all minimizers; each network answers several draws, so
+    # every call must leave its residual capacities as it found them
     rng = random.Random(2024)
     below_cap = weighted = 0
-    for _ in range(3000):
-        inst, sinks, sources, cap, supply, demand = random_case(rng)
-        values = cuts(inst, sinks, sources, supply, demand)
-        want = min(cap, *values.values())
+    for _ in range(1000):
+        inst = random_instance(rng)
         net = flow.Network(inst)
-        case = (inst.arcs, inst.roots, sinks, sources, cap, supply, demand)
-        assert net.min_cut(sinks, sources, cap, supply, demand) == want, case
-        if want < cap:
-            largest = frozenset().union(
-                *(xs for xs, v in values.items() if v == want))
-            assert frozenset(inst.vertices[i]
-                             for i in net.unreached()) == largest, case
-            below_cap += 1
-            weighted += supply is not None
-        else:
-            with pytest.raises(ValueError, match="reached its cap"):
-                net.unreached()
+        before = list(net.cap)
+        for _ in range(3):
+            sinks, sources, cap, supply, demand = query = \
+                random_query(rng, inst.vertices)
+            values = cuts(inst, sinks, sources, supply, demand)
+            want = min(cap, *values.values())
+            case = (inst.arcs, inst.roots, query)
+            assert net.min_cut(sinks, sources, cap, supply, demand) == want, \
+                case
+            assert net.cap == before, case
+            if want < cap:
+                largest = frozenset().union(
+                    *(xs for xs, v in values.items() if v == want))
+                assert frozenset(inst.vertices[i]
+                                 for i in net.unreached()) == largest, case
+                assert net.cap == before, case
+                below_cap += 1
+                weighted += supply is not None
+            else:
+                with pytest.raises(ValueError, match="reached its cap"):
+                    net.unreached()
     assert below_cap > 1000 and weighted > 500
 
 
@@ -197,8 +209,12 @@ def test_dependent_augmentation_trips():
                          [("e1", "A", "t"), ("e2", "C", "A"), ("e3", "B", "t")],
                          [("a", "A"), ("b", "B"), ("c", "C")],
                          Lying(["a", "b", "c"]))
+    net = flow.Network(inst)
+    before = list(net.cap)
     with pytest.raises(flow.FlowViolation, match="augmentation 2"):
-        flow.Network(inst).min_cut({"t"}, (), 2)
+        net.min_cut({"t"}, (), 2)
+    # the two paths flipped e1, e2 and e3: all are restored
+    assert net.cap == before
     assert issubclass(flow.FlowViolation, RuntimeError)
 
 

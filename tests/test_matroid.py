@@ -14,6 +14,7 @@ from arbopack.matroid import (
     Matroid,
     MatroidError,
     PartitionMatroid,
+    TwinIds,
     UniformMatroid,
 )
 
@@ -180,6 +181,21 @@ def test_extension_ids_take_the_fewest_free_primes():
         assert s_new == expected
         assert m2.ground == m.ground + (s_new,)
         kept.append(m2)
+    # the reduction state's rule: one TwinIds along the chain of kept
+    # oracles, each id taken only when its extension is kept.  Stems drawn
+    # mostly from the newest ids make long chains of twins of twins, and
+    # some grounds hold ids that already end in primes.
+    for ground in (["s"], ["s", "s'", "s'''"], ["t''", "s'", "s", "t"]):
+        m = FreeMatroid(ground)
+        ids = TwinIds(ground)
+        for _ in range(300):
+            s = rng.choice(m.ground[-2:] if rng.random() < 0.8 else m.ground)
+            m2, s_new = m.extend_parallel(s)
+            assert ids.name(s) == s_new, (m.ground, s)
+            if rng.random() < 0.8:
+                ids.take(s_new)
+                m = m2
+        assert len(max(m.ground, key=len)) > 100
 
 def test_parallel_to_loop_rejected():
     loopy = UniformMatroid(["s1"], 0)

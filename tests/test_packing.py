@@ -284,6 +284,54 @@ def test_changed_network_matches_a_fresh_build(engine):
     assert steps > 100 and rejected > 0
 
 
+def names_match_extend_parallel(inst) -> int:
+    """Run the reduction loop on ``inst`` and check each twin's id against
+    extending the matroid once per accepted step; returns the number of
+    candidates rejected and the length of the longest id."""
+    red = ReductionState(inst)
+    m = inst.matroid
+    rejected = 0
+    while True:
+        drawn = list(red.candidates())
+        step = find_reduction(red)
+        if step is None:
+            break
+        rejected += drawn.index((red.inst.arcs.index(
+            (step.arc_id, step.tail, step.head)), step.stem))
+        m, s_new = m.extend_parallel(step.element)
+        assert step.new_element == s_new, step
+    reduced = red.digraph().matroid
+    assert reduced.ground == m.ground
+    assert reduced.twin_map() == m.twin_map()
+    return rejected, max(map(len, m.ground))
+
+
+def test_reduction_names_twins_as_extend_parallel():
+    # a path with three parallel arcs per link and ground ids that already
+    # end in primes: each step twins an element at its tail, a twin itself
+    # from the second vertex on, so the ids grow along chains of twins of
+    # twins
+    verts = ["v%d" % i for i in range(12)]
+    arcs = ["a%d_%d:%s>%s" % (i, c, verts[i], verts[i + 1])
+            for i in range(11) for c in range(3)]
+    d = digraph(verts, arcs, ["s@v0", "s'@v0", "s'''@v0"],
+                FreeMatroid(["s", "s'", "s'''"]))
+    assert names_match_extend_parallel(d)[1] > 12
+    # tight, with both roots at one vertex: rejected candidates name a
+    # twin that is dropped, and the id must be free again
+    rng = random.Random(4112)
+    rejected = tight = 0
+    while tight < 40:
+        verts = ["v%d" % i for i in range(rng.randint(3, 5))]
+        arcs = ["a%d:%s>%s" % (i, *rng.sample(verts, 2))
+                for i in range(2 * len(verts) - 2)]
+        d = digraph(verts, arcs, ["s@v0", "s'@v0"], FreeMatroid(["s", "s'"]))
+        if feasible(d):
+            tight += 1
+            rejected += names_match_extend_parallel(d)[0]
+    assert rejected > 2
+
+
 # -- base case / lift ----------------------------------------------------------------
 
 
@@ -306,7 +354,7 @@ def test_lift_smallest_case():
     red = ReductionState(d)
     step = find_reduction(red)
     p_reduced = base_case_packing(red.digraph())
-    lifted = lift_packing(p_reduced, step, d)
+    lifted = lift_packing(d, p_reduced, [step])
     assert verify_packing(d, lifted) is None
     assert lifted.trees[0].arcs == {"a1"}
 
@@ -327,7 +375,7 @@ def test_lift_rejects_overlapping_trees():
         Tree(step.new_element, "a", frozenset()),  # same vertex as the twin
     ))
     with pytest.raises(TheoremViolation):
-        lift_packing(overlapping, step, d)
+        lift_packing(d, overlapping, [step])
 
 
 @pytest.mark.parametrize("roots, arcs, fault", [
@@ -343,7 +391,7 @@ def test_lift_tripwires_name_the_step(roots, arcs, fault):
         Tree(step.new_element, roots[1], frozenset(arcs)),
     ))
     with pytest.raises(TheoremViolation) as exc:
-        lift_packing(bad, step, d)
+        lift_packing(d, bad, [step])
     assert str(exc.value) == (
         "lift_packing: %s (tripwire): arc a1 from a to b, element s1, "
         "twin s1'" % fault)
