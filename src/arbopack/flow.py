@@ -32,19 +32,27 @@ unit.  The path is a shortest one, so its element exchanges have no
 shortcut: for i < j, I - x_i + y_j is dependent, and so is I + y_j for
 every y_j after the first.  By the exchange lemma of matroid intersection
 (Schrijver 2003, the matroid intersection chapter) I toggled along the
-path is then independent again.  When no path exists, the vertices no
-start reaches form the largest minimizer, whose value is the number of
-paths found.
+path is then independent again.  When no path exists, the failed search
+has run out of nodes, and the vertices it reached form the smallest
+minimizer, the intersection of all minimizers, whose value is the number
+of paths found.  At a maximum flow no residual arc or exchange enters a
+minimizer from outside, so every node that still reaches a sink lies in
+each of them.
 
 Integer per-vertex supplies and demands add supply(X) + demand(V - X) to
 the cut of X: a vertex with supply left is one more start of the search,
-and one with demand left ends a path as a sink does.  The orientation
+and one with demand left ends a path as a sink does; a sink's own supply
+is taken first, each unit a path of no arcs.  They come as dicts
+of the vertices that have any, which a call reads and never copies, so
+a call costs its searches, not the number of vertices.  The orientation
 greedy (``orientation._step_by_flow``) takes its modular offset this way,
-so one flow decides each of its steps.
+so one flow decides each of its steps, and the flow's failed last search
+gives the step's tight set.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from typing import Iterable, Optional
 
 from .graphs import RootedDigraph
@@ -70,7 +78,9 @@ class Network:
     A search marks the nodes it discovers by writing its own number into
     ``seen``, so no per-search array is allocated or cleared; ``succ``
     holds each discovered node's next node on its way to a sink, and
-    ``via`` the residual arc a vertex leaves by.
+    ``via`` the residual arc a vertex leaves by.  A ``min_cut`` that ends
+    below its cap keeps the node list of its failed search for
+    ``minimizer()``.
 
     The reduction loop (``packing.ReductionState``) changes the network
     in place instead of building a new one per step.  ``remove_arc(j)``
@@ -104,17 +114,15 @@ class Network:
         self.succ = [0] * nodes
         self.via = [0] * len(pos)
         self._stamp = 0
-        self._kept = None
+        self._search = None
 
     def remove_arc(self, j: int) -> None:
         self.cap[2 * j] = 0
         self.live_arcs -= 1
-        self._kept = None
 
     def restore_arc(self, j: int) -> None:
         self.cap[2 * j] = 1
         self.live_arcs += 1
-        self._kept = None
 
     def add_twin(self, x: int, i: int) -> None:
         """Append a twin of element x at vertex index i."""
@@ -123,7 +131,6 @@ class Network:
         self.ebit.append(self.ebit[x])
         self.seen.append(0)
         self.succ.append(0)
-        self._kept = None
 
     def pop_element(self) -> None:
         """Remove the last element, as ``add_twin`` appended it."""
@@ -131,45 +138,43 @@ class Network:
         self.at[self.home.pop()].pop()
         self.seen.pop()
         self.succ.pop()
-        self._kept = None
 
     def min_cut(self, sinks: Iterable[str], sources: Iterable[str],
-                cap: int, supply: Optional[list] = None,
-                demand: Optional[list] = None) -> int:
+                cap: int, supply: Optional[dict] = None,
+                demand: Optional[dict] = None) -> int:
         """min(cap, min of cut(X) over sinks ⊆ X, X ∩ sources = ∅), where
 
             cut(X) = in(X) + r(S_X) + supply(X) + demand(V - X).
 
-        ``supply`` and ``demand`` list non-negative integers by vertex
-        index, all 0 when left out: a virtual source feeds vertex w up to
-        supply[w] units, and w passes up to demand[w] units on to a
-        virtual sink that every X holds.  At most ``cap`` augmentations,
-        all in integers, each found by a search backwards from the sinks
-        (see the module docstring).  ``cap`` is flipped along each path
-        and restored, from the log of flips, before the call returns or
-        raises.  When the value is below ``cap`` the last search has
-        failed, and ``unreached()`` gives the largest minimizer.
+        ``supply`` and ``demand`` map vertex indices to positive
+        integers, 0 where a vertex is left out: a virtual source feeds
+        vertex w up to supply[w] units, and w passes up to demand[w] units
+        on to a virtual sink that every X holds.  Both are read as given,
+        never copied or changed; the units a call uses are counted in
+        dicts of its own.  At most ``cap`` augmentations, all in integers,
+        each found by a search backwards from the sinks (see the module
+        docstring).  ``cap`` is flipped along each path and restored, from
+        the log of flips, before the call returns or raises.  When the
+        value is below ``cap`` the last search has failed, and
+        ``minimizer()`` gives the smallest minimizer.
         """
         pos, adj, home, ebit, at, rank = (self.pos, self.adj, self.home,
                                           self.ebit, self.at, self.rank)
         n = len(pos)
-        self._kept = None
-        # units a vertex may still end a path with; -1 for no limit
-        sink = {}
-        if demand is not None:
-            sink = {i: d for i, d in enumerate(demand) if d}
+        self._search = None
+        supply = supply or {}
+        demand = demand or {}
         ends = sorted({pos[v] for v in sinks})
-        for i in ends:
-            sink[i] = -1
-        # units a vertex may still start a path with; -1 for no limit
-        feed = {}
-        if supply is not None:
-            feed = {i: f for i, f in enumerate(supply) if f}
-        given = [pos[v] for v in sources]
-        for i in given:
-            feed[i] = -1
-        if not ends or any(sink.get(i) == -1 for i in given):
+        given = {pos[v] for v in sources}   # starts with no limit
+        if not ends or not given.isdisjoint(ends):
             raise ValueError("the sinks must be nonempty and miss the sources")
+        # the vertices that may start a path, while not dry; a view of
+        # both, not a copy, when sources and supplies are given
+        feed = (ChainMap(given, supply) if given and supply
+                else given or supply)
+        fed = {}        # units of supply each vertex has started paths with
+        dry = set()     # vertices whose supply is all used
+        met = {}        # units of demand each vertex has ended paths with
         res, seen, succ, via = self.cap, self.seen, self.succ, self.via
         log = []        # residual arcs flipped, each undone in the finally
         inside = {}     # I, the supplying elements, in the order they joined
@@ -181,17 +186,30 @@ class Network:
                     mask |= ebit[x]
                     size += 1
         value = size
+        for i in ends:  # a sink's own supply: paths of no arcs as well
+            f = min(supply.get(i, 0), cap - value)
+            if f > 0:
+                value += f
+                fed[i] = f
+                if f == supply[i]:
+                    dry.add(i)
         try:
             while value < cap:
                 self._stamp = stamp = self._stamp + 1
                 start = None
-                queue = []
-                for i in sink:
+                # the vertices that may still end a path: a sink marked
+                # -1 in succ, one with demand left -2
+                queue = ends[:]
+                for i in queue:
                     seen[i], succ[i] = stamp, -1
-                    if i in feed:
+                for i, d in demand.items():
+                    if seen[i] != stamp and met.get(i, 0) < d:
+                        seen[i], succ[i] = stamp, -2
+                        queue.append(i)
+                for i in queue:
+                    if i in feed and i not in dry:
                         start = i
                         break
-                    queue.append(i)
                 for node in queue:  # grows while it is read: breadth first
                     if start is not None:
                         break
@@ -201,7 +219,7 @@ class Network:
                         for c, w in adj[node]:
                             if res[c ^ 1] and seen[w] != stamp:
                                 seen[w], succ[w], via[w] = stamp, node, c ^ 1
-                                if w in feed:
+                                if w in feed and w not in dry:
                                     start = w
                                     break
                                 queue.append(w)
@@ -217,7 +235,7 @@ class Network:
                         w = home[node - n]   # x stops supplying its vertex
                         if seen[w] != stamp:
                             seen[w], succ[w] = stamp, node
-                            if w in feed:
+                            if w in feed and w not in dry:
                                 start = w
                             queue.append(w)
                     else:
@@ -228,12 +246,12 @@ class Network:
                                 seen[n + x], succ[n + x] = stamp, node
                                 queue.append(n + x)
                 if start is None:
-                    self._kept = (log, inside, mask, size, feed)
+                    self._search = queue
                     return value
-                if feed.get(start, 0) > 0:
-                    feed[start] -= 1
-                    if not feed[start]:
-                        del feed[start]
+                if start < n and start not in given:
+                    fed[start] = f = fed.get(start, 0) + 1
+                    if f == supply[start]:
+                        dry.add(start)
                 node = start
                 while True:
                     nxt = succ[node]
@@ -246,17 +264,15 @@ class Network:
                             inside[x] = None
                             size += 1
                         mask ^= ebit[x]
-                    elif nxt == -1:
+                    elif nxt < 0:
                         break
                     elif nxt < n:
                         c = via[node]
                         res[c], res[c ^ 1] = 0, 1
                         log.append(c)
                     node = nxt
-                if sink[node] > 0:
-                    sink[node] -= 1
-                    if not sink[node]:
-                        del sink[node]
+                if nxt == -2:
+                    met[node] = met.get(node, 0) + 1
                 # two supplying twins would cancel in the mask: the rank
                 # falls short
                 if rank[mask] != size:
@@ -274,63 +290,19 @@ class Network:
                 res[c] ^= 1
                 res[c ^ 1] ^= 1
 
-    def unreached(self) -> frozenset:
+    def minimizer(self) -> frozenset:
         """Indices of the vertices the failed last search of ``min_cut``
-        left unreached: the largest minimizer of that cut.
+        reached: the smallest minimizer of that cut, the intersection of
+        all its minimizers.
 
-        The backward search stops where the sinks' side ends, so the set
-        is found here, on demand, by a search forwards from every start
-        over the residual graph the last call left, replayed from its log
-        of flips and undone again.
+        The search went back from every vertex that may still end a path,
+        over the residual graph, until it had run out of nodes; what it
+        reached is the sink side that every minimum cut must hold.
         """
-        if self._kept is None:
+        if self._search is None:
             raise ValueError("the last min_cut reached its cap")
-        log, inside, mask, size, feed = self._kept
-        adj, home, ebit, at, rank, res, seen = (self.adj, self.home, self.ebit,
-                                                self.at, self.rank, self.cap,
-                                                self.seen)
         n = len(self.pos)
-        self._stamp = stamp = self._stamp + 1
-        queue = list(feed)
-        for i in queue:
-            seen[i] = stamp
-        # an element y only leads to its vertex, so y is left out once that
-        # vertex is reached; this also leaves out the elements at sources
-        for y, b in enumerate(ebit):
-            if (y not in inside and seen[home[y]] != stamp
-                    and rank[mask | b] > size):
-                seen[n + y] = stamp
-                queue.append(n + y)
-        for c in log:
-            res[c] ^= 1
-            res[c ^ 1] ^= 1
-        try:
-            for node in queue:  # grows while it is read
-                if node < n:
-                    for c, w in adj[node]:
-                        if res[c] and seen[w] != stamp:
-                            seen[w] = stamp
-                            queue.append(w)
-                    for x in at[node]:
-                        if x in inside and seen[n + x] != stamp:
-                            seen[n + x] = stamp
-                            queue.append(n + x)
-                elif node - n in inside:
-                    rest = mask ^ ebit[node - n]
-                    for y, b in enumerate(ebit):
-                        if (y not in inside and seen[n + y] != stamp
-                                and seen[home[y]] != stamp
-                                and rank[rest | b] == size):
-                            seen[n + y] = stamp
-                            queue.append(n + y)
-                elif seen[home[node - n]] != stamp:
-                    seen[home[node - n]] = stamp
-                    queue.append(home[node - n])
-        finally:
-            for c in log:
-                res[c] ^= 1
-                res[c ^ 1] ^= 1
-        return frozenset(i for i in range(n) if seen[i] != stamp)
+        return frozenset(i for i in self._search if i < n)
 
 
 class _Ranks(dict):

@@ -10,11 +10,15 @@ m(v) = deg(v) + k it lowers each m(v) in turn by the least slack
 m(X) - q(X) over X containing v, n minimizations in all.  Under the
 ``flow`` engine each is one flow (``flow.Network.min_cut``) on the
 all-forward digraph, whose per-vertex supplies and demands carry the
-modular offset; ``brute`` and ``min-norm-point`` run them as submodular
-minimizations and are its cross-checks.  If then m(V) = |E|, reversing
-directed paths from vertices below m to vertices above it realizes m.
-Otherwise the steps' minimizers are tight, and merged where they meet
-they give a partition of maximum deficiency |E| - m(V) < 0.  There is no
+modular offset.  A step changes the offset at its own vertex only, so the
+supplies and demands are dicts changed there, and the step's tight set
+is the smallest minimizer, what the flow's failed last search reached: a
+step costs its searches, not n.  ``brute`` and ``min-norm-point`` run the
+steps as submodular minimizations, with lex-smallest minimizers, and are
+the flow's cross-checks.  If then m(V) = |E|, reversing directed paths
+from vertices below m to vertices above it realizes m.  Otherwise the
+steps' minimizers are tight, and merged where they meet they give a
+partition of maximum deficiency |E| - m(V) < 0.  There is no
 heuristic and no exhaustive fallback.  ``pack_undirected`` returns the
 arborescences packed in that orientation as they are, edge ids and all,
 once ``verify_packing`` accepts them on the graph.
@@ -22,6 +26,7 @@ once ``verify_packing`` accepts them on the graph.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -78,10 +83,14 @@ def orient_m_connected(g: RootedGraph,
     gap = [k] * n
     for _, u, _ in g.edges:
         gap[pos[u]] += 1
+    # the flow engine's split of gap by sign, g+ and g-, and g-(V)
+    supply = {j: x for j, x in enumerate(gap) if x > 0}
+    demand: dict = {}
+    owed = 0
     steps = []
     for i in range(n):
         if net is not None:
-            res = _step_by_flow(net, slack, gap, i, k)
+            res = _step_by_flow(net, slack, supply, demand, owed, i, k)
         else:
             off = gap[:]  # min-norm-point evaluates again to find a minimizer
             res = sfm.minimize(sfm.SubmodularObjective(
@@ -89,18 +98,36 @@ def orient_m_connected(g: RootedGraph,
                 ("contains", i)), engine=engine)
         gap[i] -= res.value
         steps.append(res)
+        # the step changed gap at v_i alone, from its first value: k plus
+        # the out-degree, no demand
+        supply.pop(i, None)
+        if gap[i] > 0:
+            supply[i] = gap[i]
+        elif gap[i] < 0:
+            demand[i] = -gap[i]
+            owed -= gap[i]
     if sum(gap) > 0:  # m(V) > |E|
-        blocks: list[set] = []
+        # the tight sets merged where they meet, by union-find over the
+        # vertex indices; step i's set holds v_i, so the blocks cover V
+        up = list(range(n))
+
+        def top(j: int) -> int:
+            while up[j] != j:
+                up[j] = up[up[j]]
+                j = up[j]
+            return j
+
         for res in steps:
-            b = set(res.minimizer)
-            for c in [c for c in blocks if c & b]:
-                b |= c
-                blocks.remove(c)
-            blocks.append(b)
-        blocks.sort(key=min)
+            tight = iter(res.minimizer)
+            a = top(next(tight))
+            for j in tight:
+                up[top(j)] = a
+        blocks: dict = {}
+        for j in range(n):  # in the order of their smallest index
+            blocks.setdefault(top(j), []).append(verts[j])
         cert = Certificate(
             VIOLATED_PARTITION,
-            partition=tuple(frozenset(verts[j] for j in b) for b in blocks),
+            partition=tuple(frozenset(b) for b in blocks.values()),
             deficiency=-sum(gap))
         if not recheck_certificate(g, cert):
             raise TheoremViolation(
@@ -125,25 +152,25 @@ def orient_m_connected(g: RootedGraph,
     return oriented
 
 
-def _step_by_flow(net: flow.Network, slack, gap: list, i: int,
-                  k: int) -> sfm.SfmResult:
+def _step_by_flow(net: flow.Network, slack, supply: dict, demand: dict,
+                  owed: int, i: int, k: int) -> sfm.SfmResult:
     """One greedy step, min over X containing v_i of def(X) + gap(X), by
     one flow on ``net``, the all-forward digraph.
 
-    With gap = g+ - g- split by sign, def(X) + gap(X) equals
-    in(X) + r(S_X) + g+(X) + g-(V - X) - k - g-(V): the cut of X when a
-    virtual source supplies w with g+(w) units and w passes g-(w) on to
-    a virtual sink inside X.  The flow is capped one above the cut of
-    {v_i}, so it ends with a failed search, and the vertices that search
-    did not reach are the minimizer.
+    With gap = g+ - g- split by sign into ``supply`` and ``demand``,
+    def(X) + gap(X) equals in(X) + r(S_X) + g+(X) + g-(V - X) - k - g-(V),
+    ``owed`` being g-(V): the cut of X when a virtual source supplies w
+    with g+(w) units and w passes g-(w) on to a virtual sink inside X.
+    The flow is capped one above the cut of {v_i}, so it ends with a
+    failed search, and the vertices that search reached are the smallest
+    minimizer.  The step reads the dicts as they are, so it costs its
+    search and nothing of size n.
     """
-    supply = [max(x, 0) for x in gap]
-    demand = [max(-x, 0) for x in gap]
-    shift = k + sum(demand)
-    single = slack.evaluate(frozenset((i,))) + gap[i] + shift
-    value = net.min_cut((net.vertices[i],), (), single + 1,
-                        supply, demand)
-    return sfm.SfmResult(net.unreached(), value - shift)
+    shift = k + owed
+    single = (slack.evaluate(frozenset((i,))) + supply.get(i, 0)
+              - demand.get(i, 0) + shift)
+    value = net.min_cut((net.vertices[i],), (), single + 1, supply, demand)
+    return sfm.SfmResult(net.minimizer(), value - shift)
 
 
 def _realize(dirs: dict, gap: dict, engine: str) -> Orientation:
@@ -151,8 +178,15 @@ def _realize(dirs: dict, gap: dict, engine: str) -> Orientation:
 
     A path from a vertex with gap > 0 to one with gap < 0, reversed, moves
     one in-arc from its end to its start; Hakimi's theorem says one exists.
+    The search leaves each vertex by its out-arcs in the order of
+    ``dirs``, one sorted list of edge indices per vertex; a reversal moves
+    one index from one list to another.
     """
+    ids = list(dirs)
     dirs = dict(dirs)
+    out: dict = {v: [] for v in gap}
+    for j, e in enumerate(ids):
+        out[dirs[e][0]].append(j)
     reversals = 0
     for low in gap:
         while gap[low] > 0:
@@ -162,9 +196,10 @@ def _realize(dirs: dict, gap: dict, engine: str) -> Orientation:
                 w = dq.popleft()
                 if gap[w] < 0:
                     break
-                for e, (t, h) in dirs.items():
-                    if t == w and h not in prev:
-                        prev[h] = e
+                for j in out[w]:
+                    h = dirs[ids[j]][1]
+                    if h not in prev:
+                        prev[h] = j
                         dq.append(h)
             else:
                 raise TheoremViolation(
@@ -176,8 +211,12 @@ def _realize(dirs: dict, gap: dict, engine: str) -> Orientation:
             gap[low] -= 1
             gap[w] += 1
             while w != low:
-                t, h = dirs[prev[w]]
-                dirs[prev[w]] = (h, t)
+                j = prev[w]
+                e = ids[j]
+                t, h = dirs[e]
+                dirs[e] = (h, t)
+                out[t].remove(j)
+                insort(out[h], j)
                 w = t
     return Orientation(dirs)
 

@@ -65,7 +65,7 @@ class SubmodularObjective:
 
 class SfmResult:
     """Minimum value and a minimizer of one minimization: the lex-smallest
-    one from ``minimize``, the largest one from a flow's ``unreached()``.
+    one from ``minimize``, the smallest one from a flow's ``minimizer()``.
 
     Given ``find`` instead of a minimizer, the minimizer is computed by
     ``find()`` the first time it is read, so a caller that only needs the

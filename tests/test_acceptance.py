@@ -203,7 +203,7 @@ def undirected_sweep():
 def test_05_orientation_equivalence_exhaustive(undirected_sweep):
     # the default engine's greedy steps are flows, the brute engine's are
     # subset enumerations: their values, hence orientations, must agree,
-    # while their tight sets (largest against lex-smallest minimizer) may
+    # while their tight sets (smallest against lex-smallest minimizer) may
     # merge into different partitions
     positives = other_partitions = 0
     for g, exists in undirected_sweep:

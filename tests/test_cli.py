@@ -494,7 +494,7 @@ def test_orientation_tripwire_is_an_error_envelope(tmp_path, capsys,
     assert out["payload"]["kind"] == "TheoremViolation"
     assert out["payload"]["message"] == (
         "orient_m_connected: the tight sets of greedy steps 1 to 3, merged "
-        "into [['a', 'b'], ['c']], are not a violated partition (tripwire): "
+        "into [['a'], ['b'], ['c']], are not a violated partition (tripwire): "
         "engine flow, deficiency -1, vertices 3, edges 1")
 
 

@@ -71,10 +71,11 @@ def with_twins(rng: random.Random, inst: RootedDigraph, count: int):
 
 def cuts(inst: RootedDigraph, sinks, sources, supply=None, demand=None) -> dict:
     """X -> in(X) + r(S_X) + supply(X) + demand(V - X), for every X holding
-    the sinks and no source; supply and demand by vertex index."""
+    the sinks and no source; supply and demand map vertex indices to
+    units, 0 where left out."""
     verts = inst.vertices
-    supply = supply or [0] * len(verts)
-    demand = demand or [0] * len(verts)
+    supply = supply or {}
+    demand = demand or {}
     rest = [v for v in verts if v not in sinks and v not in sources]
     out = {}
     for r in range(len(rest) + 1):
@@ -82,7 +83,7 @@ def cuts(inst: RootedDigraph, sinks, sources, supply=None, demand=None) -> dict:
             xs = frozenset(sinks) | frozenset(extra)
             out[xs] = (in_degree(inst, xs)
                        + inst.matroid.rank(inst.elements_in(xs))
-                       + sum(supply[i] if v in xs else demand[i]
+                       + sum(supply.get(i, 0) if v in xs else demand.get(i, 0)
                              for i, v in enumerate(verts)))
     return out
 
@@ -115,15 +116,18 @@ def random_query(rng: random.Random, verts):
     cap = rng.randint(-1, 30)
     supply = demand = None
     if rng.random() < 0.5:
-        supply = [rng.choice((0, 0, 1, 2, 5)) for _ in verts]
-        demand = [rng.choice((0, 0, 1, 3)) for _ in verts]
+        supply = {i: u for i, u in enumerate(rng.choice((0, 0, 1, 2, 5))
+                                             for _ in verts) if u}
+        demand = {i: u for i, u in enumerate(rng.choice((0, 0, 1, 3))
+                                             for _ in verts) if u}
     return sinks, sources, cap, supply, demand
 
 
 def test_flow_matches_enumeration():
-    # below the cap the unreached vertices must be the largest minimizer,
-    # the union of all minimizers; each network answers several draws, so
-    # every call must leave its residual capacities as it found them
+    # below the cap the vertices the failed search reached must be the
+    # smallest minimizer, the intersection of all minimizers; each network
+    # answers several draws, so every call must leave its residual
+    # capacities, and the caller's supply and demand, as it found them
     rng = random.Random(2024)
     below_cap = weighted = 0
     for _ in range(1000):
@@ -136,20 +140,21 @@ def test_flow_matches_enumeration():
             values = cuts(inst, sinks, sources, supply, demand)
             want = min(cap, *values.values())
             case = (inst.arcs, inst.roots, query)
+            given = (dict(supply or {}), dict(demand or {}))
             assert net.min_cut(sinks, sources, cap, supply, demand) == want, \
                 case
             assert net.cap == before, case
+            assert (supply or {}, demand or {}) == given, case
             if want < cap:
-                largest = frozenset().union(
+                smallest = frozenset.intersection(
                     *(xs for xs, v in values.items() if v == want))
                 assert frozenset(inst.vertices[i]
-                                 for i in net.unreached()) == largest, case
-                assert net.cap == before, case
+                                 for i in net.minimizer()) == smallest, case
                 below_cap += 1
                 weighted += supply is not None
             else:
                 with pytest.raises(ValueError, match="reached its cap"):
-                    net.unreached()
+                    net.minimizer()
     assert below_cap > 1000 and weighted > 500
 
 

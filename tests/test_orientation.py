@@ -101,6 +101,56 @@ def test_flow_greedy_matches_min_norm_point(kind, n):
     assert got.deficiency == want.deficiency
 
 
+def realize_by_scan(dirs: dict, gap: dict) -> dict:
+    """``_realize``'s path reversals, each search scanning every edge in
+    the order of ``dirs`` for the ones leaving the popped vertex."""
+    dirs = dict(dirs)
+    for low in gap:
+        while gap[low] > 0:
+            prev = {low: None}
+            queue = [low]
+            for w in queue:
+                if gap[w] < 0:
+                    break
+                for e, (t, h) in dirs.items():
+                    if t == w and h not in prev:
+                        prev[h] = e
+                        queue.append(h)
+            gap[low] -= 1
+            gap[w] += 1
+            while w != low:
+                t, h = dirs[prev[w]]
+                dirs[prev[w]] = (h, t)
+                w = t
+    return dirs
+
+
+def test_realize_searches_edges_in_order():
+    # the gap of a random target orientation against a random start, so a
+    # realization exists (Hakimi); the out-adjacency search must reverse
+    # the same paths as a scan of every edge
+    from arbopack.orientation import _realize
+
+    rng = random.Random(31)
+    reversals = 0
+    for _ in range(300):
+        verts = ["v%d" % i for i in range(rng.randint(2, 9))]
+        edges = [("e%d" % j, *rng.sample(verts, 2))
+                 for j in range(rng.randint(1, 20))]
+        start = {e: (u, v) if rng.random() < 0.5 else (v, u)
+                 for e, u, v in edges}
+        target = {e: (u, v) if rng.random() < 0.5 else (v, u)
+                  for e, u, v in edges}
+        gap = dict.fromkeys(verts, 0)
+        for e in start:
+            gap[target[e][1]] += 1
+            gap[start[e][1]] -= 1
+        reversals += sum(x for x in gap.values() if x > 0)
+        want = realize_by_scan(start, dict(gap))
+        assert _realize(start, dict(gap), "flow").directions == want, edges
+    assert reversals > 500
+
+
 def test_orientation_tripwires_name_step_engine_and_sizes(monkeypatch):
     from arbopack import orientation
     from arbopack.packing import TheoremViolation
@@ -124,14 +174,15 @@ def test_orientation_tripwires_name_step_engine_and_sizes(monkeypatch):
         "edges 1")
 
 
-def test_min_norm_point_orientation_on_a_sweep_sample():
-    # the criterion-5 sweep, sampled, with the other engine
+def orient_sweep_sample(engine: str) -> None:
+    """The criterion-5 sweep, sampled: every positive is M-connected, and
+    every negative rechecks with the enumerator's deficiency."""
     sweep = list(iter_undirected_instances(max_vertices=4, max_edges=5,
                                            max_roots=2, matroids=lean_matroids))
     positives = negatives = 0
     for g in random.Random(5).sample(sweep, 2000):
         cert = check_partition_connected(g)
-        out = orient_m_connected(g, engine="min-norm-point")
+        out = orient_m_connected(g, engine=engine)
         assert isinstance(out, Orientation) == cert.ok, g
         if cert.ok:
             assert check_m_connected(induced_digraph(g, out)).ok, g
@@ -141,6 +192,15 @@ def test_min_norm_point_orientation_on_a_sweep_sample():
             assert out.deficiency == cert.deficiency, g
             negatives += 1
     assert positives > 100 and negatives > 100
+
+
+def test_min_norm_point_orientation_on_a_sweep_sample():
+    orient_sweep_sample("min-norm-point")
+
+
+def test_flow_orientation_on_a_sweep_sample():
+    # the flow engine merges the smallest tight set of each greedy step
+    orient_sweep_sample("flow")
 
 
 # -- undirected packing ------------------------------------------------------------------

@@ -262,7 +262,7 @@ def test_changed_network_matches_a_fresh_build(engine):
                     got = red.net.min_cut((w,), src, cap)
                     assert got == fresh.min_cut((w,), src, cap), \
                         (cur, w, src)
-                    assert red.net.unreached() == fresh.unreached(), \
+                    assert red.net.minimizer() == fresh.minimizer(), \
                         (cur, w, src)
             classes = {a: classify_arc(cur, a) for a, _, _ in cur.arcs}
             cached = {a: ("bad", frozenset(red.roots[x][0] for x in w))
