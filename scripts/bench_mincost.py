@@ -31,8 +31,9 @@ reported), and one row gives the split of the last run:
 Each size runs in a fresh process, so its ``rss_mb`` is its own peak,
 not that of an earlier, larger size or family.
 
-``SIZES`` stops at n=2048: the LP rows are dense, m + n rows of m
-entries, about 25M list slots there.  The library is imported from
+The LP rows are sparse, one per vertex and one per cut, and they hold
+m + the cut supports' sizes column entries in all, so ``SIZES`` runs on
+until the budget stops a family.  The library is imported from
 ``--src`` (default: ``src/`` next to this script), so the same script
 times another checkout.  ``--json`` writes the rows to a file as well.
 """
@@ -51,7 +52,7 @@ import time
 
 HERE = pathlib.Path(__file__).resolve().parent
 SIZES = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024,
-         1536, 2048)
+         1536, 2048, 3072, 4096, 6144, 8192, 12288, 16384, 24576)
 REPEAT = 3
 BUDGET = 60.0
 FAMILIES = {"noise-first": (1, 4), "planted": (2, 2)}  # t, m / n

@@ -10,9 +10,10 @@ reproducible across runs and platforms.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from random import Random
-from typing import Union
+from typing import Optional, Union
 
 from .graphs import RootedDigraph, RootedGraph
 from .matroid import (
@@ -30,6 +31,9 @@ FORMAT_VERSION = 1
 INSTANCE_KEYS = {"version", "vertices", "arcs", "edges", "roots", "matroid",
                  "costs", "bound"}
 
+# a cost string, as in docs/instance-schema.json; [0-9] is ASCII only
+_COST_PATTERN = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 class ParseError(ValueError):
     def __init__(self, path: str, reason: str):
@@ -46,6 +50,18 @@ def _require(cond, path, reason):
 def _is_int(value) -> bool:
     """A JSON integer: Python's bool is an int, JSON's true is not."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _cost(value) -> Optional[Fraction]:
+    """A JSON integer or a 'p/q' string with q > 0 as a Fraction; None for
+    any other value."""
+    if _is_int(value):
+        return Fraction(value)
+    if isinstance(value, str) and _COST_PATTERN.fullmatch(value):
+        p, _, q = value.partition("/")
+        if int(q or 1):
+            return Fraction(int(p), int(q or 1))
+    return None
 
 
 def _is_strings(value) -> bool:
@@ -166,6 +182,7 @@ def parse_instance(text: Union[str, bytes]) -> tuple[object, dict]:
              "unsupported version %r" % version)
     verts = doc.get("vertices")
     _require(_is_strings(verts), "vertices", "must be a list of strings")
+    _require(verts, "vertices", "must not be empty")
     has_arcs = "arcs" in doc
     has_edges = "edges" in doc
     _require(has_arcs != has_edges, "$",
@@ -224,11 +241,10 @@ def parse_instance(text: Union[str, bytes]) -> tuple[object, dict]:
                  "cost on unknown arc id")
         extras["costs"] = {}
         for a, v in costs.items():
-            try:
-                extras["costs"][a] = Fraction(str(v))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError("costs." + a,
-                                 "must be an integer or a 'p/q' string") from None
+            cost = _cost(v)
+            _require(cost is not None, "costs." + a,
+                     "must be an integer or a 'p/q' string")
+            extras["costs"][a] = cost
     if "bound" in doc:
         _require(_is_int(doc["bound"]) and doc["bound"] >= 0,
                  "bound", "must be a non-negative integer")

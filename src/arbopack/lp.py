@@ -1,38 +1,40 @@
-"""Exact rational LP for the cutting-plane loop: split rows solved by a
-greedy choice, and dual-simplex re-solves after appended inequality rows.
+"""Exact rational LP for the cutting-plane loop: the in-degree equalities
+solved by a greedy choice, and dual-simplex re-solves after appended cuts.
 
-Split rows box every column to [0, 1], one row ``x_j <= 1`` per column,
-and hold the blocks of a partition of the columns to integer sums by one
-0/1 equality each.  Without a ``start``, ``solve_lp`` takes only these
-rows.  The LP splits by block, and its optimum is the d cheapest columns
-of each block held to d, ties to the lower index, found with no pivots.
-A block held to a sum below 0 or above its size makes it infeasible.
+Every column is boxed to [0, 1] by ``solve_lp`` itself.  Every row is
+sparse, ``(cols, rhs)``: the ascending tuple of the columns whose
+coefficient is 1, and an integer rhs.  Without a ``start``, the rows are
+equalities x(cols) = d whose supports partition the columns.  The LP
+splits by block, and its optimum is the d cheapest columns of each
+block, ties to the lower index, found with no pivots.  A block held to a
+sum below 0 or above its size makes it infeasible.  Each row appended
+after a ``start`` is a cut x(cols) >= rhs.
 
 The optimum keeps its basis.  The columns are the n structural ones, then
-one slack per box, in row order.  In each block the marginal column (the
-d-th cheapest, or the cheapest when d = 0) has x and its slack basic;
-every other chosen column has x basic, and every other unchosen column
-its slack.  An empty block's equality 0 = 0 has no basic variable and is
-dropped.  The basis is unimodular, so its tableau has entries 0 and +-1
-over D = 1, and it is dual feasible: the reduced cost of an unchosen
-column is its cost minus the marginal one, and that of a chosen column's
-slack is the marginal cost minus the column's, both >= 0.
+one box slack per column in column order, then one slack per cut.  In
+each block the marginal column (the d-th cheapest, or the cheapest when
+d = 0) has x and its slack basic; every other chosen column has x basic,
+and every other unchosen column its slack.  An empty block's equality
+0 = 0 has no basic variable and is dropped.  The basis is unimodular, so
+its tableau has entries 0 and +-1 over D = 1, and it is dual feasible:
+the reduced cost of an unchosen column is its cost minus the marginal
+one, and that of a chosen column's slack is the marginal cost minus the
+column's, both >= 0.
 
 Re-solve (``solve_lp(c, rows, start=previous)``): a split optimum keeps
-its rows as given, with no copy and no tableau, so a run that needs no
-re-solve pays for neither.  The first re-solve writes out the split
-basis's tableau from them, and each later result keeps its own.  The
-tableau holds Python ints over one common denominator D: the true
-entry is T/D, and each basic column holds D in its row (integer-preserving
-elimination; Edmonds 1967, Bareiss 1968).  The reduced costs are one more
-row R (reduced cost = R/D), priced on the costs scaled to ints by the lcm
-of their denominators.  Each appended inequality row, scaled to ints by
-the lcm of its own denominators and written as ``<=`` with a new basic
-slack, is eliminated against the tableau as D*row - sum of
-row[basis_i]*T_i, which needs no division and keeps D.  The basis stays
+its rows with no tableau, so a run that needs no re-solve pays for none.
+The first re-solve writes out the split basis's tableau from them, and
+each later result keeps its own.  The tableau holds Python ints over one
+common denominator D: the true entry is T/D, and each basic column holds
+D in its row (integer-preserving elimination; Edmonds 1967, Bareiss
+1968).  The reduced costs are one more row R (reduced cost = R/D), priced
+on the costs scaled to ints by the lcm of their denominators.  Each
+appended cut, written as -x(cols) + s = -rhs with a new basic slack s, is
+eliminated against the tableau as D*row plus the rows of the basic
+columns in cols, which needs no division and keeps D.  The basis stays
 dual feasible, and dual-simplex pivots under the smallest-index rule
 (Bland's rule on the dual, which terminates) restore primal feasibility or
-find the row that makes the LP infeasible.  The boxes keep every LP
+find the cut that makes the LP infeasible.  The boxes keep every LP
 bounded.  A pivot on (r, c), whose entry T[r][c] is negative, negates
 row r first, which negates the whole new tableau and keeps D > 0; with
 p = -T[r][c] every other row i, R included, becomes
@@ -63,32 +65,20 @@ class LpResult:
     tableau: Optional[object] = field(default=None, compare=False, repr=False)
 
 
-def _exact(values) -> list:
-    return [v if isinstance(v, (int, Fraction)) else Fraction(v)
-            for v in values]
-
-
-def _ints(values: list, scale: int) -> list:
-    """values times scale, a common multiple of their denominators."""
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
-def _lcm(values) -> int:
-    return math.lcm(*(v.denominator for v in values))
-
-
 class _Tableau:
     """T (rows, rhs last), the basis, D and the reduced-cost row R of the
-    rows solved.  A split optimum's tableau has no T: it keeps the rows as
-    given, and ``_split_tableau`` writes T out from them when a re-solve
-    starts there; a written tableau keeps a snapshot of its rows."""
+    rows solved, with the costs scaled to ints.  A split optimum's tableau
+    has no T, and ``_split_tableau`` writes T out from its rows when a
+    re-solve starts there."""
 
-    __slots__ = ("T", "basis", "D", "R", "n", "c", "cscale", "rows",
+    __slots__ = ("T", "basis", "D", "R", "n", "c", "cost", "cscale", "rows",
                  "pivots")
 
     def __init__(self, c: list, rows: tuple, T: Optional[list] = None,
                  basis: Sequence = (), D: int = 1):
-        self.c, self.n, self.cscale, self.rows = c, len(c), _lcm(c), rows
+        self.c, self.n, self.rows = c, len(c), rows
+        self.cscale = math.lcm(*(v.denominator for v in c))
+        self.cost = [v.numerator * (self.cscale // v.denominator) for v in c]
         self.T, self.basis, self.D = T, list(basis), D
         self.R: list = []
         self.pivots = 0
@@ -156,107 +146,67 @@ class _Tableau:
                         pivots=self.pivots, tableau=self)
 
 
-def _snapshot(rows) -> tuple:
-    return tuple((tuple(coeffs), sense, rhs) for coeffs, sense, rhs in rows)
-
-
-def solve_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]],
+def solve_lp(c: Sequence, rows: Sequence[tuple[tuple, int]],
              start: Optional[LpResult] = None) -> LpResult:
-    """Minimize c.x subject to rows (coeffs, sense, rhs) and x >= 0.
+    """Minimize c.x subject to 0 <= x <= 1 and rows.
 
-    sense is one of '<=', '>=', '='.  Without ``start`` the rows must be
-    split rows (see the module docstring); any other rows raise
-    ``ValueError``.
+    c holds ints or Fractions.  A row is (cols, rhs), cols the ascending
+    tuple of the columns whose coefficient is 1 and rhs an int.  Without
+    ``start`` the rows are equalities x(cols) = rhs whose supports
+    partition the columns (see the module docstring), which is not
+    checked.
 
     ``start`` is an optimal result of an earlier solve with the same c
-    whose rows are a prefix of ``rows``; the rows past that prefix must be
-    inequalities, and the LP is re-solved from the start's basis by
+    whose rows are a prefix of ``rows``; each row past that prefix is a
+    cut x(cols) >= rhs, and the LP is re-solved from the start's basis by
     dual-simplex pivots.  Any other ``start`` raises ``ValueError``.
     """
     if start is not None:
         return _resolve(c, rows, start)
-    c = _exact(c)
-    split = _parse(rows, len(c))
-    if split is None:
-        raise ValueError("without a start, the rows must be split rows: a "
-                         "box x_j <= 1 per column and 0/1 equalities that "
-                         "partition the columns, with integer sums")
-    blocks = split[1]
-    if any(not 0 <= d <= len(support) for support, d in blocks):
+    if any(not 0 <= d <= len(cols) for cols, d in rows):
         return LpResult(INFEASIBLE)
-    tab = _Tableau(c, tuple(rows))
-    cost = _ints(c, tab.cscale)
-    x = [Fraction(0)] * len(c)
+    tab = _Tableau(list(c), tuple(rows))
+    x = [Fraction(0)] * tab.n
     one, total = Fraction(1), 0
-    for support, d in blocks:  # support ascends and sorted() is stable
-        for j in sorted(support, key=cost.__getitem__)[:d]:
+    for cols, d in rows:  # cols ascend and sorted() is stable
+        for j in sorted(cols, key=tab.cost.__getitem__)[:d]:
             x[j] = one
-            total += cost[j]
+            total += tab.cost[j]
     return LpResult(OPTIMAL, x=x, objective=Fraction(total, tab.cscale),
                     tableau=tab)
 
 
-def _parse(rows, n: int) -> Optional[tuple]:
-    """(box, blocks) of split rows: the row of each column's box, and the
-    ascending support and the sum of each equality; None for other rows."""
-    box: list = [None] * n
-    blocks = []
-    for i, (coeffs, sense, rhs) in enumerate(rows):
-        if len(coeffs) != n:
-            return None
-        nonzero = n - coeffs.count(0)
-        if (sense == "<=" and rhs == 1 and nonzero == 1 and 1 in coeffs
-                and box[coeffs.index(1)] is None):
-            box[coeffs.index(1)] = i
-        elif sense == "=" and coeffs.count(1) == nonzero and rhs == int(rhs):
-            blocks.append(([j for j, a in enumerate(coeffs) if a], int(rhs)))
-        else:
-            return None
-    if None in box or sorted(
-            j for support, _ in blocks for j in support) != list(range(n)):
-        return None
-    return box, blocks
-
-
-def _split_tableau(c: list, rows: tuple) -> _Tableau:
-    """The tableau of the split basis (module docstring) of split rows."""
-    split = _parse(rows, len(c))
-    if split is None:
-        raise ValueError("the split rows of start were changed in place")
-    n = len(c)
-    box, blocks = split
-    slack = [0] * n  # column j's slack column, in the order of the boxes
-    for s, j in enumerate(sorted(range(n), key=box.__getitem__)):
-        slack[j] = n + s
-    tab = _Tableau(c, _snapshot(rows))
-    cost = _ints(c, tab.cscale)
+def _split_tableau(split: _Tableau) -> _Tableau:
+    """The tableau of the split basis (module docstring) of a split
+    optimum's rows."""
+    n, cost = split.n, split.cost
     T, basis = [], []
-    for support, d in blocks:
-        if not support:
+    for cols, d in split.rows:
+        if not cols:
             continue
-        order = sorted(support, key=cost.__getitem__)
+        order = sorted(cols, key=cost.__getitem__)
         mu = order[max(d - 1, 0)]
         # x_mu + x(unchosen) - s(chosen) = min(d, 1), the equality less the
         # chosen boxes; s_mu's row is box mu less that row
         xrow, srow = [0] * (2 * n + 1), [0] * (2 * n + 1)
-        xrow[mu] = srow[slack[mu]] = 1
+        xrow[mu] = srow[n + mu] = 1
         xrow[-1] = min(d, 1)
         srow[-1] = 1 - xrow[-1]
         for i, j in enumerate(order):
             if j == mu:
                 continue
             row = [0] * (2 * n + 1)
-            row[j] = row[slack[j]] = row[-1] = 1
+            row[j] = row[n + j] = row[-1] = 1
             T.append(row)
             if i < d:
                 basis.append(j)
-                xrow[slack[j]], srow[slack[j]] = -1, 1
+                xrow[n + j], srow[n + j] = -1, 1
             else:
-                basis.append(slack[j])
+                basis.append(n + j)
                 xrow[j], srow[j] = 1, -1
         T += [xrow, srow]
-        basis += [mu, slack[mu]]
-    tab.T, tab.basis = T, basis
+        basis += [mu, n + mu]
+    tab = _Tableau(split.c, split.rows, T, basis)
     tab.price(cost + [0] * n)
     return tab
 
@@ -267,34 +217,32 @@ def _resolve(c: Sequence, rows: Sequence, start: LpResult) -> LpResult:
         raise ValueError("start is not an optimal result of solve_lp: it "
                          "holds no basis")
     n, k = old.n, len(old.rows)
-    head = tuple(rows[:k]) if old.T is None else _snapshot(rows[:k])
-    if _exact(c) != old.c or len(rows) < k or head != old.rows:
+    if list(c) != old.c or tuple(rows[:k]) != old.rows:
         raise ValueError("start was solved for other costs or other rows "
                          "than a prefix of these")
-    added = rows[k:]
-    if any(sense not in ("<=", ">=") or len(coeffs) != n
-           for coeffs, sense, _ in added):
-        raise ValueError("appended rows must be inequalities over %d "
-                         "variables" % n)
+    added = tuple(rows[k:])
+    if not all(0 <= j < n for cols, _ in added for j in cols):
+        raise ValueError("appended cuts must hold columns of 0..%d"
+                         % (n - 1))
     if old.T is None:
-        old = _split_tableau(old.c, head)
+        old = _split_tableau(old)
     D = old.D
     width = len(old.R) - 1  # columns before the new slacks
     grow = [0] * len(added)
-    tab = _Tableau(old.c, old.rows + _snapshot(added),
+    tab = _Tableau(old.c, old.rows + added,
                    [row[:-1] + grow + row[-1:] for row in old.T],
                    old.basis, D)
     tab.R = old.R[:-1] + grow + old.R[-1:]
-    for s, (coeffs, sense, rhs) in enumerate(added):
-        entries = _exact([*coeffs, rhs])
-        if sense == ">=":
-            entries = [-v for v in entries]
-        a = _ints(entries, _lcm(entries))
-        new = [D * v for v in a[:n]] + [0] * (width - n) + grow + [D * a[-1]]
-        new[width + s] = D
-        for row, b in zip(tab.T, tab.basis):
-            if b < n and a[b]:
-                new = [v - a[b] * t for v, t in zip(new, row)]
+    # x(cols) >= rhs as -x(cols) + s = -rhs, s its new basic slack
+    basic = {b: row for row, b in zip(tab.T, tab.basis) if b < n}
+    for s, (cols, rhs) in enumerate(added):
+        new = [0] * (width + len(added) + 1)
+        new[width + s], new[-1] = D, -D * rhs
+        for j in cols:
+            new[j] = -D
+        for j in cols:
+            if j in basic:
+                new = [v + t for v, t in zip(new, basic[j])]
         tab.T.append(new)
         tab.basis.append(width + s)
     if tab.dual() == INFEASIBLE:

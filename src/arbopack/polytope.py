@@ -15,12 +15,15 @@ minimization left on the ``flow`` engine's paths.
 Min-cost optimization is an exact cutting-plane loop.  It starts at the
 optimum of the relaxation by boxes and the in-degree equalities
 x(entering v) = d(v) = k - r(S_v) (the singleton cuts, tight on every
-point of the polytope), which splits by head: ``solve_lp`` takes the d(v)
-cheapest arcs into each v with no simplex.  Then: separate the current
-optimum, add the violated cut, solve again, repeat; the final optimum is
-a vertex of the polytope and hence 0/1.  Each solve after a cut is a
-re-solve by dual-simplex pivots from the previous optimal basis
-(``solve_lp``'s ``start``), the first one from the greedy vertex's.
+point of the polytope), which splits by head: ``solve_lp`` boxes every
+arc itself and takes the d(v) cheapest arcs into each v with no simplex.
+Then: separate the current optimum, add the violated cut, solve again,
+repeat; the final optimum is a vertex of the polytope and hence 0/1.
+Every row handed to ``solve_lp`` is sparse, the ascending tuple of the
+arcs it holds and its rhs, so the rows hold m + the cut supports' sizes
+entries in all.  Each solve after a cut is a re-solve by dual-simplex
+pivots from the previous optimal basis (``solve_lp``'s ``start``), the
+first one from the greedy vertex's.
 """
 
 from __future__ import annotations
@@ -128,22 +131,17 @@ def separate(inst: RootedDigraph, x: RationalVector,
     return PolytopeConstraint("cut", vertex_set=xset, rhs=rhs)
 
 
-def _cut_row(inst: RootedDigraph, cut: PolytopeConstraint):
-    """The row x(entering X) >= rhs of a cut."""
-    xs = cut.vertex_set
-    return [int(h in xs and t not in xs) for _, t, h in inst.arcs], ">=", cut.rhs
-
-
 def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
                      lp_trace: Optional[list] = None
                      ) -> Union[tuple[Packing, Fraction], Certificate]:
     """Cutting-plane minimum-cost packing; exact throughout.
 
     The first relaxation has the boxes and the in-degree equalities
-    x(entering v) = d(v) = k - r(S_v) alone; ``solve_lp`` solves it as
-    split rows: the d(v) cheapest arcs into each v, ties broken by
-    canonical arc order, with no simplex.  Each relaxation after it adds
-    one violated cut and is re-solved by the dual simplex from the last
+    x(entering v) = d(v) = k - r(S_v) alone, one sparse row (the arcs into
+    v, d(v)) each; ``solve_lp`` boxes the arcs and takes the d(v) cheapest
+    arcs into each v, ties broken by canonical arc order, with no simplex.
+    Each relaxation after it adds one violated cut, the row (the arcs
+    entering X, rhs), and is re-solved by the dual simplex from the last
     optimal basis, the greedy vertex's first.  ``lp_trace``, a list,
     receives (x, objective, pivots) for every relaxation solved, the first
     with 0 pivots.
@@ -169,10 +167,6 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
     for j, (_, _, h) in enumerate(inst.arcs):
         entering[h].append(j)
     rows: list = []
-    for j in range(len(ids)):  # boxes: x <= 1 (x >= 0 is implicit)
-        row = [0] * len(ids)
-        row[j] = 1
-        rows.append((row, "<=", 1))
     seen_cuts: set = set()
     for v, into in entering.items():  # x(entering v) = d(v)
         need = k - inst.matroid.rank(inst.elements_at(v))
@@ -181,10 +175,7 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
             raise TheoremViolation(
                 "min_cost_packing: vertex %s has %d entering arcs, fewer "
                 "than d(%s)=%d %s" % (v, len(into), v, need, context()))
-        row = [0] * len(ids)
-        for j in into:
-            row[j] = 1
-        rows.append((row, "=", need))
+        rows.append((tuple(into), need))
     # these rows split by head: solve_lp takes the d(v) cheapest arcs
     # into each v with no simplex, and each cut is re-solved from there
     res = solve_lp(c_vec, rows)
@@ -215,7 +206,9 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
                 "min_cost_packing: separation returned the cut on %s again "
                 "%s" % (sorted(violated.vertex_set), context()))
         seen_cuts.add(violated.vertex_set)
-        rows.append(_cut_row(inst, violated))
+        xs = violated.vertex_set
+        rows.append((tuple(j for j, (_, t, h) in enumerate(inst.arcs)
+                           if h in xs and t not in xs), violated.rhs))
         res = solve_lp(c_vec, rows, start=res)
 
     fractional = sorted(a for a, v in x.entries.items() if v not in (0, 1))

@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -361,6 +362,57 @@ def test_mincost_lp_trace_reports_pivots(tmp_path, capsys):
         assert [line["objective"] for line in lines] == objectives
         assert lines[0]["pivots"] == 0  # the greedy point solves no LP
         assert all(line["pivots"] > 0 for line in lines[1:])  # cut off
+
+
+@pytest.mark.parametrize("value, cost", [
+    (7, 7), (-3, -3), ("12", 12), ("007", 7), ("5/3", Fraction(5, 3)),
+    ("-4/6", Fraction(-2, 3)),
+    (1.5, None), (True, None), (None, None), ([1], None), ("1e5", None),
+    (" 3 ", None), ("3\n", None), ("1.5", None), ("+3", None),
+    ("\u0663", None), ("3/-4", None), ("5/0", None),
+], ids=["int", "negative-int", "string", "leading-zeros", "fraction",
+        "negative-fraction", "float", "bool", "null", "list", "exponent",
+        "spaces", "newline", "decimal", "plus", "arabic-indic-digit",
+        "negative-denominator", "zero-denominator"])
+def test_costs_are_json_integers_or_p_q_strings(tmp_path, capsys, value,
+                                                cost):
+    # the schema's integers and p/q strings, and nothing else.  The schema
+    # admits "5/0", which has no value; and jsonschema admits "3\n", as
+    # Python's $ matches before a final newline (ECMA-262's does not)
+    import pathlib
+
+    import jsonschema
+
+    schema = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                         / "docs" / "instance-schema.json").read_text())
+    entry = schema["properties"]["costs"]["additionalProperties"]
+    valid = jsonschema.validators.validator_for(schema)(entry).is_valid(value)
+    assert valid == (cost is not None or value in ("5/0", "3\n"))
+    # r2 alone costs value, and the two cheapest of the three arcs pack
+    doc = dict(MINCOST_DOC, costs={"r1": 10, "r2": value, "r3": 20})
+    code, out = run(capsys, ["mincost", write(tmp_path, "i.json", doc)])
+    if cost is None:
+        assert code == 1 and out["payload"] == {
+            "kind": "ParseError",
+            "message": "costs.r2: must be an integer or a 'p/q' string"}
+    else:
+        total = 10 + cost
+        assert code == 0 and out["payload"]["cost"] == (
+            total if total.denominator == 1 else str(total))
+
+
+@pytest.mark.parametrize("cmd", ["check", "pack", "mincost", "orient"])
+def test_empty_vertex_list_is_a_parse_error(tmp_path, capsys, cmd):
+    doc = {"version": 1, "vertices": [], "roots": [],
+           "matroid": {"type": "free"}, "costs": {}}
+    if cmd == "orient":
+        doc = dict(doc, edges=[])
+        del doc["costs"]
+    else:
+        doc["arcs"] = []
+    code, out = run(capsys, [cmd, write(tmp_path, "i.json", doc)])
+    assert code == 1 and out["payload"] == {
+        "kind": "ParseError", "message": "vertices: must not be empty"}
 
 
 @pytest.mark.parametrize("arcs, costs, status", [

@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import digraph, random_digraph
-from test_lp import reference_solve_lp, reference_split_lp
+from test_lp import reference_cold_lp, reference_solve_lp
 from arbopack import polytope
 from arbopack.connectivity import (
     Certificate,
     check_independent_placement,
     check_m_connected,
 )
-from arbopack.instances import generate_instance, parse_instance
+from arbopack.instances import _generate_raw, generate_instance, parse_instance
 from arbopack.lp import LpResult, solve_lp
 from arbopack.matroid import FreeMatroid, UniformMatroid
 from arbopack.packing import Packing, Tree, brute_force_packing, verify_packing
@@ -344,8 +344,6 @@ def test_cutting_plane_path_matches_the_fraction_tableau(monkeypatch):
 
         def fraction_lp(c, rows, start=None):
             starts.append(start)
-            if start is None:
-                return reference_split_lp(c, rows)
             return reference_solve_lp(c, rows, start=start)
 
         run = min_cost_packing(inst, costs, lp_trace=trace)
@@ -362,10 +360,45 @@ def test_cutting_plane_path_matches_the_fraction_tableau(monkeypatch):
     assert cuts >= 12 and lp_runs >= 8 and chains >= 4
 
 
+@pytest.mark.parametrize("family, n, t, per_vertex", [
+    ("planted", 64, 2, 2), ("noise-first", 16, 1, 4)])
+def test_lp_rows_hold_one_entry_per_arc_and_cut_arc(monkeypatch, family, n,
+                                                     t, per_vertex):
+    # the rows handed to solve_lp hold m + the sizes of the cut supports
+    # column entries in all: the in-degree equalities hold each arc once,
+    # no row is a box, and each cut holds the arcs entering its set
+    inst, extras = parse_instance(_generate_raw(
+        random.Random(7), n, per_vertex * n, t, "free", True, True, True))
+    costs = extras["costs"]
+    if family == "noise-first":
+        costs = noise_first_costs(extras, t * (n - 1))
+    cut_arcs, sizes = [0], []
+
+    def separate_spy(inst, x, engine="flow"):
+        cut = separate(inst, x, engine=engine)
+        if cut is not None:
+            xs = cut.vertex_set
+            cut_arcs.append(cut_arcs[-1] + sum(
+                head in xs and tail not in xs for _, tail, head in inst.arcs))
+        return cut
+
+    def solve_lp_spy(c, rows, start=None):
+        sizes.append((len(rows), sum(len(row[0]) for row in rows)))
+        return solve_lp(c, rows, start=start)
+
+    monkeypatch.setattr(polytope, "separate", separate_spy)
+    monkeypatch.setattr(polytope, "solve_lp", solve_lp_spy)
+    min_cost_packing(inst, costs)
+    m = len(inst.arcs)
+    assert sizes == [(n + i, m + cut_arcs[i]) for i in range(len(sizes))]
+    assert len(sizes) == len(cut_arcs) and (family == "planted") == (
+        len(sizes) == 1)
+
+
 def test_greedy_point_is_the_optimum_of_the_degree_relaxation():
     # the first trace line is the d(v) cheapest arcs into each v, ties to
-    # the earlier arc; the Fraction tableau on boxes and the in-degree
-    # equalities finds the same cost
+    # the earlier arc; the two-phase Fraction tableau on boxes and the
+    # in-degree equalities finds the same cost
     rng = random.Random(4242)
     checked = 0
     while checked < 40:
@@ -379,16 +412,16 @@ def test_greedy_point_is_the_optimum_of_the_degree_relaxation():
         min_cost_packing(d, costs, lp_trace=trace)
         x, objective, pivots = trace[0]
         k = d.matroid.full_rank()
-        rows = [([int(j == i) for j in range(len(ids))], "<=", 1)
-                for i in range(len(ids))]
+        rows = []
         for v in d.vertices:
             into = [a for a, _, h in d.arcs if h == v]
             need = k - d.matroid.rank(d.elements_at(v))
             chosen = sorted(into, key=lambda a: (costs[a], ids.index(a)))
             assert {a for a in into if x[a] == 1} == set(chosen[:need])
-            rows.append(([int(a in into) for a in ids], "=", need))
+            rows.append((tuple(j for j, a in enumerate(ids) if a in into),
+                         need))
         assert pivots == 0 and set(x.values()) <= {0, 1}
-        assert objective == reference_solve_lp(
+        assert objective == reference_cold_lp(
             [costs[a] for a in ids], rows).objective
 
 
