@@ -5,17 +5,22 @@ Usage: python3 scripts/gen_corpus.py OUTDIR [--count N] [--base-seed S]
 
 Half the corpus is biased toward feasibility, half is unconstrained, and
 every fifth instance is undirected.  File names encode the seed so any
-instance can be regenerated in isolation.
+instance can be regenerated in isolation.  The library is imported from
+the ``src/`` next to this script, so no install is needed.
 """
 
 import argparse
 import pathlib
 import random
+import sys
 
-from arbopack.instances import GenerationError, generate_instance
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def main() -> None:
+    sys.path.insert(0, str(SRC))
+    from arbopack.instances import GenerationError, generate_instance
+
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("outdir")
     ap.add_argument("--count", type=int, default=50)

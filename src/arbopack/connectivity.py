@@ -136,15 +136,16 @@ def _check_by_flow(inst: RootedDigraph) -> Certificate:
 
     A violated set is found by the greedy of the other engines
     (``sfm._canonical_minimizer``), each of its pinned minimizations one
-    flow with the chosen vertices as sinks and the dropped ones as
-    sources, and it is re-checked before it is returned.
+    flow with the chosen vertices as sinks and the dropped ones supplied
+    with the flow's cap, which keeps them out of every minimizer, and it
+    is re-checked before it is returned.
     """
     verts = inst.vertices
     if not verts:
         raise ValueError("empty ground set")
     k = inst.matroid.full_rank()
     net = flow.Network(inst)
-    cut = [net.min_cut((v,), (), k) for v in verts]
+    cut = [net.min_cut((i,), k) for i in range(len(verts))]
     best = min(cut) - k
     if best >= 0:
         return _OK_CERT
@@ -156,8 +157,8 @@ def _check_by_flow(inst: RootedDigraph) -> Certificate:
             return best + 1
         if len(include) == 1 and not exclude:
             return best
-        return net.min_cut([verts[i] for i in include],
-                           [verts[i] for i in exclude], best + k + 1) - k
+        cap = best + k + 1
+        return net.min_cut(include, cap, dict.fromkeys(exclude, cap)) - k
 
     xs = sfm._canonical_minimizer(deficiency_objective(inst), best,
                                   frozenset(), True, pinned_min)

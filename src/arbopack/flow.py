@@ -1,16 +1,14 @@
 """Unit augmenting paths for the integer deficiency checks.
 
 Take a rooted digraph D = (V, A) with root elements S placed at its
-vertices and a matroid M on S, a nonempty sink set T and a source set U
-disjoint from it.  By Menger's theorem and Edmonds' matroid intersection
-theorem (Edmonds 1970),
+vertices, a matroid M on S and a nonempty sink set T.  By Menger's
+theorem and Edmonds' matroid intersection theorem (Edmonds 1970),
 
-    min { in(X) + r(S_X) : T ⊆ X, X ∩ U = ∅ }
+    min { in(X) + r(S_X) : T ⊆ X }
 
-equals the largest number of arc-disjoint paths that end in T and start
-either at a vertex of U or at the place of an element of an independent
-set I, one path per element of I.  Elements placed in U play no part:
-no set of the family holds them.
+equals the largest number of arc-disjoint paths that end in T, each
+starting at the place of an element of an independent set I, one path
+per element of I.
 
 ``Network.min_cut`` grows I and the paths one unit at a time.  It first
 takes, greedily, the elements placed at sinks that keep I independent:
@@ -22,37 +20,39 @@ vertices and elements as nodes, and a path of it may
 * go from x in I to an element y outside I with I - x + y independent;
 * go from an element y outside I to its vertex (y starts supplying it).
 
-A path starts at a vertex of U or at an element y outside I with I + y
-independent, and it ends at a sink.  Each augmenting path is found by one
-breadth-first search backwards from the sinks, which tests every node it
-discovers for a start and stops at the first one, so it visits only
-nodes no farther from the sinks than that start, not every element of S.
-Flipping the arcs and toggling the elements along the path adds one
-unit.  The path is a shortest one, so its element exchanges have no
-shortcut: for i < j, I - x_i + y_j is dependent, and so is I + y_j for
-every y_j after the first.  By the exchange lemma of matroid intersection
-(Schrijver 2003, the matroid intersection chapter) I toggled along the
-path is then independent again.  When no path exists, the failed search
-has run out of nodes, and the vertices it reached form the smallest
-minimizer, the intersection of all minimizers, whose value is the number
-of paths found.  At a maximum flow no residual arc or exchange enters a
-minimizer from outside, so every node that still reaches a sink lies in
-each of them.
+A path starts at an element y outside I with I + y independent, or at a
+vertex with supply left (below), and it ends at a sink.  Each augmenting
+path is found by one breadth-first search backwards from the sinks,
+which tests every node it discovers for a start and stops at the first
+one, so it visits only nodes no farther from the sinks than that start,
+not every element of S.  Flipping the arcs and toggling the elements
+along the path adds one unit.  The path is a shortest one, so its
+element exchanges have no shortcut: for i < j, I - x_i + y_j is
+dependent, and so is I + y_j for every y_j after the first.  By the
+exchange lemma of matroid intersection (Schrijver 2003, the matroid
+intersection chapter) I toggled along the path is then independent
+again.  When no path exists, the failed search has run out of nodes, and
+the vertices it reached form the smallest minimizer, the intersection of
+all minimizers, whose value is the number of paths found.  At a maximum
+flow no residual arc or exchange enters a minimizer from outside, so
+every node that still reaches a sink lies in each of them.
 
 Integer per-vertex supplies and demands add supply(X) + demand(V - X) to
 the cut of X: a vertex with supply left is one more start of the search,
 and one with demand left ends a path as a sink does; a sink's own supply
-is taken first, each unit a path of no arcs.  They come as dicts
-of the vertices that have any, which a call reads and never copies, so
-a call costs its searches, not the number of vertices.  The orientation
-greedy (``orientation._step_by_flow``) takes its modular offset this way,
+is taken first, each unit a path of no arcs.  They come as dicts of the
+vertices that have any, which a call reads and never copies, so a call
+costs its searches, not the number of vertices.  A vertex u that every X
+must miss is one with supply[u] = cap: each X that holds it has a cut of
+at least cap, so min(cap, ·) is the min over the sets without u, and a
+call stops at cap paths before u can run dry.  The orientation greedy
+(``orientation.orient_m_connected``) takes its modular offset this way,
 so one flow decides each of its steps, and the flow's failed last search
 gives the step's tight set.
 """
 
 from __future__ import annotations
 
-from collections import ChainMap
 from typing import Iterable, Optional
 
 from .graphs import RootedDigraph
@@ -139,39 +139,35 @@ class Network:
         self.seen.pop()
         self.succ.pop()
 
-    def min_cut(self, sinks: Iterable[str], sources: Iterable[str],
-                cap: int, supply: Optional[dict] = None,
+    def min_cut(self, sinks: Iterable[int], cap: int,
+                supply: Optional[dict] = None,
                 demand: Optional[dict] = None) -> int:
-        """min(cap, min of cut(X) over sinks ⊆ X, X ∩ sources = ∅), where
+        """min(cap, min of cut(X) over X holding the sinks), where
 
             cut(X) = in(X) + r(S_X) + supply(X) + demand(V - X).
 
-        ``supply`` and ``demand`` map vertex indices to positive
-        integers, 0 where a vertex is left out: a virtual source feeds
-        vertex w up to supply[w] units, and w passes up to demand[w] units
-        on to a virtual sink that every X holds.  Both are read as given,
-        never copied or changed; the units a call uses are counted in
-        dicts of its own.  At most ``cap`` augmentations, all in integers,
-        each found by a search backwards from the sinks (see the module
-        docstring).  ``cap`` is flipped along each path and restored, from
-        the log of flips, before the call returns or raises.  When the
-        value is below ``cap`` the last search has failed, and
-        ``minimizer()`` gives the smallest minimizer.
+        ``sinks`` are vertex indices.  ``supply`` and ``demand`` map
+        vertex indices to positive integers, 0 where a vertex is left out:
+        a virtual source feeds vertex w up to supply[w] units, and w passes
+        up to demand[w] units on to a virtual sink that every X holds.  A
+        vertex with supply[u] >= cap is kept out of X (see the module
+        docstring).  Both are read as given, never copied or changed; the
+        units a call uses are counted in dicts of its own.  At most
+        ``cap`` augmentations, all in integers, each found by a search
+        backwards from the sinks.  ``cap`` is flipped along each path and
+        restored, from the log of flips, before the call returns or
+        raises.  When the value is below ``cap`` the last search has
+        failed, and ``minimizer()`` gives the smallest minimizer.
         """
-        pos, adj, home, ebit, at, rank = (self.pos, self.adj, self.home,
-                                          self.ebit, self.at, self.rank)
-        n = len(pos)
+        adj, home, ebit, at, rank = (self.adj, self.home, self.ebit, self.at,
+                                     self.rank)
+        n = len(self.pos)
         self._search = None
         supply = supply or {}
         demand = demand or {}
-        ends = sorted({pos[v] for v in sinks})
-        given = {pos[v] for v in sources}   # starts with no limit
-        if not ends or not given.isdisjoint(ends):
-            raise ValueError("the sinks must be nonempty and miss the sources")
-        # the vertices that may start a path, while not dry; a view of
-        # both, not a copy, when sources and supplies are given
-        feed = (ChainMap(given, supply) if given and supply
-                else given or supply)
+        ends = sorted(set(sinks))
+        if not ends:
+            raise ValueError("the sinks must be nonempty")
         fed = {}        # units of supply each vertex has started paths with
         dry = set()     # vertices whose supply is all used
         met = {}        # units of demand each vertex has ended paths with
@@ -207,7 +203,7 @@ class Network:
                         seen[i], succ[i] = stamp, -2
                         queue.append(i)
                 for i in queue:
-                    if i in feed and i not in dry:
+                    if i in supply and i not in dry:
                         start = i
                         break
                 for node in queue:  # grows while it is read: breadth first
@@ -219,7 +215,7 @@ class Network:
                         for c, w in adj[node]:
                             if res[c ^ 1] and seen[w] != stamp:
                                 seen[w], succ[w], via[w] = stamp, node, c ^ 1
-                                if w in feed and w not in dry:
+                                if w in supply and w not in dry:
                                     start = w
                                     break
                                 queue.append(w)
@@ -235,7 +231,7 @@ class Network:
                         w = home[node - n]   # x stops supplying its vertex
                         if seen[w] != stamp:
                             seen[w], succ[w] = stamp, node
-                            if w in feed and w not in dry:
+                            if w in supply and w not in dry:
                                 start = w
                             queue.append(w)
                     else:
@@ -248,7 +244,7 @@ class Network:
                 if start is None:
                     self._search = queue
                     return value
-                if start < n and start not in given:
+                if start < n:
                     fed[start] = f = fed.get(start, 0) + 1
                     if f == supply[start]:
                         dry.add(start)
@@ -281,7 +277,7 @@ class Network:
                         "augmentation %d (tripwire): engine flow, sinks %s, "
                         "sources %s, arcs %d, roots %d"
                         % (value + 1, sorted(self.vertices[i] for i in ends),
-                           sorted(self.vertices[i] for i in given),
+                           sorted(self.vertices[i] for i in supply),
                            self.live_arcs, len(home)))
                 value += 1
             return cap

@@ -310,8 +310,9 @@ def _matroid_fragment(rng: Random, kind: str, t: int) -> dict:
         return {"type": "free"}
     if kind == "uniform":
         return {"type": "uniform", "rank": rng.randint(0, t)}
-    if kind.startswith("uniform"):
-        return {"type": "uniform", "rank": int(kind[len("uniform"):])}
+    digits = kind[len("uniform"):]
+    if kind.startswith("uniform") and digits.isascii() and digits.isdigit():
+        return {"type": "uniform", "rank": int(digits)}
     raise GenerationError("generator supports matroid kinds free/uniform[R]")
 
 

@@ -10,12 +10,14 @@ m(v) = deg(v) + k it lowers each m(v) in turn by the least slack
 m(X) - q(X) over X containing v, n minimizations in all.  Under the
 ``flow`` engine each is one flow (``flow.Network.min_cut``) on the
 all-forward digraph, whose per-vertex supplies and demands carry the
-modular offset.  A step changes the offset at its own vertex only, so the
-supplies and demands are dicts changed there, and the step's tight set
-is the smallest minimizer, what the flow's failed last search reached: a
-step costs its searches, not n.  ``brute`` and ``min-norm-point`` run the
-steps as submodular minimizations, with lex-smallest minimizers, and are
-the flow's cross-checks.  If then m(V) = |E|, reversing directed paths
+modular offset, all capped at one cap above every step's cut of V.  A
+step changes the offset at its own vertex only, so the supplies and
+demands are dicts changed there, and the step's tight set is the
+smallest minimizer, what the flow's failed last search reached: a step
+costs its searches, not n, and builds no submodular objective.
+``brute`` and ``min-norm-point`` run the steps as submodular
+minimizations, with lex-smallest minimizers, and are the flow's
+cross-checks.  If then m(V) = |E|, reversing directed paths
 from vertices below m to vertices above it realizes m.  Otherwise the
 steps' minimizers are tight, and merged where they meet they give a
 partition of maximum deficiency |E| - m(V) < 0.  There is no
@@ -75,22 +77,31 @@ def orient_m_connected(g: RootedGraph,
     pos = {v: i for i, v in enumerate(verts)}
     dirs = {e: (u, v) for e, u, v in g.edges}
     forward = induced_digraph(g, Orientation(dirs))
-    slack = deficiency_objective(forward)
-    net = flow.Network(forward) if engine == "flow" else None
     # gap[v] = m(v) - indeg(v) in the all-forward digraph, whose def(X) is
     # indeg(X) - i(X) - p(X), so def(X) + gap(X) = m(X) - q(X)
     k = g.matroid.full_rank()
     gap = [k] * n
     for _, u, _ in g.edges:
         gap[pos[u]] += 1
+    if engine == "flow":
+        net = flow.Network(forward)
+        # above cut(V) = k + g+(V) at every step, since no step raises a
+        # gap: each flow ends in a failed search, which gives its minimizer
+        cap = k + sum(gap) + 1
+    else:
+        slack = deficiency_objective(forward)
     # the flow engine's split of gap by sign, g+ and g-, and g-(V)
     supply = {j: x for j, x in enumerate(gap) if x > 0}
     demand: dict = {}
     owed = 0
     steps = []
     for i in range(n):
-        if net is not None:
-            res = _step_by_flow(net, slack, supply, demand, owed, i, k)
+        if engine == "flow":
+            # def(X) + gap(X) = in(X) + r(S_X) + g+(X) + g-(V - X) - k - g-(V):
+            # the cut of X when a virtual source supplies w with g+(w) units
+            # and w passes g-(w) on to a virtual sink inside X
+            value = net.min_cut((i,), cap, supply, demand)
+            res = sfm.SfmResult(net.minimizer(), value - k - owed)
         else:
             off = gap[:]  # min-norm-point evaluates again to find a minimizer
             res = sfm.minimize(sfm.SubmodularObjective(
@@ -150,27 +161,6 @@ def orient_m_connected(g: RootedGraph,
             % (n, reversals, engine, sorted(cert.vertex_set),
                cert.deficiency, n, len(g.edges)))
     return oriented
-
-
-def _step_by_flow(net: flow.Network, slack, supply: dict, demand: dict,
-                  owed: int, i: int, k: int) -> sfm.SfmResult:
-    """One greedy step, min over X containing v_i of def(X) + gap(X), by
-    one flow on ``net``, the all-forward digraph.
-
-    With gap = g+ - g- split by sign into ``supply`` and ``demand``,
-    def(X) + gap(X) equals in(X) + r(S_X) + g+(X) + g-(V - X) - k - g-(V),
-    ``owed`` being g-(V): the cut of X when a virtual source supplies w
-    with g+(w) units and w passes g-(w) on to a virtual sink inside X.
-    The flow is capped one above the cut of {v_i}, so it ends with a
-    failed search, and the vertices that search reached are the smallest
-    minimizer.  The step reads the dicts as they are, so it costs its
-    search and nothing of size n.
-    """
-    shift = k + owed
-    single = (slack.evaluate(frozenset((i,))) + supply.get(i, 0)
-              - demand.get(i, 0) + shift)
-    value = net.min_cut((net.vertices[i],), (), single + 1, supply, demand)
-    return sfm.SfmResult(net.minimizer(), value - shift)
 
 
 def _realize(dirs: dict, gap: dict, engine: str) -> Orientation:

@@ -18,8 +18,9 @@ D' is again M-connected).  The deficiency of D' is
 
 so D' is M-connected iff def' >= 0 on the sets that hold v and not u: one
 pinned minimization per candidate, not a check over all nonempty sets.
-Under the ``flow`` engine that is one flow on D' into v, with u as its
-source, capped at k = r(S).
+Under the ``flow`` engine that is one flow on D' into v, capped at
+k = r(S), with a supply of k at u, which keeps u out of every set that
+could bring the flow below k.
 
 One ``ReductionState`` carries D through the whole loop and is changed in
 place, since D' differs from D by one arc and one root.  Its
@@ -310,7 +311,7 @@ def find_reduction(red: ReductionState) -> Optional[ReductionStep]:
     tried = []
     for j, x in red.candidates():
         step = red.apply(j, x)
-        if _keeps_connected(red, step, red.engine):
+        if _keeps_connected(red, j, red.engine):
             red.commit()
             return step
         red.undo()
@@ -325,19 +326,20 @@ def find_reduction(red: ReductionState) -> Optional[ReductionStep]:
            len(tried), red.net.live_arcs, len(red.roots)))
 
 
-def _keeps_connected(red: ReductionState, step: ReductionStep,
-                     engine: str) -> bool:
-    """Whether D' = ``red``, with ``step`` applied, is M-connected, given
-    that D is.
+def _keeps_connected(red: ReductionState, j: int, engine: str) -> bool:
+    """Whether D' = ``red``, with arc j = uv removed and its twin applied,
+    is M-connected, given that D is.
 
     def' can fall below def only on sets that hold v and not u, so this
     minimizes def' over those sets alone: u is dropped and v pinned.
     Only the minimum value is read, never a minimizer.  ``flow`` asks the
-    shared network; the other engines minimize over a copy of D'.
+    shared network, with u supplied with its cap k; the other engines
+    minimize over a copy of D'.
     """
-    u, v = step.tail, step.head
     if engine == "flow":
-        return red.net.min_cut((v,), (u,), red.k) >= red.k
+        return red.net.min_cut((red.head[j],), red.k,
+                               {red.tail[j]: red.k}) >= red.k
+    _, u, v = red.inst.arcs[j]
     # with u indexed last, the sets without u are those over the first
     # n - 1 indices, and def' is evaluated on them as it is
     reduced = red.digraph(last=u)

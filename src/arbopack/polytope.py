@@ -6,11 +6,12 @@ for nonempty X, and the mass equality x(A) = k|V| - |S|.  Separation of
 the cut family is submodular minimization of x(entering X) + rank(S_X) - k,
 run in integers: the point is scaled once by the lcm D of its
 denominators, and the objective minimized is D times the cut objective,
-whose minimizers and sign are the same.  Under the ``flow`` engine a 0/1
-point (D = 1) is decided by ``check_m_connected`` on its support, n
-flows; a fractional point is minimized by brute force, with its cap of 24
-vertices, since the flows take unit arcs only.  That is the one brute
-minimization left on the ``flow`` engine's paths.
+whose minimizers and sign are the same.  A 0/1 point (D = 1) is decided
+by ``check_m_connected`` on its support under every engine, n flows under
+``flow``; a fractional point is minimized by submodular minimization,
+under ``flow`` by brute force, with its cap of 24 vertices, since the
+flows take unit arcs only.  That is the one brute minimization left on
+the ``flow`` engine's paths.
 
 Min-cost optimization is an exact cutting-plane loop.  It starts at the
 optimum of the relaxation by boxes and the in-degree equalities
@@ -99,8 +100,8 @@ def separate(inst: RootedDigraph, x: RationalVector,
 
     Order: box constraints in canonical arc order, then the mass equality,
     then the minimizing cut.  Every test runs on x times the lcm of its
-    denominators, in ints.  Under ``flow`` a 0/1 point's cut objective is
-    the deficiency of its support, decided by ``check_m_connected``.
+    denominators, in ints.  A 0/1 point's cut objective is the deficiency
+    of its support, decided by ``check_m_connected`` under the same engine.
     """
     scale = math.lcm(*(v.denominator for v in x.entries.values()))
     weights = {a: v.numerator * (scale // v.denominator)
@@ -114,10 +115,10 @@ def separate(inst: RootedDigraph, x: RationalVector,
     if sum(weights.values()) != mass_rhs(inst) * scale:
         return PolytopeConstraint("mass-equality", rhs=mass_rhs(inst))
 
-    if scale == 1 and engine == "flow":
+    if scale == 1:
         cert = check_m_connected(RootedDigraph(
             inst.vertices, [arc for arc in inst.arcs if weights[arc[0]]],
-            inst.roots, inst.matroid), engine="flow")
+            inst.roots, inst.matroid), engine=engine)
         if cert.ok:
             return None
         xset = cert.vertex_set

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -205,6 +209,43 @@ def test_generator_feasible_bias():
         text = generate_instance(seed, n=4, m=7, t=2, feasible_bias=True)
         inst, _ = parse_instance(text)
         assert check_m_connected(inst).ok, "seed %d" % seed
+
+
+def test_gen_corpus_script_runs_from_a_plain_checkout(tmp_path):
+    # no install and no PYTHONPATH: the script finds src/ next to itself
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / \
+        "gen_corpus.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(script), "out", "--count", "6"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    files = sorted((tmp_path / "out").iterdir())
+    assert len(files) == 6
+    for f in files:
+        inst, _ = parse_instance(f.read_text())
+        assert isinstance(inst, RootedGraph if f.name.startswith("graph")
+                          else RootedDigraph), f.name
+
+
+def test_gen_matroid_kind_is_free_uniform_or_uniform_digits(capsys):
+    # uniform-1 used to write rank -1, which no command reads back, and
+    # int() let "uniform 2" through
+    base = ["gen", "--seed", "1", "--n", "3", "--m", "3", "--t", "2"]
+    for kind in ("uniform-1", "uniform 2", "uniform+2", "uniform\u00b2",
+                 "uniformx", "partition", "Uniform2"):
+        code, out = run(capsys, base + ["--matroid", kind])
+        assert code == 1 and out["status"] == "error", kind
+        assert out["payload"]["kind"] == "GenerationError", kind
+    for kind, rank in (("free", None), ("uniform", None), ("uniform0", 0),
+                       ("uniform2", 2), ("uniform007", 7)):
+        for extra in ([], ["--undirected"]):
+            code, doc = run(capsys, base + extra + ["--matroid", kind])
+            assert code == 0, (kind, extra)
+            inst, _ = parse_instance(json.dumps(doc))
+            assert len(inst.vertices) == 3 and len(inst.roots) == 2
+            if rank is not None:
+                assert doc["matroid"] == {"type": "uniform", "rank": rank}
 
 
 # -- CLI ---------------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import cut_copy, cut_graph, planted_digraph, planted_graph
-from arbopack import connectivity, flow
+from arbopack import connectivity, flow, orientation
 from arbopack.cli import run_command
 from arbopack.connectivity import check_m_connected, recheck_certificate
 from arbopack.graphs import RootedDigraph, in_degree
@@ -107,7 +107,8 @@ def random_instance(rng: random.Random) -> RootedDigraph:
 
 
 def random_query(rng: random.Random, verts):
-    """(sinks, sources, cap, supply, demand) of one ``min_cut`` call."""
+    """(sinks, sources, cap, supply, demand) by vertex name, drawn for one
+    ``min_cut`` call; ``as_call`` gives the call's arguments."""
     sinks = set(rng.sample(verts, rng.randint(1, len(verts))))
     rest = [v for v in verts if v not in sinks]
     sources = set()
@@ -121,6 +122,16 @@ def random_query(rng: random.Random, verts):
         demand = {i: u for i, u in enumerate(rng.choice((0, 0, 1, 3))
                                              for _ in verts) if u}
     return sinks, sources, cap, supply, demand
+
+
+def as_call(inst: RootedDigraph, sinks, sources, cap, supply=None):
+    """The sink indices and the supply of the ``min_cut`` call for
+    ``sinks`` and ``sources``: each source is supplied with the cap (at
+    least one unit), which keeps it out of every set below the cap."""
+    pos = {v: i for i, v in enumerate(inst.vertices)}
+    fed = dict(supply or {})
+    fed.update(dict.fromkeys((pos[v] for v in sources), max(cap, 1)))
+    return [pos[v] for v in sinks], fed
 
 
 def test_flow_matches_enumeration():
@@ -140,11 +151,11 @@ def test_flow_matches_enumeration():
             values = cuts(inst, sinks, sources, supply, demand)
             want = min(cap, *values.values())
             case = (inst.arcs, inst.roots, query)
-            given = (dict(supply or {}), dict(demand or {}))
-            assert net.min_cut(sinks, sources, cap, supply, demand) == want, \
-                case
+            ends, fed = as_call(inst, sinks, sources, cap, supply)
+            given = (dict(fed), dict(demand or {}))
+            assert net.min_cut(ends, cap, fed, demand) == want, case
             assert net.cap == before, case
-            assert (supply or {}, demand or {}) == given, case
+            assert (fed, demand or {}) == given, case
             if want < cap:
                 smallest = frozenset.intersection(
                     *(xs for xs, v in values.items() if v == want))
@@ -176,8 +187,52 @@ def test_flow_reroutes_on_crossing_gadgets():
             verts, [("a%d" % i, x, y) for i, (x, y) in enumerate(pairs)],
             roots, random_matroid(rng, elements, rng.choice(KINDS)))
         sources = {s} if rng.random() < 0.5 else set()
-        assert flow.Network(inst).min_cut({t}, sources, 40) == \
+        ends, fed = as_call(inst, {t}, sources, 40)
+        assert flow.Network(inst).min_cut(ends, 40, fed) == \
             enumerated(inst, {t}, sources, 40), (pairs, roots, sources)
+
+
+def test_empty_sinks_raise():
+    inst = random_instance(random.Random(3))
+    with pytest.raises(ValueError, match="sinks must be nonempty"):
+        flow.Network(inst).min_cut((), 1)
+
+
+def test_sink_supplied_with_the_cap_reaches_it():
+    # a sink's own supply is taken first, each unit a path of no arcs; a
+    # sink supplied with the cap or more reaches it on any network
+    rng = random.Random(5)
+    for _ in range(200):
+        inst = random_instance(rng)
+        net = flow.Network(inst)
+        n = len(inst.vertices)
+        sinks = rng.sample(range(n), rng.randint(1, n))
+        cap = rng.randint(1, 12)
+        supply = {rng.choice(sinks): cap + rng.randint(0, 3)}
+        assert net.min_cut(sinks, cap, supply) == cap, (inst, sinks, supply)
+        with pytest.raises(ValueError, match="reached its cap"):
+            net.minimizer()
+
+
+def test_orientation_flow_builds_no_objective(monkeypatch):
+    # the flow engine's greedy steps are flows alone; brute's are
+    # minimizations of the deficiency objective of the forward digraph
+    built = []
+
+    def spy(inst, *args):
+        built.append(inst)
+        return connectivity.deficiency_objective(inst, *args)
+
+    monkeypatch.setattr(orientation, "deficiency_objective", spy)
+    g = planted_graph(random.Random(8), 8, "uniform")
+    for h in (g, cut_graph(g)):
+        built.clear()
+        flow_out = orientation.orient_m_connected(h, "flow")
+        assert built == []
+        brute_out = orientation.orient_m_connected(h, "brute")
+        assert len(built) == 1
+        assert isinstance(flow_out, orientation.Orientation) == \
+            isinstance(brute_out, orientation.Orientation)
 
 
 @pytest.mark.parametrize("kind", ["free", "uniform", "partition", "graphic",
@@ -217,7 +272,7 @@ def test_dependent_augmentation_trips():
     net = flow.Network(inst)
     before = list(net.cap)
     with pytest.raises(flow.FlowViolation, match="augmentation 2"):
-        net.min_cut({"t"}, (), 2)
+        net.min_cut((0,), 2)
     # the two paths flipped e1, e2 and e3: all are restored
     assert net.cap == before
     assert issubclass(flow.FlowViolation, RuntimeError)
@@ -237,7 +292,7 @@ def test_dependent_augmentation_on_a_changed_network_reports_live_counts():
     net.remove_arc(3)
     net.add_twin(0, net.pos["Z"])
     with pytest.raises(flow.FlowViolation) as exc:
-        net.min_cut({"t"}, (), 2)
+        net.min_cut((0,), 2)
     assert str(exc.value).endswith(
         "augmentation 2 (tripwire): engine flow, sinks ['t'], sources [], "
         "arcs 3, roots 4")

@@ -164,12 +164,12 @@ def pinned_matches_full_check(inst, engine, evaluated) -> tuple[int, int]:
         for j, x in red.candidates():
             step = red.apply(j, x)
             reduced = red.digraph()
-            pinned = packing._keeps_connected(red, step, engine)
+            pinned = packing._keeps_connected(red, j, engine)
             full = check_m_connected(reduced, "brute").ok
             assert pinned == full, (reduced, step)
             u, v = step.tail, step.head
             read = len(evaluated)
-            assert packing._keeps_connected(red, step, "flow") == full, \
+            assert packing._keeps_connected(red, j, "flow") == full, \
                 (reduced, step)
             assert len(evaluated) == read, (reduced, step)
             assert all(v in X and u not in X for X in evaluated), \
@@ -257,10 +257,12 @@ def test_changed_network_matches_a_fresh_build(engine):
             cur = red.digraph()
             fresh = flow.Network(cur)
             cap = len(cur.arcs) + red.k + 1
-            for w in cur.vertices:
-                for src in [()] + [(u,) for u in cur.vertices if u != w]:
-                    got = red.net.min_cut((w,), src, cap)
-                    assert got == fresh.min_cut((w,), src, cap), \
+            # a source u, kept out of every set, is a supply of cap at u
+            n = len(cur.vertices)
+            for w in range(n):
+                for src in [{}] + [{u: cap} for u in range(n) if u != w]:
+                    got = red.net.min_cut((w,), cap, src)
+                    assert got == fresh.min_cut((w,), cap, src), \
                         (cur, w, src)
                     assert red.net.minimizer() == fresh.minimizer(), \
                         (cur, w, src)
