@@ -81,10 +81,10 @@ def run_one(src: str, command: str, n: int) -> dict:
 
     construct = packing._construct
 
-    def counted(inst, engine, trace=None):
+    def counted(inst, trace=None):
         steps = [] if trace is None else trace
         try:
-            return construct(inst, engine, steps)
+            return construct(inst, steps)
         finally:
             split["steps"] += len(steps)
 

@@ -99,7 +99,11 @@ def _read_trees(text: str, key: str) -> tuple:
         ids = t.get(key)
         if not isinstance(ids, list) or not all(isinstance(a, str) for a in ids):
             raise ParseError("%s.%s" % (path, key), "must be a list of ids")
-        out.append(packing.Tree(t["root_element"], t["root_vertex"], frozenset(ids)))
+        tree = packing.Tree(t["root_element"], t["root_vertex"], frozenset(ids))
+        if len(tree.arcs) < len(ids):
+            repeated = next(a for i, a in enumerate(ids) if a in ids[:i])
+            raise ParseError("%s.%s" % (path, key), "repeats the id %r" % repeated)
+        out.append(tree)
     return tuple(out)
 
 
@@ -110,9 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="matroid-constrained packings of arborescences and rooted trees")
     p.add_argument("--engine", choices=["flow", "brute", "min-norm-point"],
                    default="flow",
-                   help="flow (default): augmenting paths decide the "
-                        "connectivity checks, the orientation greedy and "
-                        "mincost separation of 0/1 points, and separation "
+                   help="how the connectivity checks, the orientation "
+                        "greedy and mincost separation are decided; pack's "
+                        "reduction steps are flows under every engine. "
+                        "flow (default): augmenting paths, and separation "
                         "of fractional points runs brute; brute: subset "
                         "enumeration, at most 24 vertices; min-norm-point: "
                         "exact Fujishige-Wolfe")

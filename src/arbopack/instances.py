@@ -319,38 +319,29 @@ def _matroid_fragment(rng: Random, kind: str, t: int) -> dict:
 def _generate_raw(rng, n, m, t, matroid_kind, directed, costs, feasible) -> str:
     verts = ["v%d" % i for i in range(n)]
     links: list[dict] = []
+
+    def link(u: str, w: str) -> None:
+        if directed:
+            links.append({"id": "a%d" % len(links), "tail": u, "head": w})
+        else:
+            links.append({"id": "e%d" % len(links), "ends": [u, w]})
+
     if feasible and matroid_kind == "free":
         # t random spanning arborescences (trees) on fresh arcs, then noise
-        lid = 0
         placements = []
         for _ in range(t):
             order = verts[:]
             rng.shuffle(order)
             placements.append(order[0])
             for j in range(1, n):
-                tail = order[rng.randrange(j)]
-                if directed:
-                    links.append({"id": "a%d" % lid, "tail": tail,
-                                  "head": order[j]})
-                else:
-                    links.append({"id": "e%d" % lid, "ends": [tail, order[j]]})
-                lid += 1
-        while lid < m:
-            u, w = rng.sample(verts, 2)
-            if directed:
-                links.append({"id": "a%d" % lid, "tail": u, "head": w})
-            else:
-                links.append({"id": "e%d" % lid, "ends": [u, w]})
-            lid += 1
+                link(order[rng.randrange(j)], order[j])
+        while len(links) < m:
+            link(*rng.sample(verts, 2))
         roots = [{"element": "s%d" % i, "vertex": placements[i]}
                  for i in range(t)]
     else:
-        for i in range(m):
-            u, w = rng.sample(verts, 2)
-            if directed:
-                links.append({"id": "a%d" % i, "tail": u, "head": w})
-            else:
-                links.append({"id": "e%d" % i, "ends": [u, w]})
+        for _ in range(m):
+            link(*rng.sample(verts, 2))
         roots = [{"element": "s%d" % i, "vertex": rng.choice(verts)}
                  for i in range(t)]
     doc = {
@@ -361,8 +352,7 @@ def _generate_raw(rng, n, m, t, matroid_kind, directed, costs, feasible) -> str:
         "matroid": _matroid_fragment(rng, matroid_kind, t),
     }
     if costs:
-        key = "id"
-        doc["costs"] = {lk[key]: rng.randint(1, 100) for lk in links}
+        doc["costs"] = {lk["id"]: rng.randint(1, 100) for lk in links}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

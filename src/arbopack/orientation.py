@@ -228,7 +228,7 @@ def pack_undirected(g: RootedGraph,
     if isinstance(oriented, Certificate):
         return oriented
     # orient_m_connected has checked this digraph's M-connectivity
-    packed = _construct(induced_digraph(g, oriented), engine)
+    packed = _construct(induced_digraph(g, oriented))
     failure = verify_packing(g, packed)
     if failure is not None:
         raise TheoremViolation("tree packing failed verification: %r" % (failure,))

@@ -18,26 +18,28 @@ D' is again M-connected).  The deficiency of D' is
 
 so D' is M-connected iff def' >= 0 on the sets that hold v and not u: one
 pinned minimization per candidate, not a check over all nonempty sets.
-Under the ``flow`` engine that is one flow on D' into v, capped at
-k = r(S), with a supply of k at u, which keeps u out of every set that
-could bring the flow below k.
+That is one flow on D' into v, capped at k = r(S), with a supply of k at
+u, which keeps u out of every set that could bring the flow below k.
+The flow decides every candidate under every engine: the answer is exact
+and the same whichever engine would decide it, so the engine picks only
+how the input is checked (``find_packing``), never which step is taken.
 
 One ``ReductionState`` carries D through the whole loop and is changed in
 place, since D' differs from D by one arc and one root.  Its
 ``flow.Network`` is built once: a deleted arc stays in the network with
 capacity 0, and a twin is appended as one more element with the bit of s,
 so the network's rank memo, keyed by bit masks of the root oracle's
-elements, stays valid from the first step to the last.  A twin is kept as
-its id and the index of its stem s, and no step builds a matroid.  A
-rejected candidate is undone.  The class of each arc (good, or bad with
-its witnesses) is cached and read from the same masks and memo; adding s'
-at v changes S_v alone, so a step re-classifies only the arcs at v.  Each
-search of the flow goes backwards from v and stops at the first start it
-meets, so a step costs about what its searches visit, not the size of D.
-Under ``brute`` and ``min-norm-point`` each candidate's D' is still built
-as an instance of its own for the objective, once, with u indexed last.
-The base case builds one final instance, which ``base_case_packing``
-re-checks on its own.
+elements, stays valid from the first step to the last.  A candidate
+changes the network alone, and a rejected one is undone there; an
+accepted one is named and entered in the rest of the state.  A twin is
+kept as its id and the index of its stem s, and no step builds a
+matroid.  The class of each arc (good, or bad with its witnesses) is
+cached and read from the same masks and memo; adding s' at v changes S_v
+alone, so a step re-classifies only the arcs at v.  Each search of the
+flow goes backwards from v and stops at the first start it meets, so a
+step costs about what its searches visit, not the size of D.  The base
+case builds one final instance, which ``base_case_packing`` re-checks on
+its own.
 
 ``Packing`` and ``verify_packing`` serve both sides: on a ``RootedGraph``
 a tree's link ids are edge ids, and ``orientation.pack_undirected``
@@ -54,13 +56,12 @@ import bisect
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from . import flow, sfm
+from . import flow
 from .connectivity import (
     Certificate,
     check_independent_placement,
     check_m_connected,
     classify_arc,
-    deficiency_objective,
 )
 from .graphs import (
     InstanceError,
@@ -180,13 +181,15 @@ class ReductionState:
     Elements are indexed as the roots of D are: those of the input in
     its order, then one twin per accepted step.  ``net`` is one
     ``flow.Network`` for the whole loop.  A candidate (arc j = uv,
-    element x = s) is applied by ``apply``: j is removed (``live[j]`` and
-    the network's capacity template), and a twin of s is appended at v to
-    ``roots``, to the network and to ``twins`` as its (id, stem index)
-    entry, named by ``ids`` (``matroid.TwinIds``).  ``undo`` takes a
-    rejected candidate back and ``commit`` keeps an accepted one.  No
-    step builds a matroid: ``digraph`` builds D as an instance of its own,
-    with one flat ``ParallelExtension``, only when asked.
+    element x = s) is tried on the network alone: ``apply`` removes j
+    from it and appends a twin of s at v, which is all the flow of
+    ``_keeps_connected`` reads, and ``undo`` takes both back.  ``commit``
+    keeps the candidate: it names the twin by ``ids``
+    (``matroid.TwinIds``), marks j dead in ``live``, appends the twin to
+    ``order``, ``roots`` and ``twins`` (as its id and stem index), and
+    re-classifies the arcs.  No step builds a matroid: ``digraph`` builds
+    D as an instance of its own, with one flat ``ParallelExtension``, only
+    when asked.
 
     ``witness[j]`` caches the class of arc j: the elements x at its tail,
     by network index in ground order, with r(S_h + x) > r(S_h), read from
@@ -196,9 +199,8 @@ class ReductionState:
     arcs with head or tail v, found through ``touching[v]``.
     """
 
-    def __init__(self, inst: RootedDigraph, engine: str = "flow"):
+    def __init__(self, inst: RootedDigraph):
         self.inst = inst
-        self.engine = engine
         self.net = net = flow.Network(inst)
         self.k = inst.matroid.full_rank()
         self.roots = list(inst.roots)
@@ -236,34 +238,31 @@ class ReductionState:
             for x in self.witness[j]:
                 yield j, x
 
-    def apply(self, j: int, x: int) -> ReductionStep:
-        """Make D' of candidate (j, x) the state; ``undo`` or ``commit`` next."""
+    def apply(self, j: int, x: int) -> None:
+        """Make the network that of D' for candidate (j, x); ``undo`` or
+        ``commit`` next."""
+        self._trial = j, x
+        self.net.remove_arc(j)
+        self.net.add_twin(x, self.head[j])
+
+    def undo(self) -> None:
+        j, _ = self._trial
+        self._trial = None
+        self.net.restore_arc(j)
+        self.net.pop_element()
+
+    def commit(self) -> ReductionStep:
+        """Keep the applied candidate: D' becomes the state."""
+        j, x = self._trial
+        self._trial = None
         a, t, h = self.inst.arcs[j]
         s = self.roots[x][0]
         s_new = self.ids.name(s)
-        self._trial = j
+        self.ids.take(s_new)
         self.live[j] = False
-        self.net.remove_arc(j)
         self.order.append(len(self.order))
-        self.net.add_twin(x, self.head[j])
         self.roots.append((s_new, h))
         self.twins.append((s_new, x))
-        return ReductionStep(a, t, h, s, s_new, x)
-
-    def undo(self) -> None:
-        j = self._trial
-        self._trial = None
-        self.live[j] = True
-        self.net.restore_arc(j)
-        self.order.pop()
-        self.net.pop_element()
-        self.roots.pop()
-        self.twins.pop()
-
-    def commit(self) -> None:
-        j = self._trial
-        self._trial = None
-        self.ids.take(self.twins[-1][0])
         del self.bad[bisect.bisect_left(self.bad, j)]
         self.witness[j] = ()
         v = self.head[j]
@@ -277,18 +276,15 @@ class ReductionState:
                 bisect.insort(self.bad, i)
             elif was and not now:
                 del self.bad[bisect.bisect_left(self.bad, i)]
+        return ReductionStep(a, t, h, s, s_new, x)
 
-    def digraph(self, last: Optional[str] = None) -> RootedDigraph:
-        """D' as an instance of its own, with vertex ``last``, if given,
-        moved to the end of the vertex order.
+    def digraph(self) -> RootedDigraph:
+        """D as an instance of its own, with the input's vertex order.
 
         Its matroid is the input's root oracle with every twin mapped to
         the root element its stem chain ends at: the oracle that
         extending the input's matroid once per twin would give.
         """
-        verts = self.inst.vertices
-        if last is not None:
-            verts = [w for w in verts if w != last] + [last]
         arcs = [arc for arc, ok in zip(self.inst.arcs, self.live) if ok]
         root, twins = self.inst.matroid.twin_map()
         twins = dict(twins)
@@ -296,7 +292,7 @@ class ReductionState:
         for e, stem in self.twins:
             to_root.append(to_root[stem])
             twins[e] = to_root[-1]
-        return RootedDigraph(verts, arcs, self.roots,
+        return RootedDigraph(self.inst.vertices, arcs, self.roots,
                              ParallelExtension(root, twins))
 
 
@@ -310,43 +306,32 @@ def find_reduction(red: ReductionState) -> Optional[ReductionStep]:
     """
     tried = []
     for j, x in red.candidates():
-        step = red.apply(j, x)
-        if _keeps_connected(red, j, red.engine):
-            red.commit()
-            return step
+        red.apply(j, x)
+        if _keeps_connected(red, j):
+            return red.commit()
         red.undo()
-        tried.append(step)
+        tried.append(j)
     if not tried:
         return None
     raise TheoremViolation(
         "find_reduction: no candidate keeps the instance M-connected "
-        "(tripwire): engine %s, bad arcs %s, candidates tried %d, "
+        "(tripwire): engine flow, bad arcs %s, candidates tried %d, "
         "arcs %d, roots %d"
-        % (red.engine, list(dict.fromkeys(st.arc_id for st in tried)),
+        % (list(dict.fromkeys(red.inst.arcs[j][0] for j in tried)),
            len(tried), red.net.live_arcs, len(red.roots)))
 
 
-def _keeps_connected(red: ReductionState, j: int, engine: str) -> bool:
-    """Whether D' = ``red``, with arc j = uv removed and its twin applied,
+def _keeps_connected(red: ReductionState, j: int) -> bool:
+    """Whether D', the network of ``red`` with candidate j = uv applied,
     is M-connected, given that D is.
 
     def' can fall below def only on sets that hold v and not u, so this
-    minimizes def' over those sets alone: u is dropped and v pinned.
-    Only the minimum value is read, never a minimizer.  ``flow`` asks the
-    shared network, with u supplied with its cap k; the other engines
-    minimize over a copy of D'.
+    minimizes def' over those sets alone: one flow into v, with u
+    supplied with the cap k, which keeps it out of every set below k.
+    Only the minimum value is read, never a minimizer.
     """
-    if engine == "flow":
-        return red.net.min_cut((red.head[j],), red.k,
-                               {red.tail[j]: red.k}) >= red.k
-    _, u, v = red.inst.arcs[j]
-    # with u indexed last, the sets without u are those over the first
-    # n - 1 indices, and def' is evaluated on them as it is
-    reduced = red.digraph(last=u)
-    obj = deficiency_objective(reduced)
-    pinned = sfm.SubmodularObjective(obj.n - 1, obj.evaluate,
-                                     ("contains", reduced.vertices.index(v)))
-    return sfm.minimize(pinned, engine=engine).value >= 0
+    return red.net.min_cut((red.head[j],), red.k,
+                           {red.tail[j]: red.k}) >= red.k
 
 
 def base_case_packing(inst: RootedDigraph) -> Packing:
@@ -417,25 +402,28 @@ def lift_packing(inst: RootedDigraph, base: Packing,
 
 def find_packing(inst: RootedDigraph, engine: str = "flow",
                  trace: Optional[list] = None) -> Union[Packing, Certificate]:
-    """Full decision-plus-construction; the result is verified before return."""
+    """Full decision-plus-construction; the result is verified before return.
+
+    ``engine`` decides the input check alone; the reduction loop runs
+    the same flows under every engine.
+    """
     cert = check_independent_placement(inst)
     if not cert.ok:
         return cert
     cert = check_m_connected(inst, engine=engine)
     if not cert.ok:
         return cert
-    return _construct(inst, engine, trace)
+    return _construct(inst, trace)
 
 
-def _construct(inst: RootedDigraph, engine: str,
-               trace: Optional[list] = None) -> Packing:
+def _construct(inst: RootedDigraph, trace: Optional[list] = None) -> Packing:
     """Reduce to the base case, lift back and verify.
 
     For callers that have already established both conditions on
     ``inst``: an independent placement and M-connectivity.
     """
     steps: list[ReductionStep] = []
-    red = ReductionState(inst, engine)
+    red = ReductionState(inst)
     while True:
         step = find_reduction(red)
         if step is None:

@@ -224,6 +224,6 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
         inst.roots, inst.matroid)
     # the placement was checked on entry, and the last separation found no
     # cut violated by this 0/1 point: the support is M-connected
-    packed = _construct(support, engine)
+    packed = _construct(support)
     cost = sum(Fraction(costs[a]) for a in packed.arc_set())
     return packed, cost

@@ -33,18 +33,8 @@ def iter_directed_instances(
     max_roots: int = 3,
     matroids: Callable[[Sequence[str]], list[Matroid]] = default_matroids,
 ) -> Iterator[RootedDigraph]:
-    for nv in range(1, max_vertices + 1):
-        verts = ["v%d" % i for i in range(nv)]
-        pairs = [(u, w) for u in verts for w in verts if u != w]
-        for na in range(max_arcs + 1):
-            for combo in itertools.combinations_with_replacement(pairs, na):
-                arcs = [("a%d" % i, t, h) for i, (t, h) in enumerate(combo)]
-                for t in range(1, max_roots + 1):
-                    elements = ["s%d" % i for i in range(t)]
-                    for placement in itertools.product(verts, repeat=t):
-                        roots = list(zip(elements, placement))
-                        for m in matroids(elements):
-                            yield RootedDigraph(verts, arcs, roots, m)
+    return _iter_instances(RootedDigraph, max_vertices, max_arcs, max_roots,
+                           matroids)
 
 
 def iter_undirected_instances(
@@ -53,15 +43,26 @@ def iter_undirected_instances(
     max_roots: int = 2,
     matroids: Callable[[Sequence[str]], list[Matroid]] = default_matroids,
 ) -> Iterator[RootedGraph]:
+    return _iter_instances(RootedGraph, max_vertices, max_edges, max_roots,
+                           matroids)
+
+
+def _iter_instances(cls, max_vertices, max_links, max_roots, matroids):
+    """Every ``cls`` instance up to the sizes: by vertex count, link count,
+    link multiset, root count, placement, then matroid.  Directed links
+    run over ordered vertex pairs, undirected ones over unordered pairs;
+    ids are a0, a1, ... or e0, e1, ...."""
+    pairing = itertools.permutations if cls.directed else itertools.combinations
     for nv in range(1, max_vertices + 1):
         verts = ["v%d" % i for i in range(nv)]
-        pairs = list(itertools.combinations(verts, 2))
-        for ne in range(max_edges + 1):
-            for combo in itertools.combinations_with_replacement(pairs, ne):
-                edges = [("e%d" % i, u, w) for i, (u, w) in enumerate(combo)]
+        pairs = list(pairing(verts, 2))
+        for nl in range(max_links + 1):
+            for combo in itertools.combinations_with_replacement(pairs, nl):
+                links = [("%s%d" % (cls.link[0], i), u, w)
+                         for i, (u, w) in enumerate(combo)]
                 for t in range(1, max_roots + 1):
                     elements = ["s%d" % i for i in range(t)]
                     for placement in itertools.product(verts, repeat=t):
                         roots = list(zip(elements, placement))
                         for m in matroids(elements):
-                            yield RootedGraph(verts, edges, roots, m)
+                            yield cls(verts, links, roots, m)

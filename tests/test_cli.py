@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import cut_copy, planted_digraph
 from arbopack.cli import run_command
 from arbopack.graphs import RootedDigraph, RootedGraph
 from arbopack.matroid import LinearMatroid, MatroidError
@@ -228,6 +230,28 @@ def test_gen_corpus_script_runs_from_a_plain_checkout(tmp_path):
                           else RootedDigraph), f.name
 
 
+@pytest.mark.parametrize("script, call", [
+    ("bench_pack", "run_one(src, 'pack', 256)"),
+    ("bench_pack", "run_one(src, 'pack-undirected', 256)"),
+    ("bench_mincost", "run_fresh(src, 8, 'planted')"),
+    ("bench_mincost", "run_fresh(src, 8, 'noise-first')"),
+])
+def test_scale_scripts_run_their_smallest_size(script, call):
+    # the scripts rebind private library functions to time them, so a
+    # changed signature breaks them; each runs in a process of its own,
+    # with the library of this checkout and no PYTHONPATH
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = ("import json, sys; sys.path.insert(0, %r); import %s as bench; "
+            "src = %r; print(json.dumps(bench.%s))"
+            % (str(root / "scripts"), script, str(root / "src"), call))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    row = json.loads(done.stdout)
+    assert "stop" not in row and ("trees" in row or "cost" in row), row
+
+
 def test_gen_matroid_kind_is_free_uniform_or_uniform_digits(capsys):
     # uniform-1 used to write rank -1, which no command reads back, and
     # int() let "uniform 2" through
@@ -331,6 +355,61 @@ def test_verify_malformed_packing_is_parse_error(tmp_path, capsys, packing_doc):
     assert code == 1
     assert doc["status"] == "error"
     assert doc["payload"]["kind"] == "ParseError"
+
+
+@pytest.mark.parametrize("key", ["arcs", "edges"])
+def test_verify_rejects_a_repeated_id_in_one_tree(tmp_path, capsys, key):
+    import jsonschema
+
+    if key == "arcs":
+        doc = MINIMAL_DIRECTED
+    else:
+        doc = {"version": 1, "vertices": ["a", "b"],
+               "edges": [{"id": "a1", "ends": ["a", "b"]}],
+               "roots": [{"element": "s1", "vertex": "a"}],
+               "matroid": {"type": "free"}}
+    path = write(tmp_path, "i.json", doc)
+    _, packed = run(capsys, ["pack" if key == "arcs" else "pack-undirected",
+                             path])
+    schema = json.loads((pathlib.Path(__file__).resolve().parents[1] / "docs"
+                         / "result-schema.json").read_text())
+    jsonschema.validate(packed, schema)
+    assert packed["payload"]["trees"][0][key] == ["a1"]
+    packed["payload"]["trees"][0][key] = ["a1", "a1"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(packed, schema)
+    code, out = run(capsys, ["verify", path,
+                             write(tmp_path, "r.json", packed)])
+    assert code == 1 and out["status"] == "error"
+    assert out["payload"] == {
+        "kind": "ParseError",
+        "message": "payload.trees[0].%s: repeats the id 'a1'" % key}
+
+
+def test_pack_is_the_same_under_every_engine(tmp_path, capsys):
+    # the engine decides the input check only: stdout, less provenance, and
+    # the --trace steps on stderr agree, on positives and on negatives
+    rng = random.Random(808)
+    cases = [planted_digraph(rng, n, kind) for n in (4, 6, 9)
+             for kind in ("free", "uniform", "partition", "graphic", "linear")]
+    cases += [cut_copy(inst) for inst in cases[::3]]
+    codes = set()
+    for i, inst in enumerate(cases):
+        path = str(tmp_path / ("i%d.json" % i))
+        pathlib.Path(path).write_text(emit_instance(inst))
+        seen = []
+        for engine in ("flow", "brute", "min-norm-point"):
+            code = run_command(["--engine", engine, "--trace", "pack", path])
+            out, err = capsys.readouterr()
+            doc = json.loads(out)
+            assert doc["provenance"].pop("engine") == engine
+            doc["provenance"]["command"].remove(engine)
+            seen.append((code, doc, err))
+        assert seen[1] == seen[0] and seen[2] == seen[0], inst
+        code, _, err = seen[0]
+        assert bool(err) == (code == 0), inst
+        codes.add(code)
+    assert codes == {0, 2}
 
 
 def test_parse_error_exit_one(tmp_path, capsys):

@@ -4,13 +4,12 @@ import random
 import pytest
 
 from conftest import digraph, planted_digraph, random_digraph
-from arbopack import flow, packing
+from arbopack import flow, packing, sfm
 from arbopack.connectivity import (
     Certificate,
     check_independent_placement,
     check_m_connected,
     classify_arc,
-    deficiency_objective,
 )
 from arbopack.graphs import InstanceError, RootedDigraph, SizeLimitError
 from arbopack.matroid import (
@@ -33,7 +32,6 @@ from arbopack.packing import (
     pack_with_bound,
     verify_packing,
 )
-from arbopack.sfm import SubmodularObjective
 from arbopack.sweeps import iter_directed_instances
 
 
@@ -125,94 +123,87 @@ def test_reduction_invariants_along_a_run():
         assert len(cur.roots) - len(d.roots) == steps
 
 
-@pytest.fixture
-def evaluated(monkeypatch):
-    """The vertex sets on which the pinned check reads def'."""
-    sets: list = []
-
-    def recording(inst):
-        obj = deficiency_objective(inst)
-
-        def evaluate(X):
-            sets.append(frozenset(inst.vertices[i] for i in X))
-            return obj.evaluate(X)
-
-        return SubmodularObjective(obj.n, evaluate, obj.family)
-
-    monkeypatch.setattr(packing, "deficiency_objective", recording)
-    return sets
-
-
-def pinned_matches_full_check(inst, engine, evaluated) -> tuple[int, int]:
+def pinned_matches_full_check(inst) -> tuple[int, int]:
     """Compare the pinned check with a full check on every candidate.
 
     Walks the solver's run on the M-connected ``inst``; at each step every
-    candidate, not only the first accepted, is applied to the state and
-    gets both verdicts, the full one from the brute engine, the reference
-    oracle; the flow engine's pinned verdict, read off the state's
-    network, must equal it too.  The step ``find_reduction`` then takes
-    must be the first candidate accepted.  def' must be read only on sets
-    that hold the head v and not the tail u, with brute on each of them
-    once, and the flow engine reads it on none.  Returns (candidates,
-    rejected).
+    candidate, not only the first accepted, is applied to the state, and
+    the flow's pinned verdict must equal a full check by the brute
+    engine, the reference oracle, on D' built on its own: D less arc j,
+    plus the twin of s at v, over the matroid extended parallel to s.
+    The step ``find_reduction`` then takes must be the first candidate
+    accepted.  Returns (candidates, rejected).
     """
     candidates = rejected = 0
-    red = ReductionState(inst, engine)
+    red = ReductionState(inst)
     while True:
         first = None
-        evaluated.clear()
+        cur = red.digraph()
         for j, x in red.candidates():
-            step = red.apply(j, x)
-            reduced = red.digraph()
-            pinned = packing._keeps_connected(red, j, engine)
-            full = check_m_connected(reduced, "brute").ok
-            assert pinned == full, (reduced, step)
-            u, v = step.tail, step.head
-            read = len(evaluated)
-            assert packing._keeps_connected(red, j, "flow") == full, \
-                (reduced, step)
-            assert len(evaluated) == read, (reduced, step)
-            assert all(v in X and u not in X for X in evaluated), \
-                (reduced, step)
-            if engine == "brute":
-                assert len(set(evaluated)) == len(evaluated) \
-                    == 2 ** (len(inst.vertices) - 2), (reduced, step)
+            a, u, v = inst.arcs[j]
+            s = red.roots[x][0]
+            m, s_new = cur.matroid.extend_parallel(s, red.ids.name(s))
+            reduced = RootedDigraph(
+                cur.vertices, [arc for arc in cur.arcs if arc[0] != a],
+                [*cur.roots, (s_new, v)], m)
+            red.apply(j, x)
+            pinned = packing._keeps_connected(red, j)
             red.undo()
+            assert pinned == check_m_connected(reduced, "brute").ok, \
+                (reduced, a, s)
             candidates += 1
             rejected += not pinned
             if pinned and first is None:
-                first = step
-            evaluated.clear()
+                first = (a, u, v, s, s_new, x)
         taken = find_reduction(red)
-        assert taken == first, (red.digraph(), taken, first)
+        assert taken == (None if first is None
+                         else packing.ReductionStep(*first)), (cur, taken)
         if taken is None:
             return candidates, rejected
 
 
-def test_pinned_check_matches_full_check_on_the_sweep(evaluated):
+def test_pinned_check_matches_full_check_on_the_sweep():
     # the sweep of test_01 (every third instance), restricted to the
     # M-connected instances where the solver runs
     candidates = rejected = 0
     for i, inst in enumerate(iter_directed_instances(3, 4, 3)):
         if i % 3 or not feasible(inst):
             continue
-        c, r = pinned_matches_full_check(inst, "brute", evaluated)
+        c, r = pinned_matches_full_check(inst)
         candidates += c
         rejected += r
     assert rejected > 0 and candidates > rejected
 
 
-def test_pinned_check_matches_full_check_min_norm_point(evaluated):
+def test_pinned_check_matches_full_check_on_planted_instances():
     rng = random.Random(606)
     candidates = rejected = 0
     for n in (6, 7, 8, 9):
         for kind in ("free", "uniform", "partition"):
             inst = planted_digraph(rng, n, kind)
             assert feasible(inst), inst
-            c, r = pinned_matches_full_check(inst, "min-norm-point", evaluated)
+            c, r = pinned_matches_full_check(inst)
             candidates += c
             rejected += r
     assert rejected > 0 and candidates > rejected
+
+
+@pytest.mark.parametrize("engine", ["brute", "min-norm-point"])
+def test_only_the_input_check_minimizes(engine, monkeypatch):
+    # the engine decides the input check; every reduction candidate is a
+    # flow under every engine
+    inst = planted_digraph(random.Random(607), 7, "uniform")
+    minimize = sfm.minimize
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("engine"))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(sfm, "minimize", spy)
+    out = find_packing(inst, engine)
+    assert isinstance(out, Packing) and len(out.arc_set()) > 0
+    assert calls == [engine]
 
 
 @pytest.mark.parametrize("engine", ["flow", "brute", "min-norm-point"])
@@ -223,7 +214,9 @@ def test_changed_network_matches_a_fresh_build(engine):
 
     The cap is above every cut, so each flow reads the minimum itself,
     pinned at every vertex w, with no source and with each other vertex
-    as the source.
+    as the source.  The engine decides only the input check: it must
+    accept every instance, and ``find_packing`` under it must take the
+    steps taken here.
     """
     rng = random.Random(4111)
     instances = [planted_digraph(rng, n, kind) for n in (4, 5, 6)
@@ -244,14 +237,20 @@ def test_changed_network_matches_a_fresh_build(engine):
             instances.append(d)
     steps = rejected = 0
     for inst in instances:
-        red = ReductionState(inst, engine)
+        assert check_m_connected(inst, engine).ok, inst
+        taken: list = []
+        out = find_packing(inst, engine, taken)
+        assert isinstance(out, Packing), inst
+        red = ReductionState(inst)
         while True:
             drawn = [(red.inst.arcs[j][0], red.roots[x][0])
                      for j, x in red.candidates()]
             step = find_reduction(red)
             if step is None:
                 assert not drawn
+                assert taken == [], inst
                 break
+            assert step == taken.pop(0), inst
             steps += 1
             rejected += drawn.index((step.arc_id, step.element))
             cur = red.digraph()
