@@ -3,9 +3,10 @@
 Subcommands: check, pack, pack-undirected, orient, decompose, mincost,
 pack-bounded, verify, gen.  Results are JSON on stdout; exit code 0 means
 a positive answer, 2 a certified negative, 1 a usage/parse/size-limit
-error or a tripped internal check (a ``RuntimeError``: the solver reached
-a state its proof rules out).  Diagnostic traces go to stderr behind
---trace / --lp-trace.
+error, a file that cannot be read (an ``OSError``) or a tripped internal
+check (a ``RuntimeError``: the solver reached a state its proof rules
+out), each as an ``error`` document.  Diagnostic traces go to stderr
+behind --trace / --lp-trace.
 """
 
 from __future__ import annotations
@@ -107,20 +108,33 @@ def _read_trees(text: str, key: str) -> tuple:
     return tuple(out)
 
 
+class UsageError(ValueError):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` where argparse would print usage and exit 2,
+    the certified-negative code; its subparsers are of this class too."""
+
+    def error(self, message: str):
+        raise UsageError("%s: %s" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="arbopack",
         allow_abbrev=False,
         description="matroid-constrained packings of arborescences and rooted trees")
     p.add_argument("--engine", choices=["flow", "brute", "min-norm-point"],
                    default="flow",
-                   help="how the connectivity checks, the orientation "
-                        "greedy and mincost separation are decided; pack's "
-                        "reduction steps are flows under every engine. "
-                        "flow (default): augmenting paths, and separation "
-                        "of fractional points runs brute; brute: subset "
-                        "enumeration, at most 24 vertices; min-norm-point: "
-                        "exact Fujishige-Wolfe")
+                   help="how the M-connectivity checks and mincost's "
+                        "separation of fractional points are decided; pack's "
+                        "reduction steps and the orientation greedy's steps "
+                        "are flows under every engine, so no answer depends "
+                        "on it. flow (default): augmenting paths, and "
+                        "separation of fractional points runs brute; brute: "
+                        "subset enumeration, at most 24 vertices; "
+                        "min-norm-point: exact Fujishige-Wolfe")
     p.add_argument("--trace", action="store_true",
                    help="print reduction steps to stderr")
     p.add_argument("--lp-trace", action="store_true",
@@ -163,12 +177,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: list[str]) -> int:
-    args = _parser().parse_args(argv)
-    engine = args.engine
     try:
-        return _dispatch(args, argv, engine)
+        args = _parser().parse_args(argv)
+        return _dispatch(args, argv, args.engine)
     except (ParseError, GenerationError, SizeLimitError, ValueError,
-            RuntimeError) as exc:
+            RuntimeError, OSError) as exc:
         _emit(_result("error", {"kind": type(exc).__name__, "message": str(exc)},
                       argv))
         return EXIT_USAGE

@@ -134,11 +134,11 @@ def check_m_connected(inst: RootedDigraph, engine: str = "flow") -> Certificate:
 def _check_by_flow(inst: RootedDigraph) -> Certificate:
     """``check_m_connected`` by one flow per vertex, capped at k = r(S).
 
-    A violated set is found by the greedy of the other engines
-    (``sfm._canonical_minimizer``), each of its pinned minimizations one
-    flow with the chosen vertices as sinks and the dropped ones supplied
-    with the flow's cap, which keeps them out of every minimizer, and it
-    is re-checked before it is returned.
+    A violated set is the lex-smallest minimizer, found by min-norm-point's
+    greedy over the nonempty sets (``sfm._canonical_minimizer``), each of
+    its pinned minimizations one flow with the chosen vertices as sinks
+    and the dropped ones supplied with the flow's cap, which keeps them
+    out of every minimizer, and it is re-checked before it is returned.
     """
     verts = inst.vertices
     if not verts:
@@ -161,7 +161,7 @@ def _check_by_flow(inst: RootedDigraph) -> Certificate:
         return net.min_cut(include, cap, dict.fromkeys(exclude, cap)) - k
 
     xs = sfm._canonical_minimizer(deficiency_objective(inst), best,
-                                  frozenset(), True, pinned_min)
+                                  pinned_min)
     cert = Certificate(VIOLATED_SET, vertex_set=frozenset(verts[i] for i in xs),
                        deficiency=best)
     if not recheck_certificate(inst, cert):

@@ -7,21 +7,19 @@ m(X) - i(X) edges, i(X) the edges inside X, and by Hakimi (1965) every
 m >= i with m(V) = |E| is some orientation's in-degree vector.  So
 ``orient_m_connected`` looks for m >= q = p + i with m(V) = |E|: from
 m(v) = deg(v) + k it lowers each m(v) in turn by the least slack
-m(X) - q(X) over X containing v, n minimizations in all.  Under the
-``flow`` engine each is one flow (``flow.Network.min_cut``) on the
-all-forward digraph, whose per-vertex supplies and demands carry the
-modular offset, all capped at one cap above every step's cut of V.  A
-step changes the offset at its own vertex only, so the supplies and
-demands are dicts changed there, and the step's tight set is the
-smallest minimizer, what the flow's failed last search reached: a step
-costs its searches, not n, and builds no submodular objective.
-``brute`` and ``min-norm-point`` run the steps as submodular
-minimizations, with lex-smallest minimizers, and are the flow's
-cross-checks.  If then m(V) = |E|, reversing directed paths
-from vertices below m to vertices above it realizes m.  Otherwise the
-steps' minimizers are tight, and merged where they meet they give a
-partition of maximum deficiency |E| - m(V) < 0.  There is no
-heuristic and no exhaustive fallback.  ``pack_undirected`` returns the
+m(X) - q(X) over X containing v, n minimizations in all.  Each is one
+flow (``flow.Network.min_cut``) on the all-forward digraph, whose
+per-vertex supplies and demands carry the modular offset, all capped at
+one cap above every step's cut of V.  A step changes the offset at its
+own vertex only, so the supplies and demands are dicts changed there,
+and the step's tight set is the smallest minimizer, what the flow's
+failed last search reached: a step costs its searches, not n, and builds
+no submodular objective.  The engine picks only the tripwire check of
+the result, so the answer never depends on it.  If then m(V) = |E|,
+reversing directed paths from vertices below m to vertices above it
+realizes m.  Otherwise the steps' minimizers are tight, and merged where
+they meet they give a partition of maximum deficiency |E| - m(V) < 0.
+There is no heuristic and no exhaustive fallback.  ``pack_undirected`` returns the
 arborescences packed in that orientation as they are, edge ids and all,
 once ``verify_packing`` accepts them on the graph.
 """
@@ -33,13 +31,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from . import flow, sfm
+from . import flow
 from .connectivity import (
     VIOLATED_PARTITION,
     Certificate,
     check_independent_placement,
     check_m_connected,
-    deficiency_objective,
     recheck_certificate,
 )
 from .graphs import RootedDigraph, RootedGraph, SizeLimitError
@@ -83,32 +80,21 @@ def orient_m_connected(g: RootedGraph,
     gap = [k] * n
     for _, u, _ in g.edges:
         gap[pos[u]] += 1
-    if engine == "flow":
-        net = flow.Network(forward)
-        # above cut(V) = k + g+(V) at every step, since no step raises a
-        # gap: each flow ends in a failed search, which gives its minimizer
-        cap = k + sum(gap) + 1
-    else:
-        slack = deficiency_objective(forward)
-    # the flow engine's split of gap by sign, g+ and g-, and g-(V)
+    net = flow.Network(forward)
+    # above cut(V) = k + g+(V) at every step, since no step raises a gap:
+    # each flow ends in a failed search, which gives its minimizer
+    cap = k + sum(gap) + 1
+    # the split of gap by sign, g+ and g-, and g-(V)
     supply = {j: x for j, x in enumerate(gap) if x > 0}
     demand: dict = {}
     owed = 0
     steps = []
     for i in range(n):
-        if engine == "flow":
-            # def(X) + gap(X) = in(X) + r(S_X) + g+(X) + g-(V - X) - k - g-(V):
-            # the cut of X when a virtual source supplies w with g+(w) units
-            # and w passes g-(w) on to a virtual sink inside X
-            value = net.min_cut((i,), cap, supply, demand)
-            res = sfm.SfmResult(net.minimizer(), value - k - owed)
-        else:
-            off = gap[:]  # min-norm-point evaluates again to find a minimizer
-            res = sfm.minimize(sfm.SubmodularObjective(
-                n, lambda X, off=off: slack.evaluate(X) + sum(off[j] for j in X),
-                ("contains", i)), engine=engine)
-        gap[i] -= res.value
-        steps.append(res)
+        # def(X) + gap(X) = in(X) + r(S_X) + g+(X) + g-(V - X) - k - g-(V):
+        # the cut of X when a virtual source supplies w with g+(w) units
+        # and w passes g-(w) on to a virtual sink inside X
+        gap[i] -= net.min_cut((i,), cap, supply, demand) - k - owed
+        steps.append(net.minimizer())
         # the step changed gap at v_i alone, from its first value: k plus
         # the out-degree, no demand
         supply.pop(i, None)
@@ -128,8 +114,7 @@ def orient_m_connected(g: RootedGraph,
                 j = up[j]
             return j
 
-        for res in steps:
-            tight = iter(res.minimizer)
+        for tight in map(iter, steps):
             a = top(next(tight))
             for j in tight:
                 up[top(j)] = a
@@ -144,13 +129,13 @@ def orient_m_connected(g: RootedGraph,
             raise TheoremViolation(
                 "orient_m_connected: the tight sets of greedy steps 1 to %d, "
                 "merged into %s, are not a violated partition (tripwire): "
-                "engine %s, deficiency %d, vertices %d, edges %d"
-                % (n, [sorted(b) for b in cert.partition], engine,
-                   cert.deficiency, n, len(g.edges)))
+                "engine flow, deficiency %d, vertices %d, edges %d"
+                % (n, [sorted(b) for b in cert.partition], cert.deficiency,
+                   n, len(g.edges)))
         return cert
     # each reversal lowers one positive gap by one, so they number this
     reversals = sum(x for x in gap if x > 0)
-    oriented = _realize(dirs, dict(zip(verts, gap)), engine)
+    oriented = _realize(dirs, dict(zip(verts, gap)))
     cert = check_m_connected(induced_digraph(g, oriented), engine=engine)
     if not cert.ok:
         raise TheoremViolation(
@@ -163,7 +148,7 @@ def orient_m_connected(g: RootedGraph,
     return oriented
 
 
-def _realize(dirs: dict, gap: dict, engine: str) -> Orientation:
+def _realize(dirs: dict, gap: dict) -> Orientation:
     """Reverse directed paths until each vertex v has gained gap[v] in-arcs.
 
     A path from a vertex with gap > 0 to one with gap < 0, reversed, moves
@@ -194,9 +179,8 @@ def _realize(dirs: dict, gap: dict, engine: str) -> Orientation:
             else:
                 raise TheoremViolation(
                     "_realize: no path from %s to a vertex above its "
-                    "in-degree at path reversal %d (tripwire): engine %s, "
-                    "vertices %d, edges %d"
-                    % (low, reversals + 1, engine, len(gap), len(dirs)))
+                    "in-degree at path reversal %d (tripwire): vertices %d, "
+                    "edges %d" % (low, reversals + 1, len(gap), len(dirs)))
             reversals += 1
             gap[low] -= 1
             gap[w] += 1

@@ -1,12 +1,11 @@
-"""Submodular function minimization over constrained set families.
+"""Submodular function minimization over the nonempty sets.
 
 Two engines:
 
 * ``brute`` - exhaustive enumeration, exact, hard cap on the ground size.
-  This is the reference oracle.  It walks the family in the lex order of
-  sorted index tuples, so the first minimum it meets is the lex-smallest
-  minimizer; for a ``("contains", v)`` family it evaluates only the sets
-  that hold v.
+  This is the reference oracle.  It walks the nonempty sets in the lex
+  order of sorted index tuples, so the first minimum it meets is the
+  lex-smallest minimizer.
 * ``min-norm-point`` - Fujishige-Wolfe over the base polytope in exact
   arithmetic, so no tolerances exist.  It takes integer-valued objectives
   only, whose greedy vertices are integer vectors; a vertex with another
@@ -23,17 +22,18 @@ Objectives evaluate on frozensets of integer ground indices 0..n-1 and
 return ints (``brute`` also takes Fractions).  Every objective the library
 builds is integer-valued: separation hands over its cut objective scaled
 by the common denominator of the LP point (``polytope.separate``).
-Families beyond "all" are handled by contraction/deletion: pin a set I in
-and a set E out, minimize the induced (still submodular) function on the
-rest.
+Min-norm-point's pinned runs and the lex-smallest minimizer are handled
+by contraction/deletion: pin a set I in and a set E out, minimize the
+induced (still submodular) function on the rest.
 
 The library's default engine, ``flow`` (``arbopack.flow``), is no
-submodular minimizer: it decides the integer deficiency checks, the
-separation of 0/1 points and the steps of the orientation greedy by
-augmenting paths.  The one minimization that stays submodular under it,
-the separation of a fractional LP point, with arc weights that are the
-point times its common denominator, runs ``brute``, which ``minimize``
-takes ``flow`` to mean.
+submodular minimizer: it decides the integer deficiency checks and the
+separation of 0/1 points by augmenting paths, as it does the reduction
+steps and the orientation greedy's steps under every engine.  The one
+minimization that stays submodular under it, the separation of a
+fractional LP point, with arc weights that are the point times its
+common denominator, runs ``brute``, which ``minimize`` takes ``flow`` to
+mean.
 """
 
 from __future__ import annotations
@@ -60,12 +60,13 @@ class SubmodularObjective:
 
     n: int
     evaluate: Callable[[frozenset], object]
-    family: tuple = ("nonempty",)  # ("all",) | ("nonempty",) | ("contains", v)
+    # the only family ``minimize`` takes; a field still, since callers
+    # rebuild objectives as type(obj)(obj.n, evaluate, obj.family)
+    family: tuple = ("nonempty",)
 
 
 class SfmResult:
-    """Minimum value and a minimizer of one minimization: the lex-smallest
-    one from ``minimize``, the smallest one from a flow's ``minimizer()``.
+    """Minimum value and the lex-smallest minimizer of one ``minimize``.
 
     Given ``find`` instead of a minimizer, the minimizer is computed by
     ``find()`` the first time it is read, so a caller that only needs the
@@ -88,26 +89,16 @@ class SfmResult:
         return self._minimizer
 
 
-def _family_pin(obj: SubmodularObjective) -> frozenset | None:
-    """The indices every set of the family holds, or None for nonempty."""
-    fam = obj.family
-    if fam[0] == "all":
-        return frozenset()
-    if fam[0] == "nonempty":
-        return None
-    if fam[0] == "contains":
-        return frozenset({fam[1]})
-    raise ValueError("unknown family %r" % (fam,))
-
-
 def minimize(obj: SubmodularObjective, engine: str = "brute") -> SfmResult:
-    """Minimize over the objective's family with deterministic tie-break.
+    """Minimize over the nonempty sets with deterministic tie-break.
 
     The reported minimizer is the lexicographically smallest one in the
     canonical index order (comparing sorted index tuples).
     """
     if obj.n <= 0:
         raise ValueError("empty ground set")
+    if obj.family != ("nonempty",):
+        raise ValueError("unknown family %r" % (obj.family,))
     if engine in ("brute", "flow"):
         return _minimize_brute(obj)
     if engine == "min-norm-point":
@@ -125,7 +116,6 @@ def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
             "brute engine capped at %d ground elements (got %d)"
             % (BRUTE_GROUND_LIMIT, n)
         )
-    include = _family_pin(obj)
     evaluate = obj.evaluate
     single = [frozenset((i,)) for i in range(n)]
     best_val = best_set = None
@@ -133,30 +123,19 @@ def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
     # Each set is followed by its extensions by larger indices, depth
     # first: that is the lex order of sorted index tuples, so the first
     # minimum met is the lex-smallest minimizer.
-    def walk(s: frozenset, lo: int, pin: int) -> None:
+    def walk(s: frozenset, lo: int) -> None:
         """Visit s + {j} for each j >= lo, each followed by its own
-        extensions.  Until a set holds the pin it is only a path to the
-        sets that do: not evaluated, and not extended past the pin; -1
-        stands for no pin left to take."""
+        extensions."""
         nonlocal best_val, best_set
-        for j in range(lo, n if pin < 0 else pin + 1):
+        for j in range(lo, n):
             t = s | single[j]
-            rest = pin if j < pin else -1
-            if rest < 0:
-                v = evaluate(t)
-                if best_val is None or v < best_val:
-                    best_val, best_set = v, t
+            v = evaluate(t)
+            if best_val is None or v < best_val:
+                best_val, best_set = v, t
             if j < n - 1:
-                walk(t, j + 1, rest)
+                walk(t, j + 1)
 
-    if include is None:
-        walk(frozenset(), 0, -1)
-    elif include:
-        walk(frozenset(), 0, min(include))
-    else:  # ("all",): the empty set comes first
-        best_set = frozenset()
-        best_val = evaluate(best_set)
-        walk(best_set, 0, -1)
+    walk(frozenset(), 0)
     return SfmResult(best_set, best_val)
 
 
@@ -164,12 +143,6 @@ def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
 
 
 def _minimize_mnp(obj: SubmodularObjective) -> SfmResult:
-    include = _family_pin(obj)
-    if include is not None:
-        best_val = _pinned_min(obj, include, frozenset())
-        return SfmResult(None, best_val, lambda: _canonical_minimizer(
-            obj, best_val, include, False,
-            lambda inc, exc: _pinned_min(obj, inc, exc)))
     # run v is the min over the sets whose smallest index is v: it pins v
     # and excludes 0..v-1, so the free grounds shrink from n - 1 to 0 (for
     # the deficiency objective the empty set always attains the
@@ -185,13 +158,12 @@ def _minimize_mnp(obj: SubmodularObjective) -> SfmResult:
             return runs[i]
         return _pinned_min(obj, inc, exc)
 
-    return SfmResult(None, best_val, lambda: _canonical_minimizer(
-        obj, best_val, frozenset(), True, pinned_min))
+    return SfmResult(None, best_val,
+                     lambda: _canonical_minimizer(obj, best_val, pinned_min))
 
 
-def _canonical_minimizer(obj, best_val, include, nonempty,
-                         pinned_min) -> frozenset:
-    """Greedy lex-smallest minimizer via pinned sub-minimizations.
+def _canonical_minimizer(obj, best_val, pinned_min) -> frozenset:
+    """Greedy lex-smallest nonempty minimizer via pinned sub-minimizations.
 
     Scans indices in canonical order; at each step prefers stopping at the
     current prefix, then including the index, then skipping it.
@@ -199,16 +171,13 @@ def _canonical_minimizer(obj, best_val, include, nonempty,
     that hold ``include`` and miss ``exclude``, or any value above
     ``best_val`` where that min is above it.
     """
-    chosen = set(include)
+    chosen: set = set()
     dropped: set = set()
     for i in range(obj.n):
-        if i in chosen or i in dropped:
-            continue
         prefix = frozenset(chosen)
-        if (prefix or not nonempty) and include <= prefix:
-            if obj.evaluate(prefix) == best_val:
-                # check the prefix itself is feasible as-is (everything else out)
-                return prefix
+        if prefix and obj.evaluate(prefix) == best_val:
+            # the prefix itself, everything else out
+            return prefix
         v = pinned_min(frozenset(chosen | {i}), frozenset(dropped))
         if v == best_val:
             chosen.add(i)

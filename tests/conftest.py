@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from arbopack import sfm
+from arbopack.connectivity import deficiency_objective
 from arbopack.graphs import RootedDigraph, RootedGraph
 from arbopack.matroid import (
     ExplicitMatroid,
@@ -12,6 +14,7 @@ from arbopack.matroid import (
     PartitionMatroid,
     UniformMatroid,
 )
+from arbopack.orientation import Orientation, induced_digraph
 
 
 def digraph(vertices, arcs, roots, matroid):
@@ -126,6 +129,37 @@ def cut_graph(g: RootedGraph) -> RootedGraph:
     v = next(w for w in g.vertices if m.rank(g.elements_at(w)) < m.full_rank())
     edges = [e for e in g.edges if v not in e[1:]]
     return RootedGraph(g.vertices, edges, g.roots, m)
+
+
+def greedy_gaps(g: RootedGraph, engine: str) -> dict:
+    """The orientation greedy's final gaps m(v) - indeg(v), vertex -> int,
+    against the all-forward orientation, by submodular minimization.
+
+    With f the forward digraph's deficiency plus the current gaps, step i
+    lowers gap(v_i) by the min of f over the sets that hold v_i: f({v_i})
+    or the min over the nonempty Y of V - v_i of the contraction
+    Y -> f(Y + v_i), minimized by ``engine``.
+    """
+    verts = g.vertices
+    n = len(verts)
+    forward = induced_digraph(g, Orientation({e: (u, v) for e, u, v in g.edges}))
+    slack = deficiency_objective(forward).evaluate
+    k = g.matroid.full_rank()
+    gap = [k] * n  # m(v) = deg(v) + k, less the forward in-degree
+    for _, u, _ in g.edges:
+        gap[verts.index(u)] += 1
+    for i in range(n):
+        def f(X):
+            return slack(X) + sum(gap[j] for j in X)
+
+        least = f(frozenset({i}))
+        rest = [j for j in range(n) if j != i]
+        if rest:
+            least = min(least, sfm.minimize(sfm.SubmodularObjective(
+                n - 1, lambda Y: f(frozenset({i}).union(rest[j] for j in Y))),
+                engine=engine).value)
+        gap[i] -= least
+    return dict(zip(verts, gap))
 
 
 @pytest.fixture

@@ -32,6 +32,7 @@ from arbopack.instances import parse_instance, generate_instance
 from arbopack.matroid import FreeMatroid
 from arbopack.orientation import (
     _orientation_from_bits,
+    _realize,
     induced_digraph,
     decompose_edges,
     orient_m_connected,
@@ -53,7 +54,7 @@ from arbopack.sweeps import (
     iter_undirected_instances,
 )
 
-from conftest import lean_matroids, random_digraph
+from conftest import greedy_gaps, lean_matroids, random_digraph
 
 
 def report(label, detail):
@@ -201,34 +202,33 @@ def undirected_sweep():
 
 
 def test_05_orientation_equivalence_exhaustive(undirected_sweep):
-    # the default engine's greedy steps are flows, the brute engine's are
-    # subset enumerations: their values, hence orientations, must agree,
-    # while their tight sets (smallest against lex-smallest minimizer) may
-    # merge into different partitions
-    positives = other_partitions = 0
+    # the greedy's steps are flows; a reference greedy minimizes each one
+    # by subset enumeration, and its gaps, realized, must give the same
+    # orientation, or sum to the negated deficiency of the certificate
+    positives = 0
     for g, exists in undirected_sweep:
         cert = check_partition_connected(g)
         assert cert.ok == exists, g
         oriented = orient_m_connected(g)
-        by_brute = orient_m_connected(g, engine="brute")
+        gaps = greedy_gaps(g, "brute")
         assert (not isinstance(oriented, type(cert))) == exists, g
         if exists:
             d = induced_digraph(g, oriented)
             assert check_m_connected(d).ok, g
-            assert oriented == by_brute, g
+            forward = {e: (u, v) for e, u, v in g.edges}
+            assert _realize(forward, gaps) == oriented, g
             positives += 1
         else:
-            for out in (oriented, by_brute):
-                assert recheck_certificate(g, out), g
-                assert out.deficiency == cert.deficiency, g
-            other_partitions += oriented.partition != by_brute.partition
+            assert recheck_certificate(g, oriented), g
+            assert -sum(gaps.values()) == oriented.deficiency \
+                == cert.deficiency, g
     report("criterion-5",
            "orientation existence matches the partition condition on all %d "
            "undirected instances (%d positive); every negative certificate "
-           "rechecks with the enumerator's deficiency; the flow and brute "
-           "greedies give the same orientations, and different partitions "
-           "on %d instances" % (len(undirected_sweep), positives,
-                                other_partitions))
+           "rechecks with the enumerator's deficiency; the flow greedy's "
+           "orientations and deficiencies equal those of a greedy whose "
+           "steps are brute-force minimizations"
+           % (len(undirected_sweep), positives))
 
 
 def test_06_undirected_packing_exhaustive(undirected_sweep):

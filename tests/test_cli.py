@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cut_copy, planted_digraph
+from conftest import cut_copy, cut_graph, planted_digraph, planted_graph
 from arbopack.cli import run_command
 from arbopack.graphs import RootedDigraph, RootedGraph
 from arbopack.matroid import LinearMatroid, MatroidError
@@ -412,11 +412,73 @@ def test_pack_is_the_same_under_every_engine(tmp_path, capsys):
     assert codes == {0, 2}
 
 
+def test_undirected_answers_are_the_same_under_every_engine(tmp_path, capsys):
+    # the orientation greedy's steps are flows under every engine, which
+    # decides the check of a positive only: stdout agrees, less provenance
+    rng = random.Random(809)
+    cases = [planted_graph(rng, n, kind) for n in (4, 6, 9)
+             for kind in ("free", "uniform", "partition", "graphic", "linear")]
+    cases += [cut_graph(g) for g in cases]
+    codes = set()
+    for i, g in enumerate(cases):
+        path = str(tmp_path / ("g%d.json" % i))
+        pathlib.Path(path).write_text(emit_instance(g))
+        for cmd in ("pack-undirected", "orient"):
+            seen = []
+            for engine in ("flow", "brute", "min-norm-point"):
+                code, doc = run(capsys, ["--engine", engine, cmd, path])
+                assert doc["provenance"].pop("engine") == engine
+                doc["provenance"]["command"].remove(engine)
+                seen.append((code, doc))
+            assert seen[1] == seen[0] and seen[2] == seen[0], (cmd, g)
+            codes.add(seen[0][0])
+    assert codes == {0, 2}
+
+
 def test_parse_error_exit_one(tmp_path, capsys):
     path = write(tmp_path, "i.json", "{not json")
     code, doc = run(capsys, ["check", path])
     assert code == 1
     assert doc["status"] == "error"
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["pack", "{missing}"], "FileNotFoundError"),
+    (["pack", "{dir}"], "IsADirectoryError"),
+    (["verify", "{instance}", "{missing}"], "FileNotFoundError"),
+])
+def test_unreadable_file_is_an_error_envelope(tmp_path, capsys, argv, kind):
+    names = {"missing": str(tmp_path / "missing.json"), "dir": str(tmp_path),
+             "instance": write(tmp_path, "i.json", MINIMAL_DIRECTED)}
+    argv = [a.format(**names) for a in argv]
+    code, doc = run(capsys, argv)
+    assert code == 1 and doc["status"] == "error"
+    assert doc["payload"]["kind"] == kind
+    assert doc["provenance"] == {"command": argv}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--engine", "foo", "pack", "x"], "arbopack: argument --engine: invalid "
+     "choice: 'foo' (choose from 'flow', 'brute', 'min-norm-point')"),
+    (["pack"], "arbopack pack: the following arguments are required: "
+     "instance"),
+])
+def test_argument_error_is_an_error_envelope(capsys, argv, message):
+    # not argparse's usage text and exit 2, the certified-negative code
+    code = run_command(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert json.loads(out) == {
+        "status": "error", "payload": {"kind": "UsageError",
+                                       "message": message},
+        "provenance": {"command": argv}}
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        run_command(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: arbopack")
 
 
 def test_mincost_cli(tmp_path, capsys):

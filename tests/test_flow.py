@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import cut_copy, cut_graph, planted_digraph, planted_graph
-from arbopack import connectivity, flow, orientation
+from arbopack import connectivity, flow, orientation, sfm
 from arbopack.cli import run_command
 from arbopack.connectivity import check_m_connected, recheck_certificate
 from arbopack.graphs import RootedDigraph, in_degree
@@ -214,25 +214,26 @@ def test_sink_supplied_with_the_cap_reaches_it():
             net.minimizer()
 
 
-def test_orientation_flow_builds_no_objective(monkeypatch):
-    # the flow engine's greedy steps are flows alone; brute's are
-    # minimizations of the deficiency objective of the forward digraph
-    built = []
+@pytest.mark.parametrize("engine", ["brute", "min-norm-point"])
+def test_orientation_steps_call_no_sfm(monkeypatch, engine):
+    # the greedy's steps are flows under every engine: a positive runs one
+    # minimization, the tripwire check of its orientation, a negative none
+    calls = []
+    minimize = sfm.minimize
 
-    def spy(inst, *args):
-        built.append(inst)
-        return connectivity.deficiency_objective(inst, *args)
+    def spy(obj, *args, **kwargs):
+        calls.append(obj.n)
+        return minimize(obj, *args, **kwargs)
 
-    monkeypatch.setattr(orientation, "deficiency_objective", spy)
+    monkeypatch.setattr(sfm, "minimize", spy)
     g = planted_graph(random.Random(8), 8, "uniform")
-    for h in (g, cut_graph(g)):
-        built.clear()
-        flow_out = orientation.orient_m_connected(h, "flow")
-        assert built == []
-        brute_out = orientation.orient_m_connected(h, "brute")
-        assert len(built) == 1
-        assert isinstance(flow_out, orientation.Orientation) == \
-            isinstance(brute_out, orientation.Orientation)
+    assert isinstance(orientation.orient_m_connected(g, engine),
+                      orientation.Orientation)
+    assert calls == [8]
+    calls.clear()
+    assert isinstance(orientation.orient_m_connected(cut_graph(g), engine),
+                      connectivity.Certificate)
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", ["free", "uniform", "partition", "graphic",

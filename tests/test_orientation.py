@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import cut_graph, graph, lean_matroids, planted_graph
+from conftest import cut_graph, graph, greedy_gaps, lean_matroids, planted_graph
 from arbopack.connectivity import (
     Certificate,
     check_m_connected,
@@ -88,17 +88,29 @@ def test_orientation_equivalence_random():
                                      ("partition", 16), ("graphic", 18),
                                      ("linear", 20)])
 def test_flow_greedy_matches_min_norm_point(kind, n):
-    # above the enumerator's cap: a planted graph and a cut copy of it
+    # above the enumerator's cap: a planted graph and a cut copy of it,
+    # against a greedy whose steps are min-norm-point minimizations
+    from arbopack.orientation import _realize
+
     g = planted_graph(random.Random(kind), n, kind)
     out = orient_m_connected(g)
     assert isinstance(out, Orientation)
-    assert out == orient_m_connected(g, engine="min-norm-point")
+    forward = {e: (u, v) for e, u, v in g.edges}
+    assert _realize(forward, greedy_gaps(g, "min-norm-point")) == out
     cut = cut_graph(g)
-    got = orient_m_connected(cut)
-    want = orient_m_connected(cut, engine="min-norm-point")
-    for cert in (got, want):
-        assert isinstance(cert, Certificate) and recheck_certificate(cut, cert)
-    assert got.deficiency == want.deficiency
+    cert = orient_m_connected(cut)
+    assert isinstance(cert, Certificate) and recheck_certificate(cut, cert)
+    assert -sum(greedy_gaps(cut, "min-norm-point").values()) == cert.deficiency
+
+
+def test_brute_engine_orients_above_its_cap():
+    # the greedy's steps are flows under every engine, so brute's 24-vertex
+    # cap binds only its check of a positive, and a negative runs no check
+    g = cut_graph(planted_graph(random.Random("free"), 30, "free"))
+    cert = orient_m_connected(g, engine="brute")
+    assert isinstance(cert, Certificate) and recheck_certificate(g, cert)
+    assert cert.deficiency == -2
+    assert cert == orient_m_connected(g)
 
 
 def realize_by_scan(dirs: dict, gap: dict) -> dict:
@@ -147,7 +159,7 @@ def test_realize_searches_edges_in_order():
             gap[start[e][1]] -= 1
         reversals += sum(x for x in gap.values() if x > 0)
         want = realize_by_scan(start, dict(gap))
-        assert _realize(start, dict(gap), "flow").directions == want, edges
+        assert _realize(start, dict(gap)).directions == want, edges
     assert reversals > 500
 
 
@@ -156,10 +168,10 @@ def test_orientation_tripwires_name_step_engine_and_sizes(monkeypatch):
     from arbopack.packing import TheoremViolation
 
     with pytest.raises(TheoremViolation) as info:
-        orientation._realize({"e1": ("a", "b")}, {"a": 1, "b": 0}, "brute")
+        orientation._realize({"e1": ("a", "b")}, {"a": 1, "b": 0})
     assert str(info.value) == (
         "_realize: no path from a to a vertex above its in-degree at path "
-        "reversal 1 (tripwire): engine brute, vertices 2, edges 1")
+        "reversal 1 (tripwire): vertices 2, edges 1")
     # a check that rejects every orientation trips the realized vector
     monkeypatch.setattr(orientation, "check_m_connected", lambda *a, **k:
                         Certificate("violated-set", vertex_set=frozenset("b"),
@@ -174,15 +186,16 @@ def test_orientation_tripwires_name_step_engine_and_sizes(monkeypatch):
         "edges 1")
 
 
-def orient_sweep_sample(engine: str) -> None:
-    """The criterion-5 sweep, sampled: every positive is M-connected, and
-    every negative rechecks with the enumerator's deficiency."""
+def test_flow_orientation_on_a_sweep_sample():
+    # the criterion-5 sweep, sampled: every positive is M-connected, and
+    # every negative, the smallest tight set of each greedy step merged,
+    # rechecks with the enumerator's deficiency
     sweep = list(iter_undirected_instances(max_vertices=4, max_edges=5,
                                            max_roots=2, matroids=lean_matroids))
     positives = negatives = 0
     for g in random.Random(5).sample(sweep, 2000):
         cert = check_partition_connected(g)
-        out = orient_m_connected(g, engine=engine)
+        out = orient_m_connected(g)
         assert isinstance(out, Orientation) == cert.ok, g
         if cert.ok:
             assert check_m_connected(induced_digraph(g, out)).ok, g
@@ -192,15 +205,6 @@ def orient_sweep_sample(engine: str) -> None:
             assert out.deficiency == cert.deficiency, g
             negatives += 1
     assert positives > 100 and negatives > 100
-
-
-def test_min_norm_point_orientation_on_a_sweep_sample():
-    orient_sweep_sample("min-norm-point")
-
-
-def test_flow_orientation_on_a_sweep_sample():
-    # the flow engine merges the smallest tight set of each greedy step
-    orient_sweep_sample("flow")
 
 
 # -- undirected packing ------------------------------------------------------------------

@@ -49,34 +49,24 @@ def test_deficiency_example_frozen():
     assert (res.minimizer, res.value) == (frozenset({1}), -1)
 
 
-def test_modular_contains_family():
-    w = {0: 1, 1: -1}
-    obj = SubmodularObjective(2, lambda x: sum(w[i] for i in x), ("contains", 0))
-    res = minimize(obj)
-    assert (res.minimizer, res.value) == (frozenset({0, 1}), 0)
-
-
 @pytest.mark.parametrize("engine", ["brute", "min-norm-point"])
-def test_constrained_families_reduce_to_filtered_enumeration(engine):
+def test_nonempty_family_matches_enumeration(engine):
     rng = random.Random(11)
     for _ in range(40):
         d = random_digraph(rng, max_v=4, max_arcs=5)
-        base = deficiency_objective(d)
-        n = base.n
-        v = rng.randrange(n)
-        for fam in [("nonempty",), ("all",), ("contains", v)]:
-            obj = SubmodularObjective(n, base.evaluate, fam)
-            if fam[0] == "nonempty":
-                pred = lambda s: bool(s)
-            elif fam[0] == "all":
-                pred = lambda s: True
-            else:
-                pred = lambda s, v=v: v in s
-            expected = brute_reference(obj, pred)
-            got = minimize(obj, engine=engine)
-            assert got.value == expected
-            assert pred(got.minimizer)
-            assert obj.evaluate(got.minimizer) == expected
+        obj = deficiency_objective(d)
+        expected = brute_reference(obj, bool)
+        got = minimize(obj, engine=engine)
+        assert got.value == expected
+        assert got.minimizer and obj.evaluate(got.minimizer) == expected
+
+
+@pytest.mark.parametrize("family", [("all",), ("contains", 0), ()])
+@pytest.mark.parametrize("engine", ["brute", "min-norm-point"])
+def test_minimize_takes_the_nonempty_family_only(engine, family):
+    obj = SubmodularObjective(2, len, family)
+    with pytest.raises(ValueError, match="unknown family"):
+        minimize(obj, engine=engine)
 
 
 def test_engine_agreement_on_deficiency_objectives(monkeypatch):
@@ -124,13 +114,13 @@ def test_rational_valued_objective():
     def f(x):  # modular, hence submodular
         return sum(vals[i] for i in x)
 
-    obj = SubmodularObjective(3, f, ("all",))
+    obj = SubmodularObjective(3, f, ("nonempty",))
     res = minimize(obj, engine="brute")
     assert res.value == Fraction(-1, 2)
     assert res.minimizer == frozenset({1})
     # min-norm-point takes integer-valued objectives only, and names the
-    # run whose greedy vertex is not an integer vector
-    with pytest.raises(ValueError, match=r"free ground 3, pinned \[\], "
+    # run whose greedy vertex is not an integer vector: the first, run 0
+    with pytest.raises(ValueError, match=r"free ground 2, pinned \[0\], "
                        r"excluded \[\], major cycles 0, \|S\| 0"):
         minimize(obj, engine="min-norm-point")
 
