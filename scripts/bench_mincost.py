@@ -11,19 +11,20 @@ table.  Two families, in this order:
 * ``noise-first``: t=1, m=4n, with the planted arcs (the first t(n-1)
   ids) made 1000 dearer than every noise arc.  The greedy start takes
   the cheapest noise arc into each vertex; their cycles are cut, the LP
-  runs, and some of its optima are fractional, which brute separates;
+  runs, and some of its optima are fractional, which min-norm-point
+  separates;
 * ``planted``: t=2, m=2n, the generated costs.
 
 For each family the size grows through ``SIZES`` until a run takes more
-than ``BUDGET`` seconds (the run is stopped there) or brute separation
-meets its size cap; each size is timed ``REPEAT`` times (median
-reported), and one row gives the split of the last run:
+than ``BUDGET`` seconds (the run is stopped there); each size is timed
+``REPEAT`` times (median reported), and one row gives the split of the
+last run:
 
 * ``lp``: ``solve_lp`` calls (the split greedy start, where the library
   has one, counts as one, with 0 pivots), their pivots and seconds;
-* ``sep_flow`` / ``sep_brute``: separations that ran no submodular
-  minimization (the flow decides them), and those that ran one (brute),
-  with their seconds;
+* ``sep_flow`` / ``sep_mnp``: separations that ran no submodular
+  minimization (the flow decides them), and those that ran one
+  (min-norm-point, on a fractional point), with their seconds;
 * ``construct``: seconds of ``_construct``, the split of the 0/1 optimum
   into trees;
 * ``rss_mb``: the peak resident size of the process that ran the size.
@@ -81,7 +82,7 @@ def timed_layers(polytope):
     """Wrap the layers of ``min_cost_packing`` and yield their counters."""
     split = {"lp_solves": 0, "lp_pivots": 0, "lp_s": 0.0,
              "sep_flow": 0, "sep_flow_s": 0.0,
-             "sep_brute": 0, "sep_brute_s": 0.0, "construct_s": 0.0}
+             "sep_mnp": 0, "sep_mnp_s": 0.0, "construct_s": 0.0}
     solve_lp, separate, construct = (polytope.solve_lp, polytope.separate,
                                      polytope._construct)
     minimize = polytope.sfm.minimize
@@ -99,11 +100,11 @@ def timed_layers(polytope):
         split["lp_pivots"] += res.pivots
         return res
 
-    def sep(inst, x, engine="flow"):
+    def sep(inst, x):
         before = minimized[0]
         t0 = time.perf_counter()
-        out = separate(inst, x, engine=engine)
-        key = "sep_brute" if minimized[0] > before else "sep_flow"
+        out = separate(inst, x)
+        key = "sep_mnp" if minimized[0] > before else "sep_flow"
         split[key + "_s"] += time.perf_counter() - t0
         split[key] += 1
         return out
@@ -142,8 +143,6 @@ def run_size(polytope, n: int, family: str) -> dict:
                 _, cost = polytope.min_cost_packing(inst, costs)
             except OverBudget:
                 row["stop"] = "over %g s" % BUDGET
-            except polytope.sfm.SfmSizeError as exc:
-                row["stop"] = str(exc)
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0)
             times.append(time.perf_counter() - t0)
@@ -181,8 +180,8 @@ def main() -> None:
             rows.append(row)
             print("%(family)s n=%(n)4d %(seconds)8.4f s (runs %(runs)d) | "
                   "lp %(lp_solves)d solves %(lp_pivots)d pivots %(lp_s).4f s"
-                  " | sep flow %(sep_flow)d %(sep_flow_s).4f s, brute "
-                  "%(sep_brute)d %(sep_brute_s).4f s | construct "
+                  " | sep flow %(sep_flow)d %(sep_flow_s).4f s, mnp "
+                  "%(sep_mnp)d %(sep_mnp_s).4f s | construct "
                   "%(construct_s).4f s | %(rss_mb)s MB" % row,
                   row.get("stop", "cost " + row.get("cost", "")), flush=True)
             if "stop" in row:

@@ -26,11 +26,9 @@ EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 
 
-def _result(status: str, payload, argv, seed=None, engine=None) -> dict:
+def _result(status: str, payload, argv, engine=None) -> dict:
     doc = {"status": status, "payload": payload,
            "provenance": {"command": list(argv)}}
-    if seed is not None:
-        doc["provenance"]["seed"] = seed
     if engine is not None:
         doc["provenance"]["engine"] = engine
     return doc
@@ -127,14 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="matroid-constrained packings of arborescences and rooted trees")
     p.add_argument("--engine", choices=["flow", "brute", "min-norm-point"],
                    default="flow",
-                   help="how the M-connectivity checks and mincost's "
-                        "separation of fractional points are decided; pack's "
-                        "reduction steps and the orientation greedy's steps "
-                        "are flows under every engine, so no answer depends "
-                        "on it. flow (default): augmenting paths, and "
-                        "separation of fractional points runs brute; brute: "
-                        "subset enumeration, at most 24 vertices; "
-                        "min-norm-point: exact Fujishige-Wolfe")
+                   help="how the input's M-connectivity check is decided, "
+                        "read by check on a directed file, pack, "
+                        "pack-bounded and mincost's pre-check and by nothing "
+                        "else, so no answer depends on it. flow (default): "
+                        "augmenting paths; brute: subset enumeration, at "
+                        "most 24 vertices; min-norm-point: exact "
+                        "Fujishige-Wolfe")
     p.add_argument("--trace", action="store_true",
                    help="print reduction steps to stderr")
     p.add_argument("--lp-trace", action="store_true",
@@ -201,7 +198,7 @@ def _dispatch(args, argv, engine) -> int:
         if cert.ok and isinstance(inst, RootedDigraph):
             cert = connectivity.check_m_connected(inst, engine=engine)
         elif cert.ok:
-            out = orientation.orient_m_connected(inst, engine=engine)
+            out = orientation.orient_m_connected(inst)
             if isinstance(out, connectivity.Certificate):
                 cert = out
         if cert.ok:
@@ -256,15 +253,14 @@ def _dispatch(args, argv, engine) -> int:
 
     if args.cmd == "orient":
         g, _ = _load(args.instance, RootedGraph)
-        return _answer(orientation.orient_m_connected(g, engine=engine), g,
-                       argv, engine)
+        return _answer(orientation.orient_m_connected(g), g, argv, engine)
 
     if args.cmd in ("pack-undirected", "decompose"):
         g, _ = _load(args.instance, RootedGraph)
         fn = (orientation.pack_undirected if args.cmd == "pack-undirected"
               else orientation.decompose_edges)
         try:
-            out = fn(g, engine=engine)
+            out = fn(g)
         except orientation.IdentityViolation as exc:
             _emit(_result("error", {"kind": "identity-violation",
                                     "message": str(exc)}, argv, engine=engine))

@@ -53,10 +53,6 @@ class Matroid:
     def full_rank(self) -> int:
         return self.rank(self._ground_set)
 
-    def is_independent(self, elems: Iterable[str]) -> bool:
-        q = frozenset(elems)
-        return self.rank(q) == len(q)
-
     def is_base(self, elems: Iterable[str]) -> bool:
         q = frozenset(elems)
         return self.rank(q) == len(q) == self.full_rank()

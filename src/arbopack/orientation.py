@@ -14,14 +14,15 @@ one cap above every step's cut of V.  A step changes the offset at its
 own vertex only, so the supplies and demands are dicts changed there,
 and the step's tight set is the smallest minimizer, what the flow's
 failed last search reached: a step costs its searches, not n, and builds
-no submodular objective.  The engine picks only the tripwire check of
-the result, so the answer never depends on it.  If then m(V) = |E|,
-reversing directed paths from vertices below m to vertices above it
-realizes m.  Otherwise the steps' minimizers are tight, and merged where
-they meet they give a partition of maximum deficiency |E| - m(V) < 0.
-There is no heuristic and no exhaustive fallback.  ``pack_undirected`` returns the
-arborescences packed in that orientation as they are, edge ids and all,
-once ``verify_packing`` accepts them on the graph.
+no submodular objective.  If then m(V) = |E|, reversing directed paths
+from vertices below m to vertices above it realizes m, and
+``check_m_connected`` re-checks the result by flow: no engine is chosen
+on this side.  Otherwise the steps' minimizers are tight, and merged
+where they meet they give a partition of maximum deficiency
+|E| - m(V) < 0.  There is no heuristic and no exhaustive fallback.
+``pack_undirected`` returns the arborescences packed in that orientation
+as they are, edge ids and all, once ``verify_packing`` accepts them on
+the graph.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ def _orientation_from_bits(g: RootedGraph, bits: int) -> Orientation:
     return Orientation(dirs)
 
 
-def orient_m_connected(g: RootedGraph,
-                       engine: str = "flow") -> Union[Orientation, Certificate]:
+def orient_m_connected(g: RootedGraph) -> Union[Orientation, Certificate]:
     """An M-connected orientation, or a maximum-deficiency partition."""
     verts = g.vertices
     n = len(verts)
@@ -136,14 +136,14 @@ def orient_m_connected(g: RootedGraph,
     # each reversal lowers one positive gap by one, so they number this
     reversals = sum(x for x in gap if x > 0)
     oriented = _realize(dirs, dict(zip(verts, gap)))
-    cert = check_m_connected(induced_digraph(g, oriented), engine=engine)
+    cert = check_m_connected(induced_digraph(g, oriented))
     if not cert.ok:
         raise TheoremViolation(
             "orient_m_connected: the in-degree vector realized after %d "
             "greedy steps and %d path reversals is not M-connected "
-            "(tripwire): engine %s, violated set %s, deficiency %d, "
+            "(tripwire): engine flow, violated set %s, deficiency %d, "
             "vertices %d, edges %d"
-            % (n, reversals, engine, sorted(cert.vertex_set),
+            % (n, reversals, sorted(cert.vertex_set),
                cert.deficiency, n, len(g.edges)))
     return oriented
 
@@ -202,13 +202,12 @@ TreePacking = Packing
 verify_tree_packing = verify_packing
 
 
-def pack_undirected(g: RootedGraph,
-                    engine: str = "flow") -> Union[Packing, Certificate]:
+def pack_undirected(g: RootedGraph) -> Union[Packing, Certificate]:
     """Orient, pack arborescences, then forget the orientation."""
     cert = check_independent_placement(g)
     if not cert.ok:
         return cert
-    oriented = orient_m_connected(g, engine=engine)
+    oriented = orient_m_connected(g)
     if isinstance(oriented, Certificate):
         return oriented
     # orient_m_connected has checked this digraph's M-connectivity
@@ -223,8 +222,7 @@ class IdentityViolation(ValueError):
     """|E| + |S| differs from rank * |V|; no full decomposition can exist."""
 
 
-def decompose_edges(g: RootedGraph,
-                    engine: str = "flow") -> Union[Packing, Certificate]:
+def decompose_edges(g: RootedGraph) -> Union[Packing, Certificate]:
     """Tree packing whose edge sets partition E (full decomposition)."""
     k = g.matroid.full_rank()
     lhs = len(g.edges) + len(g.roots)
@@ -233,7 +231,7 @@ def decompose_edges(g: RootedGraph,
         raise IdentityViolation(
             "|E|+|S| = %d but rank*|V| = %d" % (lhs, rhs)
         )
-    packed = pack_undirected(g, engine=engine)
+    packed = pack_undirected(g)
     if isinstance(packed, Certificate):
         return packed
     if packed.arc_set() != frozenset(g.edge_map):

@@ -7,11 +7,11 @@ the cut family is submodular minimization of x(entering X) + rank(S_X) - k,
 run in integers: the point is scaled once by the lcm D of its
 denominators, and the objective minimized is D times the cut objective,
 whose minimizers and sign are the same.  A 0/1 point (D = 1) is decided
-by ``check_m_connected`` on its support under every engine, n flows under
-``flow``; a fractional point is minimized by submodular minimization,
-under ``flow`` by brute force, with its cap of 24 vertices, since the
-flows take unit arcs only.  That is the one brute minimization left on
-the ``flow`` engine's paths.
+by ``check_m_connected`` on its support, n flows.  A fractional point's
+weighted arcs are not the unit arcs those flows take, so it is minimized
+by min-norm-point, exact in ints and with no size cap.  Either way the
+violated cut is the lex-smallest minimizer.  No engine is chosen here:
+``min_cost_packing``'s ``engine`` decides its pre-check alone.
 
 Min-cost optimization is an exact cutting-plane loop.  It starts at the
 optimum of the relaxation by boxes and the in-degree equalities
@@ -94,14 +94,15 @@ def mass_rhs(inst: RootedDigraph) -> int:
     return inst.matroid.full_rank() * len(inst.vertices) - len(inst.roots)
 
 
-def separate(inst: RootedDigraph, x: RationalVector,
-             engine: str = "flow") -> Optional[PolytopeConstraint]:
+def separate(inst: RootedDigraph,
+             x: RationalVector) -> Optional[PolytopeConstraint]:
     """Most-violated constraint, or None when x lies in the polytope.
 
     Order: box constraints in canonical arc order, then the mass equality,
     then the minimizing cut.  Every test runs on x times the lcm of its
     denominators, in ints.  A 0/1 point's cut objective is the deficiency
-    of its support, decided by ``check_m_connected`` under the same engine.
+    of its support, decided by ``check_m_connected`` by flow; a fractional
+    point's is minimized by min-norm-point.
     """
     scale = math.lcm(*(v.denominator for v in x.entries.values()))
     weights = {a: v.numerator * (scale // v.denominator)
@@ -118,13 +119,13 @@ def separate(inst: RootedDigraph, x: RationalVector,
     if scale == 1:
         cert = check_m_connected(RootedDigraph(
             inst.vertices, [arc for arc in inst.arcs if weights[arc[0]]],
-            inst.roots, inst.matroid), engine=engine)
+            inst.roots, inst.matroid))
         if cert.ok:
             return None
         xset = cert.vertex_set
     else:
         res = sfm.minimize(deficiency_objective(inst, weights, scale),
-                           engine=engine)
+                           engine="min-norm-point")
         if res.value >= 0:
             return None
         xset = frozenset(inst.vertices[i] for i in res.minimizer)
@@ -145,7 +146,8 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
     entering X, rhs), and is re-solved by the dual simplex from the last
     optimal basis, the greedy vertex's first.  ``lp_trace``, a list,
     receives (x, objective, pivots) for every relaxation solved, the first
-    with 0 pivots.
+    with 0 pivots.  ``engine`` decides the M-connectivity pre-check alone;
+    the loop is the same under every engine.
     """
     ids = [a for a, _, _ in inst.arcs]
     missing = set(ids) - set(costs)
@@ -192,7 +194,7 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
         x = RationalVector(dict(zip(ids, res.x)))
         if lp_trace is not None:
             lp_trace.append((dict(x.entries), res.objective, res.pivots))
-        violated = separate(inst, x, engine=engine)
+        violated = separate(inst, x)
         if violated is None:
             break
         if violated.kind != "cut":

@@ -27,13 +27,11 @@ by contraction/deletion: pin a set I in and a set E out, minimize the
 induced (still submodular) function on the rest.
 
 The library's default engine, ``flow`` (``arbopack.flow``), is no
-submodular minimizer: it decides the integer deficiency checks and the
-separation of 0/1 points by augmenting paths, as it does the reduction
-steps and the orientation greedy's steps under every engine.  The one
-minimization that stays submodular under it, the separation of a
-fractional LP point, with arc weights that are the point times its
-common denominator, runs ``brute``, which ``minimize`` takes ``flow`` to
-mean.
+submodular minimizer, and ``minimize`` rejects it as unknown.  Outside
+``check_m_connected`` under ``brute`` or ``min-norm-point``, the library
+minimizes here once: the separation of a fractional LP point, with arc
+weights that are the point times its common denominator, runs
+``min-norm-point`` whatever the engine.
 """
 
 from __future__ import annotations
@@ -99,7 +97,7 @@ def minimize(obj: SubmodularObjective, engine: str = "brute") -> SfmResult:
         raise ValueError("empty ground set")
     if obj.family != ("nonempty",):
         raise ValueError("unknown family %r" % (obj.family,))
-    if engine in ("brute", "flow"):
+    if engine == "brute":
         return _minimize_brute(obj)
     if engine == "min-norm-point":
         return _minimize_mnp(obj)

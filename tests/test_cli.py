@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import cut_copy, cut_graph, planted_digraph, planted_graph
+from arbopack import instances
 from arbopack.cli import run_command
 from arbopack.graphs import RootedDigraph, RootedGraph
 from arbopack.matroid import LinearMatroid, MatroidError
@@ -546,6 +547,35 @@ def test_mincost_lp_trace_reports_pivots(tmp_path, capsys):
         assert all(line["pivots"] > 0 for line in lines[1:])  # cut off
 
 
+def test_mincost_lp_trace_is_the_same_under_every_engine(tmp_path, capsys):
+    # the engine decides mincost's pre-check alone: separation runs flows
+    # on 0/1 points and min-norm-point on fractional ones whatever it is,
+    # so the payload and the --lp-trace lines are the same bytes; only the
+    # provenance names the engine.  Noise-first instances (one root, 4n
+    # arcs, the planted arcs dearest) reach fractional LP points
+    fractional = 0
+    for seed in (7, 8, 9):
+        for n in (8, 12, 16):
+            doc = json.loads(instances._generate_raw(
+                random.Random(seed), n, 4 * n, 1, "free", True, True, True))
+            for a in range(n - 1):
+                doc["costs"]["a%d" % a] += 1000
+            path = write(tmp_path, "i.json", doc)
+            runs = []
+            for engine in ("flow", "brute", "min-norm-point"):
+                argv = ["--engine", engine, "--lp-trace", "mincost", path]
+                assert run_command(argv) == 0
+                out, err = capsys.readouterr()
+                result = json.loads(out)
+                assert result.pop("provenance") == {"command": argv,
+                                                    "engine": engine}
+                runs.append((json.dumps(result, sort_keys=True), err))
+            assert runs[1:] == runs[:1] * 2, (seed, n)
+            fractional += sum("/" in "".join(json.loads(line)["x"].values())
+                              for line in runs[0][1].splitlines())
+    assert fractional > 0
+
+
 @pytest.mark.parametrize("value, cost", [
     (7, 7), (-3, -3), ("12", 12), ("007", 7), ("5/3", Fraction(5, 3)),
     ("-4/6", Fraction(-2, 3)),
@@ -622,7 +652,7 @@ def test_cutting_plane_tripwire_is_an_error_envelope(tmp_path, capsys,
     from arbopack import polytope
 
     # a separator that returns the same (valid) cut every time
-    monkeypatch.setattr(polytope, "separate", lambda inst, x, engine: (
+    monkeypatch.setattr(polytope, "separate", lambda inst, x: (
         polytope.PolytopeConstraint(
             "cut", vertex_set=frozenset(inst.vertices), rhs=0)))
     path = write(tmp_path, "i.json", MINCOST_DOC)
@@ -692,11 +722,17 @@ def test_check_above_the_brute_cap_is_an_error_envelope(tmp_path, capsys, key):
     doc = {"version": 1, "vertices": verts, key: links,
            "roots": [{"element": "s1", "vertex": "v0"}],
            "matroid": {"type": "free"}}
-    # the cap is the brute engine's; flow, the default, has none on arcs
+    # the cap is the brute engine's, read by check on a directed file
+    # alone: flow, the default, has none, and an undirected file is
+    # decided by flows whatever the engine
     code, out = run(capsys, ["--engine", "brute", "check",
                              write(tmp_path, "i.json", doc)])
-    assert code == 1 and out["status"] == "error"
-    assert out["payload"]["kind"] == "SfmSizeError"
+    if key == "edges":
+        assert code == 0 and out["status"] == "ok"
+        assert out["provenance"]["engine"] == "brute"
+    else:
+        assert code == 1 and out["status"] == "error"
+        assert out["payload"]["kind"] == "SfmSizeError"
 
 
 def test_tripwire_is_an_error_envelope(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import cut_copy, cut_graph, planted_digraph, planted_graph
-from arbopack import connectivity, flow, orientation, sfm
+from arbopack import connectivity, flow, sfm
 from arbopack.cli import run_command
 from arbopack.connectivity import check_m_connected, recheck_certificate
 from arbopack.graphs import RootedDigraph, in_degree
@@ -214,10 +214,10 @@ def test_sink_supplied_with_the_cap_reaches_it():
             net.minimizer()
 
 
-@pytest.mark.parametrize("engine", ["brute", "min-norm-point"])
-def test_orientation_steps_call_no_sfm(monkeypatch, engine):
-    # the greedy's steps are flows under every engine: a positive runs one
-    # minimization, the tripwire check of its orientation, a negative none
+@pytest.mark.parametrize("engine", ["flow", "brute", "min-norm-point"])
+def test_orientation_steps_call_no_sfm(tmp_path, capsys, monkeypatch, engine):
+    # the undirected commands run flows alone, the greedy's steps and the
+    # tripwire check of a positive's orientation, whatever the engine
     calls = []
     minimize = sfm.minimize
 
@@ -227,12 +227,11 @@ def test_orientation_steps_call_no_sfm(monkeypatch, engine):
 
     monkeypatch.setattr(sfm, "minimize", spy)
     g = planted_graph(random.Random(8), 8, "uniform")
-    assert isinstance(orientation.orient_m_connected(g, engine),
-                      orientation.Orientation)
-    assert calls == [8]
-    calls.clear()
-    assert isinstance(orientation.orient_m_connected(cut_graph(g), engine),
-                      connectivity.Certificate)
+    for graph, want in ((g, (0, 0, 0)), (cut_graph(g), (2, 2, 2))):
+        path = write(tmp_path, "g.json", graph)
+        codes = tuple(run(capsys, ["--engine", engine, cmd, path])[0]
+                      for cmd in ("pack-undirected", "orient", "check"))
+        assert codes == want
     assert calls == []
 
 

@@ -1,14 +1,17 @@
+import json
 import random
 
 import pytest
 
 from conftest import cut_graph, graph, greedy_gaps, lean_matroids, planted_graph
+from arbopack.cli import run_command
 from arbopack.connectivity import (
     Certificate,
     check_m_connected,
     check_partition_connected,
     recheck_certificate,
 )
+from arbopack.instances import emit_instance
 from arbopack.matroid import FreeMatroid, UniformMatroid
 from arbopack.orientation import (
     IdentityViolation,
@@ -103,14 +106,27 @@ def test_flow_greedy_matches_min_norm_point(kind, n):
     assert -sum(greedy_gaps(cut, "min-norm-point").values()) == cert.deficiency
 
 
-def test_brute_engine_orients_above_its_cap():
-    # the greedy's steps are flows under every engine, so brute's 24-vertex
-    # cap binds only its check of a positive, and a negative runs no check
-    g = cut_graph(planted_graph(random.Random("free"), 30, "free"))
-    cert = orient_m_connected(g, engine="brute")
-    assert isinstance(cert, Certificate) and recheck_certificate(g, cert)
-    assert cert.deficiency == -2
-    assert cert == orient_m_connected(g)
+def test_brute_engine_orients_above_its_cap(tmp_path, capsys):
+    # the undirected commands ignore the engine, flows deciding the greedy's
+    # steps and the check of a positive's orientation, so brute's 24-vertex
+    # cap binds neither a positive nor a negative
+    g = planted_graph(random.Random("free"), 30, "free")
+    cut = cut_graph(g)
+    path = tmp_path / "g.json"
+    answers = []
+    for inst in (g, cut):
+        path.write_text(emit_instance(inst))
+        code = run_command(["--engine", "brute", "pack-undirected", str(path)])
+        answers.append((code, json.loads(capsys.readouterr().out)["payload"]))
+    (code, packed), (cut_code, cert) = answers
+    assert code == 0
+    trees = tuple(Tree(t["root_element"], t["root_vertex"],
+                       frozenset(t["edges"])) for t in packed["trees"])
+    assert verify_tree_packing(g, TreePacking(trees)) is None
+    assert cut_code == 2 and cert == orient_m_connected(cut).to_json()
+    assert cert["deficiency"] == -2 and recheck_certificate(cut, Certificate(
+        cert["kind"], partition=tuple(map(frozenset, cert["partition"])),
+        deficiency=cert["deficiency"]))
 
 
 def realize_by_scan(dirs: dict, gap: dict) -> dict:
@@ -178,12 +194,11 @@ def test_orientation_tripwires_name_step_engine_and_sizes(monkeypatch):
                                     deficiency=-1))
     g = graph(["a", "b"], ["e1:a-b"], ["s1@a"], FreeMatroid(["s1"]))
     with pytest.raises(TheoremViolation) as info:
-        orient_m_connected(g, engine="min-norm-point")
+        orient_m_connected(g)
     assert str(info.value) == (
         "orient_m_connected: the in-degree vector realized after 2 greedy "
         "steps and 0 path reversals is not M-connected (tripwire): engine "
-        "min-norm-point, violated set ['b'], deficiency -1, vertices 2, "
-        "edges 1")
+        "flow, violated set ['b'], deficiency -1, vertices 2, edges 1")
 
 
 def test_flow_orientation_on_a_sweep_sample():
@@ -281,7 +296,7 @@ def test_round_trip_reorientation():
         assert verify_packing(d, directed) is None
 
 
-def test_min_norm_point_packs_a_planted_14_vertex_instance():
+def test_pack_undirected_packs_two_spanning_trees_on_14_vertices():
     # two spanning trees on fresh edges plus spare ones; above the
     # enumerator's 12-vertex cap
     rng = random.Random(14)
@@ -298,7 +313,7 @@ def test_min_norm_point_packs_a_planted_14_vertex_instance():
         u, w = rng.sample(verts, 2)
         edges.append("e%d:%s-%s" % (len(edges), u, w))
     g = graph(verts, edges, roots, FreeMatroid(["s0", "s1"]))
-    out = pack_undirected(g, engine="min-norm-point")
+    out = pack_undirected(g)
     assert isinstance(out, TreePacking)
     assert verify_tree_packing(g, out) is None
 

@@ -13,6 +13,7 @@ from arbopack.connectivity import (
     check_independent_placement,
     check_m_connected,
 )
+from arbopack.graphs import RootedDigraph
 from arbopack.instances import _generate_raw, generate_instance, parse_instance
 from arbopack.lp import LpResult, solve_lp
 from arbopack.matroid import FreeMatroid, UniformMatroid
@@ -142,8 +143,7 @@ def random_point(rng, inst):
 
 def test_separation_matches_fraction_enumeration():
     # separate scales the point to ints; its cut (or None) must be the one
-    # a Fraction enumeration of the unscaled objective finds, under every
-    # engine
+    # a Fraction enumeration of the unscaled objective finds
     rng = random.Random(1985)
     found = Counter()
     while found["cut"] < 150 or found[None] < 40:
@@ -152,17 +152,17 @@ def test_separation_matches_fraction_enumeration():
         if x is None:
             continue
         want = fraction_separation(d, x)
-        for engine in ("flow", "brute", "min-norm-point"):
-            assert separate(d, x, engine=engine) == want, (d, x, engine)
+        assert separate(d, x) == want, (d, x)
         found[want and want.kind] += 1
         found["scaled"] += any(v.denominator > 1 for v in x.entries.values())
     assert found["scaled"] > 100
 
 
 def test_flow_separation_of_0_1_points_matches_brute():
-    # under flow a 0/1 point is decided by check_m_connected on its
-    # support; the cut, the lex-smallest minimizer with its rhs, must be
-    # brute enumeration's on every 0/1 point of the right mass
+    # a 0/1 point is decided by flow on its support; the cut, the
+    # lex-smallest minimizer with its rhs, must be the one brute
+    # enumeration finds on that support, on every 0/1 point of the right
+    # mass
     from arbopack.sweeps import iter_directed_instances
 
     found = Counter()
@@ -171,12 +171,42 @@ def test_flow_separation_of_0_1_points_matches_brute():
         mass = mass_rhs(inst)
         if not 0 <= mass <= len(ids):
             continue
+        m = inst.matroid
         for chosen in itertools.combinations(ids, mass):
             x = RationalVector.characteristic(inst, chosen)
-            want = separate(inst, x, engine="brute")
-            assert separate(inst, x, engine="flow") == want, (inst, chosen)
+            cert = check_m_connected(RootedDigraph(
+                inst.vertices, [arc for arc in inst.arcs if arc[0] in chosen],
+                inst.roots, m), "brute")
+            want = None if cert.ok else polytope.PolytopeConstraint(
+                "cut", vertex_set=cert.vertex_set,
+                rhs=m.full_rank() - m.rank(inst.elements_in(cert.vertex_set)))
+            assert separate(inst, x) == want, (inst, chosen)
             found[want and want.kind] += 1
     assert found["cut"] > 10000 and found[None] > 1000
+
+
+def test_fractional_separation_has_no_size_cap():
+    # a fractional point runs min-norm-point, with no cap, whatever the
+    # engine.  On 30 vertices, a path p from the root's v0 and a cycle c
+    # through v1..v29 (v1 -> v29 -> ... -> v2 -> v1), each at 1/2, give
+    # every vertex but v0 in-degree 1; only {v1..v29} is entered by less
+    # than 1, by p1 alone.  Half the path plus half the arborescence p1,
+    # then c back from v29 down to v2, lies in the polytope.
+    n = 30
+    verts = ["v%d" % i for i in range(n)]
+    path = ["p%d:v%d>v%d" % (i, i - 1, i) for i in range(1, n)]
+    cycle = ["c%d:v%d>v%d" % (i, i + 1, i) for i in range(1, n - 1)]
+    cycle.append("c%d:v1>v%d" % (n - 1, n - 1))
+    d = digraph(verts, path + cycle, ["s1@v0"], FreeMatroid(["s1"]))
+    half = Fraction(1, 2)
+    x = RationalVector.from_arcs(d, {a: half for a, _, _ in d.arcs})
+    cut = separate(d, x)
+    assert cut.kind == "cut" and cut.vertex_set == frozenset(verts[1:])
+    entering = sum(x.entries[a] for a, t, h in d.arcs
+                   if h in cut.vertex_set and t not in cut.vertex_set)
+    assert entering == half < cut.rhs == 1
+    inside = dict(x.entries, p1=1, c1=0)
+    assert separate(d, RationalVector.from_arcs(d, inside)) is None
 
 
 # -- membership vs feasibility -----------------------------------------------------------
@@ -308,7 +338,7 @@ def test_cutting_plane_tripwires_name_their_context(monkeypatch, cut, point,
                 ["s1@a", "s2@a"], FreeMatroid(["s1", "s2"]))
     returned = []
 
-    def separate_once(inst, x, engine):
+    def separate_once(inst, x):
         returned.append(cut)
         return cut if len(returned) == 1 else None
 
@@ -374,8 +404,8 @@ def test_lp_rows_hold_one_entry_per_arc_and_cut_arc(monkeypatch, family, n,
         costs = noise_first_costs(extras, t * (n - 1))
     cut_arcs, sizes = [0], []
 
-    def separate_spy(inst, x, engine="flow"):
-        cut = separate(inst, x, engine=engine)
+    def separate_spy(inst, x):
+        cut = separate(inst, x)
         if cut is not None:
             xs = cut.vertex_set
             cut_arcs.append(cut_arcs[-1] + sum(

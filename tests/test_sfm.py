@@ -69,6 +69,13 @@ def test_minimize_takes_the_nonempty_family_only(engine, family):
         minimize(obj, engine=engine)
 
 
+@pytest.mark.parametrize("engine", ["flow", "mnp", ""])
+def test_minimize_takes_brute_and_min_norm_point_only(engine):
+    # flow is the library's default engine but no submodular minimizer
+    with pytest.raises(ValueError, match="unknown engine"):
+        minimize(SubmodularObjective(2, len), engine=engine)
+
+
 def test_engine_agreement_on_deficiency_objectives(monkeypatch):
     # min-norm-point minimizes over the nonempty sets by one Wolfe run per
     # smallest index v (v pinned, 0..v-1 excluded), on free grounds of
