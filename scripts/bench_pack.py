@@ -20,8 +20,10 @@ shows its own peak and no other size's; the row gives
   its lift and verification, and the number of steps it took;
 * ``rss_mb``: the peak resident size of that process.
 
-``SIZES`` stops at 8192: twin ids grow by one prime per twin of the same
-stem, so they hold O(n^2) characters, about 67M at n=8192.  The library
+``SIZES`` stops at 16384, where ``construct_s`` is nearly all of a run:
+twin ids grow by one prime per twin of the same stem, so the reduction
+loop's ids hold O(n^2) characters, about 268M at n=16384, and most of
+the run's 350 MB peak.  The library
 is imported from ``--src`` (default: ``src/`` next to this script), so
 the same script times another checkout.  ``--json`` writes the rows to a
 file as well.
@@ -38,7 +40,7 @@ import sys
 import time
 
 HERE = pathlib.Path(__file__).resolve().parent
-SIZES = (256, 512, 1024, 2048, 4096, 8192)
+SIZES = (256, 512, 1024, 2048, 4096, 8192, 16384)
 BUDGET = 60.0
 COMMANDS = ("pack", "pack-undirected")
 

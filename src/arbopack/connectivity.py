@@ -6,16 +6,18 @@ The central quantity is the deficiency of a vertex set X:
 
 The instance is root-connected (condition (2) of the characterization) iff
 def(X) >= 0 for every nonempty X; def(V) = 0 always, so the minimum is
-never positive.  The ``flow`` engine decides it by n unit flows, one per
-vertex v, each reading min over X containing v of def(X) + k, k = r(S)
-(``flow.Network.min_cut``); ``brute`` and ``min-norm-point`` minimize def over
-nonempty sets by submodular minimization.  Under every engine a violated
-set is the lexicographically smallest minimizer.
+never positive.  ``check_m_connected`` splits the nonempty sets by their
+smallest index v (``sfm.by_smallest_index``).  Under ``flow`` run v is
+one flow with sink v and a supply of k = r(S) at each index below v,
+which keeps those out (``flow.Network.min_cut``); ``min-norm-point``
+runs Wolfe's algorithm per run, and ``brute`` walks every set.  Under
+every engine a violated set is the lexicographically smallest minimizer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from . import flow, sfm
@@ -24,6 +26,7 @@ from .graphs import (
     Partition,
     RootedDigraph,
     RootedGraph,
+    TheoremViolation,
     cross_edges,
     in_degree,
     iter_partitions,
@@ -121,56 +124,61 @@ def deficiency_objective(inst: RootedDigraph, weights: Optional[dict] = None,
 
 
 def check_m_connected(inst: RootedDigraph, engine: str = "flow") -> Certificate:
-    """Condition (2): every nonempty X has in-degree >= rank(S) - rank(S_X)."""
+    """Condition (2): every nonempty X has in-degree >= rank(S) - rank(S_X).
+
+    A violated set is the lex-smallest minimizer of def, re-checked before
+    it is returned.
+    """
     if engine == "flow":
-        return _check_by_flow(inst)
-    res = sfm.minimize(deficiency_objective(inst), engine=engine)
+        # min_cut is capped at k, so a run reads min(0, its min): exact
+        # below 0, and only a negative reads the minimizer (and builds the
+        # objective for it)
+        k = inst.matroid.full_rank()
+        net = flow.Network(inst)
+        res = sfm.by_smallest_index(
+            len(inst.vertices),
+            lambda inc, exc: net.min_cut(inc, k, _Out(exc, k)) - k,
+            partial(deficiency_objective, inst))
+    else:
+        res = sfm.minimize(deficiency_objective(inst), engine=engine)
     if res.value >= 0:
         return _OK_CERT
     xs = frozenset(inst.vertices[i] for i in res.minimizer)
-    return Certificate(VIOLATED_SET, vertex_set=xs, deficiency=int(res.value))
-
-
-def _check_by_flow(inst: RootedDigraph) -> Certificate:
-    """``check_m_connected`` by one flow per vertex, capped at k = r(S).
-
-    A violated set is the lex-smallest minimizer, found by min-norm-point's
-    greedy over the nonempty sets (``sfm._canonical_minimizer``), each of
-    its pinned minimizations one flow with the chosen vertices as sinks
-    and the dropped ones supplied with the flow's cap, which keeps them
-    out of every minimizer, and it is re-checked before it is returned.
-    """
-    verts = inst.vertices
-    if not verts:
-        raise ValueError("empty ground set")
-    k = inst.matroid.full_rank()
-    net = flow.Network(inst)
-    cut = [net.min_cut((i,), k) for i in range(len(verts))]
-    best = min(cut) - k
-    if best >= 0:
-        return _OK_CERT
-
-    def pinned_min(include, exclude):
-        # cut[i] - k is the min over the sets that hold i: a family holding
-        # a vertex of no minimizer, or one vertex alone, needs no flow
-        if any(cut[i] > best + k for i in include):
-            return best + 1
-        if len(include) == 1 and not exclude:
-            return best
-        cap = best + k + 1
-        return net.min_cut(include, cap, dict.fromkeys(exclude, cap)) - k
-
-    xs = sfm._canonical_minimizer(deficiency_objective(inst), best,
-                                  pinned_min)
-    cert = Certificate(VIOLATED_SET, vertex_set=frozenset(verts[i] for i in xs),
-                       deficiency=best)
+    cert = Certificate(VIOLATED_SET, vertex_set=xs, deficiency=int(res.value))
     if not recheck_certificate(inst, cert):
-        raise flow.FlowViolation(
+        raise TheoremViolation(
             "check_m_connected: the violated set %s does not recheck "
-            "(tripwire): engine flow, deficiency %d, vertices %d, arcs %d, "
-            "roots %d" % (sorted(cert.vertex_set), best, len(verts),
-                          len(inst.arcs), len(inst.roots)))
+            "(tripwire): engine %s, deficiency %d, vertices %d, arcs %d, "
+            "roots %d" % (sorted(xs), engine, cert.deficiency,
+                          len(inst.vertices), len(inst.arcs), len(inst.roots)))
     return cert
+
+
+class _Out:
+    """Supply ``cap`` at each index of ``out``, a range or a frozenset, as
+    a read-only mapping: a run pays nothing for the indices it keeps out."""
+
+    __slots__ = ("out", "cap")
+
+    def __init__(self, out, cap: int):
+        self.out, self.cap = out, cap
+
+    def __contains__(self, i) -> bool:
+        return i in self.out
+
+    def __getitem__(self, i) -> int:
+        if i in self.out:
+            return self.cap
+        raise KeyError(i)
+
+    def get(self, i, default=None):
+        return self.cap if i in self.out else default
+
+    def __iter__(self):
+        return iter(self.out)
+
+    def __len__(self) -> int:
+        return len(self.out)
 
 
 def check_partition_connected(g: RootedGraph) -> Certificate:

@@ -40,15 +40,15 @@ every node that still reaches a sink lies in each of them.
 Integer per-vertex supplies and demands add supply(X) + demand(V - X) to
 the cut of X: a vertex with supply left is one more start of the search,
 and one with demand left ends a path as a sink does; a sink's own supply
-is taken first, each unit a path of no arcs.  They come as dicts of the
-vertices that have any, which a call reads and never copies, so a call
-costs its searches, not the number of vertices.  A vertex u that every X
-must miss is one with supply[u] = cap: each X that holds it has a cut of
-at least cap, so min(cap, ·) is the min over the sets without u, and a
-call stops at cap paths before u can run dry.  The orientation greedy
-(``orientation.orient_m_connected``) takes its modular offset this way,
-so one flow decides each of its steps, and the flow's failed last search
-gives the step's tight set.
+is taken first, each unit a path of no arcs.  They come as mappings of
+the vertices that have any (dicts, or read-only views), which a call
+reads and never copies, so a call costs its searches, not the number of
+vertices.  A vertex u that every X must miss is one with supply[u] =
+cap: each X that holds it has a cut of at least cap, so min(cap, ·) is
+the min over the sets without u, and a call stops at cap paths before u
+can run dry.  The orientation greedy takes its modular offset this way,
+and ``connectivity.check_m_connected`` keeps out the indices below each
+run's sink.
 """
 
 from __future__ import annotations

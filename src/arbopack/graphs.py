@@ -11,7 +11,7 @@ construction.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .matroid import Matroid
 
@@ -24,6 +24,10 @@ class InstanceError(ValueError):
 
 class SizeLimitError(RuntimeError):
     """An enumeration cap was exceeded; raise loudly rather than hang."""
+
+
+class TheoremViolation(RuntimeError):
+    """Tripwire: the algorithm reached a state the proof rules out."""
 
 
 class RootedInstance:
@@ -139,26 +143,6 @@ def cross_edges(g: RootedInstance, partition: Partition) -> int:
         for v in b:
             block_of[v] = i
     return sum(1 for _, u, v in g.links if block_of[u] != block_of[v])
-
-
-def reachable_within(inst: RootedDigraph, v: str, X: Iterable[str],
-                     arc_filter: Callable[[str], bool] | None = None) -> frozenset:
-    """Vertices of X from which v is reachable in D[X] via arcs passing the filter."""
-    xs = frozenset(X)
-    if v not in xs:
-        raise InstanceError("target vertex %r not in the induced set" % v)
-    preds: dict[str, list[str]] = {u: [] for u in xs}
-    for a, t, h in inst.arcs:
-        if t in xs and h in xs and (arc_filter is None or arc_filter(a)):
-            preds[h].append(t)
-    seen = {v}
-    stack = [v]
-    while stack:
-        for u in preds[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return frozenset(seen)
 
 
 def tree_vertices(ids: Iterable[str], inst: RootedInstance,

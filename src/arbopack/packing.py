@@ -68,16 +68,13 @@ from .graphs import (
     RootedDigraph,
     RootedInstance,
     SizeLimitError,
+    TheoremViolation,
     tree_vertices,
 )
 from .matroid import ParallelExtension, TwinIds
 
 BRUTE_ARC_CAP = 10
 BRUTE_ROOT_CAP = 4
-
-
-class TheoremViolation(RuntimeError):
-    """Tripwire: the algorithm reached a state the proof rules out."""
 
 
 class InfeasibleBound(ValueError):

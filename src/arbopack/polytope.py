@@ -7,11 +7,12 @@ the cut family is submodular minimization of x(entering X) + rank(S_X) - k,
 run in integers: the point is scaled once by the lcm D of its
 denominators, and the objective minimized is D times the cut objective,
 whose minimizers and sign are the same.  A 0/1 point (D = 1) is decided
-by ``check_m_connected`` on its support, n flows.  A fractional point's
-weighted arcs are not the unit arcs those flows take, so it is minimized
-by min-norm-point, exact in ints and with no size cap.  Either way the
-violated cut is the lex-smallest minimizer.  No engine is chosen here:
-``min_cost_packing``'s ``engine`` decides its pre-check alone.
+by ``check_m_connected`` on its support, one flow per smallest index.  A
+fractional point's weighted arcs are not the unit arcs those flows take,
+so it is minimized by min-norm-point, exact in ints and with no size
+cap.  Either way the violated cut is the lex-smallest minimizer.  No
+engine is chosen here: ``min_cost_packing``'s ``engine`` decides its
+pre-check alone.
 
 Min-cost optimization is an exact cutting-plane loop.  It starts at the
 optimum of the relaxation by boxes and the in-degree equalities
@@ -161,8 +162,8 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
         return cert
 
     def context() -> str:
-        return "(tripwire): engine %s, cuts %d, vertices %d, arcs %d" % (
-            engine, len(seen_cuts), len(inst.vertices), len(ids))
+        return "(tripwire): cuts %d, vertices %d, arcs %d" % (
+            len(seen_cuts), len(inst.vertices), len(ids))
 
     k = inst.matroid.full_rank()
     c_vec = [Fraction(costs[a]) for a in ids]

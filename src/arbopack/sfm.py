@@ -13,10 +13,11 @@ Two engines:
   set across cycles, solves the affine minimization on it by Bareiss
   elimination, and holds the current point as an integer vector over one
   common denominator.  ``Fraction`` is used only in the line search.  The
-  nonempty family is split by smallest index: run v pins v and excludes
-  0..v-1, on a free ground of n - 1 - v indices.  The lex-smallest
-  minimizer reuses those runs; past its first index it costs up to n - 2
-  more, so it is computed only when ``SfmResult.minimizer`` is read.
+  nonempty family is split by smallest index (``by_smallest_index``):
+  run v pins v and excludes 0..v-1, on a free ground of n - 1 - v
+  indices.  The lex-smallest minimizer starts at the first run that
+  reaches the minimum; past that index it costs up to n - 2 more runs,
+  so it is computed only when ``SfmResult.minimizer`` is read.
 
 Objectives evaluate on frozensets of integer ground indices 0..n-1 and
 return ints (``brute`` also takes Fractions).  Every objective the library
@@ -27,20 +28,23 @@ by contraction/deletion: pin a set I in and a set E out, minimize the
 induced (still submodular) function on the rest.
 
 The library's default engine, ``flow`` (``arbopack.flow``), is no
-submodular minimizer, and ``minimize`` rejects it as unknown.  Outside
-``check_m_connected`` under ``brute`` or ``min-norm-point``, the library
-minimizes here once: the separation of a fractional LP point, with arc
-weights that are the point times its common denominator, runs
-``min-norm-point`` whatever the engine.
+submodular minimizer, and ``minimize`` rejects it as unknown; but
+``check_m_connected`` hands ``by_smallest_index`` one flow per pinned
+minimization, so the split and the lex-smallest minimizer are the same
+code under ``flow`` and ``min-norm-point``.  Outside ``check_m_connected``
+the library minimizes here once: the separation of a fractional LP
+point, with arc weights that are the point times its common denominator,
+runs ``min-norm-point`` whatever the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from operator import mul
-from typing import Callable
+from typing import Callable, Collection
 
 from .graphs import SizeLimitError
 
@@ -100,7 +104,7 @@ def minimize(obj: SubmodularObjective, engine: str = "brute") -> SfmResult:
     if engine == "brute":
         return _minimize_brute(obj)
     if engine == "min-norm-point":
-        return _minimize_mnp(obj)
+        return by_smallest_index(obj.n, partial(_pinned_min, obj), lambda: obj)
     raise ValueError("unknown engine %r" % engine)
 
 
@@ -137,44 +141,42 @@ def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
     return SfmResult(best_set, best_val)
 
 
-# -- min-norm-point engine -----------------------------------------------------
+# -- split by smallest index --------------------------------------------------
 
 
-def _minimize_mnp(obj: SubmodularObjective) -> SfmResult:
-    # run v is the min over the sets whose smallest index is v: it pins v
-    # and excludes 0..v-1, so the free grounds shrink from n - 1 to 0 (for
-    # the deficiency objective the empty set always attains the
-    # unconstrained minimum, so a run over all sets would not help)
-    runs = [_pinned_min(obj, frozenset({v}), frozenset(range(v)))
-            for v in range(obj.n)]
+def by_smallest_index(n: int, pinned_min, objective) -> SfmResult:
+    """Minimum over the nonempty subsets of 0..n-1, and their lex-smallest
+    minimizer.
+
+    Run v is ``pinned_min({v}, range(v))``, the min over the sets whose
+    smallest index is v (the sink order of Hao and Orlin's minimum cut,
+    J. Algorithms 1994), and the value is the least run.
+    ``pinned_min(include, exclude)`` is the min over the sets that hold
+    ``include`` and miss ``exclude``, or any value above the minimum where
+    that min is above it.  The minimizer is found the first time it is
+    read, by the greedy from the first run that reaches the value; only
+    then is ``objective()`` called, for the objective the greedy reads.
+    """
+    if n <= 0:
+        raise ValueError("empty ground set")
+    runs = [pinned_min(frozenset((v,)), range(v)) for v in range(n)]
     best_val = min(runs)
-
-    def pinned_min(inc, exc):
-        # until an index is chosen, the canonical minimizer asks for run i
-        i = min(inc)
-        if len(inc) == 1 and exc == frozenset(range(i)):
-            return runs[i]
-        return _pinned_min(obj, inc, exc)
-
-    return SfmResult(None, best_val,
-                     lambda: _canonical_minimizer(obj, best_val, pinned_min))
+    return SfmResult(None, best_val, lambda: _canonical_minimizer(
+        objective(), best_val, pinned_min, runs.index(best_val)))
 
 
-def _canonical_minimizer(obj, best_val, pinned_min) -> frozenset:
+def _canonical_minimizer(obj, best_val, pinned_min, first) -> frozenset:
     """Greedy lex-smallest nonempty minimizer via pinned sub-minimizations.
 
-    Scans indices in canonical order; at each step prefers stopping at the
-    current prefix, then including the index, then skipping it.
-    ``pinned_min(include, exclude)`` is the min of ``obj`` over the sets
-    that hold ``include`` and miss ``exclude``, or any value above
-    ``best_val`` where that min is above it.
+    ``first`` is its smallest index.  Scans the indices after it in
+    canonical order; at each step prefers stopping at the current prefix
+    (every other index out), then including the index, then skipping it.
     """
-    chosen: set = set()
-    dropped: set = set()
-    for i in range(obj.n):
+    chosen = {first}
+    dropped = set(range(first))
+    for i in range(first + 1, obj.n):
         prefix = frozenset(chosen)
-        if prefix and obj.evaluate(prefix) == best_val:
-            # the prefix itself, everything else out
+        if obj.evaluate(prefix) == best_val:
             return prefix
         v = pinned_min(frozenset(chosen | {i}), frozenset(dropped))
         if v == best_val:
@@ -184,8 +186,11 @@ def _canonical_minimizer(obj, best_val, pinned_min) -> frozenset:
     return frozenset(chosen)
 
 
+# -- min-norm-point engine -----------------------------------------------------
+
+
 def _pinned_min(obj: SubmodularObjective, include: frozenset,
-                exclude: frozenset):
+                exclude: Collection[int]):
     """Min of evaluate over {X : include ⊆ X, X ∩ exclude = ∅}.
 
     Contraction: g(Y) = f(Y ∪ I) - f(I) on the free indices; g stays

@@ -661,7 +661,7 @@ def test_cutting_plane_tripwire_is_an_error_envelope(tmp_path, capsys,
     assert out["payload"]["kind"] == "RuntimeError"
     assert out["payload"]["message"] == (
         "min_cost_packing: separation returned the cut on ['a', 'b'] again "
-        "(tripwire): engine flow, cuts 1, vertices 2, arcs 3")
+        "(tripwire): cuts 1, vertices 2, arcs 3")
 
 
 def test_greedy_step_tripwire_is_an_error_envelope(tmp_path, capsys,
@@ -678,8 +678,7 @@ def test_greedy_step_tripwire_is_an_error_envelope(tmp_path, capsys,
     assert out["payload"] == {
         "kind": "TheoremViolation",
         "message": "min_cost_packing: vertex b has 0 entering arcs, fewer "
-                   "than d(b)=2 (tripwire): engine flow, cuts 0, vertices 2, "
-                   "arcs 0"}
+                   "than d(b)=2 (tripwire): cuts 0, vertices 2, arcs 0"}
 
 
 def test_orient_and_pack_undirected_cli(tmp_path, capsys):

@@ -259,9 +259,9 @@ def test_domination_transitive():
                 assert dominates(d, z, x)
 
 
-def test_min_norm_point_check_is_decision_only(monkeypatch):
-    from arbopack import sfm
-
+def decision_pair():
+    """A feasible 4-vertex instance, and a violated one with its
+    certificate by brute force."""
     m = FreeMatroid(["s1", "s2"])
     feasible = digraph(["a", "b", "c", "d"],
                        ["1:a>b", "2:b>c", "3:c>d", "4:d>a", "5:a>c", "6:c>a",
@@ -272,11 +272,44 @@ def test_min_norm_point_check_is_decision_only(monkeypatch):
     expected = check_m_connected(violated, engine="brute")
     assert check_m_connected(feasible, engine="brute").ok
     assert not expected.ok
+    return feasible, violated, expected
+
+
+@pytest.mark.parametrize("engine", ["flow", "min-norm-point"])
+def test_passing_check_is_decision_only(monkeypatch, engine):
+    from arbopack import sfm
+
+    feasible, violated, expected = decision_pair()
 
     def no_minimizer(*args):
         raise AssertionError("a passing check searched for a minimizer")
 
     with monkeypatch.context() as patched:
         patched.setattr(sfm, "_canonical_minimizer", no_minimizer)
-        assert check_m_connected(feasible, engine="min-norm-point").ok
-    assert check_m_connected(violated, engine="min-norm-point") == expected
+        assert check_m_connected(feasible, engine=engine).ok
+    assert check_m_connected(violated, engine=engine) == expected
+
+
+def test_flow_run_i_keeps_out_exactly_the_indices_below_i(monkeypatch):
+    # the flow check is split by smallest index: run i has sink i, and
+    # each index below i is supplied with the cap k = 2, which keeps it
+    # out; the greedy of a negative comes after the n runs
+    from arbopack import flow
+
+    calls = []
+    min_cut = flow.Network.min_cut
+
+    def spy(net, sinks, cap, supply=None, demand=None):
+        calls.append((tuple(sinks), cap, {i: supply[i] for i in supply or ()},
+                      demand))
+        return min_cut(net, sinks, cap, supply, demand)
+
+    monkeypatch.setattr(flow.Network, "min_cut", spy)
+    feasible, violated, expected = decision_pair()
+    runs = [((i,), 2, dict.fromkeys(range(i), 2), None) for i in range(4)]
+    calls.clear()
+    assert check_m_connected(feasible).ok
+    assert calls == runs
+    calls.clear()
+    assert check_m_connected(violated) == expected
+    assert calls[:4] == runs

@@ -308,15 +308,17 @@ def run(capsys, argv):
     return code, json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("engine", ["flow", "brute", "min-norm-point"])
 def test_certificate_that_does_not_recheck_is_an_error_envelope(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys, monkeypatch, engine):
     cut = cut_copy(planted_digraph(random.Random(5), 8, "free"))
     monkeypatch.setattr(connectivity, "recheck_certificate", lambda *a: False)
-    code, out = run(capsys, ["check", write(tmp_path, "cut.json", cut)])
+    code, out = run(capsys, ["--engine", engine, "check",
+                             write(tmp_path, "cut.json", cut)])
     assert code == 1 and out["status"] == "error"
-    assert out["payload"]["kind"] == "FlowViolation"
+    assert out["payload"]["kind"] == "TheoremViolation"
     assert out["payload"]["message"].startswith("check_m_connected:")
-    assert "engine flow" in out["payload"]["message"]
+    assert "(tripwire): engine %s," % engine in out["payload"]["message"]
 
 
 def test_default_engine_packs_and_cuts_40_vertices(tmp_path, capsys):

@@ -15,7 +15,6 @@ from arbopack.graphs import (
     in_degree,
     is_arborescence,
     iter_partitions,
-    reachable_within,
     tree_vertices,
 )
 from arbopack.matroid import FreeMatroid
@@ -50,32 +49,6 @@ def test_in_degree_submodular_random_instances():
 
         for x, y in itertools.product(subsets, repeat=2):
             assert rho(x) + rho(y) >= rho(x & y) + rho(x | y)
-
-
-def test_reachable_within_full_chain():
-    d = digraph(["a", "b", "c"], ["a1:a>b", "a2:b>c"], ["s1@a"],
-                FreeMatroid(["s1"]))
-    assert reachable_within(d, "c", {"a", "b", "c"}) == {"a", "b", "c"}
-
-
-def test_reachable_within_broken_chain():
-    d = digraph(["a", "b", "c"], ["a1:a>b", "a2:b>c"], ["s1@a"],
-                FreeMatroid(["s1"]))
-    assert reachable_within(d, "c", {"a", "c"}) == {"c"}
-
-
-def test_reachable_within_arc_filter():
-    d = digraph(["a", "b", "c"], ["bad:a>b", "good:b>c"], ["s1@a"],
-                FreeMatroid(["s1"]))
-    got = reachable_within(d, "c", {"a", "b", "c"},
-                           arc_filter=lambda a: a == "good")
-    assert got == {"b", "c"}
-
-
-def test_reachable_target_outside_rejected():
-    d = digraph(["a", "b"], [], ["s1@a"], FreeMatroid(["s1"]))
-    with pytest.raises(InstanceError):
-        reachable_within(d, "a", {"b"})
 
 
 def test_is_arborescence_singleton():

@@ -320,17 +320,17 @@ def test_min_cost_matches_brute_force_random():
     (polytope.PolytopeConstraint("box-upper", arc="r2", rhs=1), None,
      polytope.TheoremViolation,
      "the relaxation optimum violates the built-in box-upper constraint of "
-     "arc r2 (tripwire): engine brute, cuts 0"),
+     "arc r2 (tripwire): cuts 0"),
     # the mass equality makes x(A) = 2, so x entering {b} >= 3 is empty
     (polytope.PolytopeConstraint("cut", vertex_set=frozenset({"b"}), rhs=3),
      None, polytope.TheoremViolation,
      "the relaxation is infeasible on a feasible instance (tripwire): "
-     "engine brute, cuts 1"),
+     "cuts 1"),
     # a real cut on the (stubbed) greedy point starts the stubbed LP
     (polytope.PolytopeConstraint("cut", vertex_set=frozenset({"b"}), rhs=2),
      [Fraction(1, 2), 1, Fraction(1, 2)], polytope.IntegralityViolation,
      "the cutting-plane optimum is fractional on arcs r1=1/2, r3=1/2 "
-     "(tripwire): engine brute, cuts 1"),
+     "(tripwire): cuts 1"),
 ], ids=["built-in", "infeasible", "fractional"])
 def test_cutting_plane_tripwires_name_their_context(monkeypatch, cut, point,
                                                     error, message):
