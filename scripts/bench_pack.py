@@ -20,13 +20,15 @@ shows its own peak and no other size's; the row gives
   its lift and verification, and the number of steps it took;
 * ``rss_mb``: the peak resident size of that process.
 
-``SIZES`` stops at 16384, where ``construct_s`` is nearly all of a run:
-twin ids grow by one prime per twin of the same stem, so the reduction
-loop's ids hold O(n^2) characters, about 268M at n=16384, and most of
-the run's 350 MB peak.  The library
-is imported from ``--src`` (default: ``src/`` next to this script), so
-the same script times another checkout.  ``--json`` writes the rows to a
-file as well.
+``SIZES`` stops at 32768.  The reduction loop names no twin (twin ids
+grow by one prime per twin of the same stem, O(n^2) characters in all,
+and are built only where one is printed), so ``construct_s`` is mostly
+the loop's flows: on the pack instance its ``min_cut`` took 17, 35 and
+108 us per call at n=1024, 4096 and 16384, while each search discovered
+41, 64 and 125 nodes (one run each, 2-core x86, CPython 3.11).  The
+library is imported from ``--src`` (default: ``src/`` next to this
+script), so the same script times another checkout.  ``--json`` writes
+the rows to a file as well.
 """
 
 import argparse
@@ -40,7 +42,7 @@ import sys
 import time
 
 HERE = pathlib.Path(__file__).resolve().parent
-SIZES = (256, 512, 1024, 2048, 4096, 8192, 16384)
+SIZES = (256, 512, 1024, 2048, 4096, 8192, 16384, 32768)
 BUDGET = 60.0
 COMMANDS = ("pack", "pack-undirected")
 

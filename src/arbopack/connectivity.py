@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from . import flow, sfm
 from .graphs import (
@@ -104,7 +104,7 @@ def deficiency_objective(inst: RootedDigraph, weights: Optional[dict] = None,
     k = root.full_rank()
     ranks: dict[int, int] = {}
 
-    def evaluate(X: frozenset):
+    def evaluate(X: AbstractSet[int]):
         xmask = smask = 0
         for i in X:
             xmask |= 1 << i
@@ -155,7 +155,7 @@ def check_m_connected(inst: RootedDigraph, engine: str = "flow") -> Certificate:
 
 
 class _Out:
-    """Supply ``cap`` at each index of ``out``, a range or a frozenset, as
+    """Supply ``cap`` at each index of ``out``, a range or a set, as
     a read-only mapping: a run pays nothing for the indices it keeps out."""
 
     __slots__ = ("out", "cap")

@@ -109,6 +109,12 @@ class TwinIds:
     ``name`` finds the first free count above that of s in near-constant
     time and builds one string, where probing s', s'', ... in turn would
     build and hash one string per taken id.
+
+    ``extend_parallel`` names its default id by this rule, and
+    ``packing.ReductionState.names`` replays it over a reduction's
+    steps.  Along a chain of twins of one stem the ids grow by one prime
+    each, O(n^2) characters in all, so the reduction loop calls neither:
+    a run's ids are built only when one of them is read.
     """
 
     def __init__(self, ids: Iterable[str] = ()):

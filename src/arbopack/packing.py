@@ -31,15 +31,18 @@ capacity 0, and a twin is appended as one more element with the bit of s,
 so the network's rank memo, keyed by bit masks of the root oracle's
 elements, stays valid from the first step to the last.  A candidate
 changes the network alone, and a rejected one is undone there; an
-accepted one is named and entered in the rest of the state.  A twin is
-kept as its id and the index of its stem s, and no step builds a
-matroid.  The class of each arc (good, or bad with its witnesses) is
-cached and read from the same masks and memo; adding s' at v changes S_v
-alone, so a step re-classifies only the arcs at v.  Each search of the
-flow goes backwards from v and stops at the first start it meets, so a
-step costs about what its searches visit, not the size of D.  The base
-case builds one final instance, which ``base_case_packing`` re-checks on
-its own.
+accepted one is entered in the rest of the state as a step (arc index,
+stem index).  The loop names no twin and builds no matroid: twin ids,
+which grow by one prime per twin of the same stem and so hold O(n^2)
+characters along long chains, are built only where one is printed or
+read (``--trace``, the lift's tripwires, ``ReductionState.digraph``).
+The class of each arc (good, or bad with its witnesses) is cached and
+read from the same masks and memo; adding s' at v changes S_v alone, so
+a step re-classifies only the arcs at v.  Each search of the flow goes
+backwards from v and stops at the first start it meets, so a step costs
+about what its searches visit, not the size of D.  The base case is read
+from the state as well: one tree of no arcs per element, after a
+tripwire that the roots at every vertex form a base.
 
 ``Packing`` and ``verify_packing`` serve both sides: on a ``RootedGraph``
 a tree's link ids are edge ids, and ``orientation.pack_undirected``
@@ -53,7 +56,7 @@ except the verifier.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import flow
@@ -61,10 +64,8 @@ from .connectivity import (
     Certificate,
     check_independent_placement,
     check_m_connected,
-    classify_arc,
 )
 from .graphs import (
-    InstanceError,
     RootedDigraph,
     RootedInstance,
     SizeLimitError,
@@ -118,12 +119,39 @@ class Failure:
 
 @dataclass(frozen=True)
 class ReductionStep:
-    arc_id: str
-    tail: str
-    head: str
-    element: str
-    new_element: str
-    stem: int  # the element's index; step i's twin is len(inst.roots) + i
+    """Step i of one reduction loop: arc ``arc`` = uv deleted, and element
+    ``twin`` = len(inst.roots) + i added at v, parallel to element
+    ``stem``, itself a root of the input or a twin.
+
+    A step holds indices only.  Its ids are read through ``state``: the
+    arc's from the input, the elements' from ``ReductionState.names``,
+    which names no twin until one of them is read.
+    """
+
+    arc: int
+    stem: int
+    twin: int
+    state: "ReductionState" = field(compare=False, repr=False)
+
+    @property
+    def arc_id(self) -> str:
+        return self.state.inst.arcs[self.arc][0]
+
+    @property
+    def tail(self) -> str:
+        return self.state.inst.arcs[self.arc][1]
+
+    @property
+    def head(self) -> str:
+        return self.state.inst.arcs[self.arc][2]
+
+    @property
+    def element(self) -> str:
+        return self.state.names()[self.stem]
+
+    @property
+    def new_element(self) -> str:
+        return self.state.names()[self.twin]
 
     def to_json(self) -> dict:
         return {
@@ -181,12 +209,12 @@ class ReductionState:
     element x = s) is tried on the network alone: ``apply`` removes j
     from it and appends a twin of s at v, which is all the flow of
     ``_keeps_connected`` reads, and ``undo`` takes both back.  ``commit``
-    keeps the candidate: it names the twin by ``ids``
-    (``matroid.TwinIds``), marks j dead in ``live``, appends the twin to
-    ``order``, ``roots`` and ``twins`` (as its id and stem index), and
-    re-classifies the arcs.  No step builds a matroid: ``digraph`` builds
-    D as an instance of its own, with one flat ``ParallelExtension``, only
-    when asked.
+    keeps the candidate: it appends (j, x) to ``steps``, marks j dead in
+    ``live``, appends the twin to ``order`` and re-classifies the arcs.
+    No step names a twin or builds a matroid: ``names`` replays the
+    steps to name the elements, and ``digraph`` builds D as an instance
+    of its own, with one flat ``ParallelExtension``, each only when
+    asked.  ``base_packing`` reads the base case from the state.
 
     ``witness[j]`` caches the class of arc j: the elements x at its tail,
     by network index in ground order, with r(S_h + x) > r(S_h), read from
@@ -200,9 +228,9 @@ class ReductionState:
         self.inst = inst
         self.net = net = flow.Network(inst)
         self.k = inst.matroid.full_rank()
-        self.roots = list(inst.roots)
-        self.twins: list[tuple[str, int]] = []
-        self.ids = TwinIds(inst.matroid.ground)
+        self.steps: list[tuple[int, int]] = []  # (arc, stem) per step
+        self._names = [e for e, _ in inst.roots]
+        self._ids: Optional[TwinIds] = None
         pos = net.pos
         self.tail = [pos[t] for _, t, _ in inst.arcs]
         self.head = [pos[h] for _, _, h in inst.arcs]
@@ -252,14 +280,10 @@ class ReductionState:
         """Keep the applied candidate: D' becomes the state."""
         j, x = self._trial
         self._trial = None
-        a, t, h = self.inst.arcs[j]
-        s = self.roots[x][0]
-        s_new = self.ids.name(s)
-        self.ids.take(s_new)
+        twin = len(self.order)
+        self.steps.append((j, x))
         self.live[j] = False
-        self.order.append(len(self.order))
-        self.roots.append((s_new, h))
-        self.twins.append((s_new, x))
+        self.order.append(twin)
         del self.bad[bisect.bisect_left(self.bad, j)]
         self.witness[j] = ()
         v = self.head[j]
@@ -273,7 +297,54 @@ class ReductionState:
                 bisect.insort(self.bad, i)
             elif was and not now:
                 del self.bad[bisect.bisect_left(self.bad, i)]
-        return ReductionStep(a, t, h, s, s_new, x)
+        return ReductionStep(j, x, twin, self)
+
+    def names(self) -> list[str]:
+        """The id of every element of D, by index.
+
+        The input's root elements keep theirs; step i's twin is named by
+        ``matroid.TwinIds`` from its stem's id, the steps replayed in
+        order, as extending the matroid parallel to the stem once per
+        step would name it.  Only accepted steps are replayed, so a
+        rejected candidate takes no id.  Nothing in the loop asks: the
+        ids are built the first time they are read, and extended over
+        the steps taken since on each later read.
+        """
+        if self._ids is None:
+            self._ids = TwinIds(self.inst.matroid.ground)
+        names, ids = self._names, self._ids
+        for _, x in self.steps[len(names) - len(self.inst.roots):]:
+            s_new = ids.name(names[x])
+            ids.take(s_new)
+            names.append(s_new)
+        return names
+
+    def base_packing(self) -> Packing:
+        """The packing of D at the base case (no bad arc): one tree of no
+        arcs per element, in index order.
+
+        A twin's tree carries the id of the input root its stem chain
+        ends at, the tree ``lift_packing`` merges it into; the lift reads
+        a twin's tree for its root vertex and arcs only.  Tripwire: the
+        trees are a packing only if the roots at every vertex form a base
+        of M, read from ``mask`` through the root oracle.
+        """
+        net, k = self.net, self.k
+        for i, xs in enumerate(net.at):
+            r = net.rank[self.mask[i]]
+            if len(xs) != k or r != k:
+                raise TheoremViolation(
+                    "base case: the roots at vertex %s are no base "
+                    "(tripwire): engine flow, %d elements of rank %d, "
+                    "rank %d, steps %d, arcs %d, roots %d"
+                    % (self.inst.vertices[i], len(xs), r, k,
+                       len(self.steps), net.live_arcs, len(self.order)))
+        owner = [e for e, _ in self.inst.roots]
+        for _, x in self.steps:
+            owner.append(owner[x])
+        verts = self.inst.vertices
+        return Packing(tuple(Tree(e, verts[i], frozenset())
+                             for e, i in zip(owner, net.home)))
 
     def digraph(self) -> RootedDigraph:
         """D as an instance of its own, with the input's vertex order.
@@ -283,13 +354,16 @@ class ReductionState:
         extending the input's matroid once per twin would give.
         """
         arcs = [arc for arc, ok in zip(self.inst.arcs, self.live) if ok]
+        names = self.names()
         root, twins = self.inst.matroid.twin_map()
         twins = dict(twins)
         to_root = [twins.get(e, e) for e, _ in self.inst.roots]
-        for e, stem in self.twins:
-            to_root.append(to_root[stem])
+        for e, (_, x) in zip(names[len(to_root):], self.steps):
+            to_root.append(to_root[x])
             twins[e] = to_root[-1]
-        return RootedDigraph(self.inst.vertices, arcs, self.roots,
+        verts = self.inst.vertices
+        roots = [(e, verts[i]) for e, i in zip(names, self.net.home)]
+        return RootedDigraph(verts, arcs, roots,
                              ParallelExtension(root, twins))
 
 
@@ -315,7 +389,7 @@ def find_reduction(red: ReductionState) -> Optional[ReductionStep]:
         "(tripwire): engine flow, bad arcs %s, candidates tried %d, "
         "arcs %d, roots %d"
         % (list(dict.fromkeys(red.inst.arcs[j][0] for j in tried)),
-           len(tried), red.net.live_arcs, len(red.roots)))
+           len(tried), red.net.live_arcs, len(red.order)))
 
 
 def _keeps_connected(red: ReductionState, j: int) -> bool:
@@ -329,14 +403,6 @@ def _keeps_connected(red: ReductionState, j: int) -> bool:
     """
     return red.net.min_cut((red.head[j],), red.k,
                            {red.tail[j]: red.k}) >= red.k
-
-
-def base_case_packing(inst: RootedDigraph) -> Packing:
-    """Singleton arborescence per root element; valid when no arc is bad."""
-    for a, _, _ in inst.arcs:
-        if classify_arc(inst, a)[0] == "bad":
-            raise InstanceError("base case invoked with a bad arc present")
-    return Packing(tuple(Tree(e, v, frozenset()) for e, v in inst.roots))
 
 
 def lift_packing(inst: RootedDigraph, base: Packing,
@@ -429,7 +495,7 @@ def _construct(inst: RootedDigraph, trace: Optional[list] = None) -> Packing:
         if trace is not None:
             trace.append(step)
 
-    packing = lift_packing(inst, base_case_packing(red.digraph()), steps)
+    packing = lift_packing(inst, red.base_packing(), steps)
     failure = verify_packing(inst, packing)
     if failure is not None:
         raise TheoremViolation(

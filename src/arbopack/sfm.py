@@ -19,10 +19,13 @@ Two engines:
   reaches the minimum; past that index it costs up to n - 2 more runs,
   so it is computed only when ``SfmResult.minimizer`` is read.
 
-Objectives evaluate on frozensets of integer ground indices 0..n-1 and
-return ints (``brute`` also takes Fractions).  Every objective the library
-builds is integer-valued: separation hands over its cut objective scaled
-by the common denominator of the LP point (``polytope.separate``).
+Objectives evaluate on sets of integer ground indices 0..n-1 and return
+ints (``brute`` also takes Fractions).  A set handed to an objective may
+be one that the lex-smallest minimizer's greedy grows in place, so an
+objective reads it during the call and keeps no reference to it.  Every
+objective the library builds is integer-valued: separation hands over
+its cut objective scaled by the common denominator of the LP point
+(``polytope.separate``).
 Min-norm-point's pinned runs and the lex-smallest minimizer are handled
 by contraction/deletion: pin a set I in and a set E out, minimize the
 induced (still submodular) function on the rest.
@@ -44,7 +47,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 from operator import mul
-from typing import Callable, Collection
+from typing import AbstractSet, Callable, Collection
 
 from .graphs import SizeLimitError
 
@@ -61,7 +64,7 @@ class SubmodularObjective:
     """Integer- or rational-valued set function assumed submodular."""
 
     n: int
-    evaluate: Callable[[frozenset], object]
+    evaluate: Callable[[AbstractSet[int]], object]
     # the only family ``minimize`` takes; a field still, since callers
     # rebuild objectives as type(obj)(obj.n, evaluate, obj.family)
     family: tuple = ("nonempty",)
@@ -153,9 +156,10 @@ def by_smallest_index(n: int, pinned_min, objective) -> SfmResult:
     J. Algorithms 1994), and the value is the least run.
     ``pinned_min(include, exclude)`` is the min over the sets that hold
     ``include`` and miss ``exclude``, or any value above the minimum where
-    that min is above it.  The minimizer is found the first time it is
-    read, by the greedy from the first run that reaches the value; only
-    then is ``objective()`` called, for the objective the greedy reads.
+    that min is above it; it reads both during the call only.  The
+    minimizer is found the first time it is read, by the greedy from the
+    first run that reaches the value; only then is ``objective()``
+    called, for the objective the greedy reads.
     """
     if n <= 0:
         raise ValueError("empty ground set")
@@ -171,17 +175,18 @@ def _canonical_minimizer(obj, best_val, pinned_min, first) -> frozenset:
     ``first`` is its smallest index.  Scans the indices after it in
     canonical order; at each step prefers stopping at the current prefix
     (every other index out), then including the index, then skipping it.
+    The prefix and the skipped indices are two sets grown in place and
+    handed as they are to ``evaluate`` and ``pinned_min``, so a step
+    copies neither.
     """
     chosen = {first}
     dropped = set(range(first))
     for i in range(first + 1, obj.n):
-        prefix = frozenset(chosen)
-        if obj.evaluate(prefix) == best_val:
-            return prefix
-        v = pinned_min(frozenset(chosen | {i}), frozenset(dropped))
-        if v == best_val:
-            chosen.add(i)
-        else:
+        if obj.evaluate(chosen) == best_val:
+            break
+        chosen.add(i)
+        if pinned_min(chosen, dropped) != best_val:
+            chosen.remove(i)
             dropped.add(i)
     return frozenset(chosen)
 
@@ -189,7 +194,7 @@ def _canonical_minimizer(obj, best_val, pinned_min, first) -> frozenset:
 # -- min-norm-point engine -----------------------------------------------------
 
 
-def _pinned_min(obj: SubmodularObjective, include: frozenset,
+def _pinned_min(obj: SubmodularObjective, include: AbstractSet[int],
                 exclude: Collection[int]):
     """Min of evaluate over {X : include ⊆ X, X ∩ exclude = ∅}.
 

@@ -28,6 +28,17 @@ def digraph(vertices, arcs, roots, matroid):
     return RootedDigraph(vertices, parsed_arcs, parsed_roots, matroid)
 
 
+def primed_path():
+    """A 12-vertex path with three parallel arcs per link and three roots
+    at its start, whose ids already end in primes: the reduction twins a
+    twin from the second vertex on, so its twin ids grow long."""
+    verts = ["v%d" % i for i in range(12)]
+    arcs = ["a%d_%d:%s>%s" % (i, c, verts[i], verts[i + 1])
+            for i in range(11) for c in range(3)]
+    return digraph(verts, arcs, ["s@v0", "s'@v0", "s'''@v0"],
+                   FreeMatroid(["s", "s'", "s'''"]))
+
+
 def graph(vertices, edges, roots, matroid):
     parsed = []
     for spec in edges:

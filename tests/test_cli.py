@@ -9,7 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cut_copy, cut_graph, planted_digraph, planted_graph
+from conftest import (
+    cut_copy,
+    cut_graph,
+    planted_digraph,
+    planted_graph,
+    primed_path,
+)
 from arbopack import instances
 from arbopack.cli import run_command
 from arbopack.graphs import RootedDigraph, RootedGraph
@@ -746,6 +752,59 @@ def test_tripwire_is_an_error_envelope(tmp_path, capsys, monkeypatch):
     message = out["payload"]["message"]
     assert message.startswith("find_reduction:")
     assert "engine flow, bad arcs ['a1'], candidates tried 1" in message
+
+
+# the --trace pack lines of primed_path: (removed arc, primes on the
+# element s, primes on the new element s), as extend_parallel names them
+PRIMED_PATH_TRACE = [
+    ("a0_0", 0, 2), ("a0_1", 1, 4), ("a0_2", 3, 5),
+    ("a1_0", 2, 6), ("a1_1", 4, 7), ("a1_2", 5, 8),
+    ("a2_0", 6, 9), ("a2_1", 7, 10), ("a2_2", 8, 11),
+    ("a3_0", 9, 12), ("a3_1", 10, 13), ("a3_2", 11, 14),
+    ("a4_0", 12, 15), ("a4_1", 13, 16), ("a4_2", 14, 17),
+    ("a5_0", 15, 18), ("a5_1", 16, 19), ("a5_2", 17, 20),
+    ("a6_0", 18, 21), ("a6_1", 19, 22), ("a6_2", 20, 23),
+    ("a7_0", 21, 24), ("a7_1", 22, 25), ("a7_2", 23, 26),
+    ("a8_0", 24, 27), ("a8_1", 25, 28), ("a8_2", 26, 29),
+    ("a9_0", 27, 30), ("a9_1", 28, 31), ("a9_2", 29, 32),
+    ("a10_0", 30, 33), ("a10_1", 31, 34), ("a10_2", 32, 35),
+]
+
+
+def trace_lines(rows) -> str:
+    return "".join(json.dumps({"removed_arc": a, "element": "s" + "'" * e,
+                               "new_element": "s" + "'" * t}) + "\n"
+                   for a, e, t in rows)
+
+
+def test_trace_names_the_twins_of_twins(tmp_path, capsys):
+    path = write(tmp_path, "i.json", emit_instance(primed_path()))
+    code, out = run_command(["--trace", "pack", path]), capsys.readouterr()
+    assert code == 0 and json.loads(out.out)["status"] == "packing"
+    assert out.err == trace_lines(PRIMED_PATH_TRACE)
+
+
+def test_trace_keeps_the_steps_before_a_tripwire(tmp_path, capsys,
+                                                 monkeypatch):
+    from arbopack import packing
+
+    find = packing.find_reduction
+    calls = []
+
+    def two_steps(red):
+        if len(calls) == 2:
+            raise packing.TheoremViolation("find_reduction: stopped")
+        calls.append(red)
+        return find(red)
+
+    monkeypatch.setattr(packing, "find_reduction", two_steps)
+    path = write(tmp_path, "i.json", emit_instance(primed_path()))
+    code, out = run_command(["--trace", "pack", path]), capsys.readouterr()
+    assert code == 1
+    doc = json.loads(out.out)
+    assert doc["status"] == "error" and doc["payload"] == {
+        "kind": "TheoremViolation", "message": "find_reduction: stopped"}
+    assert out.err == trace_lines(PRIMED_PATH_TRACE[:2])
 
 
 def test_orientation_tripwire_is_an_error_envelope(tmp_path, capsys,

@@ -3,15 +3,15 @@ import random
 
 import pytest
 
-from conftest import digraph, planted_digraph, random_digraph
-from arbopack import flow, packing, sfm
+from conftest import digraph, planted_digraph, primed_path, random_digraph
+from arbopack import flow, matroid, packing, sfm
 from arbopack.connectivity import (
     Certificate,
     check_independent_placement,
     check_m_connected,
     classify_arc,
 )
-from arbopack.graphs import InstanceError, RootedDigraph, SizeLimitError
+from arbopack.graphs import RootedDigraph, SizeLimitError
 from arbopack.matroid import (
     ExplicitMatroid,
     FreeMatroid,
@@ -24,7 +24,6 @@ from arbopack.packing import (
     ReductionState,
     TheoremViolation,
     Tree,
-    base_case_packing,
     brute_force_packing,
     find_packing,
     find_reduction,
@@ -141,8 +140,8 @@ def pinned_matches_full_check(inst) -> tuple[int, int]:
         cur = red.digraph()
         for j, x in red.candidates():
             a, u, v = inst.arcs[j]
-            s = red.roots[x][0]
-            m, s_new = cur.matroid.extend_parallel(s, red.ids.name(s))
+            s = red.names()[x]
+            m, s_new = cur.matroid.extend_parallel(s)
             reduced = RootedDigraph(
                 cur.vertices, [arc for arc in cur.arcs if arc[0] != a],
                 [*cur.roots, (s_new, v)], m)
@@ -154,10 +153,12 @@ def pinned_matches_full_check(inst) -> tuple[int, int]:
             candidates += 1
             rejected += not pinned
             if pinned and first is None:
-                first = (a, u, v, s, s_new, x)
+                first = (j, x, len(cur.roots), a, u, v, s, s_new)
         taken = find_reduction(red)
-        assert taken == (None if first is None
-                         else packing.ReductionStep(*first)), (cur, taken)
+        assert (None if taken is None else (
+            taken.arc, taken.stem, taken.twin, taken.arc_id, taken.tail,
+            taken.head, taken.element, taken.new_element)) == first, \
+            (cur, taken)
         if taken is None:
             return candidates, rejected
 
@@ -243,7 +244,7 @@ def test_changed_network_matches_a_fresh_build(engine):
         assert isinstance(out, Packing), inst
         red = ReductionState(inst)
         while True:
-            drawn = [(red.inst.arcs[j][0], red.roots[x][0])
+            drawn = [(red.inst.arcs[j][0], red.names()[x])
                      for j, x in red.candidates()]
             step = find_reduction(red)
             if step is None:
@@ -266,14 +267,14 @@ def test_changed_network_matches_a_fresh_build(engine):
                     assert red.net.minimizer() == fresh.minimizer(), \
                         (cur, w, src)
             classes = {a: classify_arc(cur, a) for a, _, _ in cur.arcs}
-            cached = {a: ("bad", frozenset(red.roots[x][0] for x in w))
+            cached = {a: ("bad", frozenset(red.names()[x] for x in w))
                       if w else ("good", frozenset())
                       for (a, _, _), w in zip(red.inst.arcs, red.witness)
                       if a in classes}
             assert cached == classes, cur
             # the candidates of the next step, in the order of a fresh run
             ground = {e: i for i, e in enumerate(cur.matroid.ground)}
-            assert [(red.inst.arcs[j][0], red.roots[x][0])
+            assert [(red.inst.arcs[j][0], red.names()[x])
                     for j, x in red.candidates()] == [
                 (a, s) for a, _, _ in cur.arcs
                 for s in sorted(classes[a][1], key=ground.__getitem__)], cur
@@ -285,22 +286,30 @@ def test_changed_network_matches_a_fresh_build(engine):
     assert steps > 100 and rejected > 0
 
 
-def names_match_extend_parallel(inst) -> int:
-    """Run the reduction loop on ``inst`` and check each twin's id against
-    extending the matroid once per accepted step; returns the number of
-    candidates rejected and the length of the longest id."""
+def names_match_extend_parallel(inst) -> tuple[int, int]:
+    """Run the reduction loop on ``inst``, then check each twin's id, named
+    after the run as ``--trace`` names it, against extending the matroid
+    once per accepted step; returns the number of candidates rejected
+    and the length of the longest id."""
     red = ReductionState(inst)
-    m = inst.matroid
+    steps = []
     rejected = 0
     while True:
         drawn = list(red.candidates())
         step = find_reduction(red)
         if step is None:
             break
-        rejected += drawn.index((red.inst.arcs.index(
-            (step.arc_id, step.tail, step.head)), step.stem))
+        rejected += drawn.index((step.arc, step.stem))
+        steps.append(step)
+    m = inst.matroid
+    ids = [e for e, _ in inst.roots]
+    for step in steps:
+        assert inst.arcs[step.arc] == (step.arc_id, step.tail, step.head)
+        assert step.element == ids[step.stem], step
         m, s_new = m.extend_parallel(step.element)
         assert step.new_element == s_new, step
+        ids.append(s_new)
+    assert red.names() == ids
     reduced = red.digraph().matroid
     assert reduced.ground == m.ground
     assert reduced.twin_map() == m.twin_map()
@@ -312,14 +321,9 @@ def test_reduction_names_twins_as_extend_parallel():
     # end in primes: each step twins an element at its tail, a twin itself
     # from the second vertex on, so the ids grow along chains of twins of
     # twins
-    verts = ["v%d" % i for i in range(12)]
-    arcs = ["a%d_%d:%s>%s" % (i, c, verts[i], verts[i + 1])
-            for i in range(11) for c in range(3)]
-    d = digraph(verts, arcs, ["s@v0", "s'@v0", "s'''@v0"],
-                FreeMatroid(["s", "s'", "s'''"]))
-    assert names_match_extend_parallel(d)[1] > 12
-    # tight, with both roots at one vertex: rejected candidates name a
-    # twin that is dropped, and the id must be free again
+    assert names_match_extend_parallel(primed_path())[1] > 12
+    # tight, with both roots at one vertex: a rejected candidate takes no
+    # id, so the next twin of the same stem gets the one it would have
     rng = random.Random(4112)
     rejected = tight = 0
     while tight < 40:
@@ -333,19 +337,73 @@ def test_reduction_names_twins_as_extend_parallel():
     assert rejected > 2
 
 
+def test_untraced_packing_names_no_twin(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a twin was named")
+
+    monkeypatch.setattr(matroid.TwinIds, "name", refuse)
+    rng = random.Random(4113)
+    for inst in [primed_path()] + [planted_digraph(rng, 8, kind)
+                                   for kind in ("free", "partition")]:
+        out = find_packing(inst)
+        assert isinstance(out, Packing) and out.arc_set(), inst
+
+
 # -- base case / lift ----------------------------------------------------------------
 
 
 def test_base_case_requires_no_bad_arc():
+    # read from the state before the loop: b holds no root
     d = digraph(["a", "b"], ["a1:a>b"], ["s1@a"], FreeMatroid(["s1"]))
-    with pytest.raises(InstanceError):
-        base_case_packing(d)
+    with pytest.raises(TheoremViolation) as exc:
+        ReductionState(d).base_packing()
+    assert str(exc.value) == (
+        "base case: the roots at vertex b are no base (tripwire): engine "
+        "flow, 0 elements of rank 0, rank 1, steps 0, arcs 1, roots 1")
+
+
+@pytest.mark.parametrize("roots, matroid, detail", [
+    # as many roots as the rank, of lower rank
+    (["s2@a", "s3@a", "s1@b"],
+     PartitionMatroid([(["s1"], 1), (["s2", "s3"], 1)]),
+     "2 elements of rank 1, rank 2"),
+    # a spanning set larger than a base
+    (["s1@a", "s2@a", "s3@b"], UniformMatroid(["s1", "s2", "s3"], 1),
+     "2 elements of rank 1, rank 1"),
+], ids=["dependent", "too-many"])
+def test_base_case_tripwire_needs_a_base_at_each_vertex(roots, matroid,
+                                                        detail):
+    d = digraph(["a", "b"], [], roots, matroid)
+    with pytest.raises(TheoremViolation) as exc:
+        ReductionState(d).base_packing()
+    assert str(exc.value) == (
+        "base case: the roots at vertex a are no base (tripwire): engine "
+        "flow, %s, steps 0, arcs 0, roots 3" % detail)
+
+
+def test_base_case_tripwire_stops_an_early_loop(monkeypatch):
+    # a mutant state that never finds arc a2 bad ends the loop one step
+    # early: c is left with no root, and the base case names it
+    class Early(ReductionState):
+        def _witness(self, j):
+            return () if j == 1 else super()._witness(j)
+
+    monkeypatch.setattr(packing, "ReductionState", Early)
+    d = digraph(["a", "b", "c"], ["a1:a>b", "a2:b>c"], ["s1@a"],
+                FreeMatroid(["s1"]))
+    with pytest.raises(TheoremViolation) as exc:
+        find_packing(d)
+    assert str(exc.value) == (
+        "base case: the roots at vertex c are no base (tripwire): engine "
+        "flow, 0 elements of rank 0, rank 1, steps 1, arcs 1, roots 2")
 
 
 def test_base_case_rank_one_chain():
     d = digraph(["a", "b"], ["a1:a>b"], ["s1@a", "s2@b"],
                 UniformMatroid(["s1", "s2"], 1))
-    p = base_case_packing(d)
+    red = ReductionState(d)
+    assert find_reduction(red) is None
+    p = red.base_packing()
     assert verify_packing(d, p) is None
     assert all(not t.arcs for t in p.trees)
 
@@ -354,8 +412,7 @@ def test_lift_smallest_case():
     d = digraph(["a", "b"], ["a1:a>b"], ["s1@a"], FreeMatroid(["s1"]))
     red = ReductionState(d)
     step = find_reduction(red)
-    p_reduced = base_case_packing(red.digraph())
-    lifted = lift_packing(d, p_reduced, [step])
+    lifted = lift_packing(d, red.base_packing(), [step])
     assert verify_packing(d, lifted) is None
     assert lifted.trees[0].arcs == {"a1"}
 
