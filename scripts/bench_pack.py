@@ -18,6 +18,10 @@ shows its own peak and no other size's; the row gives
   (``pack-undirected`` only);
 * ``construct_s`` and ``steps``: ``_construct``, the reduction loop with
   its lift and verification, and the number of steps it took;
+* ``min_cut_s`` and ``min_cut_calls``: the ``flow.Network.min_cut`` calls
+  made inside ``_construct``, one per reduction candidate, and their
+  time, part of ``construct_s``; the rest of ``construct_s`` is the
+  loop's bookkeeping, the lift and the verification;
 * ``rss_mb``: the peak resident size of that process.
 
 ``SIZES`` stops at 32768.  The reduction loop names no twin (twin ids
@@ -67,12 +71,14 @@ def run_one(src: str, command: str, n: int) -> dict:
     """The row of one size, run in this process with the library of
     ``src``."""
     sys.path.insert(0, src)
-    from arbopack import orientation, packing
+    from arbopack import flow, orientation, packing
 
     inst = instance(n, command)
     row = {"command": command, "n": n, "m": len(inst.links),
            "t": len(inst.roots)}
-    split = {"check_s": 0.0, "orient_s": 0.0, "construct_s": 0.0, "steps": 0}
+    split = {"check_s": 0.0, "orient_s": 0.0, "construct_s": 0.0, "steps": 0,
+             "min_cut_s": 0.0, "min_cut_calls": 0}
+    looping = []  # nonempty while _construct runs
 
     def timed(fn, key):
         def wrapped(*args, **kwargs):
@@ -84,13 +90,28 @@ def run_one(src: str, command: str, n: int) -> dict:
         return wrapped
 
     construct = packing._construct
+    min_cut = flow.Network.min_cut
 
     def counted(inst, trace=None):
         steps = [] if trace is None else trace
+        looping.append(True)
         try:
             return construct(inst, steps)
         finally:
+            looping.pop()
             split["steps"] += len(steps)
+
+    def loop_cut(net, *args, **kwargs):
+        if not looping:
+            return min_cut(net, *args, **kwargs)
+        t0 = time.perf_counter()
+        try:
+            return min_cut(net, *args, **kwargs)
+        finally:
+            split["min_cut_s"] += time.perf_counter() - t0
+            split["min_cut_calls"] += 1
+
+    flow.Network.min_cut = loop_cut
 
     check = timed(packing.check_m_connected, "check_s")
     packing.check_m_connected = orientation.check_m_connected = check
@@ -132,7 +153,9 @@ def main() -> None:
             rows.append(row)
             print("%(command)s n=%(n)5d %(seconds)9.4f s | check "
                   "%(check_s).4f s | orient %(orient_s).4f s | construct "
-                  "%(construct_s).4f s, %(steps)d steps | %(rss_mb)s MB"
+                  "%(construct_s).4f s, %(steps)d steps, min_cut "
+                  "%(min_cut_s).4f s in %(min_cut_calls)d calls | "
+                  "%(rss_mb)s MB"
                   % row, row.get("stop", ""), flush=True)
             if "stop" in row:
                 break

@@ -8,10 +8,12 @@ The instance is root-connected (condition (2) of the characterization) iff
 def(X) >= 0 for every nonempty X; def(V) = 0 always, so the minimum is
 never positive.  ``check_m_connected`` splits the nonempty sets by their
 smallest index v (``sfm.by_smallest_index``).  Under ``flow`` run v is
-one flow with sink v and a supply of k = r(S) at each index below v,
-which keeps those out (``flow.Network.min_cut``); ``min-norm-point``
-runs Wolfe's algorithm per run, and ``brute`` walks every set.  Under
-every engine a violated set is the lexicographically smallest minimizer.
+one flow with sink v and ``out`` = range(v), which keeps every index
+below v out of X (``flow.Network.min_cut``), and the greedy for the
+minimizer keeps out the indices it has dropped the same way;
+``min-norm-point`` runs Wolfe's algorithm per run, and ``brute`` walks
+every set.  Under every engine a violated set is the lexicographically
+smallest minimizer.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def check_m_connected(inst: RootedDigraph, engine: str = "flow") -> Certificate:
         net = flow.Network(inst)
         res = sfm.by_smallest_index(
             len(inst.vertices),
-            lambda inc, exc: net.min_cut(inc, k, _Out(exc, k)) - k,
+            lambda inc, exc: net.min_cut(inc, k, out=exc) - k,
             partial(deficiency_objective, inst))
     else:
         res = sfm.minimize(deficiency_objective(inst), engine=engine)
@@ -152,33 +154,6 @@ def check_m_connected(inst: RootedDigraph, engine: str = "flow") -> Certificate:
             "roots %d" % (sorted(xs), engine, cert.deficiency,
                           len(inst.vertices), len(inst.arcs), len(inst.roots)))
     return cert
-
-
-class _Out:
-    """Supply ``cap`` at each index of ``out``, a range or a set, as
-    a read-only mapping: a run pays nothing for the indices it keeps out."""
-
-    __slots__ = ("out", "cap")
-
-    def __init__(self, out, cap: int):
-        self.out, self.cap = out, cap
-
-    def __contains__(self, i) -> bool:
-        return i in self.out
-
-    def __getitem__(self, i) -> int:
-        if i in self.out:
-            return self.cap
-        raise KeyError(i)
-
-    def get(self, i, default=None):
-        return self.cap if i in self.out else default
-
-    def __iter__(self):
-        return iter(self.out)
-
-    def __len__(self) -> int:
-        return len(self.out)
 
 
 def check_partition_connected(g: RootedGraph) -> Certificate:

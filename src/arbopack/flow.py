@@ -41,19 +41,24 @@ Integer per-vertex supplies and demands add supply(X) + demand(V - X) to
 the cut of X: a vertex with supply left is one more start of the search,
 and one with demand left ends a path as a sink does; a sink's own supply
 is taken first, each unit a path of no arcs.  They come as mappings of
-the vertices that have any (dicts, or read-only views), which a call
-reads and never copies, so a call costs its searches, not the number of
-vertices.  A vertex u that every X must miss is one with supply[u] =
-cap: each X that holds it has a cut of at least cap, so min(cap, ·) is
-the min over the sets without u, and a call stops at cap paths before u
-can run dry.  The orientation greedy takes its modular offset this way,
-and ``connectivity.check_m_connected`` keeps out the indices below each
-run's sink.
+the vertices that have any, which a call reads and never copies, so a
+call costs its searches, not the number of vertices.  The orientation
+greedy takes its modular offset this way.
+
+The vertices that every X must miss come as ``out``, a range, a set or
+a tuple, read only by ``in``, so a range of indices costs nothing to
+pass.  Each is a start of the search that never runs dry.  That gives
+the value a supply of cap at each of them would give: every X that
+holds one has a cut of at least cap, so min(cap, ·) is the min over the
+sets without them, and a call stops at cap paths.
+``connectivity.check_m_connected`` keeps out the indices below each
+run's sink, and the reduction loop (``packing._keeps_connected``) the
+tail of the removed arc.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Container, Iterable, Optional
 
 from .graphs import RootedDigraph
 
@@ -141,18 +146,23 @@ class Network:
 
     def min_cut(self, sinks: Iterable[int], cap: int,
                 supply: Optional[dict] = None,
-                demand: Optional[dict] = None) -> int:
-        """min(cap, min of cut(X) over X holding the sinks), where
+                demand: Optional[dict] = None,
+                out: Container[int] = ()) -> int:
+        """min(cap, min of cut(X) over X holding the sinks and missing
+        ``out``), where
 
             cut(X) = in(X) + r(S_X) + supply(X) + demand(V - X).
 
         ``sinks`` are vertex indices.  ``supply`` and ``demand`` map
         vertex indices to positive integers, 0 where a vertex is left out:
         a virtual source feeds vertex w up to supply[w] units, and w passes
-        up to demand[w] units on to a virtual sink that every X holds.  A
-        vertex with supply[u] >= cap is kept out of X (see the module
-        docstring).  Both are read as given, never copied or changed; the
-        units a call uses are counted in dicts of its own.  At most
+        up to demand[w] units on to a virtual sink that every X holds.
+        ``out`` holds the vertex indices kept out of X, each a source that
+        never runs dry; the value and ``minimizer()`` are those of a
+        supply of cap at each of them (see the module docstring), and a
+        sink in ``out`` gives cap.  ``supply`` and ``out`` are not taken
+        together.  All three are read as given, never copied or changed;
+        the units a call uses are counted in dicts of its own.  At most
         ``cap`` augmentations, all in integers, each found by a search
         backwards from the sinks.  ``cap`` is flipped along each path and
         restored, from the log of flips, before the call returns or
@@ -163,8 +173,11 @@ class Network:
                                      self.rank)
         n = len(self.pos)
         self._search = None
+        if supply and out:
+            raise ValueError("min_cut takes a supply or out, not both")
         supply = supply or {}
         demand = demand or {}
+        starts = supply or out  # a vertex kept out never runs dry
         ends = sorted(set(sinks))
         if not ends:
             raise ValueError("the sinks must be nonempty")
@@ -183,11 +196,12 @@ class Network:
                     size += 1
         value = size
         for i in ends:  # a sink's own supply: paths of no arcs as well
-            f = min(supply.get(i, 0), cap - value)
+            s = cap if i in out else supply.get(i, 0)
+            f = min(s, cap - value)
             if f > 0:
                 value += f
                 fed[i] = f
-                if f == supply[i]:
+                if f == s:
                     dry.add(i)
         try:
             while value < cap:
@@ -203,7 +217,7 @@ class Network:
                         seen[i], succ[i] = stamp, -2
                         queue.append(i)
                 for i in queue:
-                    if i in supply and i not in dry:
+                    if i in starts and i not in dry:
                         start = i
                         break
                 for node in queue:  # grows while it is read: breadth first
@@ -215,7 +229,7 @@ class Network:
                         for c, w in adj[node]:
                             if res[c ^ 1] and seen[w] != stamp:
                                 seen[w], succ[w], via[w] = stamp, node, c ^ 1
-                                if w in supply and w not in dry:
+                                if w in starts and w not in dry:
                                     start = w
                                     break
                                 queue.append(w)
@@ -231,7 +245,7 @@ class Network:
                         w = home[node - n]   # x stops supplying its vertex
                         if seen[w] != stamp:
                             seen[w], succ[w] = stamp, node
-                            if w in supply and w not in dry:
+                            if w in starts and w not in dry:
                                 start = w
                             queue.append(w)
                     else:
@@ -244,7 +258,7 @@ class Network:
                 if start is None:
                     self._search = queue
                     return value
-                if start < n:
+                if start < n and supply:  # only a supply runs dry
                     fed[start] = f = fed.get(start, 0) + 1
                     if f == supply[start]:
                         dry.add(start)
@@ -277,7 +291,8 @@ class Network:
                         "augmentation %d (tripwire): engine flow, sinks %s, "
                         "sources %s, arcs %d, roots %d"
                         % (value + 1, sorted(self.vertices[i] for i in ends),
-                           sorted(self.vertices[i] for i in supply),
+                           sorted(self.vertices[i] for i in range(n)
+                                  if i in starts),
                            self.live_arcs, len(home)))
                 value += 1
             return cap

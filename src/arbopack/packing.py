@@ -18,8 +18,8 @@ D' is again M-connected).  The deficiency of D' is
 
 so D' is M-connected iff def' >= 0 on the sets that hold v and not u: one
 pinned minimization per candidate, not a check over all nonempty sets.
-That is one flow on D' into v, capped at k = r(S), with a supply of k at
-u, which keeps u out of every set that could bring the flow below k.
+That is one flow on D' into v, capped at k = r(S), with u kept out of
+every set (``flow.Network.min_cut``'s ``out``).
 The flow decides every candidate under every engine: the answer is exact
 and the same whichever engine would decide it, so the engine picks only
 how the input is checked (``find_packing``), never which step is taken.
@@ -38,11 +38,13 @@ characters along long chains, are built only where one is printed or
 read (``--trace``, the lift's tripwires, ``ReductionState.digraph``).
 The class of each arc (good, or bad with its witnesses) is cached and
 read from the same masks and memo; adding s' at v changes S_v alone, so
-a step re-classifies only the arcs at v.  Each search of the flow goes
-backwards from v and stops at the first start it meets, so a step costs
-about what its searches visit, not the size of D.  The base case is read
-from the state as well: one tree of no arcs per element, after a
-tripwire that the roots at every vertex form a base.
+a step re-classifies only the arcs at v, in place: an arc into v keeps
+those of its witnesses still outside the grown span at v, and an arc
+out of v gains s' when s' lies outside its head's span.  Each search of
+the flow goes backwards from v and stops at the first start it meets,
+so a step costs about what its searches visit, not the size of D.  The
+base case is read from the state as well: one tree of no arcs per
+element, after a tripwire that the roots at every vertex form a base.
 
 ``Packing`` and ``verify_packing`` serve both sides: on a ``RootedGraph``
 a tree's link ids are edge ids, and ``orientation.pack_undirected``
@@ -117,7 +119,7 @@ class Failure:
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReductionStep:
     """Step i of one reduction loop: arc ``arc`` = uv deleted, and element
     ``twin`` = len(inst.roots) + i added at v, parallel to element
@@ -191,8 +193,11 @@ def verify_packing(inst: RootedInstance, packing: Packing) -> Optional[Failure]:
             covers[v].add(t.root_element)
     if sorted(t.root_element for t in packing.trees) != sorted(placed):
         return Failure("missing-tree", "one tree per root element required")
+    m = inst.matroid
+    k = m.full_rank()
     for v in inst.vertices:
-        if not inst.matroid.is_base(covers[v]):
+        c = covers[v]
+        if not (len(c) == k and m.rank(c) == k):
             return Failure("not-a-base", v)
     return None
 
@@ -220,8 +225,13 @@ class ReductionState:
     by network index in ground order, with r(S_h + x) > r(S_h), read from
     ``mask`` (S_w as a bit mask) and the network's rank memo; the arc is
     bad iff the tuple is nonempty, and ``bad`` lists the live bad arcs in
-    arc order.  A commit changes S_v alone, so it re-classifies only the
-    arcs with head or tail v, found through ``touching[v]``.
+    arc order.  ``_witness`` reads a class afresh, in ``__init__`` only.
+    A commit adds twin y at v, which changes S_v alone, so it updates the
+    tuples of the arcs at v in place: an arc into v (``into[v]``) keeps
+    the x with r(S_v + y + x) > r(S_v + y), since the span at v only
+    grows and no element can join; an arc out of v (``leaving[v]``)
+    appends y when y lies outside its head's span, and stays in ground
+    order, since y comes after every element in it.
     """
 
     def __init__(self, inst: RootedDigraph):
@@ -235,10 +245,11 @@ class ReductionState:
         self.tail = [pos[t] for _, t, _ in inst.arcs]
         self.head = [pos[h] for _, _, h in inst.arcs]
         self.live = [True] * len(inst.arcs)
-        self.touching: list = [[] for _ in pos]
+        self.into: list = [[] for _ in pos]
+        self.leaving: list = [[] for _ in pos]
         for j, (t, h) in enumerate(zip(self.tail, self.head)):
-            self.touching[t].append(j)
-            self.touching[h].append(j)
+            self.leaving[t].append(j)
+            self.into[h].append(j)
         ground = {e: i for i, e in enumerate(inst.matroid.ground)}
         self.order = [ground[e] for e, _ in inst.roots]
         self.mask = [0] * len(pos)
@@ -250,6 +261,8 @@ class ReductionState:
 
     def _witness(self, j: int) -> tuple:
         net, rank = self.net, self.net.rank
+        if not net.at[self.tail[j]]:
+            return ()
         span = self.mask[self.head[j]]
         r = rank[span]
         return tuple(sorted((x for x in net.at[self.tail[j]]
@@ -277,27 +290,38 @@ class ReductionState:
         self.net.pop_element()
 
     def commit(self) -> ReductionStep:
-        """Keep the applied candidate: D' becomes the state."""
+        """Keep the applied candidate: D' becomes the state, and the arcs
+        at its head are re-classified in place."""
         j, x = self._trial
         self._trial = None
-        twin = len(self.order)
+        y = len(self.order)
         self.steps.append((j, x))
         self.live[j] = False
-        self.order.append(twin)
-        del self.bad[bisect.bisect_left(self.bad, j)]
-        self.witness[j] = ()
+        self.order.append(y)
+        bad, witness, live, mask = self.bad, self.witness, self.live, self.mask
+        del bad[bisect.bisect_left(bad, j)]
+        witness[j] = ()
+        rank, ebit = self.net.rank, self.net.ebit
+        b = ebit[y]
         v = self.head[j]
-        self.mask[v] |= self.net.ebit[-1]
-        for i in self.touching[v]:
-            if not self.live[i]:
-                continue
-            was, now = self.witness[i], self._witness(i)
-            self.witness[i] = now
-            if now and not was:
-                bisect.insort(self.bad, i)
-            elif was and not now:
-                del self.bad[bisect.bisect_left(self.bad, i)]
-        return ReductionStep(j, x, twin, self)
+        span = mask[v] = mask[v] | b
+        r = rank[span]
+        for i in self.into[v]:
+            was = witness[i]
+            if was and live[i]:
+                now = witness[i] = tuple(z for z in was
+                                         if rank[span | ebit[z]] > r)
+                if not now:
+                    del bad[bisect.bisect_left(bad, i)]
+        for i in self.leaving[v]:
+            if live[i]:
+                h = mask[self.head[i]]
+                if rank[h | b] > rank[h]:
+                    was = witness[i]
+                    witness[i] = was + (y,)
+                    if not was:
+                        bisect.insort(bad, i)
+        return ReductionStep(j, x, y, self)
 
     def names(self) -> list[str]:
         """The id of every element of D, by index.
@@ -397,12 +421,11 @@ def _keeps_connected(red: ReductionState, j: int) -> bool:
     is M-connected, given that D is.
 
     def' can fall below def only on sets that hold v and not u, so this
-    minimizes def' over those sets alone: one flow into v, with u
-    supplied with the cap k, which keeps it out of every set below k.
-    Only the minimum value is read, never a minimizer.
+    minimizes def' over those sets alone: one flow into v with u kept
+    out.  Only the minimum value is read, never a minimizer.
     """
     return red.net.min_cut((red.head[j],), red.k,
-                           {red.tail[j]: red.k}) >= red.k
+                           out=(red.tail[j],)) >= red.k
 
 
 def lift_packing(inst: RootedDigraph, base: Packing,
@@ -416,8 +439,9 @@ def lift_packing(inst: RootedDigraph, base: Packing,
     removed arc uv, so the two must be vertex-disjoint arborescences, u in
     the stem's tree and v the twin's root.  One pass over the steps, the
     last first, merges the vertex sets, each time the smaller into the
-    larger; a tree's arcs are those of every tree and step whose stem
-    chain ends at its root.
+    larger; a tree of no arcs is its root alone, read with no
+    ``tree_vertices`` call.  A tree's arcs are those of every tree and
+    step whose stem chain ends at its root.
     """
     t0 = len(inst.roots)
     trees = base.trees
@@ -425,7 +449,9 @@ def lift_packing(inst: RootedDigraph, base: Packing,
 
     def vertex_set(i: int) -> Optional[set]:
         if spans[i] is None:
-            got = tree_vertices(trees[i].arcs, inst, trees[i].root_vertex)
+            t = trees[i]
+            got = (tree_vertices(t.arcs, inst, t.root_vertex) if t.arcs
+                   else (t.root_vertex,))
             spans[i] = None if got is None else set(got)
         return spans[i]
 

@@ -229,4 +229,10 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
     # cut violated by this 0/1 point: the support is M-connected
     packed = _construct(support)
     cost = sum(Fraction(costs[a]) for a in packed.arc_set())
+    # the packing is a point of the polytope, so it is optimal only if it
+    # costs what the relaxation does
+    if cost != res.objective:
+        raise TheoremViolation(
+            "min_cost_packing: the packing costs %s, the relaxation optimum "
+            "%s %s" % (cost, res.objective, context()))
     return packed, cost

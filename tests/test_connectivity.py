@@ -291,22 +291,22 @@ def test_passing_check_is_decision_only(monkeypatch, engine):
 
 
 def test_flow_run_i_keeps_out_exactly_the_indices_below_i(monkeypatch):
-    # the flow check is split by smallest index: run i has sink i, and
-    # each index below i is supplied with the cap k = 2, which keeps it
-    # out; the greedy of a negative comes after the n runs
+    # the flow check is split by smallest index: run i has sink i, cap
+    # k = 2, no supply or demand, and keeps out each index below i; the
+    # greedy of a negative comes after the n runs
     from arbopack import flow
 
     calls = []
     min_cut = flow.Network.min_cut
 
-    def spy(net, sinks, cap, supply=None, demand=None):
-        calls.append((tuple(sinks), cap, {i: supply[i] for i in supply or ()},
-                      demand))
-        return min_cut(net, sinks, cap, supply, demand)
+    def spy(net, sinks, cap, supply=None, demand=None, out=()):
+        calls.append((tuple(sinks), cap, supply, demand,
+                      {i for i in range(len(net.pos)) if i in out}))
+        return min_cut(net, sinks, cap, supply, demand, out)
 
     monkeypatch.setattr(flow.Network, "min_cut", spy)
     feasible, violated, expected = decision_pair()
-    runs = [((i,), 2, dict.fromkeys(range(i), 2), None) for i in range(4)]
+    runs = [((i,), 2, None, None, set(range(i))) for i in range(4)]
     calls.clear()
     assert check_m_connected(feasible).ok
     assert calls == runs

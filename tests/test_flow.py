@@ -214,6 +214,47 @@ def test_sink_supplied_with_the_cap_reaches_it():
             net.minimizer()
 
 
+def test_out_is_a_supply_of_the_cap():
+    # the vertices kept out, as a range, a set or a tuple, give the value
+    # and the smallest minimizer of a supply of the cap at each of them,
+    # alone or next to a demand
+    rng = random.Random(2410)
+    below_cap = 0
+    for _ in range(600):
+        inst = random_instance(rng)
+        net = flow.Network(inst)
+        n = len(inst.vertices)
+        for form in ("range", "set", "tuple"):
+            sinks = rng.sample(range(n), rng.randint(1, n))
+            cap = rng.randint(1, 30)
+            if form == "range":
+                out = range(rng.randint(0, n))
+            else:
+                out = rng.sample(range(n), rng.randint(0, n))
+                out = set(out) if form == "set" else tuple(out)
+            demand = None
+            if rng.random() < 0.3:
+                demand = {i: rng.randint(1, 3) for i in range(n)
+                          if rng.random() < 0.3}
+            case = (inst.arcs, inst.roots, sinks, cap, out, demand)
+            got = net.min_cut(sinks, cap, demand=demand, out=out)
+            want = net.min_cut(sinks, cap, dict.fromkeys(out, cap), demand)
+            assert got == want, case
+            if want < cap:
+                smallest = net.minimizer()
+                net.min_cut(sinks, cap, demand=demand, out=out)
+                assert net.minimizer() == smallest, case
+                assert not smallest & set(out), case
+                below_cap += 1
+    assert below_cap > 300
+
+
+def test_out_and_a_supply_are_not_taken_together():
+    net = flow.Network(random_instance(random.Random(3)))
+    with pytest.raises(ValueError, match="a supply or out, not both"):
+        net.min_cut([0], 1, {1: 1}, out=(1,))
+
+
 @pytest.mark.parametrize("engine", ["flow", "brute", "min-norm-point"])
 def test_orientation_steps_call_no_sfm(tmp_path, capsys, monkeypatch, engine):
     # the undirected commands run flows alone, the greedy's steps and the

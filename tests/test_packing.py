@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from arbopack.connectivity import (
     classify_arc,
 )
 from arbopack.graphs import RootedDigraph, SizeLimitError
+from arbopack.instances import parse_instance
 from arbopack.matroid import (
     ExplicitMatroid,
     FreeMatroid,
@@ -286,6 +288,41 @@ def test_changed_network_matches_a_fresh_build(engine):
     assert steps > 100 and rejected > 0
 
 
+def test_in_place_witnesses_match_a_fresh_read_at_benchmark_size(
+        monkeypatch):
+    """After every commit on the benchmark's pack-brute positives (seeds 1
+    and 2), each live arc's cached witnesses are those ``_witness`` reads
+    afresh, a dead arc has none, and ``bad`` lists the live arcs with
+    witnesses in arc order.  Uniform and partition matroids make arcs into
+    a head lose witnesses as well as arcs out of it gain the twin."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve()
+                                    .parent.parent / "perfbench"))
+    from build import build_case
+    from workloads import WORKLOADS, expand
+
+    lost = gained = 0
+    for seed in (1, 2):
+        for name, spec in expand(WORKLOADS["pack-brute"]):
+            if spec.negative:
+                continue
+            inst = parse_instance(build_case(seed, name, spec).text)[0]
+            red = ReductionState(inst)
+            while True:
+                before = list(red.witness)
+                if find_reduction(red) is None:
+                    break
+                for j, (was, now) in enumerate(zip(before, red.witness)):
+                    if red.live[j]:
+                        assert now == red._witness(j), (name, seed, j)
+                        lost += len(now) < len(was)
+                        gained += len(now) > len(was)
+                    else:
+                        assert now == (), (name, seed, j)
+                assert red.bad == [j for j, w in enumerate(red.witness)
+                                   if red.live[j] and w], (name, seed)
+    assert lost > 0 and gained > 0
+
+
 def names_match_extend_parallel(inst) -> tuple[int, int]:
     """Run the reduction loop on ``inst``, then check each twin's id, named
     after the run as ``--trace`` names it, against extending the matroid
@@ -383,10 +420,19 @@ def test_base_case_tripwire_needs_a_base_at_each_vertex(roots, matroid,
 
 def test_base_case_tripwire_stops_an_early_loop(monkeypatch):
     # a mutant state that never finds arc a2 bad ends the loop one step
-    # early: c is left with no root, and the base case names it
+    # early: c is left with no root, and the base case names it.  Arcs
+    # are classed by ``_witness`` at the start and re-classed in place by
+    # ``commit``, so the mutant clears a2 at both
     class Early(ReductionState):
         def _witness(self, j):
             return () if j == 1 else super()._witness(j)
+
+        def commit(self):
+            step = super().commit()
+            if self.witness[1]:
+                self.witness[1] = ()
+                self.bad.remove(1)
+            return step
 
     monkeypatch.setattr(packing, "ReductionState", Early)
     d = digraph(["a", "b", "c"], ["a1:a>b", "a2:b>c"], ["s1@a"],

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -349,6 +350,24 @@ def test_cutting_plane_tripwires_name_their_context(monkeypatch, cut, point,
     with pytest.raises(error) as info:
         min_cost_packing(d, {"r1": 1, "r2": 5, "r3": 2}, engine="brute")
     assert str(info.value) == "min_cost_packing: %s, vertices 2, arcs 3" % message
+
+
+def test_packing_that_misses_the_relaxation_cost_trips(monkeypatch):
+    # the split packing is optimal because it costs what the last
+    # relaxation does: a relaxation that reports one more trips the check
+    d = digraph(["a", "b"], ["r1:a>b", "r2:a>b", "r3:a>b"],
+                ["s1@a", "s2@a"], FreeMatroid(["s1", "s2"]))
+
+    def shifted(c, rows, start=None):
+        res = solve_lp(c, rows, start=start)
+        return dataclasses.replace(res, objective=res.objective + 1)
+
+    monkeypatch.setattr(polytope, "solve_lp", shifted)
+    with pytest.raises(polytope.TheoremViolation) as info:
+        min_cost_packing(d, {"r1": 1, "r2": 5, "r3": 2})
+    assert str(info.value) == (
+        "min_cost_packing: the packing costs 3, the relaxation optimum 4 "
+        "(tripwire): cuts 0, vertices 2, arcs 3")
 
 
 def noise_first_costs(extras, planted):
