@@ -27,6 +27,10 @@ last run:
   (min-norm-point, on a fractional point), with their seconds;
 * ``construct``: seconds of ``_construct``, the split of the 0/1 optimum
   into trees;
+* ``prechecks``: the ``check_m_connected`` calls on the instance itself,
+  outside separation: 0 when the greedy start is the optimum, whose
+  separation proves the instance M-connected, and 1 when the start is
+  cut or a vertex has too few entering arcs;
 * ``rss_mb``: the peak resident size of the process that ran the size.
 
 Each size runs in a fresh process, so its ``rss_mb`` is its own peak,
@@ -82,11 +86,19 @@ def timed_layers(polytope):
     """Wrap the layers of ``min_cost_packing`` and yield their counters."""
     split = {"lp_solves": 0, "lp_pivots": 0, "lp_s": 0.0,
              "sep_flow": 0, "sep_flow_s": 0.0,
-             "sep_mnp": 0, "sep_mnp_s": 0.0, "construct_s": 0.0}
+             "sep_mnp": 0, "sep_mnp_s": 0.0, "construct_s": 0.0,
+             "prechecks": 0}
     solve_lp, separate, construct = (polytope.solve_lp, polytope.separate,
                                      polytope._construct)
     minimize = polytope.sfm.minimize
+    check = polytope.check_m_connected
     minimized = [0]
+    separating = []  # nonempty while separate runs
+
+    def checked(*args, **kwargs):
+        if not separating:
+            split["prechecks"] += 1
+        return check(*args, **kwargs)
 
     def counted(*args, **kwargs):
         minimized[0] += 1
@@ -100,10 +112,14 @@ def timed_layers(polytope):
         split["lp_pivots"] += res.pivots
         return res
 
-    def sep(inst, x):
+    def sep(inst, x, **kwargs):
         before = minimized[0]
         t0 = time.perf_counter()
-        out = separate(inst, x)
+        separating.append(True)
+        try:
+            out = separate(inst, x, **kwargs)
+        finally:
+            separating.pop()
         key = "sep_mnp" if minimized[0] > before else "sep_flow"
         split[key + "_s"] += time.perf_counter() - t0
         split[key] += 1
@@ -117,12 +133,14 @@ def timed_layers(polytope):
 
     polytope.solve_lp, polytope.separate, polytope._construct = lp, sep, build
     polytope.sfm.minimize = counted
+    polytope.check_m_connected = checked
     try:
         yield split
     finally:
         polytope.solve_lp, polytope.separate, polytope._construct = (
             solve_lp, separate, construct)
         polytope.sfm.minimize = minimize
+        polytope.check_m_connected = check
 
 
 def _stop(signum, frame):
@@ -182,7 +200,8 @@ def main() -> None:
                   "lp %(lp_solves)d solves %(lp_pivots)d pivots %(lp_s).4f s"
                   " | sep flow %(sep_flow)d %(sep_flow_s).4f s, mnp "
                   "%(sep_mnp)d %(sep_mnp_s).4f s | construct "
-                  "%(construct_s).4f s | %(rss_mb)s MB" % row,
+                  "%(construct_s).4f s | prechecks %(prechecks)d | "
+                  "%(rss_mb)s MB" % row,
                   row.get("stop", "cost " + row.get("cost", "")), flush=True)
             if "stop" in row:
                 break

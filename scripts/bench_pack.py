@@ -13,9 +13,11 @@ shows its own peak and no other size's; the row gives
 
 * ``seconds``: the whole call (``find_packing`` or ``pack_undirected``);
 * ``check_s``: ``check_m_connected``, the input check of ``pack`` and
-  the tripwire that ``orient_m_connected`` runs on its orientation;
-* ``orient_s``: ``orient_m_connected``, its tripwire check included
-  (``pack-undirected`` only);
+  the tripwire that ``orient_m_connected`` runs on its orientation; the
+  network each check runs on is built before it, outside ``check_s``,
+  and handed on to ``_construct``;
+* ``orient_s``: ``orient_m_connected``, its tripwire check and that
+  check's network included (``pack-undirected`` only);
 * ``construct_s`` and ``steps``: ``_construct``, the reduction loop with
   its lift and verification, and the number of steps it took;
 * ``min_cut_s`` and ``min_cut_calls``: the ``flow.Network.min_cut`` calls
@@ -92,11 +94,11 @@ def run_one(src: str, command: str, n: int) -> dict:
     construct = packing._construct
     min_cut = flow.Network.min_cut
 
-    def counted(inst, trace=None):
+    def counted(inst, trace=None, net=None):
         steps = [] if trace is None else trace
         looping.append(True)
         try:
-            return construct(inst, steps)
+            return construct(inst, steps, net=net)
         finally:
             looping.pop()
             split["steps"] += len(steps)

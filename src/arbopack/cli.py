@@ -127,8 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="flow",
                    help="how the input's M-connectivity check is decided, "
                         "read by check on a directed file, pack, "
-                        "pack-bounded and mincost's pre-check and by nothing "
-                        "else, so no answer depends on it. flow (default): "
+                        "pack-bounded and mincost and by nothing else, so no "
+                        "answer depends on it; mincost checks its input only "
+                        "where a vertex has too few entering arcs or its "
+                        "greedy starting point is cut. flow (default): "
                         "augmenting paths; brute: subset enumeration, at "
                         "most 24 vertices; min-norm-point: exact "
                         "Fujishige-Wolfe")

@@ -10,7 +10,8 @@ never positive.  ``check_m_connected`` splits the nonempty sets by their
 smallest index v (``sfm.by_smallest_index``).  Under ``flow`` run v is
 one flow with sink v and ``out`` = range(v), which keeps every index
 below v out of X (``flow.Network.min_cut``), and the greedy for the
-minimizer keeps out the indices it has dropped the same way;
+minimizer keeps out the indices it has dropped the same way and reads
+def(X) from the same network (``flow.Network.cut``);
 ``min-norm-point`` runs Wolfe's algorithm per run, and ``brute`` walks
 every set.  Under every engine a violated set is the lexicographically
 smallest minimizer.
@@ -19,7 +20,6 @@ smallest minimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import AbstractSet, Optional
 
 from . import flow, sfm
@@ -125,22 +125,27 @@ def deficiency_objective(inst: RootedDigraph, weights: Optional[dict] = None,
     return sfm.SubmodularObjective(len(verts), evaluate, ("nonempty",))
 
 
-def check_m_connected(inst: RootedDigraph, engine: str = "flow") -> Certificate:
+def check_m_connected(inst: RootedDigraph, engine: str = "flow",
+                      net: Optional[flow.Network] = None) -> Certificate:
     """Condition (2): every nonempty X has in-degree >= rank(S) - rank(S_X).
 
     A violated set is the lex-smallest minimizer of def, re-checked before
-    it is returned.
+    it is returned.  Under ``flow`` the check runs on ``net``, the
+    ``flow.Network`` of ``inst`` as it was built, or on one of its own;
+    every flow restores the network it ran on, so a caller can hand the
+    same network on (``packing.ReductionState``).  The other engines read
+    no network.
     """
     if engine == "flow":
         # min_cut is capped at k, so a run reads min(0, its min): exact
-        # below 0, and only a negative reads the minimizer (and builds the
-        # objective for it)
-        k = inst.matroid.full_rank()
-        net = flow.Network(inst)
+        # below 0, and only a negative reads the minimizer, whose greedy
+        # reads def(X) from the network
+        n, k = len(inst.vertices), inst.matroid.full_rank()
+        if net is None:
+            net = flow.Network(inst)
         res = sfm.by_smallest_index(
-            len(inst.vertices),
-            lambda inc, exc: net.min_cut(inc, k, out=exc) - k,
-            partial(deficiency_objective, inst))
+            n, lambda inc, exc: net.min_cut(inc, k, out=exc) - k,
+            lambda: sfm.SubmodularObjective(n, lambda X: net.cut(X) - k))
     else:
         res = sfm.minimize(deficiency_objective(inst), engine=engine)
     if res.value >= 0:

@@ -58,7 +58,7 @@ tail of the removed arc.
 
 from __future__ import annotations
 
-from typing import Container, Iterable, Optional
+from typing import Collection, Container, Iterable, Optional
 
 from .graphs import RootedDigraph
 
@@ -300,6 +300,23 @@ class Network:
             for c in log:
                 res[c] ^= 1
                 res[c ^ 1] ^= 1
+
+    def cut(self, X: Collection[int]) -> int:
+        """in(X) + r(S_X) for the vertex indices in ``X``: the live arcs
+        entering X plus the rank of the elements placed in it, read from
+        ``adj``, ``cap``, ``at``, ``ebit`` and the rank memo.
+
+        ``cap`` marks the live arcs only between ``min_cut`` calls.
+        """
+        adj, cap, at, ebit = self.adj, self.cap, self.at, self.ebit
+        entering = mask = 0
+        for i in X:
+            for x in at[i]:
+                mask |= ebit[x]
+            for c, w in adj[i]:  # an odd c is an arc into i, from w
+                if c & 1 and cap[c ^ 1] and w not in X:
+                    entering += 1
+        return entering + self.rank[mask]
 
     def minimizer(self) -> frozenset:
         """Indices of the vertices the failed last search of ``min_cut``

@@ -20,9 +20,11 @@ from vertices below m to vertices above it realizes m, and
 on this side.  Otherwise the steps' minimizers are tight, and merged
 where they meet they give a partition of maximum deficiency
 |E| - m(V) < 0.  There is no heuristic and no exhaustive fallback.
-``pack_undirected`` returns the arborescences packed in that orientation
-as they are, edge ids and all, once ``verify_packing`` accepts them on
-the graph.
+``pack_undirected`` packs arborescences in that orientation on the
+digraph and the network of that re-check (``orient_m_connected``'s
+``keep``), so a positive builds two networks in all, the all-forward one
+and the oriented one.  It returns the arborescences as they are, edge
+ids and all, once ``verify_packing`` accepts them on the graph.
 """
 
 from __future__ import annotations
@@ -67,8 +69,14 @@ def _orientation_from_bits(g: RootedGraph, bits: int) -> Orientation:
     return Orientation(dirs)
 
 
-def orient_m_connected(g: RootedGraph) -> Union[Orientation, Certificate]:
-    """An M-connected orientation, or a maximum-deficiency partition."""
+def orient_m_connected(g: RootedGraph, keep: Optional[list] = None
+                       ) -> Union[Orientation, Certificate]:
+    """An M-connected orientation, or a maximum-deficiency partition.
+
+    ``keep``, a list, receives [digraph, network] with an orientation: the
+    digraph it induces and the ``flow.Network`` that the tripwire check
+    of that digraph ran on, as the check left it.
+    """
     verts = g.vertices
     n = len(verts)
     pos = {v: i for i, v in enumerate(verts)}
@@ -136,7 +144,9 @@ def orient_m_connected(g: RootedGraph) -> Union[Orientation, Certificate]:
     # each reversal lowers one positive gap by one, so they number this
     reversals = sum(x for x in gap if x > 0)
     oriented = _realize(dirs, dict(zip(verts, gap)))
-    cert = check_m_connected(induced_digraph(g, oriented))
+    digraph = induced_digraph(g, oriented)
+    net = flow.Network(digraph)
+    cert = check_m_connected(digraph, net=net)
     if not cert.ok:
         raise TheoremViolation(
             "orient_m_connected: the in-degree vector realized after %d "
@@ -145,6 +155,8 @@ def orient_m_connected(g: RootedGraph) -> Union[Orientation, Certificate]:
             "vertices %d, edges %d"
             % (n, reversals, sorted(cert.vertex_set),
                cert.deficiency, n, len(g.edges)))
+    if keep is not None:
+        keep[:] = digraph, net
     return oriented
 
 
@@ -207,11 +219,14 @@ def pack_undirected(g: RootedGraph) -> Union[Packing, Certificate]:
     cert = check_independent_placement(g)
     if not cert.ok:
         return cert
-    oriented = orient_m_connected(g)
+    checked = []  # [digraph, network] of the orientation's check
+    oriented = orient_m_connected(g, keep=checked)
     if isinstance(oriented, Certificate):
         return oriented
-    # orient_m_connected has checked this digraph's M-connectivity
-    packed = _construct(induced_digraph(g, oriented))
+    # orient_m_connected has checked this digraph's M-connectivity on
+    # this network
+    digraph, net = checked
+    packed = _construct(digraph, net=net)
     failure = verify_packing(g, packed)
     if failure is not None:
         raise TheoremViolation("tree packing failed verification: %r" % (failure,))

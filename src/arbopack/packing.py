@@ -26,16 +26,18 @@ how the input is checked (``find_packing``), never which step is taken.
 
 One ``ReductionState`` carries D through the whole loop and is changed in
 place, since D' differs from D by one arc and one root.  Its
-``flow.Network`` is built once: a deleted arc stays in the network with
-capacity 0, and a twin is appended as one more element with the bit of s,
-so the network's rank memo, keyed by bit masks of the root oracle's
-elements, stays valid from the first step to the last.  A candidate
-changes the network alone, and a rejected one is undone there; an
-accepted one is entered in the rest of the state as a step (arc index,
-stem index).  The loop names no twin and builds no matroid: twin ids,
-which grow by one prime per twin of the same stem and so hold O(n^2)
-characters along long chains, are built only where one is printed or
-read (``--trace``, the lift's tripwires, ``ReductionState.digraph``).
+``flow.Network`` is built once per command: a caller whose check of D
+ran on a network hands that one on (``_construct``'s ``net``).  A
+deleted arc stays in the network with capacity 0, and a twin is appended
+as one more element with the bit of s, so the network's rank memo, keyed
+by bit masks of the root oracle's elements, stays valid from the first
+step to the last.  A candidate changes the network alone, and a rejected one
+is undone there; an accepted one is entered in the rest of the state as
+a step (arc index, stem index).  The loop names no twin and builds no
+matroid: twin ids, which grow by one prime per twin of the same stem
+and so hold O(n^2) characters along long chains, are built only where
+one is printed or read (``--trace``, the lift's tripwires,
+``ReductionState.digraph``).
 The class of each arc (good, or bad with its witnesses) is cached and
 read from the same masks and memo; adding s' at v changes S_v alone, so
 a step re-classifies only the arcs at v, in place: an arc into v keeps
@@ -210,7 +212,8 @@ class ReductionState:
 
     Elements are indexed as the roots of D are: those of the input in
     its order, then one twin per accepted step.  ``net`` is one
-    ``flow.Network`` for the whole loop.  A candidate (arc j = uv,
+    ``flow.Network`` for the whole loop: the one its M-connectivity
+    check ran on, handed in, or a new one.  A candidate (arc j = uv,
     element x = s) is tried on the network alone: ``apply`` removes j
     from it and appends a twin of s at v, which is all the flow of
     ``_keeps_connected`` reads, and ``undo`` takes both back.  ``commit``
@@ -234,9 +237,10 @@ class ReductionState:
     order, since y comes after every element in it.
     """
 
-    def __init__(self, inst: RootedDigraph):
+    def __init__(self, inst: RootedDigraph,
+                 net: Optional[flow.Network] = None):
         self.inst = inst
-        self.net = net = flow.Network(inst)
+        self.net = net = flow.Network(inst) if net is None else net
         self.k = inst.matroid.full_rank()
         self.steps: list[tuple[int, int]] = []  # (arc, stem) per step
         self._names = [e for e, _ in inst.roots]
@@ -494,25 +498,31 @@ def find_packing(inst: RootedDigraph, engine: str = "flow",
     """Full decision-plus-construction; the result is verified before return.
 
     ``engine`` decides the input check alone; the reduction loop runs
-    the same flows under every engine.
+    the same flows under every engine.  Under ``flow`` the check and the
+    loop share one ``flow.Network``; the other engines build none before
+    their check passes.
     """
     cert = check_independent_placement(inst)
     if not cert.ok:
         return cert
-    cert = check_m_connected(inst, engine=engine)
+    net = flow.Network(inst) if engine == "flow" else None
+    cert = check_m_connected(inst, engine=engine, net=net)
     if not cert.ok:
         return cert
-    return _construct(inst, trace)
+    return _construct(inst, trace, net=net)
 
 
-def _construct(inst: RootedDigraph, trace: Optional[list] = None) -> Packing:
+def _construct(inst: RootedDigraph, trace: Optional[list] = None,
+               net: Optional[flow.Network] = None) -> Packing:
     """Reduce to the base case, lift back and verify.
 
     For callers that have already established both conditions on
-    ``inst``: an independent placement and M-connectivity.
+    ``inst``: an independent placement and M-connectivity.  ``net``, when
+    given, is the ``flow.Network`` of ``inst`` that the check of the
+    second ran on; the loop changes it in place (``ReductionState``).
     """
     steps: list[ReductionStep] = []
-    red = ReductionState(inst)
+    red = ReductionState(inst, net=net)
     while True:
         step = find_reduction(red)
         if step is None:

@@ -12,7 +12,7 @@ fractional point's weighted arcs are not the unit arcs those flows take,
 so it is minimized by min-norm-point, exact in ints and with no size
 cap.  Either way the violated cut is the lex-smallest minimizer.  No
 engine is chosen here: ``min_cost_packing``'s ``engine`` decides its
-pre-check alone.
+check of the instance alone.
 
 Min-cost optimization is an exact cutting-plane loop.  It starts at the
 optimum of the relaxation by boxes and the in-degree equalities
@@ -21,6 +21,14 @@ point of the polytope), which splits by head: ``solve_lp`` boxes every
 arc itself and takes the d(v) cheapest arcs into each v with no simplex.
 Then: separate the current optimum, add the violated cut, solve again,
 repeat; the final optimum is a vertex of the polytope and hence 0/1.
+The instance D is checked for M-connectivity only where the answer
+depends on it.  A 0/1 point is the incidence vector of a packing
+exactly when its support D_x is M-connected, and adding arcs never
+lowers in(X), so an M-connected D_x inside D proves D M-connected: when
+separation finds no cut at the greedy vertex, its check of D_x is the
+only one.  D itself is checked where a vertex has fewer than d(v)
+entering arcs, or where separation first cuts a point, before that cut
+is added; a D that is not M-connected ends there with its certificate.
 Every row handed to ``solve_lp`` is sparse, the ascending tuple of the
 arcs it holds and its rhs, so the rows hold m + the cut supports' sizes
 entries in all.  Each solve after a cut is a re-solve by dual-simplex
@@ -35,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from . import sfm
+from . import flow, sfm
 from .connectivity import (
     Certificate,
     check_independent_placement,
@@ -95,15 +103,18 @@ def mass_rhs(inst: RootedDigraph) -> int:
     return inst.matroid.full_rank() * len(inst.vertices) - len(inst.roots)
 
 
-def separate(inst: RootedDigraph,
-             x: RationalVector) -> Optional[PolytopeConstraint]:
+def separate(inst: RootedDigraph, x: RationalVector,
+             keep: Optional[list] = None) -> Optional[PolytopeConstraint]:
     """Most-violated constraint, or None when x lies in the polytope.
 
     Order: box constraints in canonical arc order, then the mass equality,
     then the minimizing cut.  Every test runs on x times the lcm of its
     denominators, in ints.  A 0/1 point's cut objective is the deficiency
     of its support, decided by ``check_m_connected`` by flow; a fractional
-    point's is minimized by min-norm-point.
+    point's is minimized by min-norm-point.  ``keep``, a list, receives
+    [support, network] when a 0/1 point lies in the polytope: the support
+    as a digraph and the ``flow.Network`` its check ran on, as the check
+    left it.
     """
     scale = math.lcm(*(v.denominator for v in x.entries.values()))
     weights = {a: v.numerator * (scale // v.denominator)
@@ -118,10 +129,14 @@ def separate(inst: RootedDigraph,
         return PolytopeConstraint("mass-equality", rhs=mass_rhs(inst))
 
     if scale == 1:
-        cert = check_m_connected(RootedDigraph(
+        support = RootedDigraph(
             inst.vertices, [arc for arc in inst.arcs if weights[arc[0]]],
-            inst.roots, inst.matroid))
+            inst.roots, inst.matroid)
+        net = flow.Network(support)
+        cert = check_m_connected(support, net=net)
         if cert.ok:
+            if keep is not None:
+                keep[:] = support, net
             return None
         xset = cert.vertex_set
     else:
@@ -147,8 +162,12 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
     entering X, rhs), and is re-solved by the dual simplex from the last
     optimal basis, the greedy vertex's first.  ``lp_trace``, a list,
     receives (x, objective, pivots) for every relaxation solved, the first
-    with 0 pivots.  ``engine`` decides the M-connectivity pre-check alone;
-    the loop is the same under every engine.
+    with 0 pivots, once the instance is known to be M-connected: a
+    negative leaves it empty.  ``engine`` decides the M-connectivity check
+    of the instance alone, which runs only where the answer depends on it
+    (see the module docstring); the loop is the same under every engine.
+    The 0/1 optimum is split into trees on the support and the network of
+    its last separation.
     """
     ids = [a for a, _, _ in inst.arcs]
     missing = set(ids) - set(costs)
@@ -157,16 +176,12 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
     cert = check_independent_placement(inst)
     if not cert.ok:
         return cert
-    cert = check_m_connected(inst, engine=engine)
-    if not cert.ok:
-        return cert
 
     def context() -> str:
         return "(tripwire): cuts %d, vertices %d, arcs %d" % (
             len(seen_cuts), len(inst.vertices), len(ids))
 
     k = inst.matroid.full_rank()
-    c_vec = [Fraction(costs[a]) for a in ids]
     entering: dict = {v: [] for v in inst.vertices}
     for j, (_, _, h) in enumerate(inst.arcs):
         entering[h].append(j)
@@ -175,27 +190,40 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
     for v, into in entering.items():  # x(entering v) = d(v)
         need = k - inst.matroid.rank(inst.elements_at(v))
         if len(into) < need:
-            # M-connectivity was pre-checked, and {v} is one of its sets
+            # {v} is a violated set, and the check names the least one
+            cert = check_m_connected(inst, engine=engine)
+            if not cert.ok:
+                return cert
             raise TheoremViolation(
                 "min_cost_packing: vertex %s has %d entering arcs, fewer "
                 "than d(%s)=%d %s" % (v, len(into), v, need, context()))
         rows.append((tuple(into), need))
+    c_vec = [Fraction(costs[a]) for a in ids]
     # these rows split by head: solve_lp takes the d(v) cheapest arcs
     # into each v with no simplex, and each cut is re-solved from there
     res = solve_lp(c_vec, rows)
+    checked = []  # [support, network] of a point found in the polytope
     # a cut's rhs is a function of its vertex set, so at most 2^n - 1
     # distinct cuts exist and a repeated one trips the check below: the
     # loop ends within 2^n iterations
     while True:
         if res.status != OPTIMAL:
-            # feasibility was pre-checked; the polytope is nonempty
+            # the first cut was added after the check of the instance
+            # passed: the polytope is nonempty
             raise TheoremViolation(
                 "min_cost_packing: the relaxation is %s on a feasible "
                 "instance %s" % (res.status, context()))
         x = RationalVector(dict(zip(ids, res.x)))
+        violated = separate(inst, x, keep=checked)
+        if violated is not None and not seen_cuts:
+            # the first point cut, the greedy vertex: its support does
+            # not prove the instance M-connected, so the instance is
+            # checked before the cut is added
+            cert = check_m_connected(inst, engine=engine)
+            if not cert.ok:
+                return cert
         if lp_trace is not None:
             lp_trace.append((dict(x.entries), res.objective, res.pivots))
-        violated = separate(inst, x)
         if violated is None:
             break
         if violated.kind != "cut":
@@ -221,14 +249,15 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
             "min_cost_packing: the cutting-plane optimum is fractional on "
             "arcs %s %s" % (", ".join("%s=%s" % (a, x.entries[a])
                                       for a in fractional), context()))
-    chosen = {a for a in ids if x.entries[a] == 1}
-    support = RootedDigraph(
-        inst.vertices, [arc for arc in inst.arcs if arc[0] in chosen],
-        inst.roots, inst.matroid)
     # the placement was checked on entry, and the last separation found no
-    # cut violated by this 0/1 point: the support is M-connected
-    packed = _construct(support)
-    cost = sum(Fraction(costs[a]) for a in packed.arc_set())
+    # cut violated by this 0/1 point: its support is M-connected, checked
+    # on this network
+    support, net = checked
+    packed = _construct(support, net=net)
+    scale = math.lcm(*(c.denominator for c in c_vec))
+    scaled = {a: c.numerator * (scale // c.denominator)
+              for a, c in zip(ids, c_vec)}
+    cost = Fraction(sum(scaled[a] for a in packed.arc_set()), scale)
     # the packing is a point of the polytope, so it is optimal only if it
     # costs what the relaxation does
     if cost != res.objective:

@@ -554,11 +554,12 @@ def test_mincost_lp_trace_reports_pivots(tmp_path, capsys):
 
 
 def test_mincost_lp_trace_is_the_same_under_every_engine(tmp_path, capsys):
-    # the engine decides mincost's pre-check alone: separation runs flows
-    # on 0/1 points and min-norm-point on fractional ones whatever it is,
-    # so the payload and the --lp-trace lines are the same bytes; only the
-    # provenance names the engine.  Noise-first instances (one root, 4n
-    # arcs, the planted arcs dearest) reach fractional LP points
+    # the engine decides mincost's check of its input alone: separation
+    # runs flows on 0/1 points and min-norm-point on fractional ones
+    # whatever it is, so the payload and the --lp-trace lines are the same
+    # bytes; only the provenance names the engine.  Noise-first instances
+    # (one root, 4n arcs, the planted arcs dearest) reach fractional LP
+    # points
     fractional = 0
     for seed in (7, 8, 9):
         for n in (8, 12, 16):
@@ -658,7 +659,7 @@ def test_cutting_plane_tripwire_is_an_error_envelope(tmp_path, capsys,
     from arbopack import polytope
 
     # a separator that returns the same (valid) cut every time
-    monkeypatch.setattr(polytope, "separate", lambda inst, x: (
+    monkeypatch.setattr(polytope, "separate", lambda inst, x, keep: (
         polytope.PolytopeConstraint(
             "cut", vertex_set=frozenset(inst.vertices), rhs=0)))
     path = write(tmp_path, "i.json", MINCOST_DOC)
@@ -675,7 +676,7 @@ def test_greedy_step_tripwire_is_an_error_envelope(tmp_path, capsys,
     from arbopack import polytope
     from arbopack.connectivity import Certificate
 
-    # a pre-check that passes an instance where b has no entering arc
+    # a check that passes an instance where b has no entering arc
     monkeypatch.setattr(polytope, "check_m_connected",
                         lambda inst, engine: Certificate("ok"))
     doc = dict(MINCOST_DOC, arcs=[], costs={})
@@ -738,6 +739,76 @@ def test_check_above_the_brute_cap_is_an_error_envelope(tmp_path, capsys, key):
     else:
         assert code == 1 and out["status"] == "error"
         assert out["payload"]["kind"] == "SfmSizeError"
+
+
+@pytest.mark.parametrize("back", [False, True])
+def test_brute_mincost_above_its_cap_checks_only_where_it_must(tmp_path,
+                                                               capsys, back):
+    # a 25-vertex path: its greedy vertex is the whole path, whose
+    # separation by flow proves the instance M-connected, so brute's check
+    # never runs.  With a cheaper arc back from v2 into v1, the greedy
+    # vertex is cut and the instance itself is checked: brute stops at
+    # its cap there, and flow answers
+    verts = ["v%d" % i for i in range(25)]
+    arcs = [{"id": "a%d" % i, "tail": u, "head": w}
+            for i, (u, w) in enumerate(zip(verts, verts[1:]))]
+    if back:
+        arcs.append({"id": "back", "tail": "v2", "head": "v1"})
+    doc = {"version": 1, "vertices": verts, "arcs": arcs,
+           "roots": [{"element": "s1", "vertex": "v0"}],
+           "matroid": {"type": "free"},
+           "costs": {a["id"]: 0 if a["id"] == "back" else 1 for a in arcs}}
+    path = write(tmp_path, "i.json", doc)
+    code, out = run(capsys, ["--engine", "brute", "mincost", path])
+    if back:
+        assert code == 1 and out["payload"]["kind"] == "SfmSizeError"
+        code, out = run(capsys, ["mincost", path])
+    assert code == 0 and out["status"] == "packing"
+    assert out["payload"]["cost"] == 24
+
+
+@pytest.mark.parametrize("argv, networks", [
+    (["pack"], 1),
+    (["mincost"], 1),
+    (["pack-undirected"], 2),
+])
+def test_a_positive_builds_one_network_per_digraph(tmp_path, capsys,
+                                                   monkeypatch, argv,
+                                                   networks):
+    # pack: the input check's network is the reduction loop's; mincost:
+    # the greedy vertex is the optimum, and the network of its separation
+    # is the loop's, with no check of the instance itself;
+    # pack-undirected: the all-forward digraph's network for the greedy,
+    # and the oriented digraph's for its tripwire check and the loop
+    from arbopack import connectivity, flow, orientation, packing, polytope
+
+    built, checked = [], []
+    init, check = flow.Network.__init__, connectivity.check_m_connected
+
+    def counted_init(net, inst):
+        built.append(inst)
+        init(net, inst)
+
+    def counted_check(inst, *args, **kwargs):
+        checked.append(inst)
+        return check(inst, *args, **kwargs)
+
+    monkeypatch.setattr(flow.Network, "__init__", counted_init)
+    for module in (orientation, packing, polytope):
+        monkeypatch.setattr(module, "check_m_connected", counted_check)
+    directed = argv != ["pack-undirected"]
+    text = instances.generate_instance(5, 8, 20, 2, feasible_bias=True,
+                                       directed=directed, costs=directed)
+    path = write(tmp_path, "i.json", text)
+    if argv == ["mincost"]:
+        assert run_command(["--lp-trace", "mincost", path]) == 0
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        built.clear()
+        checked.clear()
+    code, out = run(capsys, argv + [path])
+    assert code == 0 and out["status"] == "packing"
+    assert len(built) == networks
+    assert checked == built[-1:]  # one check, on the last network's digraph
 
 
 def test_tripwire_is_an_error_envelope(tmp_path, capsys, monkeypatch):

@@ -338,6 +338,32 @@ def test_dependent_augmentation_on_a_changed_network_reports_live_counts():
         "augmentation 2 (tripwire): engine flow, sinks ['t'], sources [], "
         "arcs 3, roots 4")
 
+
+def test_cut_reads_the_deficiency_plus_k():
+    # the minimizer greedy of check_m_connected reads def(X) as
+    # net.cut(X) - k; a removed arc no longer enters X, and a flow run
+    # before the read leaves every capacity as it found it
+    rng = random.Random(1207)
+    subsets = 0
+    for _ in range(80):
+        inst = random_instance(rng)
+        net = flow.Network(inst)
+        arcs = list(inst.arcs)
+        if arcs and rng.random() < 0.5:
+            j = rng.randrange(len(arcs))
+            net.remove_arc(j)
+            del arcs[j]
+        n, k = len(inst.vertices), inst.matroid.full_rank()
+        net.min_cut((rng.randrange(n),), k)
+        live = RootedDigraph(inst.vertices, arcs, inst.roots, inst.matroid)
+        evaluate = connectivity.deficiency_objective(live).evaluate
+        for r in range(1, n + 1):
+            for xs in itertools.combinations(range(n), r):
+                assert net.cut(set(xs)) - k == evaluate(set(xs)), (
+                    inst.arcs, inst.roots, arcs, xs)
+                subsets += 1
+    assert subsets > 5000
+
 def write(tmp_path, name, inst) -> str:
     path = tmp_path / name
     path.write_text(emit_instance(inst))

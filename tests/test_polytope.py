@@ -299,6 +299,22 @@ def test_infeasible_instance_certificate_without_lp():
     assert isinstance(out, Certificate) and out.kind == "violated-set"
 
 
+def test_disconnected_instance_with_a_greedy_vertex_is_certified():
+    # a and b have their d(v) = 1 entering arc each, so the greedy split
+    # succeeds, but no arc enters {a, b}: the instance is checked when
+    # separation first cuts the greedy vertex, before the cut is added,
+    # which would leave the relaxation infeasible
+    d = digraph(["r", "a", "b"], ["ab:a>b", "ba:b>a"], ["s1@r"],
+                FreeMatroid(["s1"]))
+    for engine in ("flow", "brute", "min-norm-point"):
+        trace = []
+        out = min_cost_packing(d, {"ab": 1, "ba": 2}, engine=engine,
+                               lp_trace=trace)
+        assert out == Certificate("violated-set", vertex_set=frozenset("ab"),
+                                  deficiency=-1), engine
+        assert trace == [], engine
+
+
 def test_min_cost_matches_brute_force_random():
     rng = random.Random(111)
     solved = 0
@@ -339,7 +355,7 @@ def test_cutting_plane_tripwires_name_their_context(monkeypatch, cut, point,
                 ["s1@a", "s2@a"], FreeMatroid(["s1", "s2"]))
     returned = []
 
-    def separate_once(inst, x):
+    def separate_once(inst, x, keep=None):
         returned.append(cut)
         return cut if len(returned) == 1 else None
 
@@ -423,8 +439,8 @@ def test_lp_rows_hold_one_entry_per_arc_and_cut_arc(monkeypatch, family, n,
         costs = noise_first_costs(extras, t * (n - 1))
     cut_arcs, sizes = [0], []
 
-    def separate_spy(inst, x):
-        cut = separate(inst, x)
+    def separate_spy(inst, x, keep=None):
+        cut = separate(inst, x, keep=keep)
         if cut is not None:
             xs = cut.vertex_set
             cut_arcs.append(cut_arcs[-1] + sum(
