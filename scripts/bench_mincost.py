@@ -25,8 +25,11 @@ last run:
 * ``sep_flow`` / ``sep_mnp``: separations that ran no submodular
   minimization (the flow decides them), and those that ran one
   (min-norm-point, on a fractional point), with their seconds;
-* ``construct``: seconds of ``_construct``, the split of the 0/1 optimum
-  into trees;
+* ``construct``: seconds of ``_construct``, the split of a 0/1 optimum
+  into trees, failed splits included; ``splits`` and ``failed_splits``
+  count the splits that returned a packing and those that raised
+  ``TheoremViolation``, and ``sep_after_failed`` the separations run
+  after a failed split, part of ``sep_flow``;
 * ``prechecks``: the ``check_m_connected`` calls on the instance itself,
   outside separation: 0 when the greedy start is the optimum, whose
   separation proves the instance M-connected, and 1 when the start is
@@ -87,6 +90,7 @@ def timed_layers(polytope):
     split = {"lp_solves": 0, "lp_pivots": 0, "lp_s": 0.0,
              "sep_flow": 0, "sep_flow_s": 0.0,
              "sep_mnp": 0, "sep_mnp_s": 0.0, "construct_s": 0.0,
+             "splits": 0, "failed_splits": 0, "sep_after_failed": 0,
              "prechecks": 0}
     solve_lp, separate, construct = (polytope.solve_lp, polytope.separate,
                                      polytope._construct)
@@ -94,6 +98,7 @@ def timed_layers(polytope):
     check = polytope.check_m_connected
     minimized = [0]
     separating = []  # nonempty while separate runs
+    failed = []  # nonempty from a failed split to the next separation
 
     def checked(*args, **kwargs):
         if not separating:
@@ -113,6 +118,9 @@ def timed_layers(polytope):
         return res
 
     def sep(inst, x, **kwargs):
+        if failed:
+            split["sep_after_failed"] += 1
+            failed.clear()
         before = minimized[0]
         t0 = time.perf_counter()
         separating.append(True)
@@ -127,8 +135,15 @@ def timed_layers(polytope):
 
     def build(*args, **kwargs):
         t0 = time.perf_counter()
-        out = construct(*args, **kwargs)
-        split["construct_s"] += time.perf_counter() - t0
+        try:
+            out = construct(*args, **kwargs)
+        except polytope.TheoremViolation:
+            split["failed_splits"] += 1
+            failed.append(True)
+            raise
+        finally:
+            split["construct_s"] += time.perf_counter() - t0
+        split["splits"] += 1
         return out
 
     polytope.solve_lp, polytope.separate, polytope._construct = lp, sep, build
@@ -200,7 +215,9 @@ def main() -> None:
                   "lp %(lp_solves)d solves %(lp_pivots)d pivots %(lp_s).4f s"
                   " | sep flow %(sep_flow)d %(sep_flow_s).4f s, mnp "
                   "%(sep_mnp)d %(sep_mnp_s).4f s | construct "
-                  "%(construct_s).4f s | prechecks %(prechecks)d | "
+                  "%(construct_s).4f s, splits %(splits)d, failed "
+                  "%(failed_splits)d, then sep %(sep_after_failed)d | "
+                  "prechecks %(prechecks)d | "
                   "%(rss_mb)s MB" % row,
                   row.get("stop", "cost " + row.get("cost", "")), flush=True)
             if "stop" in row:

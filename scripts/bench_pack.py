@@ -4,20 +4,26 @@
 Usage: python3 scripts/bench_pack.py [--src DIR] [--json F]
 
 Each instance is built as in ROADMAP.md: ``instances._generate_raw`` with
-``random.Random(7)``, a free matroid, t=2 and m=2n, feasible by
-construction (t planted arborescences or spanning trees, then random
-noise links up to m).  For each command the size doubles from 256 until
-a run takes more than ``BUDGET`` seconds (the run is stopped there) or
-``SIZES`` ends.  Each size runs once, in a fresh process, so its row
-shows its own peak and no other size's; the row gives
+``random.Random(7)``, a free matroid and t=2, feasible by construction
+(t planted arborescences or spanning trees, then random noise links up
+to m).  Two families, in this order:
+
+* ``near-tight``: m=2n, so only 2 links are noise;
+* ``noisy``: m=4n, about 2n noise links.
+
+For each family and command the size doubles from 256 until a run takes
+more than ``BUDGET`` seconds (the run is stopped there) or ``SIZES``
+ends.  Each size runs once, in a fresh process, so its row shows its
+own peak and no other size's; the row gives
 
 * ``seconds``: the whole call (``find_packing`` or ``pack_undirected``);
-* ``check_s``: ``check_m_connected``, the input check of ``pack`` and
-  the tripwire that ``orient_m_connected`` runs on its orientation; the
-  network each check runs on is built before it, outside ``check_s``,
-  and handed on to ``_construct``;
-* ``orient_s``: ``orient_m_connected``, its tripwire check and that
-  check's network included (``pack-undirected`` only);
+* ``check_s``: ``check_m_connected``, the input check of ``pack`` (``pack``
+  only: ``pack-undirected`` checks its orientation only where the split
+  fails); the network the check runs on is built before it, outside
+  ``check_s``, and handed on to ``_construct``;
+* ``orient_s``: ``seconds`` less ``construct_s``, the placement check,
+  the orientation and the final verification on the graph
+  (``pack-undirected`` only);
 * ``construct_s`` and ``steps``: ``_construct``, the reduction loop with
   its lift and verification, and the number of steps it took;
 * ``min_cut_s`` and ``min_cut_calls``: the ``flow.Network.min_cut`` calls
@@ -51,6 +57,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 SIZES = (256, 512, 1024, 2048, 4096, 8192, 16384, 32768)
 BUDGET = 60.0
 COMMANDS = ("pack", "pack-undirected")
+FAMILIES = {"near-tight": 2, "noisy": 4}  # m / n
 
 
 class OverBudget(Exception):
@@ -61,25 +68,28 @@ def _stop(signum, frame):
     raise OverBudget
 
 
-def instance(n: int, command: str):
+def instance(n: int, command: str, family: str):
     from arbopack.instances import _generate_raw, parse_instance
 
-    text = _generate_raw(random.Random(7), n, 2 * n, 2, "free",
-                         command == "pack", False, True)
+    text = _generate_raw(random.Random(7), n, FAMILIES[family] * n, 2,
+                         "free", command == "pack", False, True)
     return parse_instance(text)[0]
 
 
-def run_one(src: str, command: str, n: int) -> dict:
+def run_one(src: str, command: str, n: int,
+            family: str = "near-tight") -> dict:
     """The row of one size, run in this process with the library of
     ``src``."""
     sys.path.insert(0, src)
     from arbopack import flow, orientation, packing
 
-    inst = instance(n, command)
-    row = {"command": command, "n": n, "m": len(inst.links),
-           "t": len(inst.roots)}
-    split = {"check_s": 0.0, "orient_s": 0.0, "construct_s": 0.0, "steps": 0,
-             "min_cut_s": 0.0, "min_cut_calls": 0}
+    inst = instance(n, command, family)
+    row = {"family": family, "command": command, "n": n,
+           "m": len(inst.links), "t": len(inst.roots)}
+    split = {"construct_s": 0.0, "steps": 0, "min_cut_s": 0.0,
+             "min_cut_calls": 0}
+    if command == "pack":
+        split["check_s"] = 0.0
     looping = []  # nonempty while _construct runs
 
     def timed(fn, key):
@@ -115,14 +125,14 @@ def run_one(src: str, command: str, n: int) -> dict:
 
     flow.Network.min_cut = loop_cut
 
-    check = timed(packing.check_m_connected, "check_s")
-    packing.check_m_connected = orientation.check_m_connected = check
+    if command == "pack":
+        packing.check_m_connected = timed(packing.check_m_connected,
+                                          "check_s")
+        solve = packing.find_packing
+    else:
+        solve = orientation.pack_undirected
     packing._construct = orientation._construct = timed(counted,
                                                         "construct_s")
-    orientation.orient_m_connected = timed(orientation.orient_m_connected,
-                                           "orient_s")
-    solve = (packing.find_packing if command == "pack"
-             else orientation.pack_undirected)
     signal.signal(signal.SIGALRM, _stop)
     signal.setitimer(signal.ITIMER_REAL, BUDGET)
     t0 = time.perf_counter()
@@ -134,6 +144,8 @@ def run_one(src: str, command: str, n: int) -> dict:
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
     row["seconds"] = round(time.perf_counter() - t0, 4)
+    if command != "pack":
+        split["orient_s"] = row["seconds"] - split["construct_s"]
     row.update({k: round(v, 4) if isinstance(v, float) else v
                 for k, v in split.items()})
     row["rss_mb"] = round(resource.getrusage(
@@ -148,19 +160,21 @@ def main() -> None:
     args = ap.parse_args()
     spawn = multiprocessing.get_context("spawn")
     rows = []
-    for command in COMMANDS:
-        for n in SIZES:
-            with spawn.Pool(1) as fresh:
-                row = fresh.apply(run_one, (args.src, command, n))
-            rows.append(row)
-            print("%(command)s n=%(n)5d %(seconds)9.4f s | check "
-                  "%(check_s).4f s | orient %(orient_s).4f s | construct "
-                  "%(construct_s).4f s, %(steps)d steps, min_cut "
-                  "%(min_cut_s).4f s in %(min_cut_calls)d calls | "
-                  "%(rss_mb)s MB"
-                  % row, row.get("stop", ""), flush=True)
-            if "stop" in row:
-                break
+    for family in FAMILIES:
+        for command in COMMANDS:
+            for n in SIZES:
+                with spawn.Pool(1) as fresh:
+                    row = fresh.apply(run_one, (args.src, command, n, family))
+                rows.append(row)
+                first = ("check %(check_s).4f s" if command == "pack"
+                         else "orient %(orient_s).4f s") % row
+                print("%(family)s %(command)s n=%(n)5d %(seconds)9.4f s | "
+                      % row + first + " | construct %(construct_s).4f s, "
+                      "%(steps)d steps, min_cut %(min_cut_s).4f s in "
+                      "%(min_cut_calls)d calls | %(rss_mb)s MB"
+                      % row, row.get("stop", ""), flush=True)
+                if "stop" in row:
+                    break
     if args.json:
         pathlib.Path(args.json).write_text(json.dumps(rows, indent=1) + "\n")
 

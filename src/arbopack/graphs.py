@@ -68,6 +68,26 @@ class RootedInstance:
         for e, v in self.roots:
             self._at_vertex[v] = self._at_vertex[v] | {e}
 
+    @classmethod
+    def with_links(cls, inst: "RootedInstance",
+                   links: Iterable[tuple[str, str, str]]) -> "RootedInstance":
+        """An instance of this class on ``inst``'s vertices, roots and
+        matroid, with the given links, each one of ``inst``'s or one of
+        them reversed.
+
+        Nothing is validated again: the vertices, roots, placement, root
+        sets and matroid are ``inst``'s own, and only ``links`` and
+        ``link_map`` are built.  A support of a point or an orientation
+        of a graph is built this way.
+        """
+        new = cls.__new__(cls)
+        new.vertices, new.roots, new.matroid = (inst.vertices, inst.roots,
+                                                inst.matroid)
+        new.placement, new._at_vertex = inst.placement, inst._at_vertex
+        new.links = tuple(links)
+        new.link_map = {a: (u, v) for a, u, v in new.links}
+        return new
+
     def elements_at(self, v: str) -> frozenset:
         """S_v: root elements placed at the vertex."""
         return self._at_vertex[v]

@@ -15,16 +15,25 @@ own vertex only, so the supplies and demands are dicts changed there,
 and the step's tight set is the smallest minimizer, what the flow's
 failed last search reached: a step costs its searches, not n, and builds
 no submodular objective.  If then m(V) = |E|, reversing directed paths
-from vertices below m to vertices above it realizes m, and
-``check_m_connected`` re-checks the result by flow: no engine is chosen
-on this side.  Otherwise the steps' minimizers are tight, and merged
-where they meet they give a partition of maximum deficiency
-|E| - m(V) < 0.  There is no heuristic and no exhaustive fallback.
-``pack_undirected`` packs arborescences in that orientation on the
-digraph and the network of that re-check (``orient_m_connected``'s
-``keep``), so a positive builds two networks in all, the all-forward one
-and the oriented one.  It returns the arborescences as they are, edge
-ids and all, once ``verify_packing`` accepts them on the graph.
+from vertices below m to vertices above it realizes m.  Otherwise the
+steps' minimizers are tight, and merged where they meet they give a
+partition of maximum deficiency |E| - m(V) < 0.  There is no heuristic
+and no exhaustive fallback, and no engine is chosen on this side.
+
+``orient_m_connected`` returns the orientation itself, so it re-checks
+the oriented digraph by flow (``check_m_connected``) before it does.
+``pack_undirected`` needs no such check: it packs arborescences on the
+oriented digraph at once (``packing._construct``), and a packing that
+``verify_packing`` accepts proves the digraph M-connected.  The split
+fails where the digraph is not M-connected, and elsewhere only on a
+fault of the reduction loop; only then does the check run, and it
+raises the orientation's tripwire where it finds a violated set, or
+else the split's own error again.  So a positive builds two networks
+in all, the all-forward one and the one the loop runs on, and runs no
+check of the orientation.  ``pack_undirected`` returns the arborescences
+as they are, edge ids and all, once ``verify_packing`` accepts them on
+the graph.  The forward and the oriented digraphs share the graph's
+vertices, roots and matroid (``RootedInstance.with_links``).
 """
 
 from __future__ import annotations
@@ -57,8 +66,8 @@ class Orientation:
 
 
 def induced_digraph(g: RootedGraph, orientation: Orientation) -> RootedDigraph:
-    arcs = [(e, *orientation.directions[e]) for e, _, _ in g.edges]
-    return RootedDigraph(g.vertices, arcs, g.roots, g.matroid)
+    return RootedDigraph.with_links(
+        g, [(e, *orientation.directions[e]) for e, _, _ in g.edges])
 
 
 def _orientation_from_bits(g: RootedGraph, bits: int) -> Orientation:
@@ -69,14 +78,25 @@ def _orientation_from_bits(g: RootedGraph, bits: int) -> Orientation:
     return Orientation(dirs)
 
 
-def orient_m_connected(g: RootedGraph, keep: Optional[list] = None
-                       ) -> Union[Orientation, Certificate]:
+def orient_m_connected(g: RootedGraph) -> Union[Orientation, Certificate]:
     """An M-connected orientation, or a maximum-deficiency partition.
 
-    ``keep``, a list, receives [digraph, network] with an orientation: the
-    digraph it induces and the ``flow.Network`` that the tripwire check
-    of that digraph ran on, as the check left it.
+    The orientation is returned as it is, so its digraph is checked by
+    flow first (tripwire).
     """
+    got = _orient(g)
+    if isinstance(got, Certificate):
+        return got
+    oriented, digraph, reversals = got
+    _check_orientation(g, digraph, reversals)
+    return oriented
+
+
+def _orient(g: RootedGraph
+            ) -> Union[tuple[Orientation, RootedDigraph, int], Certificate]:
+    """The greedy of ``orient_m_connected``, its orientation unchecked:
+    the orientation, the digraph it induces and the number of path
+    reversals that realized it; or the partition, re-checked."""
     verts = g.vertices
     n = len(verts)
     pos = {v: i for i, v in enumerate(verts)}
@@ -144,10 +164,16 @@ def orient_m_connected(g: RootedGraph, keep: Optional[list] = None
     # each reversal lowers one positive gap by one, so they number this
     reversals = sum(x for x in gap if x > 0)
     oriented = _realize(dirs, dict(zip(verts, gap)))
-    digraph = induced_digraph(g, oriented)
-    net = flow.Network(digraph)
-    cert = check_m_connected(digraph, net=net)
+    return oriented, induced_digraph(g, oriented), reversals
+
+
+def _check_orientation(g: RootedGraph, digraph: RootedDigraph,
+                       reversals: int) -> None:
+    """The tripwire of ``_orient``'s orientation: raise unless
+    ``digraph``, the one it induces, is M-connected."""
+    cert = check_m_connected(digraph)
     if not cert.ok:
+        n = len(g.vertices)
         raise TheoremViolation(
             "orient_m_connected: the in-degree vector realized after %d "
             "greedy steps and %d path reversals is not M-connected "
@@ -155,9 +181,6 @@ def orient_m_connected(g: RootedGraph, keep: Optional[list] = None
             "vertices %d, edges %d"
             % (n, reversals, sorted(cert.vertex_set),
                cert.deficiency, n, len(g.edges)))
-    if keep is not None:
-        keep[:] = digraph, net
-    return oriented
 
 
 def _realize(dirs: dict, gap: dict) -> Orientation:
@@ -219,14 +242,17 @@ def pack_undirected(g: RootedGraph) -> Union[Packing, Certificate]:
     cert = check_independent_placement(g)
     if not cert.ok:
         return cert
-    checked = []  # [digraph, network] of the orientation's check
-    oriented = orient_m_connected(g, keep=checked)
-    if isinstance(oriented, Certificate):
-        return oriented
-    # orient_m_connected has checked this digraph's M-connectivity on
-    # this network
-    digraph, net = checked
-    packed = _construct(digraph, net=net)
+    got = _orient(g)
+    if isinstance(got, Certificate):
+        return got
+    _, digraph, reversals = got
+    try:
+        packed = _construct(digraph)
+    except TheoremViolation:
+        # the split fails where the orientation is not M-connected, which
+        # its tripwire names, and elsewhere only on a fault of the loop
+        _check_orientation(g, digraph, reversals)
+        raise
     failure = verify_packing(g, packed)
     if failure is not None:
         raise TheoremViolation("tree packing failed verification: %r" % (failure,))

@@ -10,8 +10,8 @@ and its twin are vertex-disjoint, so their union plus uv is again an
 arborescence.  ``lift_packing`` undoes all the steps in one pass, by
 element index (see its docstring).
 
-D is M-connected at every step (the input is checked, and each accepted
-D' is again M-connected).  The deficiency of D' is
+An M-connected D stays M-connected at every step (each accepted D' is
+again M-connected).  The deficiency of D' is
 
     def'(X) = def(X) - 1 + [s not in span(S_X)]   if v in X and u not in X,
     def'(X) = def(X)                               otherwise,
@@ -20,14 +20,21 @@ so D' is M-connected iff def' >= 0 on the sets that hold v and not u: one
 pinned minimization per candidate, not a check over all nonempty sets.
 That is one flow on D' into v, capped at k = r(S), with u kept out of
 every set (``flow.Network.min_cut``'s ``out``).
+A D that is not M-connected stays so, since def' <= def.  Roots that
+form a base at every vertex would make D M-connected, so the loop then
+ends in a tripwire: at the base case, which finds a vertex without a
+base, or at a step where no candidate is accepted.  So ``_construct``
+returns a packing exactly when D is M-connected, and raises
+``TheoremViolation`` where it is not; a caller may split first and
+check only where the split fails.
 The flow decides every candidate under every engine: the answer is exact
 and the same whichever engine would decide it, so the engine picks only
 how the input is checked (``find_packing``), never which step is taken.
 
 One ``ReductionState`` carries D through the whole loop and is changed in
 place, since D' differs from D by one arc and one root.  Its
-``flow.Network`` is built once per command: a caller whose check of D
-ran on a network hands that one on (``_construct``'s ``net``).  A
+``flow.Network`` is built once per digraph: ``find_packing`` hands on
+the network its check of D ran on (``_construct``'s ``net``).  A
 deleted arc stays in the network with capacity 0, and a twin is appended
 as one more element with the bit of s, so the network's rank memo, keyed
 by bit masks of the root oracle's elements, stays valid from the first
@@ -59,7 +66,6 @@ except the verifier.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -212,8 +218,8 @@ class ReductionState:
 
     Elements are indexed as the roots of D are: those of the input in
     its order, then one twin per accepted step.  ``net`` is one
-    ``flow.Network`` for the whole loop: the one its M-connectivity
-    check ran on, handed in, or a new one.  A candidate (arc j = uv,
+    ``flow.Network`` for the whole loop: the one the M-connectivity
+    check of D ran on, handed in, or a new one.  A candidate (arc j = uv,
     element x = s) is tried on the network alone: ``apply`` removes j
     from it and appends a twin of s at v, which is all the flow of
     ``_keeps_connected`` reads, and ``undo`` takes both back.  ``commit``
@@ -227,8 +233,12 @@ class ReductionState:
     ``witness[j]`` caches the class of arc j: the elements x at its tail,
     by network index in ground order, with r(S_h + x) > r(S_h), read from
     ``mask`` (S_w as a bit mask) and the network's rank memo; the arc is
-    bad iff the tuple is nonempty, and ``bad`` lists the live bad arcs in
-    arc order.  ``_witness`` reads a class afresh, in ``__init__`` only.
+    bad iff the tuple is nonempty.  ``bad`` holds the live bad arcs first
+    in, first out, as the keys of an insertion-ordered dict: in arc order
+    at the start, and an arc that turns bad goes to the end.  Taking the
+    oldest bad arc first keeps a candidate's flow search short, where
+    arc order would grow one tree over much of V before the next starts.
+    ``_witness`` reads a class afresh, in ``__init__`` only.
     A commit adds twin y at v, which changes S_v alone, so it updates the
     tuples of the arcs at v in place: an arc into v (``into[v]``) keeps
     the x with r(S_v + y + x) > r(S_v + y), since the span at v only
@@ -260,7 +270,7 @@ class ReductionState:
         for x, i in enumerate(net.home):
             self.mask[i] |= net.ebit[x]
         self.witness = [self._witness(j) for j in range(len(inst.arcs))]
-        self.bad = [j for j, w in enumerate(self.witness) if w]
+        self.bad = dict.fromkeys(j for j, w in enumerate(self.witness) if w)
         self._trial = None
 
     def _witness(self, j: int) -> tuple:
@@ -274,8 +284,8 @@ class ReductionState:
                             key=self.order.__getitem__))
 
     def candidates(self):
-        """(arc index, element index) per candidate: bad arcs in arc order,
-        each one's witnesses in ground order."""
+        """(arc index, element index) per candidate: bad arcs first in,
+        first out (``bad``), each one's witnesses in ground order."""
         for j in self.bad:
             for x in self.witness[j]:
                 yield j, x
@@ -303,7 +313,7 @@ class ReductionState:
         self.live[j] = False
         self.order.append(y)
         bad, witness, live, mask = self.bad, self.witness, self.live, self.mask
-        del bad[bisect.bisect_left(bad, j)]
+        del bad[j]
         witness[j] = ()
         rank, ebit = self.net.rank, self.net.ebit
         b = ebit[y]
@@ -316,7 +326,7 @@ class ReductionState:
                 now = witness[i] = tuple(z for z in was
                                          if rank[span | ebit[z]] > r)
                 if not now:
-                    del bad[bisect.bisect_left(bad, i)]
+                    del bad[i]
         for i in self.leaving[v]:
             if live[i]:
                 h = mask[self.head[i]]
@@ -324,7 +334,7 @@ class ReductionState:
                     was = witness[i]
                     witness[i] = was + (y,)
                     if not was:
-                        bisect.insort(bad, i)
+                        bad[i] = None
         return ReductionStep(j, x, y, self)
 
     def names(self) -> list[str]:
@@ -399,9 +409,10 @@ def find_reduction(red: ReductionState) -> Optional[ReductionStep]:
     """Take the first candidate whose D' stays M-connected.
 
     The accepted step is committed to ``red``; None at the base case (no
-    bad arc).  D must be M-connected: each candidate is then decided by
+    bad arc).  Where D is M-connected, each candidate is decided by
     ``_keeps_connected``, which reads def' on the sets holding the head
-    and not the tail (see the module docstring).
+    and not the tail (see the module docstring); where it is not, no
+    accepted step makes it so.
     """
     tried = []
     for j, x in red.candidates():
@@ -516,10 +527,15 @@ def _construct(inst: RootedDigraph, trace: Optional[list] = None,
                net: Optional[flow.Network] = None) -> Packing:
     """Reduce to the base case, lift back and verify.
 
-    For callers that have already established both conditions on
-    ``inst``: an independent placement and M-connectivity.  ``net``, when
-    given, is the ``flow.Network`` of ``inst`` that the check of the
-    second ran on; the loop changes it in place (``ReductionState``).
+    For callers that have established an independent placement on
+    ``inst``.  ``inst`` may fail M-connectivity: then the loop ends in a
+    tripwire and this raises ``TheoremViolation``, and it never returns
+    a packing that ``verify_packing`` rejects.  A caller that splits
+    first tells the two apart by checking M-connectivity where the split
+    fails (``polytope.min_cost_packing``,
+    ``orientation.pack_undirected``).  ``net``, when given, is the
+    ``flow.Network`` of ``inst`` that a check ran on; the loop changes it
+    in place (``ReductionState``).
     """
     steps: list[ReductionStep] = []
     red = ReductionState(inst, net=net)

@@ -19,16 +19,23 @@ optimum of the relaxation by boxes and the in-degree equalities
 x(entering v) = d(v) = k - r(S_v) (the singleton cuts, tight on every
 point of the polytope), which splits by head: ``solve_lp`` boxes every
 arc itself and takes the d(v) cheapest arcs into each v with no simplex.
-Then: separate the current optimum, add the violated cut, solve again,
-repeat; the final optimum is a vertex of the polytope and hence 0/1.
-The instance D is checked for M-connectivity only where the answer
-depends on it.  A 0/1 point is the incidence vector of a packing
-exactly when its support D_x is M-connected, and adding arcs never
-lowers in(X), so an M-connected D_x inside D proves D M-connected: when
-separation finds no cut at the greedy vertex, its check of D_x is the
-only one.  D itself is checked where a vertex has fewer than d(v)
-entering arcs, or where separation first cuts a point, before that cut
-is added; a D that is not M-connected ends there with its certificate.
+Then: separate the current optimum (a 0/1 one only where its split
+fails, below), add the violated cut, solve again, repeat; the final
+optimum is a vertex of the polytope and hence 0/1.
+A 0/1 point is the incidence vector of a packing exactly when its
+support D_x is M-connected, so each 0/1 optimum is split first: D_x is
+handed to the reduction loop (``packing._construct``), and a packing it
+returns, verified, proves D_x M-connected and ends the loop with no
+flow check.  The split raises ``TheoremViolation`` where D_x is not
+M-connected, and elsewhere only on a fault of the loop.  Only then is x
+separated: a cut found there is added as below, and no cut, which
+proves D_x M-connected, re-raises the split's error.  The instance D
+is checked for M-connectivity only where the answer depends on it.
+Adding arcs never lowers in(X), so an M-connected D_x inside D proves
+D M-connected: when the greedy vertex splits, no check runs at all.  D
+itself is checked where a vertex has fewer than d(v) entering arcs, or
+where separation first cuts a point, before that cut is added; a D
+that is not M-connected ends there with its certificate.
 Every row handed to ``solve_lp`` is sparse, the ascending tuple of the
 arcs it holds and its rhs, so the rows hold m + the cut supports' sizes
 entries in all.  Each solve after a cut is a re-solve by dual-simplex
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from . import flow, sfm
+from . import sfm
 from .connectivity import (
     Certificate,
     check_independent_placement,
@@ -103,18 +110,15 @@ def mass_rhs(inst: RootedDigraph) -> int:
     return inst.matroid.full_rank() * len(inst.vertices) - len(inst.roots)
 
 
-def separate(inst: RootedDigraph, x: RationalVector,
-             keep: Optional[list] = None) -> Optional[PolytopeConstraint]:
+def separate(inst: RootedDigraph,
+             x: RationalVector) -> Optional[PolytopeConstraint]:
     """Most-violated constraint, or None when x lies in the polytope.
 
     Order: box constraints in canonical arc order, then the mass equality,
     then the minimizing cut.  Every test runs on x times the lcm of its
     denominators, in ints.  A 0/1 point's cut objective is the deficiency
     of its support, decided by ``check_m_connected`` by flow; a fractional
-    point's is minimized by min-norm-point.  ``keep``, a list, receives
-    [support, network] when a 0/1 point lies in the polytope: the support
-    as a digraph and the ``flow.Network`` its check ran on, as the check
-    left it.
+    point's is minimized by min-norm-point.
     """
     scale = math.lcm(*(v.denominator for v in x.entries.values()))
     weights = {a: v.numerator * (scale // v.denominator)
@@ -129,14 +133,9 @@ def separate(inst: RootedDigraph, x: RationalVector,
         return PolytopeConstraint("mass-equality", rhs=mass_rhs(inst))
 
     if scale == 1:
-        support = RootedDigraph(
-            inst.vertices, [arc for arc in inst.arcs if weights[arc[0]]],
-            inst.roots, inst.matroid)
-        net = flow.Network(support)
-        cert = check_m_connected(support, net=net)
+        cert = check_m_connected(RootedDigraph.with_links(
+            inst, [arc for arc in inst.arcs if weights[arc[0]]]))
         if cert.ok:
-            if keep is not None:
-                keep[:] = support, net
             return None
         xset = cert.vertex_set
     else:
@@ -166,8 +165,8 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
     negative leaves it empty.  ``engine`` decides the M-connectivity check
     of the instance alone, which runs only where the answer depends on it
     (see the module docstring); the loop is the same under every engine.
-    The 0/1 optimum is split into trees on the support and the network of
-    its last separation.
+    A 0/1 optimum is split into trees on its support before it is
+    separated, and a split that succeeds ends the loop.
     """
     ids = [a for a, _, _ in inst.arcs]
     missing = set(ids) - set(costs)
@@ -202,7 +201,7 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
     # these rows split by head: solve_lp takes the d(v) cheapest arcs
     # into each v with no simplex, and each cut is re-solved from there
     res = solve_lp(c_vec, rows)
-    checked = []  # [support, network] of a point found in the polytope
+    packed = None
     # a cut's rhs is a function of its vertex set, so at most 2^n - 1
     # distinct cuts exist and a repeated one trips the check below: the
     # loop ends within 2^n iterations
@@ -214,7 +213,19 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
                 "min_cost_packing: the relaxation is %s on a feasible "
                 "instance %s" % (res.status, context()))
         x = RationalVector(dict(zip(ids, res.x)))
-        violated = separate(inst, x, keep=checked)
+        violated = None
+        if all(v == 0 or v == 1 for v in res.x):
+            # split first; separation tells a support that is not
+            # M-connected from a fault of the split
+            try:
+                packed = _construct(RootedDigraph.with_links(
+                    inst, [arc for arc, v in zip(inst.arcs, res.x) if v]))
+            except TheoremViolation:
+                violated = separate(inst, x)
+                if violated is None:
+                    raise
+        else:
+            violated = separate(inst, x)
         if violated is not None and not seen_cuts:
             # the first point cut, the greedy vertex: its support does
             # not prove the instance M-connected, so the instance is
@@ -243,17 +254,12 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
                            if h in xs and t not in xs), violated.rhs))
         res = solve_lp(c_vec, rows, start=res)
 
-    fractional = sorted(a for a, v in x.entries.items() if v not in (0, 1))
-    if fractional:
+    if packed is None:  # separation found no cut at a fractional point
+        fractional = sorted(a for a, v in x.entries.items() if v not in (0, 1))
         raise IntegralityViolation(
             "min_cost_packing: the cutting-plane optimum is fractional on "
             "arcs %s %s" % (", ".join("%s=%s" % (a, x.entries[a])
                                       for a in fractional), context()))
-    # the placement was checked on entry, and the last separation found no
-    # cut violated by this 0/1 point: its support is M-connected, checked
-    # on this network
-    support, net = checked
-    packed = _construct(support, net=net)
     scale = math.lcm(*(c.denominator for c in c_vec))
     scaled = {a: c.numerator * (scale // c.denominator)
               for a, c in zip(ids, c_vec)}

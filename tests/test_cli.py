@@ -658,8 +658,13 @@ def test_cutting_plane_tripwire_is_an_error_envelope(tmp_path, capsys,
                                                      monkeypatch):
     from arbopack import polytope
 
-    # a separator that returns the same (valid) cut every time
-    monkeypatch.setattr(polytope, "separate", lambda inst, x, keep: (
+    def no_split(inst):
+        raise polytope.TheoremViolation("no split")
+
+    # a split that always fails, and a separator that returns the same
+    # (valid) cut every time
+    monkeypatch.setattr(polytope, "_construct", no_split)
+    monkeypatch.setattr(polytope, "separate", lambda inst, x: (
         polytope.PolytopeConstraint(
             "cut", vertex_set=frozenset(inst.vertices), rhs=0)))
     path = write(tmp_path, "i.json", MINCOST_DOC)
@@ -776,10 +781,11 @@ def test_a_positive_builds_one_network_per_digraph(tmp_path, capsys,
                                                    monkeypatch, argv,
                                                    networks):
     # pack: the input check's network is the reduction loop's; mincost:
-    # the greedy vertex is the optimum, and the network of its separation
-    # is the loop's, with no check of the instance itself;
+    # the greedy vertex is the optimum, and its support splits on the
+    # loop's network with no check of the support or of the instance;
     # pack-undirected: the all-forward digraph's network for the greedy,
-    # and the oriented digraph's for its tripwire check and the loop
+    # and the oriented digraph's for the loop, with no check of the
+    # orientation
     from arbopack import connectivity, flow, orientation, packing, polytope
 
     built, checked = [], []
@@ -808,7 +814,8 @@ def test_a_positive_builds_one_network_per_digraph(tmp_path, capsys,
     code, out = run(capsys, argv + [path])
     assert code == 0 and out["status"] == "packing"
     assert len(built) == networks
-    assert checked == built[-1:]  # one check, on the last network's digraph
+    # pack's one check is on the last network's digraph
+    assert checked == (built[-1:] if argv == ["pack"] else [])
 
 
 def test_tripwire_is_an_error_envelope(tmp_path, capsys, monkeypatch):
@@ -895,6 +902,80 @@ def test_orientation_tripwire_is_an_error_envelope(tmp_path, capsys,
         "orient_m_connected: the tight sets of greedy steps 1 to 3, merged "
         "into [['a'], ['b'], ['c']], are not a violated partition (tripwire): "
         "engine flow, deficiency -1, vertices 3, edges 1")
+
+
+def test_realized_orientation_tripwire_survives_the_split(tmp_path, capsys,
+                                                         monkeypatch):
+    # a path whose edges point the wrong way, so one reversal realizes the
+    # greedy's vector: a mutant that leaves it out hands pack-undirected
+    # an orientation that is not M-connected.  Its split fails, and the
+    # check then names the same violated set as orient's tripwire
+    from arbopack import orientation
+
+    realize = orientation._realize
+
+    def one_short(dirs, gap):
+        gap = dict(gap)
+        gap[next(v for v, x in gap.items() if x > 0)] -= 1
+        gap[next(v for v, x in gap.items() if x < 0)] += 1
+        return realize(dirs, gap)
+
+    monkeypatch.setattr(orientation, "_realize", one_short)
+    doc = {"version": 1, "vertices": ["a", "b", "c"],
+           "edges": [{"id": "e1", "ends": ["b", "a"]},
+                     {"id": "e2", "ends": ["c", "b"]}],
+           "roots": [{"element": "s1", "vertex": "a"}],
+           "matroid": {"type": "free"}}
+    path = write(tmp_path, "i.json", doc)
+    for command in ("orient", "pack-undirected", "decompose"):
+        code, out = run(capsys, [command, path])
+        assert code == 1 and out["status"] == "error", command
+        assert out["payload"] == {
+            "kind": "TheoremViolation",
+            "message": "orient_m_connected: the in-degree vector realized "
+                       "after 3 greedy steps and 1 path reversals is not "
+                       "M-connected (tripwire): engine flow, violated set "
+                       "['b', 'c'], deficiency -1, vertices 3, edges 2"}, \
+            command
+
+
+@pytest.mark.parametrize("error", ["TheoremViolation", "FlowViolation"])
+@pytest.mark.parametrize("command", ["mincost", "pack-undirected"])
+def test_a_failed_split_of_a_connected_digraph_is_the_answer(
+        tmp_path, capsys, monkeypatch, command, error):
+    # a mutant split that fails on every digraph.  After a
+    # TheoremViolation the digraph is checked, and where it is
+    # M-connected the split's own error is the answer, never a cut, a
+    # certificate or a packing: mincost re-raises it at the greedy vertex
+    # (MINCOST_DOC) or at the optimum after a cut (CYCLE_FIRST_DOC).  Any
+    # other error propagates before any check
+    from arbopack import connectivity, flow, orientation, packing, polytope
+
+    raised = {"TheoremViolation": packing.TheoremViolation,
+              "FlowViolation": flow.FlowViolation}[error]
+    checked = []
+
+    def no_split(inst):
+        raise raised("no split")
+
+    def counted_check(inst, *args, **kwargs):
+        checked.append(inst)
+        return connectivity.check_m_connected(inst, *args, **kwargs)
+
+    for module in (orientation, polytope):
+        monkeypatch.setattr(module, "_construct", no_split)
+        monkeypatch.setattr(module, "check_m_connected", counted_check)
+    directed = command == "mincost"
+    docs = [generate_instance(5, 8, 20, 2, feasible_bias=True,
+                              directed=directed, costs=directed)]
+    if directed:
+        docs += [MINCOST_DOC, CYCLE_FIRST_DOC]
+    for i, doc in enumerate(docs):
+        checked.clear()
+        code, out = run(capsys, [command, write(tmp_path, "%d.json" % i, doc)])
+        assert code == 1 and out["payload"] == {
+            "kind": error, "message": "no split"}, doc
+        assert bool(checked) == (error == "TheoremViolation"), doc
 
 
 def test_plain_runtime_tripwire_is_an_error_envelope(tmp_path, capsys,

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from conftest import digraph, planted_digraph, primed_path, random_digraph
+from conftest import (
+    cut_copy,
+    digraph,
+    planted_digraph,
+    primed_path,
+    random_digraph,
+)
 from arbopack import flow, matroid, packing, sfm
 from arbopack.connectivity import (
     Certificate,
@@ -191,6 +197,34 @@ def test_pinned_check_matches_full_check_on_planted_instances():
     assert rejected > 0 and candidates > rejected
 
 
+def test_split_fails_exactly_where_m_connectivity_fails():
+    """``_construct`` on any digraph with an independent placement: a
+    packing ``verify_packing`` accepts where the digraph is M-connected,
+    and ``TheoremViolation``, never another exception, where it is not,
+    also after steps taken.  Callers that split first rely on it."""
+    rng = random.Random(2626)
+    corpus = [random_digraph(rng, max_v=5, max_arcs=9) for _ in range(250)]
+    for n in (3, 4, 5, 6, 7):
+        for kind in ("free", "uniform", "partition", "graphic", "linear"):
+            for _ in range(3):
+                inst = planted_digraph(rng, n, kind)
+                corpus += [inst, cut_copy(inst)]
+    packed = raised = after_steps = 0
+    for inst in corpus:
+        if not check_independent_placement(inst).ok:
+            continue
+        steps: list = []
+        if check_m_connected(inst).ok:
+            assert verify_packing(inst, packing._construct(inst)) is None, inst
+            packed += 1
+        else:
+            with pytest.raises(TheoremViolation):
+                packing._construct(inst, steps)
+            raised += 1
+            after_steps += bool(steps)
+    assert packed > 150 and raised > 150 and after_steps > 100
+
+
 @pytest.mark.parametrize("engine", ["brute", "min-norm-point"])
 def test_only_the_input_check_minimizes(engine, monkeypatch):
     # the engine decides the input check; every reduction candidate is a
@@ -274,11 +308,16 @@ def test_changed_network_matches_a_fresh_build(engine):
                       for (a, _, _), w in zip(red.inst.arcs, red.witness)
                       if a in classes}
             assert cached == classes, cur
-            # the candidates of the next step, in the order of a fresh run
+            # the candidates of the next step: the bad arcs of a fresh
+            # read, in the order of ``bad``, each one's witnesses in
+            # ground order
             ground = {e: i for i, e in enumerate(cur.matroid.ground)}
+            order = [red.inst.arcs[j][0] for j in red.bad]
+            assert sorted(order) == sorted(
+                a for a, (kind, _) in classes.items() if kind == "bad"), cur
             assert [(red.inst.arcs[j][0], red.names()[x])
                     for j, x in red.candidates()] == [
-                (a, s) for a, _, _ in cur.arcs
+                (a, s) for a in order
                 for s in sorted(classes[a][1], key=ground.__getitem__)], cur
             assert red.net.live_arcs == len(cur.arcs)
             assert (red.net.home, red.net.ebit, red.net.at) == \
@@ -293,14 +332,16 @@ def test_in_place_witnesses_match_a_fresh_read_at_benchmark_size(
     """After every commit on the benchmark's pack-brute positives (seeds 1
     and 2), each live arc's cached witnesses are those ``_witness`` reads
     afresh, a dead arc has none, and ``bad`` lists the live arcs with
-    witnesses in arc order.  Uniform and partition matroids make arcs into
-    a head lose witnesses as well as arcs out of it gain the twin."""
+    witnesses first in, first out: those still bad in their order before
+    the step, then those that turned bad, in arc order.  Uniform and
+    partition matroids make arcs into a head lose witnesses as well as
+    arcs out of it gain the twin."""
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve()
                                     .parent.parent / "perfbench"))
     from build import build_case
     from workloads import WORKLOADS, expand
 
-    lost = gained = 0
+    lost = gained = turned_bad = 0
     for seed in (1, 2):
         for name, spec in expand(WORKLOADS["pack-brute"]):
             if spec.negative:
@@ -308,7 +349,7 @@ def test_in_place_witnesses_match_a_fresh_read_at_benchmark_size(
             inst = parse_instance(build_case(seed, name, spec).text)[0]
             red = ReductionState(inst)
             while True:
-                before = list(red.witness)
+                before, was_bad = list(red.witness), list(red.bad)
                 if find_reduction(red) is None:
                     break
                 for j, (was, now) in enumerate(zip(before, red.witness)):
@@ -318,9 +359,13 @@ def test_in_place_witnesses_match_a_fresh_read_at_benchmark_size(
                         gained += len(now) > len(was)
                     else:
                         assert now == (), (name, seed, j)
-                assert red.bad == [j for j, w in enumerate(red.witness)
-                                   if red.live[j] and w], (name, seed)
-    assert lost > 0 and gained > 0
+                now_bad = [j for j, w in enumerate(red.witness)
+                           if red.live[j] and w]
+                assert list(red.bad) == (
+                    [j for j in was_bad if j in now_bad]
+                    + [j for j in now_bad if j not in was_bad]), (name, seed)
+                turned_bad += len(set(now_bad) - set(was_bad))
+    assert lost > 0 and gained > 0 and turned_bad > 0
 
 
 def names_match_extend_parallel(inst) -> tuple[int, int]:
@@ -431,7 +476,7 @@ def test_base_case_tripwire_stops_an_early_loop(monkeypatch):
             step = super().commit()
             if self.witness[1]:
                 self.witness[1] = ()
-                self.bad.remove(1)
+                del self.bad[1]
             return step
 
     monkeypatch.setattr(packing, "ReductionState", Early)

@@ -355,11 +355,17 @@ def test_cutting_plane_tripwires_name_their_context(monkeypatch, cut, point,
                 ["s1@a", "s2@a"], FreeMatroid(["s1", "s2"]))
     returned = []
 
-    def separate_once(inst, x, keep=None):
+    def separate_once(inst, x):
         returned.append(cut)
         return cut if len(returned) == 1 else None
 
+    def no_split(inst):
+        raise polytope.TheoremViolation("no split")
+
     monkeypatch.setattr(polytope, "separate", separate_once)
+    # the greedy point splits, so the stubbed cut is reached only where
+    # the split fails
+    monkeypatch.setattr(polytope, "_construct", no_split)
     if point is not None:
         monkeypatch.setattr(polytope, "solve_lp", lambda c, rows, start=None: (
             LpResult("optimal", x=point, objective=Fraction(3))))
@@ -439,8 +445,8 @@ def test_lp_rows_hold_one_entry_per_arc_and_cut_arc(monkeypatch, family, n,
         costs = noise_first_costs(extras, t * (n - 1))
     cut_arcs, sizes = [0], []
 
-    def separate_spy(inst, x, keep=None):
-        cut = separate(inst, x, keep=keep)
+    def separate_spy(inst, x):
+        cut = separate(inst, x)
         if cut is not None:
             xs = cut.vertex_set
             cut_arcs.append(cut_arcs[-1] + sum(
