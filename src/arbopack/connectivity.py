@@ -7,14 +7,13 @@ The central quantity is the deficiency of a vertex set X:
 The instance is root-connected (condition (2) of the characterization) iff
 def(X) >= 0 for every nonempty X; def(V) = 0 always, so the minimum is
 never positive.  ``check_m_connected`` splits the nonempty sets by their
-smallest index v (``sfm.by_smallest_index``).  Under ``flow`` run v is
-one flow with sink v and ``out`` = range(v), which keeps every index
-below v out of X (``flow.Network.min_cut``), and the greedy for the
-minimizer keeps out the indices it has dropped the same way and reads
-def(X) from the same network (``flow.Network.cut``);
+smallest index v (``sfm.by_smallest_index``) under every engine.  Under
+``flow`` run v is one flow with sink v and ``out`` = range(v), which
+keeps every index below v out of X (``flow.Network.min_cut``);
 ``min-norm-point`` runs Wolfe's algorithm per run, and ``brute`` walks
-every set.  Under every engine a violated set is the lexicographically
-smallest minimizer.
+every set of the run.  A violated set is the smallest minimizer of the
+first run, by smallest index, that reaches the minimum of def: the
+intersection of that run's minimizers, read off the run itself.
 """
 
 from __future__ import annotations
@@ -129,23 +128,26 @@ def check_m_connected(inst: RootedDigraph, engine: str = "flow",
                       net: Optional[flow.Network] = None) -> Certificate:
     """Condition (2): every nonempty X has in-degree >= rank(S) - rank(S_X).
 
-    A violated set is the lex-smallest minimizer of def, re-checked before
-    it is returned.  Under ``flow`` the check runs on ``net``, the
-    ``flow.Network`` of ``inst`` as it was built, or on one of its own;
-    every flow restores the network it ran on, so a caller can hand the
-    same network on (``packing.ReductionState``).  The other engines read
-    no network.
+    A violated set is the smallest minimizer of the first run, by
+    smallest index, that reaches the minimum of def (module docstring),
+    re-checked before it is returned.  Under ``flow`` the check runs on
+    ``net``, the ``flow.Network`` of ``inst`` as it was built, or on one of
+    its own; every flow restores the network it ran on, so a caller can
+    hand the same network on (``packing.ReductionState``).  The other
+    engines read no network.
     """
     if engine == "flow":
         # min_cut is capped at k, so a run reads min(0, its min): exact
-        # below 0, and only a negative reads the minimizer, whose greedy
-        # reads def(X) from the network
+        # below 0, and only there is the failed search read
         n, k = len(inst.vertices), inst.matroid.full_rank()
         if net is None:
             net = flow.Network(inst)
-        res = sfm.by_smallest_index(
-            n, lambda inc, exc: net.min_cut(inc, k, out=exc) - k,
-            lambda: sfm.SubmodularObjective(n, lambda X: net.cut(X) - k))
+
+        def run(v: int):
+            value = net.min_cut(v, k, out=range(v)) - k
+            return value, net.minimizer() if value < 0 else None
+
+        res = sfm.by_smallest_index(n, run)
     else:
         res = sfm.minimize(deficiency_objective(inst), engine=engine)
     if res.value >= 0:

@@ -1,17 +1,17 @@
 """Unit augmenting paths for the integer deficiency checks.
 
 Take a rooted digraph D = (V, A) with root elements S placed at its
-vertices, a matroid M on S and a nonempty sink set T.  By Menger's
-theorem and Edmonds' matroid intersection theorem (Edmonds 1970),
+vertices, a matroid M on S and a sink vertex t.  By Menger's theorem
+and Edmonds' matroid intersection theorem (Edmonds 1970),
 
-    min { in(X) + r(S_X) : T ⊆ X }
+    min { in(X) + r(S_X) : t ∈ X }
 
-equals the largest number of arc-disjoint paths that end in T, each
+equals the largest number of arc-disjoint paths that end at t, each
 starting at the place of an element of an independent set I, one path
 per element of I.
 
 ``Network.min_cut`` grows I and the paths one unit at a time.  It first
-takes, greedily, the elements placed at sinks that keep I independent:
+takes, greedily, the elements placed at t that keep I independent:
 each is a path of no arcs.  The residual graph of a partial flow has
 vertices and elements as nodes, and a path of it may
 
@@ -21,11 +21,11 @@ vertices and elements as nodes, and a path of it may
 * go from an element y outside I to its vertex (y starts supplying it).
 
 A path starts at an element y outside I with I + y independent, or at a
-vertex with supply left (below), and it ends at a sink.  Each augmenting
-path is found by one breadth-first search backwards from the sinks,
-which tests every node it discovers for a start and stops at the first
-one, so it visits only nodes no farther from the sinks than that start,
-not every element of S.  Flipping the arcs and toggling the elements
+vertex with supply left (below), and it ends at t.  Each augmenting
+path is found by one breadth-first search backwards from t, which tests
+every node it discovers for a start and stops at the first one, so it
+visits only nodes no farther from t than that start, not every element
+of S.  Flipping the arcs and toggling the elements
 along the path adds one unit.  The path is a shortest one, so its
 element exchanges have no shortcut: for i < j, I - x_i + y_j is
 dependent, and so is I + y_j for every y_j after the first.  By the
@@ -35,12 +35,16 @@ again.  When no path exists, the failed search has run out of nodes, and
 the vertices it reached form the smallest minimizer, the intersection of
 all minimizers, whose value is the number of paths found.  At a maximum
 flow no residual arc or exchange enters a minimizer from outside, so
-every node that still reaches a sink lies in each of them.
+every node that still reaches t lies in each of them.  That set is the
+one the library reports: the orientation greedy's tight set of a step,
+and the violated set of ``connectivity.check_m_connected``, which reads
+it from the run that finds the minimum.  Every caller passes one sink:
+the check runs, the orientation steps and the reduction candidates.
 
 Integer per-vertex supplies and demands add supply(X) + demand(V - X) to
 the cut of X: a vertex with supply left is one more start of the search,
-and one with demand left ends a path as a sink does; a sink's own supply
-is taken first, each unit a path of no arcs.  They come as mappings of
+and one with demand left ends a path as t does; t's own supply is
+taken first, each unit a path of no arcs.  They come as mappings of
 the vertices that have any, which a call reads and never copies, so a
 call costs its searches, not the number of vertices.  The orientation
 greedy takes its modular offset this way.
@@ -58,7 +62,7 @@ tail of the removed arc.
 
 from __future__ import annotations
 
-from typing import Collection, Container, Iterable, Optional
+from typing import Container, Optional
 
 from .graphs import RootedDigraph
 
@@ -144,16 +148,16 @@ class Network:
         self.seen.pop()
         self.succ.pop()
 
-    def min_cut(self, sinks: Iterable[int], cap: int,
+    def min_cut(self, sink: int, cap: int,
                 supply: Optional[dict] = None,
                 demand: Optional[dict] = None,
                 out: Container[int] = ()) -> int:
-        """min(cap, min of cut(X) over X holding the sinks and missing
+        """min(cap, min of cut(X) over X holding ``sink`` and missing
         ``out``), where
 
             cut(X) = in(X) + r(S_X) + supply(X) + demand(V - X).
 
-        ``sinks`` are vertex indices.  ``supply`` and ``demand`` map
+        ``sink`` is a vertex index.  ``supply`` and ``demand`` map
         vertex indices to positive integers, 0 where a vertex is left out:
         a virtual source feeds vertex w up to supply[w] units, and w passes
         up to demand[w] units on to a virtual sink that every X holds.
@@ -164,10 +168,11 @@ class Network:
         together.  All three are read as given, never copied or changed;
         the units a call uses are counted in dicts of its own.  At most
         ``cap`` augmentations, all in integers, each found by a search
-        backwards from the sinks.  ``cap`` is flipped along each path and
+        backwards from the sink.  ``cap`` is flipped along each path and
         restored, from the log of flips, before the call returns or
         raises.  When the value is below ``cap`` the last search has
-        failed, and ``minimizer()`` gives the smallest minimizer.
+        failed, and ``minimizer()`` gives the smallest minimizer: every
+        caller that reads one reads it before its next call.
         """
         adj, home, ebit, at, rank = (self.adj, self.home, self.ebit, self.at,
                                      self.rank)
@@ -178,9 +183,6 @@ class Network:
         supply = supply or {}
         demand = demand or {}
         starts = supply or out  # a vertex kept out never runs dry
-        ends = sorted(set(sinks))
-        if not ends:
-            raise ValueError("the sinks must be nonempty")
         fed = {}        # units of supply each vertex has started paths with
         dry = set()     # vertices whose supply is all used
         met = {}        # units of demand each vertex has ended paths with
@@ -188,30 +190,28 @@ class Network:
         log = []        # residual arcs flipped, each undone in the finally
         inside = {}     # I, the supplying elements, in the order they joined
         mask = size = 0
-        for i in ends:
-            for x in at[i]:
-                if size < cap and rank[mask | ebit[x]] > size:
-                    inside[x] = None
-                    mask |= ebit[x]
-                    size += 1
+        for x in at[sink]:
+            if size < cap and rank[mask | ebit[x]] > size:
+                inside[x] = None
+                mask |= ebit[x]
+                size += 1
         value = size
-        for i in ends:  # a sink's own supply: paths of no arcs as well
-            s = cap if i in out else supply.get(i, 0)
-            f = min(s, cap - value)
-            if f > 0:
-                value += f
-                fed[i] = f
-                if f == s:
-                    dry.add(i)
+        # the sink's own supply: paths of no arcs as well
+        s = cap if sink in out else supply.get(sink, 0)
+        f = min(s, cap - value)
+        if f > 0:
+            value += f
+            fed[sink] = f
+            if f == s:
+                dry.add(sink)
         try:
             while value < cap:
                 self._stamp = stamp = self._stamp + 1
                 start = None
-                # the vertices that may still end a path: a sink marked
+                # the vertices that may still end a path: the sink marked
                 # -1 in succ, one with demand left -2
-                queue = ends[:]
-                for i in queue:
-                    seen[i], succ[i] = stamp, -1
+                queue = [sink]
+                seen[sink], succ[sink] = stamp, -1
                 for i, d in demand.items():
                     if seen[i] != stamp and met.get(i, 0) < d:
                         seen[i], succ[i] = stamp, -2
@@ -288,9 +288,9 @@ class Network:
                 if rank[mask] != size:
                     raise FlowViolation(
                         "min_cut: the supplying elements are dependent after "
-                        "augmentation %d (tripwire): engine flow, sinks %s, "
+                        "augmentation %d (tripwire): engine flow, sink %s, "
                         "sources %s, arcs %d, roots %d"
-                        % (value + 1, sorted(self.vertices[i] for i in ends),
+                        % (value + 1, self.vertices[sink],
                            sorted(self.vertices[i] for i in range(n)
                                   if i in starts),
                            self.live_arcs, len(home)))
@@ -300,23 +300,6 @@ class Network:
             for c in log:
                 res[c] ^= 1
                 res[c ^ 1] ^= 1
-
-    def cut(self, X: Collection[int]) -> int:
-        """in(X) + r(S_X) for the vertex indices in ``X``: the live arcs
-        entering X plus the rank of the elements placed in it, read from
-        ``adj``, ``cap``, ``at``, ``ebit`` and the rank memo.
-
-        ``cap`` marks the live arcs only between ``min_cut`` calls.
-        """
-        adj, cap, at, ebit = self.adj, self.cap, self.at, self.ebit
-        entering = mask = 0
-        for i in X:
-            for x in at[i]:
-                mask |= ebit[x]
-            for c, w in adj[i]:  # an odd c is an arc into i, from w
-                if c & 1 and cap[c ^ 1] and w not in X:
-                    entering += 1
-        return entering + self.rank[mask]
 
     def minimizer(self) -> frozenset:
         """Indices of the vertices the failed last search of ``min_cut``

@@ -121,7 +121,7 @@ def _orient(g: RootedGraph
         # def(X) + gap(X) = in(X) + r(S_X) + g+(X) + g-(V - X) - k - g-(V):
         # the cut of X when a virtual source supplies w with g+(w) units
         # and w passes g-(w) on to a virtual sink inside X
-        gap[i] -= net.min_cut((i,), cap, supply, demand) - k - owed
+        gap[i] -= net.min_cut(i, cap, supply, demand) - k - owed
         steps.append(net.minimizer())
         # the step changed gap at v_i alone, from its first value: k plus
         # the out-degree, no demand

@@ -439,7 +439,7 @@ def _keeps_connected(red: ReductionState, j: int) -> bool:
     minimizes def' over those sets alone: one flow into v with u kept
     out.  Only the minimum value is read, never a minimizer.
     """
-    return red.net.min_cut((red.head[j],), red.k,
+    return red.net.min_cut(red.head[j], red.k,
                            out=(red.tail[j],)) >= red.k
 
 

@@ -10,8 +10,9 @@ whose minimizers and sign are the same.  A 0/1 point (D = 1) is decided
 by ``check_m_connected`` on its support, one flow per smallest index.  A
 fractional point's weighted arcs are not the unit arcs those flows take,
 so it is minimized by min-norm-point, exact in ints and with no size
-cap.  Either way the violated cut is the lex-smallest minimizer.  No
-engine is chosen here: ``min_cost_packing``'s ``engine`` decides its
+cap.  Either way the nonempty sets are split by smallest index, and the
+violated cut is the smallest minimizer of the first run that reaches the
+minimum (``sfm.by_smallest_index``).  No engine is chosen here: ``min_cost_packing``'s ``engine`` decides its
 check of the instance alone.
 
 Min-cost optimization is an exact cutting-plane loop.  It starts at the
@@ -118,7 +119,9 @@ def separate(inst: RootedDigraph,
     then the minimizing cut.  Every test runs on x times the lcm of its
     denominators, in ints.  A 0/1 point's cut objective is the deficiency
     of its support, decided by ``check_m_connected`` by flow; a fractional
-    point's is minimized by min-norm-point.
+    point's is minimized by min-norm-point.  Both report the smallest
+    minimizer of the first run, by smallest index, that reaches the
+    minimum.
     """
     scale = math.lcm(*(v.denominator for v in x.entries.values()))
     weights = {a: v.numerator * (scale // v.denominator)
@@ -189,7 +192,7 @@ def min_cost_packing(inst: RootedDigraph, costs: dict, engine: str = "flow",
     for v, into in entering.items():  # x(entering v) = d(v)
         need = k - inst.matroid.rank(inst.elements_at(v))
         if len(into) < need:
-            # {v} is a violated set, and the check names the least one
+            # {v} is a violated set, and the check names one
             cert = check_m_connected(inst, engine=engine)
             if not cert.ok:
                 return cert

@@ -1,43 +1,44 @@
 """Submodular function minimization over the nonempty sets.
 
+Every engine splits the nonempty sets by their smallest index
+(``by_smallest_index``): run v minimizes over the sets whose smallest
+index is v, the sink order of Hao and Orlin's minimum cut (J. Algorithms
+1994).  Those sets are closed under union and intersection, so the
+minimizers of a submodular function among them form a lattice, and the
+run's smallest minimizer, the intersection of them all, is unique.  The
+reported minimizer is that set for the first run, by smallest index,
+that reaches the minimum; each engine reads it off the run itself.
+
 Two engines:
 
 * ``brute`` - exhaustive enumeration, exact, hard cap on the ground size.
-  This is the reference oracle.  It walks the nonempty sets in the lex
-  order of sorted index tuples, so the first minimum it meets is the
-  lex-smallest minimizer.
+  This is the reference oracle.  Run v walks the sets that hold v and
+  larger indices only, depth first, and intersects the sets that tie the
+  least value met, starting over at each strict improvement.
 * ``min-norm-point`` - Fujishige-Wolfe over the base polytope in exact
   arithmetic, so no tolerances exist.  It takes integer-valued objectives
   only, whose greedy vertices are integer vectors; a vertex with another
   entry raises ``ValueError``.  Wolfe keeps the Gram matrix of its point
   set across cycles, solves the affine minimization on it by Bareiss
   elimination, and holds the current point as an integer vector over one
-  common denominator.  ``Fraction`` is used only in the line search.  The
-  nonempty family is split by smallest index (``by_smallest_index``):
-  run v pins v and excludes 0..v-1, on a free ground of n - 1 - v
-  indices.  The lex-smallest minimizer starts at the first run that
-  reaches the minimum; past that index it costs up to n - 2 more runs,
-  so it is computed only when ``SfmResult.minimizer`` is read.
+  common denominator.  ``Fraction`` is used only in the line search.  Run
+  v contracts v (``_pinned_min``) and minimizes on the free ground of the
+  n - 1 - v indices above it; by Fujishige's theorem (1980) the entries
+  of the min-norm point x* below 0 are the smallest minimizer there.
 
 Objectives evaluate on sets of integer ground indices 0..n-1 and return
-ints (``brute`` also takes Fractions).  A set handed to an objective may
-be one that the lex-smallest minimizer's greedy grows in place, so an
-objective reads it during the call and keeps no reference to it.  Every
-objective the library builds is integer-valued: separation hands over
-its cut objective scaled by the common denominator of the LP point
-(``polytope.separate``).
-Min-norm-point's pinned runs and the lex-smallest minimizer are handled
-by contraction/deletion: pin a set I in and a set E out, minimize the
-induced (still submodular) function on the rest.
+ints (``brute`` also takes Fractions).  Every objective the library
+builds is integer-valued: separation hands over its cut objective scaled
+by the common denominator of the LP point (``polytope.separate``).
 
 The library's default engine, ``flow`` (``arbopack.flow``), is no
 submodular minimizer, and ``minimize`` rejects it as unknown; but
-``check_m_connected`` hands ``by_smallest_index`` one flow per pinned
-minimization, so the split and the lex-smallest minimizer are the same
-code under ``flow`` and ``min-norm-point``.  Outside ``check_m_connected``
-the library minimizes here once: the separation of a fractional LP
-point, with arc weights that are the point times its common denominator,
-runs ``min-norm-point`` whatever the engine.
+``check_m_connected`` hands ``by_smallest_index`` one flow per run, whose
+failed search is the run's smallest minimizer, so the rule is the same
+code under every engine.  Outside ``check_m_connected`` the library
+minimizes here once: the separation of a fractional LP point, with arc
+weights that are the point times its common denominator, runs
+``min-norm-point`` whatever the engine.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 from operator import mul
-from typing import AbstractSet, Callable, Collection
+from typing import AbstractSet, Callable
 
 from .graphs import SizeLimitError
 
@@ -70,36 +71,18 @@ class SubmodularObjective:
     family: tuple = ("nonempty",)
 
 
+@dataclass(frozen=True)
 class SfmResult:
-    """Minimum value and the lex-smallest minimizer of one ``minimize``.
+    """The minimum of one ``by_smallest_index`` and the smallest minimizer
+    of the first run that reaches it, or None where that run read none."""
 
-    Given ``find`` instead of a minimizer, the minimizer is computed by
-    ``find()`` the first time it is read, so a caller that only needs the
-    value never pays for it.
-    """
-
-    __slots__ = ("value", "_minimizer", "_find")
-
-    def __init__(self, minimizer: frozenset | None, value,
-                 find: Callable[[], frozenset] | None = None):
-        self.value = value
-        self._minimizer = minimizer
-        self._find = find
-
-    @property
-    def minimizer(self) -> frozenset:
-        if self._find is not None:
-            self._minimizer = self._find()
-            self._find = None
-        return self._minimizer
+    minimizer: frozenset | None
+    value: object
 
 
 def minimize(obj: SubmodularObjective, engine: str = "brute") -> SfmResult:
-    """Minimize over the nonempty sets with deterministic tie-break.
-
-    The reported minimizer is the lexicographically smallest one in the
-    canonical index order (comparing sorted index tuples).
-    """
+    """Minimize over the nonempty sets, split by smallest index
+    (``by_smallest_index``), with that split's minimizer."""
     if obj.n <= 0:
         raise ValueError("empty ground set")
     if obj.family != ("nonempty",):
@@ -107,8 +90,26 @@ def minimize(obj: SubmodularObjective, engine: str = "brute") -> SfmResult:
     if engine == "brute":
         return _minimize_brute(obj)
     if engine == "min-norm-point":
-        return by_smallest_index(obj.n, partial(_pinned_min, obj), lambda: obj)
+        return by_smallest_index(obj.n, partial(_pinned_min, obj))
     raise ValueError("unknown engine %r" % engine)
+
+
+def by_smallest_index(n: int, run) -> SfmResult:
+    """Minimum over the nonempty subsets of 0..n-1, split by smallest index.
+
+    ``run(v)`` returns the min over the sets whose smallest index is v and
+    the smallest minimizer of that family; the minimizer may be ``None``
+    where the value is above the minimum or the caller reads none (a flow
+    that reaches its cap).  The first run with the least value wins.
+    """
+    if n <= 0:
+        raise ValueError("empty ground set")
+    best_val, best_set = run(0)
+    for v in range(1, n):
+        val, least = run(v)
+        if val < best_val:
+            best_val, best_set = val, least
+    return SfmResult(best_set, best_val)
 
 
 # -- brute engine -------------------------------------------------------------
@@ -123,96 +124,54 @@ def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
         )
     evaluate = obj.evaluate
     single = [frozenset((i,)) for i in range(n)]
-    best_val = best_set = None
 
-    # Each set is followed by its extensions by larger indices, depth
-    # first: that is the lex order of sorted index tuples, so the first
-    # minimum met is the lex-smallest minimizer.
-    def walk(s: frozenset, lo: int) -> None:
-        """Visit s + {j} for each j >= lo, each followed by its own
-        extensions."""
-        nonlocal best_val, best_set
-        for j in range(lo, n):
-            t = s | single[j]
-            v = evaluate(t)
-            if best_val is None or v < best_val:
-                best_val, best_set = v, t
-            if j < n - 1:
-                walk(t, j + 1)
+    def run(v: int):
+        best_set = single[v]
+        best_val = evaluate(best_set)
 
-    walk(frozenset(), 0)
-    return SfmResult(best_set, best_val)
+        def walk(s: frozenset, lo: int) -> None:
+            """Visit s + {j} for each j >= lo, each followed by its own
+            extensions."""
+            nonlocal best_val, best_set
+            for j in range(lo, n):
+                t = s | single[j]
+                val = evaluate(t)
+                if val < best_val:
+                    best_val, best_set = val, t
+                elif val == best_val:
+                    best_set &= t
+                if j < n - 1:
+                    walk(t, j + 1)
 
+        walk(best_set, v + 1)
+        return best_val, best_set
 
-# -- split by smallest index --------------------------------------------------
-
-
-def by_smallest_index(n: int, pinned_min, objective) -> SfmResult:
-    """Minimum over the nonempty subsets of 0..n-1, and their lex-smallest
-    minimizer.
-
-    Run v is ``pinned_min({v}, range(v))``, the min over the sets whose
-    smallest index is v (the sink order of Hao and Orlin's minimum cut,
-    J. Algorithms 1994), and the value is the least run.
-    ``pinned_min(include, exclude)`` is the min over the sets that hold
-    ``include`` and miss ``exclude``, or any value above the minimum where
-    that min is above it; it reads both during the call only.  The
-    minimizer is found the first time it is read, by the greedy from the
-    first run that reaches the value; only then is ``objective()``
-    called, for the objective the greedy reads.
-    """
-    if n <= 0:
-        raise ValueError("empty ground set")
-    runs = [pinned_min(frozenset((v,)), range(v)) for v in range(n)]
-    best_val = min(runs)
-    return SfmResult(None, best_val, lambda: _canonical_minimizer(
-        objective(), best_val, pinned_min, runs.index(best_val)))
-
-
-def _canonical_minimizer(obj, best_val, pinned_min, first) -> frozenset:
-    """Greedy lex-smallest nonempty minimizer via pinned sub-minimizations.
-
-    ``first`` is its smallest index.  Scans the indices after it in
-    canonical order; at each step prefers stopping at the current prefix
-    (every other index out), then including the index, then skipping it.
-    The prefix and the skipped indices are two sets grown in place and
-    handed as they are to ``evaluate`` and ``pinned_min``, so a step
-    copies neither.
-    """
-    chosen = {first}
-    dropped = set(range(first))
-    for i in range(first + 1, obj.n):
-        if obj.evaluate(chosen) == best_val:
-            break
-        chosen.add(i)
-        if pinned_min(chosen, dropped) != best_val:
-            chosen.remove(i)
-            dropped.add(i)
-    return frozenset(chosen)
+    return by_smallest_index(n, run)
 
 
 # -- min-norm-point engine -----------------------------------------------------
 
 
-def _pinned_min(obj: SubmodularObjective, include: AbstractSet[int],
-                exclude: Collection[int]):
-    """Min of evaluate over {X : include ⊆ X, X ∩ exclude = ∅}.
+def _pinned_min(obj: SubmodularObjective, v: int):
+    """Run v of ``min-norm-point``: the min over the sets whose smallest
+    index is v, and their smallest minimizer.
 
-    Contraction: g(Y) = f(Y ∪ I) - f(I) on the free indices; g stays
-    submodular and normalized.  The value is read at the maximal minimizer
-    of g, the set where Wolfe's min-norm point is <= 0.
+    Contraction: g(Y) = f(Y + v) - f({v}) on the free indices above v; g
+    stays submodular and normalized, and {v} plus its smallest minimizer,
+    the entries of Wolfe's min-norm point below 0, is the run's.
     """
-    free = [i for i in range(obj.n) if i not in include and i not in exclude]
-    base = obj.evaluate(include)
+    pin = frozenset((v,))
+    free = range(v + 1, obj.n)
     if not free:
-        return base
-    idx = {j: free[j] for j in range(len(free))}
+        return obj.evaluate(pin), pin
+    base = obj.evaluate(pin)
 
     def g(js: frozenset):
-        return obj.evaluate(include | {idx[j] for j in js}) - base
+        return obj.evaluate(pin | {free[j] for j in js}) - base
 
-    xn, _ = _wolfe_min_norm(len(free), g, include, exclude)
-    return g(frozenset(j for j in range(len(free)) if xn[j] <= 0)) + base
+    xn, _ = _wolfe_min_norm(len(free), g, pin, range(v))
+    least = pin | {free[j] for j, a in enumerate(xn) if a < 0}
+    return obj.evaluate(least), least
 
 
 def _greedy_vertex(n: int, g, w) -> list:

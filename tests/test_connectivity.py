@@ -1,12 +1,15 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import digraph, graph, random_digraph
+from conftest import cut_copy, digraph, graph, planted_digraph, random_digraph
 from arbopack.connectivity import (
+    VIOLATED_SET,
+    Certificate,
     check_independent_placement,
     check_m_connected,
     check_partition_connected,
@@ -277,39 +280,129 @@ def decision_pair():
 
 @pytest.mark.parametrize("engine", ["flow", "min-norm-point"])
 def test_passing_check_is_decision_only(monkeypatch, engine):
-    from arbopack import sfm
+    # flow reads a failed search only on a negative run, so a passing
+    # check reads none, and the violated instance's two negative runs
+    # (sinks a and b) one each; min-norm-point reads each run's minimizer
+    # off its Wolfe point, so a check makes its n - 1 Wolfe runs and no
+    # more, passing or not
+    from arbopack import flow, sfm
 
     feasible, violated, expected = decision_pair()
+    reads = []
+    if engine == "flow":
+        minimizer = flow.Network.minimizer
 
-    def no_minimizer(*args):
-        raise AssertionError("a passing check searched for a minimizer")
+        def spy(net):
+            reads.append(None)
+            return minimizer(net)
 
-    with monkeypatch.context() as patched:
-        patched.setattr(sfm, "_canonical_minimizer", no_minimizer)
-        assert check_m_connected(feasible, engine=engine).ok
+        monkeypatch.setattr(flow.Network, "minimizer", spy)
+    else:
+        wolfe = sfm._wolfe_min_norm
+
+        def spy(*args):
+            reads.append(None)
+            return wolfe(*args)
+
+        monkeypatch.setattr(sfm, "_wolfe_min_norm", spy)
+    assert check_m_connected(feasible, engine=engine).ok
+    assert len(reads) == (0 if engine == "flow" else 3)
+    reads.clear()
     assert check_m_connected(violated, engine=engine) == expected
+    assert len(reads) == (2 if engine == "flow" else 3)
 
 
 def test_flow_run_i_keeps_out_exactly_the_indices_below_i(monkeypatch):
     # the flow check is split by smallest index: run i has sink i, cap
-    # k = 2, no supply or demand, and keeps out each index below i; the
-    # greedy of a negative comes after the n runs
+    # k = 2, no supply or demand, and keeps out each index below i; a
+    # negative reads its violated set off those runs and makes no more
     from arbopack import flow
 
     calls = []
     min_cut = flow.Network.min_cut
 
-    def spy(net, sinks, cap, supply=None, demand=None, out=()):
-        calls.append((tuple(sinks), cap, supply, demand,
+    def spy(net, sink, cap, supply=None, demand=None, out=()):
+        calls.append((sink, cap, supply, demand,
                       {i for i in range(len(net.pos)) if i in out}))
-        return min_cut(net, sinks, cap, supply, demand, out)
+        return min_cut(net, sink, cap, supply, demand, out)
 
     monkeypatch.setattr(flow.Network, "min_cut", spy)
     feasible, violated, expected = decision_pair()
-    runs = [((i,), 2, None, None, set(range(i))) for i in range(4)]
+    runs = [(i, 2, None, None, set(range(i))) for i in range(4)]
     calls.clear()
     assert check_m_connected(feasible).ok
     assert calls == runs
     calls.clear()
     assert check_m_connected(violated) == expected
-    assert calls[:4] == runs
+    assert calls == runs
+
+
+def runs_by_smallest_index(inst) -> list:
+    """For each vertex index v, the map X -> def(X) over the sets whose
+    smallest index is v, with def(X) read from ``in_degree`` and the
+    matroid's rank."""
+    verts, m = inst.vertices, inst.matroid
+    k = m.full_rank()
+    runs = []
+    for v in range(len(verts)):
+        run = {}
+        for r in range(len(verts) - v):
+            for extra in itertools.combinations(verts[v + 1:], r):
+                xs = frozenset((verts[v], *extra))
+                run[xs] = in_degree(inst, xs) + m.rank(inst.elements_in(xs)) - k
+        runs.append(run)
+    return runs
+
+
+def thinned(rng, inst):
+    """``inst`` with each arc kept with probability 3/4."""
+    return RootedDigraph(inst.vertices,
+                         [a for a in inst.arcs if rng.random() < 0.75],
+                         inst.roots, inst.matroid)
+
+
+def test_every_engine_reports_the_first_minimizing_runs_smallest_minimizer():
+    # the reference: the minimizers of each run, by smallest index, by
+    # enumeration, and the intersection of those of the first run that
+    # reaches the minimum.  The counters show the corpus tells that rule
+    # from its near misses: a later run that ties the minimum with
+    # another set, a later negative run with another smallest minimizer,
+    # a winning run with several minimizers, and a certificate that is
+    # not the lex-smallest minimizer
+    rng = random.Random(1980)
+    corpus = [random_digraph(rng, max_v=9, max_arcs=16, max_roots=4)
+              for _ in range(150)]
+    for kind in ("free", "uniform", "partition", "graphic", "linear"):
+        for n in range(3, 10):
+            inst = planted_digraph(rng, n, kind)
+            corpus += [inst, cut_copy(inst), thinned(rng, inst)]
+    seen = Counter()
+    for inst in corpus:
+        runs = runs_by_smallest_index(inst)
+        lows = [min(run.values()) for run in runs]
+        least = min(lows)
+        first = lows.index(least)
+        tied = [xs for xs, d in runs[first].items() if d == least]
+        want = Certificate(VIOLATED_SET, vertex_set=frozenset.intersection(
+            *tied), deficiency=least) if least < 0 else Certificate("ok")
+        for engine in ("flow", "brute", "min-norm-point"):
+            assert check_m_connected(inst, engine) == want, (engine, inst.arcs,
+                                                             inst.roots)
+        if least >= 0:
+            seen["ok"] += 1
+            continue
+        seen["violated"] += 1
+        smallest = [frozenset.intersection(*(xs for xs, d in run.items()
+                                             if d == low))
+                    for run, low in zip(runs, lows)]
+        later = range(first + 1, len(runs))
+        seen["tie later"] += any(lows[v] == least for v in later)
+        seen["negative later"] += any(
+            lows[v] < 0 and smallest[v] != smallest[first] for v in later)
+        seen["several minimizers"] += len(tied) > 1
+        lex = min(tied, key=lambda xs: sorted(inst.vertices.index(v)
+                                              for v in xs))
+        seen["not lex-smallest"] += lex != want.vertex_set
+    assert all(seen[c] >= 10 for c in (
+        "ok", "violated", "tie later", "negative later",
+        "several minimizers", "not lex-smallest")), seen

@@ -297,8 +297,8 @@ def test_changed_network_matches_a_fresh_build(engine):
             n = len(cur.vertices)
             for w in range(n):
                 for src in [{}] + [{u: cap} for u in range(n) if u != w]:
-                    got = red.net.min_cut((w,), cap, src)
-                    assert got == fresh.min_cut((w,), cap, src), \
+                    got = red.net.min_cut(w, cap, src)
+                    assert got == fresh.min_cut(w, cap, src), \
                         (cur, w, src)
                     assert red.net.minimizer() == fresh.minimizer(), \
                         (cur, w, src)

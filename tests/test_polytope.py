@@ -103,23 +103,29 @@ def test_box_violations_found_first():
 
 def fraction_separation(inst, x):
     """The most violated cut by Fraction enumeration of every nonempty
-    vertex set, the lex-smallest index tuple among the minimizers, or None
-    when no cut is violated."""
+    vertex set, or None when no cut is violated.  The sets are split by
+    smallest index, and the cut is the intersection of the minimizers of
+    the first split that reaches the minimum."""
     verts, m = inst.vertices, inst.matroid
     k = m.full_rank()
     best = None
-    for size in range(1, len(verts) + 1):
-        for idx in itertools.combinations(range(len(verts)), size):
-            xs = {verts[i] for i in idx}
-            value = (sum((x.entries[a] for a, t, h in inst.arcs
-                          if h in xs and t not in xs), Fraction(0))
-                     + m.rank(inst.elements_in(xs)) - k)
-            if best is None or (value, idx) < best[:2]:
-                best = (value, idx, frozenset(xs))
+    for v in range(len(verts)):
+        values = {}
+        rest = range(v + 1, len(verts))
+        for size in range(len(rest) + 1):
+            for idx in itertools.combinations(rest, size):
+                xs = frozenset(verts[i] for i in (v, *idx))
+                values[xs] = (sum((x.entries[a] for a, t, h in inst.arcs
+                                   if h in xs and t not in xs), Fraction(0))
+                              + m.rank(inst.elements_in(xs)) - k)
+        least = min(values.values())
+        if best is None or least < best[0]:
+            best = (least, frozenset.intersection(
+                *(xs for xs, val in values.items() if val == least)))
     if best[0] >= 0:
         return None
     return polytope.PolytopeConstraint(
-        "cut", vertex_set=best[2], rhs=k - m.rank(inst.elements_in(best[2])))
+        "cut", vertex_set=best[1], rhs=k - m.rank(inst.elements_in(best[1])))
 
 
 def random_point(rng, inst):
@@ -161,9 +167,9 @@ def test_separation_matches_fraction_enumeration():
 
 def test_flow_separation_of_0_1_points_matches_brute():
     # a 0/1 point is decided by flow on its support; the cut, the
-    # lex-smallest minimizer with its rhs, must be the one brute
-    # enumeration finds on that support, on every 0/1 point of the right
-    # mass
+    # smallest minimizer of the first minimizing run with its rhs, must
+    # be the one brute enumeration finds on that support, on every 0/1
+    # point of the right mass
     from arbopack.sweeps import iter_directed_instances
 
     found = Counter()

@@ -79,8 +79,8 @@ def test_minimize_takes_brute_and_min_norm_point_only(engine):
 def test_engine_agreement_on_deficiency_objectives(monkeypatch):
     # min-norm-point minimizes over the nonempty sets by one Wolfe run per
     # smallest index v (v pinned, 0..v-1 excluded), on free grounds of
-    # n - 1, n - 2, ..., 1 indices; the last run needs no Wolfe.  A
-    # singleton lex-smallest minimizer is read off those runs alone.
+    # n - 1, n - 2, ..., 1 indices; the last run needs no Wolfe, and no
+    # minimizer costs a run more.
     sizes = []
     wolfe = sfm._wolfe_min_norm
 
@@ -90,7 +90,6 @@ def test_engine_agreement_on_deficiency_objectives(monkeypatch):
 
     monkeypatch.setattr(sfm, "_wolfe_min_norm", recorded)
     rng = random.Random(23)
-    singletons = 0
     for _ in range(200):
         d = random_digraph(rng, max_v=5, max_arcs=7)
         obj = deficiency_objective(d)
@@ -99,11 +98,29 @@ def test_engine_agreement_on_deficiency_objectives(monkeypatch):
         m = minimize(obj, engine="min-norm-point")
         assert sizes == list(range(obj.n - 1, 0, -1))
         assert b.value == m.value
-        assert b.minimizer == m.minimizer  # canonical tie-break shared
-        if len(b.minimizer) == 1 and obj.n > 1:
-            singletons += 1
-            assert len(sizes) == obj.n - 1
-    assert singletons > 50
+        assert b.minimizer == m.minimizer  # the rule is shared
+
+
+def test_by_smallest_index_keeps_the_first_least_run():
+    # run v's value and smallest minimizer; runs 1 and 3 tie the least
+    # value, and run 1, the first, wins
+    runs = [(0, None), (-2, frozenset({1, 2})), (-1, frozenset({2})),
+            (-2, frozenset({3}))]
+    res = sfm.by_smallest_index(4, runs.__getitem__)
+    assert (res.minimizer, res.value) == (frozenset({1, 2}), -2)
+    with pytest.raises(ValueError, match="empty ground set"):
+        sfm.by_smallest_index(0, runs.__getitem__)
+
+
+def test_brute_and_min_norm_point_report_the_smallest_minimizer():
+    # the modular f(X) = 5[0 in X] - [1 in X] - [3 in X]: its least value,
+    # -2, is reached in run 1 alone, at {1, 3} and {1, 2, 3}.  The report
+    # is the smallest of the two, not the lex-smallest, {1, 2, 3}
+    weights = (5, -1, 0, -1)
+    obj = SubmodularObjective(4, lambda x: sum(weights[i] for i in x))
+    for engine in ("brute", "min-norm-point"):
+        res = minimize(obj, engine=engine)
+        assert (res.minimizer, res.value) == (frozenset({1, 3}), -2), engine
 
 
 def test_deficiency_of_whole_vertex_set_is_zero():
