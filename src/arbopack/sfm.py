@@ -162,9 +162,9 @@ def _pinned_min(obj: SubmodularObjective, v: int):
     """
     pin = frozenset((v,))
     free = range(v + 1, obj.n)
-    if not free:
-        return obj.evaluate(pin), pin
     base = obj.evaluate(pin)
+    if not free:
+        return base, pin
 
     def g(js: frozenset):
         return obj.evaluate(pin | {free[j] for j in js}) - base
