@@ -9,7 +9,7 @@ def(X) >= 0 for every nonempty X; def(V) = 0 always, so the minimum is
 never positive.  ``check_m_connected`` splits the nonempty sets by their
 smallest index v (``sfm.by_smallest_index``) under every engine.  Under
 ``flow`` run v is one flow with sink v and ``out`` = range(v), which
-keeps every index below v out of X (``flow.Network.min_cut``);
+keeps every index below v out of X (``flow_deficiency``);
 ``min-norm-point`` runs Wolfe's algorithm per run, and ``brute`` walks
 every set of the run.  A violated set is the smallest minimizer of the
 first run, by smallest index, that reaches the minimum of def: the
@@ -124,6 +124,18 @@ def deficiency_objective(inst: RootedDigraph, weights: Optional[dict] = None,
     return sfm.SubmodularObjective(len(verts), evaluate, ("nonempty",))
 
 
+def flow_deficiency(net: flow.Network, k: int, read) -> sfm.SfmResult:
+    """min(0, min of def) on ``net``'s digraph by one flow per smallest
+    index v, capped at k with the indices below v kept out, and the set
+    that ``read(net)``, a ``flow.Network`` minimizer, gives on the first
+    run that reaches it below 0."""
+    def run(v: int):
+        value = net.min_cut(v, k, out=range(v)) - k
+        return value, read(net) if value < 0 else None
+
+    return sfm.by_smallest_index(len(net.pos), run)
+
+
 def check_m_connected(inst: RootedDigraph, engine: str = "flow",
                       net: Optional[flow.Network] = None) -> Certificate:
     """Condition (2): every nonempty X has in-degree >= rank(S) - rank(S_X).
@@ -137,17 +149,8 @@ def check_m_connected(inst: RootedDigraph, engine: str = "flow",
     engines read no network.
     """
     if engine == "flow":
-        # min_cut is capped at k, so a run reads min(0, its min): exact
-        # below 0, and only there is the failed search read
-        n, k = len(inst.vertices), inst.matroid.full_rank()
-        if net is None:
-            net = flow.Network(inst)
-
-        def run(v: int):
-            value = net.min_cut(v, k, out=range(v)) - k
-            return value, net.minimizer() if value < 0 else None
-
-        res = sfm.by_smallest_index(n, run)
+        res = flow_deficiency(net if net is not None else flow.Network(inst),
+                              inst.matroid.full_rank(), flow.Network.minimizer)
     else:
         res = sfm.minimize(deficiency_objective(inst), engine=engine)
     if res.value >= 0:

@@ -38,8 +38,9 @@ flow no residual arc or exchange enters a minimizer from outside, so
 every node that still reaches t lies in each of them.  That set is the
 one the library reports: the orientation greedy's tight set of a step,
 and the violated set of ``connectivity.check_m_connected``, which reads
-it from the run that finds the minimum.  Every caller passes one sink:
-the check runs, the orientation steps and the reduction candidates.
+it from the run that finds the minimum.  The vertices no start reaches
+form the largest minimizer, the separation cut of a 0/1 LP point
+(``largest_minimizer``).  Every caller passes one sink.
 
 Integer per-vertex supplies and demands add supply(X) + demand(V - X) to
 the cut of X: a vertex with supply left is one more start of the search,
@@ -89,7 +90,7 @@ class Network:
     holds each discovered node's next node on its way to a sink, and
     ``via`` the residual arc a vertex leaves by.  A ``min_cut`` that ends
     below its cap keeps the node list of its failed search for
-    ``minimizer()``.
+    ``minimizer()``, and its flow for ``largest_minimizer()``.
 
     The reduction loop (``packing.ReductionState``) changes the network
     in place instead of building a new one per step.  ``remove_arc(j)``
@@ -171,8 +172,9 @@ class Network:
         backwards from the sink.  ``cap`` is flipped along each path and
         restored, from the log of flips, before the call returns or
         raises.  When the value is below ``cap`` the last search has
-        failed, and ``minimizer()`` gives the smallest minimizer: every
-        caller that reads one reads it before its next call.
+        failed, and ``minimizer()`` gives the smallest minimizer (and
+        ``largest_minimizer()`` the largest): a caller reads it before
+        its next call.
         """
         adj, home, ebit, at, rank = (self.adj, self.home, self.ebit, self.at,
                                      self.rank)
@@ -256,7 +258,8 @@ class Network:
                                 seen[n + x], succ[n + x] = stamp, node
                                 queue.append(n + x)
                 if start is None:
-                    self._search = queue
+                    # for minimizer(), and largest_minimizer() replays log
+                    self._search = queue, log, inside, mask, starts, dry
                     return value
                 if start < n and supply:  # only a supply runs dry
                     fed[start] = f = fed.get(start, 0) + 1
@@ -297,9 +300,7 @@ class Network:
                 value += 1
             return cap
         finally:
-            for c in log:
-                res[c] ^= 1
-                res[c ^ 1] ^= 1
+            _flip(res, log)
 
     def minimizer(self) -> frozenset:
         """Indices of the vertices the failed last search of ``min_cut``
@@ -313,7 +314,50 @@ class Network:
         if self._search is None:
             raise ValueError("the last min_cut reached its cap")
         n = len(self.pos)
-        return frozenset(i for i in self._search if i < n)
+        return frozenset(i for i in self._search[0] if i < n)
+
+    def largest_minimizer(self) -> frozenset:
+        """Indices of the vertices that no start reaches in the residual
+        graph of the failed last ``min_cut``: the largest minimizer, the
+        union of all minimizers, since no residual arc or exchange leaves
+        the nodes a start reaches.  The search replays the flow's flips
+        on ``cap`` and undoes them before it returns.
+        """
+        if self._search is None:
+            raise ValueError("the last min_cut reached its cap")
+        _, log, inside, mask, starts, dry = self._search
+        home, ebit, rank, res, seen = (self.home, self.ebit, self.rank,
+                                       self.cap, self.seen)
+        n, size, elements = len(self.pos), len(inside), range(len(home))
+        queue = [i for i in range(n) if i in starts and i not in dry]
+        queue += [n + y for y in elements
+                  if y not in inside and rank[mask | ebit[y]] > size]
+        self._stamp = stamp = self._stamp + 1
+        _flip(res, log)
+        try:
+            for node in queue:  # grows while it is read: breadth first
+                if seen[node] == stamp:
+                    continue
+                seen[node] = stamp
+                if node < n:  # residual arcs out, then the elements of I
+                    queue += [u for c, u in self.adj[node] if res[c]]
+                    queue += [n + x for x in self.at[node] if x in inside]
+                elif node - n in inside:  # x in I exchanged for y
+                    b = mask ^ ebit[node - n]
+                    queue += [n + y for y in elements if y not in inside
+                              and rank[b | ebit[y]] == size]
+                else:  # y starts supplying its vertex
+                    queue.append(home[node - n])
+        finally:
+            _flip(res, log)
+        return frozenset(i for i in range(n) if seen[i] != stamp)
+
+
+def _flip(res: list, log: list) -> None:
+    """Flip each residual arc in ``log`` and its reverse."""
+    for c in log:
+        res[c] ^= 1
+        res[c ^ 1] ^= 1
 
 
 class _Ranks(dict):

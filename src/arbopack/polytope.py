@@ -7,13 +7,15 @@ the cut family is submodular minimization of x(entering X) + rank(S_X) - k,
 run in integers: the point is scaled once by the lcm D of its
 denominators, and the objective minimized is D times the cut objective,
 whose minimizers and sign are the same.  A 0/1 point (D = 1) is decided
-by ``check_m_connected`` on its support, one flow per smallest index.  A
-fractional point's weighted arcs are not the unit arcs those flows take,
-so it is minimized by min-norm-point, exact in ints and with no size
-cap.  Either way the nonempty sets are split by smallest index, and the
-violated cut is the smallest minimizer of the first run that reaches the
-minimum (``sfm.by_smallest_index``).  No engine is chosen here: ``min_cost_packing``'s ``engine`` decides its
-check of the instance alone.
+on its support by flow (``flow_deficiency``).  A fractional point's
+weighted arcs are not the unit arcs those flows take, so it is minimized
+by min-norm-point, exact in ints and with no size cap.  Either way the
+cut is the largest minimizer of the first run, by smallest index, that
+reaches the minimum, re-checked against x; the smallest one, the
+certificate of ``check_m_connected``, leads the loop below to many more
+fractional optima (``BENCH_c018845.json``).  No engine is chosen here:
+``min_cost_packing``'s ``engine`` decides its check of the instance
+alone.
 
 Min-cost optimization is an exact cutting-plane loop.  It starts at the
 optimum of the relaxation by boxes and the in-degree equalities
@@ -51,12 +53,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from . import sfm
+from . import flow, sfm
 from .connectivity import (
     Certificate,
     check_independent_placement,
     check_m_connected,
     deficiency_objective,
+    flow_deficiency,
 )
 from .graphs import RootedDigraph
 from .lp import OPTIMAL, solve_lp
@@ -118,10 +121,9 @@ def separate(inst: RootedDigraph,
     Order: box constraints in canonical arc order, then the mass equality,
     then the minimizing cut.  Every test runs on x times the lcm of its
     denominators, in ints.  A 0/1 point's cut objective is the deficiency
-    of its support, decided by ``check_m_connected`` by flow; a fractional
-    point's is minimized by min-norm-point.  Both report the smallest
-    minimizer of the first run, by smallest index, that reaches the
-    minimum.
+    of its support, minimized by flow; a fractional point's is minimized
+    by min-norm-point.  Both cut with the largest minimizer of the first
+    run, by smallest index, that reaches the minimum.
     """
     scale = math.lcm(*(v.denominator for v in x.entries.values()))
     weights = {a: v.numerator * (scale // v.denominator)
@@ -135,19 +137,23 @@ def separate(inst: RootedDigraph,
     if sum(weights.values()) != mass_rhs(inst) * scale:
         return PolytopeConstraint("mass-equality", rhs=mass_rhs(inst))
 
+    k = inst.matroid.full_rank()
     if scale == 1:
-        cert = check_m_connected(RootedDigraph.with_links(
-            inst, [arc for arc in inst.arcs if weights[arc[0]]]))
-        if cert.ok:
-            return None
-        xset = cert.vertex_set
+        res = flow_deficiency(flow.Network(RootedDigraph.with_links(
+            inst, [arc for arc in inst.arcs if weights[arc[0]]])), k,
+            flow.Network.largest_minimizer)
     else:
         res = sfm.minimize(deficiency_objective(inst, weights, scale),
-                           engine="min-norm-point")
-        if res.value >= 0:
-            return None
-        xset = frozenset(inst.vertices[i] for i in res.minimizer)
-    rhs = inst.matroid.full_rank() - inst.matroid.rank(inst.elements_in(xset))
+                           engine="min-norm-point", largest=True)
+    if res.value >= 0:
+        return None
+    xset = frozenset(inst.vertices[i] for i in res.minimizer)
+    rhs = k - inst.matroid.rank(inst.elements_in(xset))
+    if sum(weights[a] for a, t, h in inst.arcs
+           if h in xset and t not in xset) >= rhs * scale:
+        raise TheoremViolation("separate: the cut on %s is not violated "
+                               "(tripwire): rhs %d, scale %d, arcs %d" % (
+                                   sorted(xset), rhs, scale, len(inst.arcs)))
     return PolytopeConstraint("cut", vertex_set=xset, rhs=rhs)
 
 

@@ -13,8 +13,9 @@ Two engines:
 
 * ``brute`` - exhaustive enumeration, exact, hard cap on the ground size.
   This is the reference oracle.  Run v walks the sets that hold v and
-  larger indices only, depth first, and intersects the sets that tie the
-  least value met, starting over at each strict improvement.
+  larger indices only, depth first, and intersects (or unites) the sets
+  that tie the least value met, starting over at each strict
+  improvement.
 * ``min-norm-point`` - Fujishige-Wolfe over the base polytope in exact
   arithmetic, so no tolerances exist.  It takes integer-valued objectives
   only, whose greedy vertices are integer vectors; a vertex with another
@@ -24,7 +25,8 @@ Two engines:
   common denominator.  ``Fraction`` is used only in the line search.  Run
   v contracts v (``_pinned_min``) and minimizes on the free ground of the
   n - 1 - v indices above it; by Fujishige's theorem (1980) the entries
-  of the min-norm point x* below 0 are the smallest minimizer there.
+  of the min-norm point x* below 0 are the smallest minimizer there, and
+  those at or below 0 the largest.
 
 Objectives evaluate on sets of integer ground indices 0..n-1 and return
 ints (``brute`` also takes Fractions).  Every objective the library
@@ -38,7 +40,8 @@ failed search is the run's smallest minimizer, so the rule is the same
 code under every engine.  Outside ``check_m_connected`` the library
 minimizes here once: the separation of a fractional LP point, with arc
 weights that are the point times its common denominator, runs
-``min-norm-point`` whatever the engine.
+``min-norm-point`` whatever the engine, and cuts with the largest
+minimizer of the same run (``minimize``'s ``largest``).
 """
 
 from __future__ import annotations
@@ -80,17 +83,20 @@ class SfmResult:
     value: object
 
 
-def minimize(obj: SubmodularObjective, engine: str = "brute") -> SfmResult:
+def minimize(obj: SubmodularObjective, engine: str = "brute",
+             largest: bool = False) -> SfmResult:
     """Minimize over the nonempty sets, split by smallest index
-    (``by_smallest_index``), with that split's minimizer."""
+    (``by_smallest_index``), with that split's minimizer, or with
+    ``largest`` the largest minimizer of the same run."""
     if obj.n <= 0:
         raise ValueError("empty ground set")
     if obj.family != ("nonempty",):
         raise ValueError("unknown family %r" % (obj.family,))
     if engine == "brute":
-        return _minimize_brute(obj)
+        return _minimize_brute(obj, largest)
     if engine == "min-norm-point":
-        return by_smallest_index(obj.n, partial(_pinned_min, obj))
+        return by_smallest_index(obj.n, partial(_pinned_min, obj,
+                                                largest=largest))
     raise ValueError("unknown engine %r" % engine)
 
 
@@ -115,7 +121,7 @@ def by_smallest_index(n: int, run) -> SfmResult:
 # -- brute engine -------------------------------------------------------------
 
 
-def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
+def _minimize_brute(obj: SubmodularObjective, largest: bool) -> SfmResult:
     n = obj.n
     if n > BRUTE_GROUND_LIMIT:
         raise SfmSizeError(
@@ -139,7 +145,7 @@ def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
                 if val < best_val:
                     best_val, best_set = val, t
                 elif val == best_val:
-                    best_set &= t
+                    best_set = best_set | t if largest else best_set & t
                 if j < n - 1:
                     walk(t, j + 1)
 
@@ -152,13 +158,14 @@ def _minimize_brute(obj: SubmodularObjective) -> SfmResult:
 # -- min-norm-point engine -----------------------------------------------------
 
 
-def _pinned_min(obj: SubmodularObjective, v: int):
+def _pinned_min(obj: SubmodularObjective, v: int, largest: bool = False):
     """Run v of ``min-norm-point``: the min over the sets whose smallest
-    index is v, and their smallest minimizer.
+    index is v, and their smallest minimizer, or their largest.
 
     Contraction: g(Y) = f(Y + v) - f({v}) on the free indices above v; g
     stays submodular and normalized, and {v} plus its smallest minimizer,
-    the entries of Wolfe's min-norm point below 0, is the run's.
+    the entries of Wolfe's min-norm point below 0 (with ``largest``, at
+    or below 0: its largest), is the run's.
     """
     pin = frozenset((v,))
     free = range(v + 1, obj.n)
@@ -170,8 +177,9 @@ def _pinned_min(obj: SubmodularObjective, v: int):
         return obj.evaluate(pin | {free[j] for j in js}) - base
 
     xn, _ = _wolfe_min_norm(len(free), g, pin, range(v))
-    least = pin | {free[j] for j, a in enumerate(xn) if a < 0}
-    return obj.evaluate(least), least
+    found = pin | {free[j] for j, a in enumerate(xn)
+                   if a < 0 or largest and a == 0}
+    return obj.evaluate(found), found
 
 
 def _greedy_vertex(n: int, g, w) -> list:

@@ -944,11 +944,11 @@ def test_realized_orientation_tripwire_survives_the_split(tmp_path, capsys,
 def test_a_failed_split_of_a_connected_digraph_is_the_answer(
         tmp_path, capsys, monkeypatch, command, error):
     # a mutant split that fails on every digraph.  After a
-    # TheoremViolation the digraph is checked, and where it is
-    # M-connected the split's own error is the answer, never a cut, a
-    # certificate or a packing: mincost re-raises it at the greedy vertex
-    # (MINCOST_DOC) or at the optimum after a cut (CYCLE_FIRST_DOC).  Any
-    # other error propagates before any check
+    # TheoremViolation the digraph is checked (in mincost, the point is
+    # separated), and where it is M-connected the split's own error is the
+    # answer, never a cut, a certificate or a packing: mincost re-raises
+    # it at the greedy vertex (MINCOST_DOC) or at the optimum after a cut
+    # (CYCLE_FIRST_DOC).  Any other error propagates before any check
     from arbopack import connectivity, flow, orientation, packing, polytope
 
     raised = {"TheoremViolation": packing.TheoremViolation,
@@ -958,13 +958,17 @@ def test_a_failed_split_of_a_connected_digraph_is_the_answer(
     def no_split(inst):
         raise raised("no split")
 
-    def counted_check(inst, *args, **kwargs):
-        checked.append(inst)
-        return connectivity.check_m_connected(inst, *args, **kwargs)
+    def counted(check):
+        def spy(inst, *args, **kwargs):
+            checked.append(inst)
+            return check(inst, *args, **kwargs)
+        return spy
 
     for module in (orientation, polytope):
         monkeypatch.setattr(module, "_construct", no_split)
-        monkeypatch.setattr(module, "check_m_connected", counted_check)
+        monkeypatch.setattr(module, "check_m_connected",
+                            counted(connectivity.check_m_connected))
+    monkeypatch.setattr(polytope, "separate", counted(polytope.separate))
     directed = command == "mincost"
     docs = [generate_instance(5, 8, 20, 2, feasible_bias=True,
                               directed=directed, costs=directed)]

@@ -136,11 +136,13 @@ def as_call(inst: RootedDigraph, sink, sources, cap, supply=None):
 
 def test_flow_matches_enumeration():
     # below the cap the vertices the failed search reached must be the
-    # smallest minimizer, the intersection of all minimizers; each network
-    # answers several draws, so every call must leave its residual
-    # capacities, and the caller's supply and demand, as it found them
+    # smallest minimizer, the intersection of all minimizers, and those no
+    # start reaches the largest, their union; each network answers several
+    # draws, so every call, and every read of the largest minimizer, must
+    # leave its residual capacities, and the caller's supply and demand,
+    # as it found them
     rng = random.Random(2024)
-    below_cap = weighted = 0
+    below_cap = weighted = apart = 0
     for _ in range(1000):
         inst = random_instance(rng)
         net = flow.Network(inst)
@@ -157,16 +159,23 @@ def test_flow_matches_enumeration():
             assert net.cap == before, case
             assert (fed, demand or {}) == given, case
             if want < cap:
-                smallest = frozenset.intersection(
-                    *(xs for xs, v in values.items() if v == want))
+                minimizers = [xs for xs, v in values.items() if v == want]
+                smallest = frozenset.intersection(*minimizers)
+                largest = frozenset.union(*minimizers)
                 assert frozenset(inst.vertices[i]
                                  for i in net.minimizer()) == smallest, case
+                assert frozenset(inst.vertices[i] for i in
+                                 net.largest_minimizer()) == largest, case
+                assert net.cap == before, case
                 below_cap += 1
                 weighted += supply is not None
+                apart += smallest != largest
             else:
                 with pytest.raises(ValueError, match="reached its cap"):
                     net.minimizer()
-    assert below_cap > 1000 and weighted > 500
+                with pytest.raises(ValueError, match="reached its cap"):
+                    net.largest_minimizer()
+    assert below_cap > 1000 and weighted > 500 and apart > 300
 
 
 def test_flow_reroutes_on_crossing_gadgets():

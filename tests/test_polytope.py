@@ -8,11 +8,12 @@ import pytest
 
 from conftest import digraph, random_digraph
 from test_lp import reference_cold_lp, reference_solve_lp
-from arbopack import polytope
+from arbopack import flow, polytope, sfm
 from arbopack.connectivity import (
     Certificate,
     check_independent_placement,
     check_m_connected,
+    deficiency_objective,
 )
 from arbopack.graphs import RootedDigraph
 from arbopack.instances import _generate_raw, generate_instance, parse_instance
@@ -94,6 +95,31 @@ def test_zero_vector_gets_a_cut():
     assert out.rhs >= 1
 
 
+@pytest.mark.parametrize("scale", [1, 2])
+def test_a_cut_that_is_not_violated_trips(monkeypatch, scale):
+    # separate re-checks its cut against the point: a minimizer that
+    # names the whole vertex set, entered by no arc and never violated,
+    # trips, on a 0/1 point (flow) and on a fractional one (min-norm-point)
+    d = digraph(["a", "b", "c"], ["a1:a>b", "a2:b>c", "a3:a>c", "a4:c>b"],
+                ["s1@a"], FreeMatroid(["s1"]))
+    everything = frozenset({0, 1, 2})
+    if scale == 1:
+        monkeypatch.setattr(flow.Network, "largest_minimizer",
+                            lambda net: everything)
+    else:
+        minimize = sfm.minimize
+        monkeypatch.setattr(sfm, "minimize", lambda *args, **kwargs: (
+            sfm.SfmResult(everything, minimize(*args, **kwargs).value)))
+    half = Fraction(1, scale)  # {b} is entered by a1 + a4 = half < 1
+    x = RationalVector.from_arcs(d, {"a1": 1 - half, "a2": half, "a3": 1,
+                                     "a4": 0})
+    with pytest.raises(polytope.TheoremViolation) as info:
+        separate(d, x)
+    assert str(info.value) == (
+        "separate: the cut on ['a', 'b', 'c'] is not violated (tripwire): "
+        "rhs 0, scale %d, arcs 4" % scale)
+
+
 def test_box_violations_found_first():
     d = digraph(["a", "b"], ["a1:a>b"], ["s1@a"], FreeMatroid(["s1"]))
     x = RationalVector.from_arcs(d, {"a1": Fraction(-1, 2)})
@@ -101,11 +127,11 @@ def test_box_violations_found_first():
     assert out.kind == "box-lower" and out.arc == "a1"
 
 
-def fraction_separation(inst, x):
+def fraction_separation(inst, x, pick=frozenset.union):
     """The most violated cut by Fraction enumeration of every nonempty
     vertex set, or None when no cut is violated.  The sets are split by
-    smallest index, and the cut is the intersection of the minimizers of
-    the first split that reaches the minimum."""
+    smallest index, and the cut is the union (``pick``) of the minimizers
+    of the first split that reaches the minimum."""
     verts, m = inst.vertices, inst.matroid
     k = m.full_rank()
     best = None
@@ -120,7 +146,7 @@ def fraction_separation(inst, x):
                               + m.rank(inst.elements_in(xs)) - k)
         least = min(values.values())
         if best is None or least < best[0]:
-            best = (least, frozenset.intersection(
+            best = (least, pick(
                 *(xs for xs, val in values.items() if val == least)))
     if best[0] >= 0:
         return None
@@ -162,14 +188,17 @@ def test_separation_matches_fraction_enumeration():
         assert separate(d, x) == want, (d, x)
         found[want and want.kind] += 1
         found["scaled"] += any(v.denominator > 1 for v in x.entries.values())
-    assert found["scaled"] > 100
+        found["not smallest"] += want != fraction_separation(
+            d, x, frozenset.intersection)
+    assert found["scaled"] > 100 and found["not smallest"] > 10
 
 
 def test_flow_separation_of_0_1_points_matches_brute():
     # a 0/1 point is decided by flow on its support; the cut, the
-    # smallest minimizer of the first minimizing run with its rhs, must
+    # largest minimizer of the first minimizing run with its rhs, must
     # be the one brute enumeration finds on that support, on every 0/1
-    # point of the right mass
+    # point of the right mass.  Many of those cuts are not the smallest
+    # minimizer, the certificate of check_m_connected.
     from arbopack.sweeps import iter_directed_instances
 
     found = Counter()
@@ -181,15 +210,22 @@ def test_flow_separation_of_0_1_points_matches_brute():
         m = inst.matroid
         for chosen in itertools.combinations(ids, mass):
             x = RationalVector.characteristic(inst, chosen)
-            cert = check_m_connected(RootedDigraph(
+            support = RootedDigraph(
                 inst.vertices, [arc for arc in inst.arcs if arc[0] in chosen],
-                inst.roots, m), "brute")
-            want = None if cert.ok else polytope.PolytopeConstraint(
-                "cut", vertex_set=cert.vertex_set,
-                rhs=m.full_rank() - m.rank(inst.elements_in(cert.vertex_set)))
+                inst.roots, m)
+            res = sfm.minimize(deficiency_objective(support), "brute",
+                               largest=True)
+            xs = frozenset(inst.vertices[i] for i in res.minimizer)
+            want = None if res.value >= 0 else polytope.PolytopeConstraint(
+                "cut", vertex_set=xs,
+                rhs=m.full_rank() - m.rank(inst.elements_in(xs)))
             assert separate(inst, x) == want, (inst, chosen)
             found[want and want.kind] += 1
+            if want is not None:
+                cert = check_m_connected(support, "brute")
+                found["not smallest"] += cert.vertex_set != xs
     assert found["cut"] > 10000 and found[None] > 1000
+    assert found["not smallest"] > 1000
 
 
 def test_fractional_separation_has_no_size_cap():
@@ -435,6 +471,24 @@ def test_cutting_plane_path_matches_the_fraction_tableau(monkeypatch):
         lp_runs += len(trace) > 1
         chains += len(trace) > 2
     assert cuts >= 12 and lp_runs >= 8 and chains >= 4
+
+
+def test_separation_cuts_keep_the_noise_first_loop_short():
+    # the cutting-plane path depends on the violated set each cut is
+    # made on.  On two noise-first instances (scripts/bench_mincost.py's
+    # family, built from random.Random(1) and (2) at n=16) the largest
+    # minimizer of the first minimizing run reaches the optimum in 4 LP
+    # solves, every optimum 0/1; the run's smallest minimizer took 35 and
+    # 17 solves, 18 and 7 of them fractional, each separated by a
+    # min-norm-point run
+    for seed in (1, 2):
+        inst, extras = parse_instance(_generate_raw(
+            random.Random(seed), 16, 64, 1, "free", True, True, True))
+        trace = []
+        min_cost_packing(inst, noise_first_costs(extras, 15), lp_trace=trace)
+        assert len(trace) == 4, seed
+        assert all(v.denominator == 1
+                   for x, _, _ in trace for v in x.values()), seed
 
 
 @pytest.mark.parametrize("family, n, t, per_vertex", [

@@ -90,6 +90,7 @@ def test_engine_agreement_on_deficiency_objectives(monkeypatch):
 
     monkeypatch.setattr(sfm, "_wolfe_min_norm", recorded)
     rng = random.Random(23)
+    apart = 0
     for _ in range(200):
         d = random_digraph(rng, max_v=5, max_arcs=7)
         obj = deficiency_objective(d)
@@ -99,6 +100,12 @@ def test_engine_agreement_on_deficiency_objectives(monkeypatch):
         assert sizes == list(range(obj.n - 1, 0, -1))
         assert b.value == m.value
         assert b.minimizer == m.minimizer  # the rule is shared
+        largest = minimize(obj, engine="brute", largest=True)
+        assert largest.value == b.value and b.minimizer <= largest.minimizer
+        assert minimize(obj, engine="min-norm-point",
+                        largest=True).minimizer == largest.minimizer
+        apart += largest.minimizer != b.minimizer
+    assert apart > 20
 
 
 def test_by_smallest_index_keeps_the_first_least_run():
@@ -112,15 +119,18 @@ def test_by_smallest_index_keeps_the_first_least_run():
         sfm.by_smallest_index(0, runs.__getitem__)
 
 
-def test_brute_and_min_norm_point_report_the_smallest_minimizer():
+def test_brute_and_min_norm_point_report_the_smallest_or_largest_minimizer():
     # the modular f(X) = 5[0 in X] - [1 in X] - [3 in X]: its least value,
     # -2, is reached in run 1 alone, at {1, 3} and {1, 2, 3}.  The report
-    # is the smallest of the two, not the lex-smallest, {1, 2, 3}
+    # is the smallest of the two, not the lex-smallest, {1, 2, 3}; with
+    # largest, it is the largest
     weights = (5, -1, 0, -1)
     obj = SubmodularObjective(4, lambda x: sum(weights[i] for i in x))
     for engine in ("brute", "min-norm-point"):
         res = minimize(obj, engine=engine)
         assert (res.minimizer, res.value) == (frozenset({1, 3}), -2), engine
+        res = minimize(obj, engine=engine, largest=True)
+        assert (res.minimizer, res.value) == (frozenset({1, 2, 3}), -2), engine
 
 
 def test_deficiency_of_whole_vertex_set_is_zero():
