@@ -25,6 +25,11 @@ last run:
 * ``sep_flow`` / ``sep_mnp``: separations that ran no submodular
   minimization (the flow decides them), and those that ran one
   (min-norm-point, on a fractional point), with their seconds;
+* ``wolfe_runs`` / ``greedy_vertices``: the Wolfe runs of those
+  min-norm-point separations (``sfm._wolfe_min_norm``, one per smallest
+  index but the last) and the greedy vertices they read
+  (``sfm._greedy_vertex``, one per major cycle and one to start), which
+  tell fewer iterations from cheaper ones;
 * ``construct``: seconds of ``_construct``, the split of a 0/1 optimum
   into trees, failed splits included; ``splits`` and ``failed_splits``
   count the splits that returned a packing and those that raised
@@ -91,10 +96,12 @@ def timed_layers(polytope):
              "sep_flow": 0, "sep_flow_s": 0.0,
              "sep_mnp": 0, "sep_mnp_s": 0.0, "construct_s": 0.0,
              "splits": 0, "failed_splits": 0, "sep_after_failed": 0,
-             "prechecks": 0}
+             "prechecks": 0, "wolfe_runs": 0, "greedy_vertices": 0}
     solve_lp, separate, construct = (polytope.solve_lp, polytope.separate,
                                      polytope._construct)
-    minimize = polytope.sfm.minimize
+    sfm = polytope.sfm
+    minimize, wolfe, greedy = (sfm.minimize, sfm._wolfe_min_norm,
+                               sfm._greedy_vertex)
     check = polytope.check_m_connected
     minimized = [0]
     separating = []  # nonempty while separate runs
@@ -108,6 +115,14 @@ def timed_layers(polytope):
     def counted(*args, **kwargs):
         minimized[0] += 1
         return minimize(*args, **kwargs)
+
+    def wolfe_run(*args, **kwargs):
+        split["wolfe_runs"] += 1
+        return wolfe(*args, **kwargs)
+
+    def greedy_vertex(*args, **kwargs):
+        split["greedy_vertices"] += 1
+        return greedy(*args, **kwargs)
 
     def lp(*args, **kwargs):
         t0 = time.perf_counter()
@@ -147,14 +162,16 @@ def timed_layers(polytope):
         return out
 
     polytope.solve_lp, polytope.separate, polytope._construct = lp, sep, build
-    polytope.sfm.minimize = counted
+    sfm.minimize, sfm._wolfe_min_norm, sfm._greedy_vertex = (
+        counted, wolfe_run, greedy_vertex)
     polytope.check_m_connected = checked
     try:
         yield split
     finally:
         polytope.solve_lp, polytope.separate, polytope._construct = (
             solve_lp, separate, construct)
-        polytope.sfm.minimize = minimize
+        sfm.minimize, sfm._wolfe_min_norm, sfm._greedy_vertex = (
+            minimize, wolfe, greedy)
         polytope.check_m_connected = check
 
 
@@ -214,7 +231,8 @@ def main() -> None:
             print("%(family)s n=%(n)4d %(seconds)8.4f s (runs %(runs)d) | "
                   "lp %(lp_solves)d solves %(lp_pivots)d pivots %(lp_s).4f s"
                   " | sep flow %(sep_flow)d %(sep_flow_s).4f s, mnp "
-                  "%(sep_mnp)d %(sep_mnp_s).4f s | construct "
+                  "%(sep_mnp)d %(sep_mnp_s).4f s (wolfe %(wolfe_runs)d, "
+                  "greedy %(greedy_vertices)d) | construct "
                   "%(construct_s).4f s, splits %(splits)d, failed "
                   "%(failed_splits)d, then sep %(sep_after_failed)d | "
                   "prechecks %(prechecks)d | "

@@ -89,7 +89,9 @@ def deficiency_objective(inst: RootedDigraph, weights: Optional[dict] = None,
     placed at it, twins mapped to their root element
     (``Matroid.twin_map``), so S_X is an OR of masks and its scaled rank
     term is read from a cache keyed by that int, which asks the root oracle
-    only on a miss.
+    only on a miss.  Its ``prefixes`` reads a chain in one pass over the
+    arcs: adding vertex i to X adds the weight of the arcs into i from
+    outside X + i and takes off that of the arcs from i into X.
     """
     verts = inst.vertices
     pos = {v: i for i, v in enumerate(verts)}
@@ -100,28 +102,54 @@ def deficiency_objective(inst: RootedDigraph, weights: Optional[dict] = None,
     for e, v in inst.roots:
         at[pos[v]] |= bit[twins.get(e, e)]
     entering: list = [[] for _ in verts]
+    leaving: list = [[] for _ in verts]
     for a, t, h in inst.arcs:
-        entering[pos[h]].append((1 << pos[t], 1 if weights is None else weights[a]))
+        wa = 1 if weights is None else weights[a]
+        entering[pos[h]].append((1 << pos[t], wa))
+        leaving[pos[t]].append((1 << pos[h], wa))
     k = root.full_rank()
     ranks: dict[int, int] = {}
 
-    def evaluate(X: AbstractSet[int]):
-        xmask = smask = 0
-        for i in X:
-            xmask |= 1 << i
-            smask |= at[i]
-        w = 0
-        for i in X:
-            for tail, wa in entering[i]:
-                if not xmask & tail:
-                    w += wa
+    def rank_term(smask: int) -> int:
         r = ranks.get(smask)
         if r is None:
             r = ranks[smask] = scale * (root.rank(
                 [e for j, e in enumerate(ground) if smask >> j & 1]) - k)
-        return w + r
+        return r
 
-    return sfm.SubmodularObjective(len(verts), evaluate, ("nonempty",))
+    def state(X: AbstractSet[int]) -> tuple:
+        """X's vertex mask, root mask and entering weight."""
+        xmask = smask = w = 0
+        for i in X:
+            xmask |= 1 << i
+            smask |= at[i]
+        for i in X:
+            for tail, wa in entering[i]:
+                if not xmask & tail:
+                    w += wa
+        return xmask, smask, w
+
+    def evaluate(X: AbstractSet[int]):
+        _, smask, w = state(X)
+        return w + rank_term(smask)
+
+    def prefixes(start: AbstractSet[int], order) -> list:
+        xmask, smask, w = state(start)
+        out = []
+        for i in order:
+            for head, wa in leaving[i]:
+                if xmask & head:
+                    w -= wa
+            xmask |= 1 << i
+            for tail, wa in entering[i]:
+                if not xmask & tail:
+                    w += wa
+            smask |= at[i]
+            out.append(w + rank_term(smask))
+        return out
+
+    return sfm.SubmodularObjective(len(verts), evaluate, ("nonempty",),
+                                   prefixes)
 
 
 def flow_deficiency(net: flow.Network, k: int, read) -> sfm.SfmResult:

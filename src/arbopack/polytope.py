@@ -9,13 +9,13 @@ denominators, and the objective minimized is D times the cut objective,
 whose minimizers and sign are the same.  A 0/1 point (D = 1) is decided
 on its support by flow (``flow_deficiency``).  A fractional point's
 weighted arcs are not the unit arcs those flows take, so it is minimized
-by min-norm-point, exact in ints and with no size cap.  Either way the
-cut is the largest minimizer of the first run, by smallest index, that
-reaches the minimum, re-checked against x; the smallest one, the
-certificate of ``check_m_connected``, leads the loop below to many more
-fractional optima (``BENCH_c018845.json``).  No engine is chosen here:
-``min_cost_packing``'s ``engine`` decides its check of the instance
-alone.
+by min-norm-point on its support, exact in ints and with no size cap.
+Either way the cut is the largest minimizer of the first run, by
+smallest index, that reaches the minimum, re-checked against x; the
+smallest one, the certificate of ``check_m_connected``, leads the loop
+below to many more fractional optima (``BENCH_c018845.json``).  No
+engine is chosen here: ``min_cost_packing``'s ``engine`` decides its
+check of the instance alone.
 
 Min-cost optimization is an exact cutting-plane loop.  It starts at the
 optimum of the relaxation by boxes and the in-degree equalities
@@ -120,10 +120,11 @@ def separate(inst: RootedDigraph,
 
     Order: box constraints in canonical arc order, then the mass equality,
     then the minimizing cut.  Every test runs on x times the lcm of its
-    denominators, in ints.  A 0/1 point's cut objective is the deficiency
-    of its support, minimized by flow; a fractional point's is minimized
-    by min-norm-point.  Both cut with the largest minimizer of the first
-    run, by smallest index, that reaches the minimum.
+    denominators, in ints.  The cut objective is read on x's support,
+    whose arcs are the only ones with weight: a 0/1 point's is the
+    deficiency of its support, minimized by flow; a fractional point's is
+    minimized by min-norm-point.  Both cut with the largest minimizer of
+    the first run, by smallest index, that reaches the minimum.
     """
     scale = math.lcm(*(v.denominator for v in x.entries.values()))
     weights = {a: v.numerator * (scale // v.denominator)
@@ -138,12 +139,13 @@ def separate(inst: RootedDigraph,
         return PolytopeConstraint("mass-equality", rhs=mass_rhs(inst))
 
     k = inst.matroid.full_rank()
+    support = RootedDigraph.with_links(
+        inst, [arc for arc in inst.arcs if weights[arc[0]]])
     if scale == 1:
-        res = flow_deficiency(flow.Network(RootedDigraph.with_links(
-            inst, [arc for arc in inst.arcs if weights[arc[0]]])), k,
-            flow.Network.largest_minimizer)
+        res = flow_deficiency(flow.Network(support), k,
+                              flow.Network.largest_minimizer)
     else:
-        res = sfm.minimize(deficiency_objective(inst, weights, scale),
+        res = sfm.minimize(deficiency_objective(support, weights, scale),
                            engine="min-norm-point", largest=True)
     if res.value >= 0:
         return None

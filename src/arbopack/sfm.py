@@ -19,14 +19,18 @@ Two engines:
 * ``min-norm-point`` - Fujishige-Wolfe over the base polytope in exact
   arithmetic, so no tolerances exist.  It takes integer-valued objectives
   only, whose greedy vertices are integer vectors; a vertex with another
-  entry raises ``ValueError``.  Wolfe keeps the Gram matrix of its point
-  set across cycles, solves the affine minimization on it by Bareiss
-  elimination, and holds the current point as an integer vector over one
-  common denominator.  ``Fraction`` is used only in the line search.  Run
-  v contracts v (``_pinned_min``) and minimizes on the free ground of the
-  n - 1 - v indices above it; by Fujishige's theorem (1980) the entries
-  of the min-norm point x* below 0 are the smallest minimizer there, and
-  those at or below 0 the largest.
+  entry raises ``ValueError``.  Wolfe keeps one fraction-free (Bareiss)
+  factor of G + 11^T, G the Gram matrix of its point set, across cycles
+  (``_AffineFactor``): a new point eliminates one row, a minor cycle that
+  drops points re-eliminates the rows from the first dropped index on,
+  and the affine minimizer's coefficients come by back-substitution.  The
+  current point is an integer vector over one common denominator, and
+  ``Fraction`` is used only in the line search.  Each greedy vertex reads
+  the objective on the prefixes of its order in one call, the objective's
+  ``prefixes`` where it has one.  Run v contracts v (``_pinned_min``) and
+  minimizes on the free ground of the n - 1 - v indices above it; by
+  Fujishige's theorem (1980) the entries of the min-norm point x* below 0
+  are the smallest minimizer there, and those at or below 0 the largest.
 
 Objectives evaluate on sets of integer ground indices 0..n-1 and return
 ints (``brute`` also takes Fractions).  Every objective the library
@@ -51,7 +55,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 from operator import mul
-from typing import AbstractSet, Callable
+from typing import AbstractSet, Callable, Optional, Sequence
 
 from .graphs import SizeLimitError
 
@@ -65,13 +69,24 @@ class SfmSizeError(SizeLimitError):
 
 @dataclass(frozen=True)
 class SubmodularObjective:
-    """Integer- or rational-valued set function assumed submodular."""
+    """Integer- or rational-valued set function assumed submodular.
+
+    ``evaluate`` reads the set it is handed and keeps no reference to it:
+    on an objective without ``prefixes``, ``min-norm-point`` hands it one
+    set that it grows between calls.
+    ``prefixes``, optional, gives in one call the values on a chain:
+    ``prefixes(start, order)`` is the list of f(start + order[:1]), ...,
+    f(start + order[:len(order)]), ``order`` holding distinct indices
+    outside ``start``; ``min-norm-point`` reads each greedy vertex with
+    one call, and without it evaluates every set of the chain.
+    """
 
     n: int
     evaluate: Callable[[AbstractSet[int]], object]
     # the only family ``minimize`` takes; a field still, since callers
     # rebuild objectives as type(obj)(obj.n, evaluate, obj.family)
     family: tuple = ("nonempty",)
+    prefixes: Optional[Callable[[AbstractSet[int], Sequence[int]], list]] = None
 
 
 @dataclass(frozen=True)
@@ -165,36 +180,50 @@ def _pinned_min(obj: SubmodularObjective, v: int, largest: bool = False):
     Contraction: g(Y) = f(Y + v) - f({v}) on the free indices above v; g
     stays submodular and normalized, and {v} plus its smallest minimizer,
     the entries of Wolfe's min-norm point below 0 (with ``largest``, at
-    or below 0: its largest), is the run's.
+    or below 0: its largest), is the run's.  Each greedy vertex reads g
+    on the prefixes of its order in one call of the objective's
+    ``prefixes``, or, where it has none, by evaluating one live set that
+    grows by one index per step.
     """
     pin = frozenset((v,))
-    free = range(v + 1, obj.n)
+    shift = v + 1
     base = obj.evaluate(pin)
-    if not free:
+    if shift == obj.n:
         return base, pin
+    prefixes = obj.prefixes or partial(_live_prefixes, obj.evaluate)
 
-    def g(js: frozenset):
-        return obj.evaluate(pin | {free[j] for j in js}) - base
+    def chain(order):
+        return [a - base for a in prefixes(pin, [shift + j for j in order])]
 
-    xn, _ = _wolfe_min_norm(len(free), g, pin, range(v))
-    found = pin | {free[j] for j, a in enumerate(xn)
+    xn, _ = _wolfe_min_norm(obj.n - shift, chain, pin, range(v))
+    found = pin | {shift + j for j, a in enumerate(xn)
                    if a < 0 or largest and a == 0}
     return obj.evaluate(found), found
 
 
-def _greedy_vertex(n: int, g, w) -> list:
-    """Linear minimization over the base polytope of g (Edmonds' greedy).
-
-    The entries are differences of g's own values, so an integer-valued g
-    gives an integer vertex.
-    """
-    order = sorted(range(n), key=lambda i: (w[i], i))
-    q = [0] * n
-    prev = 0
-    s: set = set()
+def _live_prefixes(evaluate, start: AbstractSet[int], order) -> list:
+    """f on start + order[:1], ..., start + order[:len(order)], each read
+    by ``evaluate`` on one set that grows by one index per step."""
+    s = set(start)
+    out = []
     for i in order:
         s.add(i)
-        cur = g(frozenset(s))
+        out.append(evaluate(s))
+    return out
+
+
+def _greedy_vertex(n: int, chain, w) -> list:
+    """Linear minimization over the base polytope of g (Edmonds' greedy).
+
+    ``chain(order)`` gives g on the prefixes order[:1], ..., order[:n] of
+    the order of increasing w (ties by index).  The entries are
+    differences of g's own values, so an integer-valued g gives an integer
+    vertex.
+    """
+    order = sorted(range(n), key=w.__getitem__)  # stable: ties by index
+    q = [0] * n
+    prev = 0
+    for i, cur in zip(order, chain(order)):
         q[i] = cur - prev
         prev = cur
     return q
@@ -219,66 +248,86 @@ def _blend(un: list, ud, vn: list, vd, theta: Fraction):
     return nums, den
 
 
-def _solve_affine(G: list[list]):
-    """Coefficients of the min-norm point in the affine hull of S.
+class _AffineFactor:
+    """Fraction-free (Bareiss) factor of G' = G + 11^T, G the Gram matrix
+    of Wolfe's point set S, with the right-hand side 1 eliminated along.
 
-    ``G`` is the integer Gram matrix of the points of S.  Solves the
-    bordered normal equations [G 1; 1 0] (mu, lambda) = (0, 1) by
-    fraction-free (Bareiss) Gauss-Jordan elimination: every row but the
-    pivot row becomes (row * p - f * pivot_row) / p', p the pivot and p'
-    the one before it, a division that is exact.  Each pivot row then
-    reads p * mu[c] = rhs, p the last pivot; columns left of the pivot
-    column are read no more and not updated.  Pivoting is in column order
-    on the first nonzero entry.  Affinely dependent point sets get
-    free coefficients fixed at 0 (any solution of the consistent system is
-    a valid affine-minimizer representation).  Returns (numerators,
-    denominator), denominator > 0.
+    The affine minimizer of S is sum mu_i s_i with G mu + lambda 1 = 0 and
+    1^T mu = 1, so G' mu = (1 - lambda) 1 and mu is G'^-1 1 over its sum.
+    z^T G' z = |sum z_i s_i|^2 + (sum z_i)^2 vanishes only on an affine
+    dependence of S, so G' is positive definite while S is affinely
+    independent, and every pivot, a leading principal minor, is positive;
+    a pivot <= 0 shows S dependent.
+
+    ``rows[i]`` is row i of G' after i elimination steps, from column i
+    on: rows[i][0] is the pivot, rows[i][c - i] the entry in column c.  As
+    G' is symmetric, the entry of row i in a new column m equals that of
+    row m in column i after i steps, so appending a point eliminates its
+    row alone and reads the new column off it.  ``rhs[i]`` is the
+    right-hand side of row i after i steps.  Row i depends on the points
+    0..i and the columns it holds, so dropping points from index f on
+    keeps rows and rhs below f, cut to columns below f, and the points
+    from f on are appended again.
     """
-    m = len(G)
-    A = [row + [1, 0] for row in G]
-    A.append([1] * m + [0, 1])
-    rows = m + 1
-    r = 0
-    prev = 1
-    pivots = []
-    for c in range(m + 1):  # the last column is the right-hand side
-        piv = next((i for i in range(r, rows) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        p = A[r][c]
-        tail = A[r][c:]
-        for i in range(rows):
-            if i != r:
-                row = A[i]
-                f = row[c]
-                row[c:] = [(a * p - f * b) // prev
-                           for a, b in zip(row[c:], tail)]
-        prev = p
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    mu = [0] * m
-    for i, c in enumerate(pivots):
-        if c < m:
-            mu[c] = A[i][-1]
-    if prev < 0:
-        return [-a for a in mu], -prev
-    return mu, prev
+
+    def __init__(self):
+        self.rows: list[list] = []
+        self.rhs: list = []
+
+    def append(self, new: list) -> int:
+        """Add a point whose row of G' against S and itself is ``new``;
+        returns its pivot."""
+        m = len(self.rows)
+        r = new[:]
+        b = 1
+        prev = 1
+        for k, (row, bk) in enumerate(zip(self.rows, self.rhs)):
+            p, f = row[0], r[k]
+            row.append(f)
+            r[k + 1:] = [(p * a - f * u) // prev
+                         for a, u in zip(r[k + 1:], row[1:])]
+            b = (p * b - f * bk) // prev
+            prev = p
+        self.rows.append([r[m]])
+        self.rhs.append(b)
+        return r[m]
+
+    def cut(self, f: int) -> None:
+        """Keep the points below index f."""
+        del self.rows[f:], self.rhs[f:]
+        for i, row in enumerate(self.rows):
+            del row[f - i:]
+
+    def solve(self):
+        """mu as (numerators, denominator > 0): X = det G' * G'^-1 1 by
+        fraction-free back-substitution, each division exact since
+        det G' * G'^-1 is the adjugate, and mu = X / sum X."""
+        m = len(self.rows)
+        det = self.rows[-1][0]
+        X = [0] * m
+        for i in range(m - 1, -1, -1):
+            row = self.rows[i]
+            X[i] = (det * self.rhs[i]
+                    - _dot(row[1:], X[i + 1:])) // row[0]
+        return X, sum(X)
 
 
-def _wolfe_min_norm(n: int, g, pinned=(), excluded=()):
+def _wolfe_min_norm(n: int, chain, pinned=(), excluded=()):
     """Exact Wolfe algorithm: min-norm point x* of the base polytope of g.
 
     Returns a positive multiple of x* as (numerators, denominator),
     denominator > 0.  The minimal minimizer of g is {i : x*_i < 0} and
-    the maximal one is {i : x*_i <= 0}.  Points of S are greedy vertices,
-    integer vectors of an integer-valued g; a vertex with another entry
-    raises ``ValueError``.  x is an integer vector over one denominator and
-    the Gram matrix of S is kept across cycles, so ``Fraction`` appears
-    only in the line search.  ``pinned`` and ``excluded``, the indices the
-    run's family fixes, name the run in the tripwires and that error.
+    the maximal one is {i : x*_i <= 0}.  Points of S are greedy vertices
+    (``_greedy_vertex``, g read through ``chain``), integer vectors of an
+    integer-valued g; a vertex with another entry raises ``ValueError``.
+    x is an integer vector over one denominator.  The Gram matrix of S and
+    its fraction-free factor (``_AffineFactor``) are kept across cycles: a
+    new point adds one row, and a minor cycle that drops points re-factors
+    from the first dropped index on, so ``Fraction`` appears only in the
+    line search.  S stays affinely independent, and a pivot <= 0 that
+    says otherwise is a tripwire.  ``pinned`` and ``excluded``, the
+    indices the run's family fixes, name the run in the tripwires and that
+    error.
     """
     S: list = []
 
@@ -292,17 +341,25 @@ def _wolfe_min_norm(n: int, g, pinned=(), excluded=()):
                             % (what, run(cycles)))
 
     def vertex(w: list, cycles: int) -> list:
-        q = _greedy_vertex(n, g, w)
+        q = _greedy_vertex(n, chain, w)
         if any(type(a) is not int for a in q):
             raise ValueError("min-norm-point takes integer-valued objectives "
                              "only, and a greedy vertex is %s: %s"
                              % ([str(a) for a in q], run(cycles)))
         return q
 
+    def factor_from(i: int, cycles: int) -> None:
+        """Append the points of S from index i on to the factor."""
+        for j in range(i, len(S)):
+            if factor.append([a + 1 for a in G[j][:j + 1]]) <= 0:
+                raise tripwire("affinely dependent point set", cycles)
+
     q = vertex([0] * n, 0)
     xn, xd = q, 1
     S.append(q)
     G = [[_dot(q, q)]]
+    factor = _AffineFactor()
+    factor_from(0, 0)
     lamn, lamd = [1], 1
 
     for cycles in range(_MNP_ITER_CAP):
@@ -317,10 +374,11 @@ def _wolfe_min_norm(n: int, g, pinned=(), excluded=()):
             row.append(_dot(s, q))
         S.append(q)
         G.append([row[-1] for row in G] + [_dot(q, q)])
+        factor_from(len(S) - 1, cycles)
         lamn.append(0)
         # minor cycle
         while True:
-            mun, mud = _solve_affine(G)
+            mun, mud = factor.solve()
             yn = [_dot(mun, col) for col in zip(*S)]
             if all(a > 0 for a in mun):
                 *xn, xd = _reduced(yn + [mud])
@@ -332,8 +390,11 @@ def _wolfe_min_norm(n: int, g, pinned=(), excluded=()):
             )
             lamn, lamd = _blend(lamn, lamd, mun, mud, theta)
             xn, xd = _blend(xn, xd, yn, mud, theta)
+            first = next(i for i, a in enumerate(lamn) if a <= 0)
             keep = [i for i in range(len(S)) if lamn[i] > 0]
             S = [S[i] for i in keep]
             G = [[G[i][j] for j in keep] for i in keep]
             lamn = [lamn[i] for i in keep]
+            factor.cut(first)
+            factor_from(first, cycles)
     raise tripwire("failed to converge", _MNP_ITER_CAP)

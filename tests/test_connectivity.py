@@ -98,6 +98,34 @@ def test_objective_matches_direct_formula(m):
         assert type(value) is int and value == scale * (flow + rank - k), x
 
 
+@pytest.mark.parametrize(
+    "m", [FreeMatroid(["f1", "f2", "f3"]), UniformMatroid(["u1", "u2", "u3"], 2),
+          *objective_matroids()], ids=lambda m: type(m).__name__)
+def test_prefixes_match_evaluate_on_every_prefix(m):
+    # the objective reads a chain in one pass over the arcs; each value
+    # must be evaluate's on that prefix, plain and with weights times a
+    # scale, on random starts and orders, parallel arcs and twins included
+    rng = random.Random(len(m.ground) * 7 + m.full_rank())
+    verts = ["v%d" % i for i in range(6)]
+    for _ in range(40):
+        roots = [(e, rng.choice(verts)) for e in m.ground]
+        arcs = [("a%d" % i, *rng.sample(verts, 2))
+                for i in range(rng.randint(0, 16))]
+        inst = RootedDigraph(verts, arcs, roots, m)
+        scale = rng.choice((1, 3, 12))
+        weights = {a: rng.randint(0, 2 * scale) for a, _, _ in arcs}
+        for obj in (deficiency_objective(inst),
+                    deficiency_objective(inst, weights, scale)):
+            idx = list(range(len(verts)))
+            rng.shuffle(idx)
+            pin = rng.randint(0, len(idx))
+            start = frozenset(idx[:pin])
+            order = idx[pin:rng.randint(pin, len(idx))]
+            assert obj.prefixes(start, order) == [
+                obj.evaluate(start | set(order[:j + 1]))
+                for j in range(len(order))]
+
+
 # -- independent placement --------------------------------------------------------
 
 

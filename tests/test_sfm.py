@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -84,9 +85,9 @@ def test_engine_agreement_on_deficiency_objectives(monkeypatch):
     sizes = []
     wolfe = sfm._wolfe_min_norm
 
-    def recorded(n, g, *context):
+    def recorded(n, chain, *context):
         sizes.append(n)
-        return wolfe(n, g, *context)
+        return wolfe(n, chain, *context)
 
     monkeypatch.setattr(sfm, "_wolfe_min_norm", recorded)
     rng = random.Random(23)
@@ -98,6 +99,10 @@ def test_engine_agreement_on_deficiency_objectives(monkeypatch):
         sizes.clear()
         m = minimize(obj, engine="min-norm-point")
         assert sizes == list(range(obj.n - 1, 0, -1))
+        # without the objective's prefix pass, each greedy vertex
+        # evaluates its chain one set at a time, to the same end
+        assert minimize(SubmodularObjective(obj.n, obj.evaluate),
+                        engine="min-norm-point") == m
         assert b.value == m.value
         assert b.minimizer == m.minimizer  # the rule is shared
         largest = minimize(obj, engine="brute", largest=True)
@@ -175,6 +180,13 @@ def _weighted_cut_objective(rng, d):
     return SubmodularObjective(len(verts), evaluate, ("nonempty",))
 
 
+def _chain(f):
+    """Wolfe's greedy contract for the set function f: its values on the
+    prefixes of an order."""
+    return lambda order: [f(frozenset(order[:j + 1]))
+                          for j in range(len(order))]
+
+
 def test_wolfe_point_scales_with_the_objective():
     # the min-norm point of c*g is c times that of g: a run on a cut
     # objective with integer weights and one on 12 times it must return
@@ -188,8 +200,8 @@ def test_wolfe_point_scales_with_the_objective():
             return 12 * g(x)
 
         n = len(d.vertices)
-        xn, xd = sfm._wolfe_min_norm(n, g)
-        yn, yd = sfm._wolfe_min_norm(n, h)
+        xn, xd = sfm._wolfe_min_norm(n, _chain(g))
+        yn, yd = sfm._wolfe_min_norm(n, _chain(h))
         assert [(a > 0) - (a < 0) for a in xn] == [(b > 0) - (b < 0) for b in yn]
         assert all(a * yn[j] == b * xn[j] for a, b in zip(xn, yn) for j in range(n))
 
@@ -221,34 +233,80 @@ def _fraction_affine_solve(G):
     return mu, r <= m
 
 
-def test_solve_affine_matches_a_fraction_solve():
-    # random integer point sets, many of them with repeated points, zero
-    # points and integer affine combinations of earlier points, which make
-    # the Gram matrix singular and the elimination swap rows
+def _gram(pts):
+    return [[sum(x * y for x, y in zip(p, q)) for q in pts] for p in pts]
+
+
+def _affine_row(pts, q):
+    """The row of G' = G + 11^T of the point q against pts."""
+    return [sum(x * y for x, y in zip(p, q)) + 1 for p in pts]
+
+
+def _random_point(rng, pts, dim):
+    """A random integer point; often a repeat, the zero point or an
+    integer affine combination of two earlier points, all of which make
+    the set affinely dependent."""
+    roll = rng.random()
+    if pts and roll < 0.15:
+        return list(rng.choice(pts))
+    if len(pts) > 1 and roll < 0.3:
+        a, b = rng.sample(pts, 2)
+        c = rng.randint(-3, 3)
+        return [c * x + (1 - c) * y for x, y in zip(a, b)]
+    if roll < 0.35:
+        return [0] * dim
+    return [rng.randint(-9, 9) for _ in range(dim)]
+
+
+def test_affine_factor_matches_a_fraction_solve():
+    # random append and drop sequences, as Wolfe's cycles make them, on
+    # affinely independent integer point sets: after every step the kept
+    # factor's mu equals a Fraction solve of the bordered system.  A drop
+    # cuts the factor at the first dropped index and appends the later
+    # points again.  A point that would make the set dependent must give a
+    # zero pivot, and is not kept.
     rng = random.Random(41)
-    singular = 0
-    for _ in range(5000):
-        dim = rng.randint(1, 5)
-        pts = []
-        for _ in range(rng.randint(1, 6)):
-            roll = rng.random()
-            if pts and roll < 0.15:
-                pts.append(list(rng.choice(pts)))
-            elif len(pts) > 1 and roll < 0.3:
-                a, b = rng.sample(pts, 2)
-                c = rng.randint(-3, 3)
-                pts.append([c * x + (1 - c) * y for x, y in zip(a, b)])
-            elif roll < 0.35:
-                pts.append([0] * dim)
+    drops = dependent = 0
+    for _ in range(1500):
+        dim = rng.randint(1, 6)
+        pts: list = []
+        factor = sfm._AffineFactor()
+        for _ in range(rng.randint(1, 14)):
+            if len(pts) > 1 and rng.random() < 0.3:
+                keep = sorted(rng.sample(range(len(pts)),
+                                         rng.randint(1, len(pts) - 1)))
+                first = min(set(range(len(pts))) - set(keep))
+                pts = [pts[i] for i in keep]
+                factor.cut(first)
+                for i in range(first, len(pts)):
+                    assert factor.append(_affine_row(pts[:i + 1], pts[i])) > 0
+                drops += 1
             else:
-                pts.append([rng.randint(-9, 9) for _ in range(dim)])
-        G = [[sum(x * y for x, y in zip(p, q)) for q in pts] for p in pts]
-        mun, mud = sfm._solve_affine([row[:] for row in G])
-        mu, dependent = _fraction_affine_solve(G)
-        assert mud > 0
-        assert [Fraction(a, mud) for a in mun] == mu
-        singular += dependent
-    assert singular > 1000
+                q = _random_point(rng, pts, dim)
+                row = _affine_row(pts + [q], q)
+                if _fraction_affine_solve(_gram(pts + [q]))[1]:
+                    trial = copy.deepcopy(factor)
+                    assert trial.append(row) == 0
+                    dependent += 1
+                    continue
+                assert factor.append(row) > 0
+                pts.append(q)
+            mun, mud = factor.solve()
+            assert mud > 0
+            mu, _ = _fraction_affine_solve(_gram(pts))
+            assert [Fraction(a, mud) for a in mun] == mu
+    assert drops > 1000 and dependent > 1000
+
+
+def test_a_dependent_point_set_trips_wolfe(monkeypatch):
+    # Wolfe's point set stays affinely independent; a pivot <= 0 that says
+    # otherwise names the run
+    monkeypatch.setattr(sfm._AffineFactor, "append", lambda self, new: 0)
+    obj = SubmodularObjective(3, lambda x: -len(x))
+    with pytest.raises(RuntimeError, match=r"min-norm-point affinely "
+                       r"dependent point set \(tripwire\): free ground 2, "
+                       r"pinned \[0\], excluded \[\], major cycles 0, \|S\| 1"):
+        minimize(obj, engine="min-norm-point")
 
 
 def test_min_cost_engines_agree():
