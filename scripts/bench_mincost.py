@@ -17,8 +17,9 @@ table.  Two families, in this order:
 
 For each family the size grows through ``SIZES`` until a run takes more
 than ``BUDGET`` seconds (the run is stopped there); each size is timed
-``REPEAT`` times (median reported), and one row gives the split of the
-last run:
+``REPEAT`` times, and its row gives the time and the split of the run
+whose time is the median (the lower middle one of an even count, when
+the budget stopped a later run):
 
 * ``lp``: ``solve_lp`` calls (the split greedy start, where the library
   has one, counts as one, with 0 pivots), their pivots and seconds;
@@ -59,7 +60,6 @@ import pathlib
 import random
 import resource
 import signal
-import statistics
 import sys
 import time
 
@@ -184,7 +184,7 @@ def run_size(polytope, n: int, family: str) -> dict:
     inst, costs = instance(n, family)
     row = {"family": family, "n": n, "m": len(inst.arcs),
            "t": len(inst.roots)}
-    times = []
+    runs = []  # (seconds, split) of each run
     for _ in range(REPEAT):
         with timed_layers(polytope) as split:
             signal.setitimer(signal.ITIMER_REAL, BUDGET)
@@ -195,11 +195,12 @@ def run_size(polytope, n: int, family: str) -> dict:
                 row["stop"] = "over %g s" % BUDGET
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0)
-            times.append(time.perf_counter() - t0)
+            runs.append((time.perf_counter() - t0, split))
         if "stop" in row:
             break
         row["cost"] = str(cost)
-    row.update(seconds=round(statistics.median(times), 5), runs=len(times))
+    seconds, split = sorted(runs, key=lambda r: r[0])[(len(runs) - 1) // 2]
+    row.update(seconds=round(seconds, 5), runs=len(runs))
     row.update({k: round(v, 5) if isinstance(v, float) else v
                 for k, v in split.items()})
     row["rss_mb"] = round(resource.getrusage(

@@ -21,9 +21,11 @@ own peak and no other size's; the row gives
   only: ``pack-undirected`` checks its orientation only where the split
   fails); the network the check runs on is built before it, outside
   ``check_s``, and handed on to ``_construct``;
-* ``orient_s``: ``seconds`` less ``construct_s``, the placement check,
-  the orientation and the final verification on the graph
-  (``pack-undirected`` only);
+* ``orient_s``, ``searches`` and ``reversals``: ``orientation._orient``,
+  the orientation greedy, with the flow searches of its network (its
+  ``Network._stamp``) and the path reversals it made
+  (``pack-undirected`` only; the placement check and the final
+  verification on the graph are in ``seconds`` alone);
 * ``construct_s`` and ``steps``: ``_construct``, the reduction loop with
   its lift and verification, and the number of steps it took;
 * ``min_cut_s`` and ``min_cut_calls``: the ``flow.Network.min_cut`` calls
@@ -90,6 +92,8 @@ def run_one(src: str, command: str, n: int,
              "min_cut_calls": 0}
     if command == "pack":
         split["check_s"] = 0.0
+    else:
+        split.update(orient_s=0.0, searches=0, reversals=0)
     looping = []  # nonempty while _construct runs
 
     def timed(fn, key):
@@ -103,6 +107,24 @@ def run_one(src: str, command: str, n: int,
 
     construct = packing._construct
     min_cut = flow.Network.min_cut
+    orient, network = orientation._orient, flow.Network.__init__
+
+    def oriented(g):
+        nets = []
+
+        def built(net, inst):
+            network(net, inst)
+            nets.append(net)
+
+        flow.Network.__init__ = built
+        try:
+            got = orient(g)
+        finally:
+            flow.Network.__init__ = network
+            split["searches"] += sum(net._stamp for net in nets)
+        if isinstance(got, tuple):
+            split["reversals"] += got[2]
+        return got
 
     def counted(inst, trace=None, net=None):
         steps = [] if trace is None else trace
@@ -131,6 +153,7 @@ def run_one(src: str, command: str, n: int,
         solve = packing.find_packing
     else:
         solve = orientation.pack_undirected
+        orientation._orient = timed(oriented, "orient_s")
     packing._construct = orientation._construct = timed(counted,
                                                         "construct_s")
     signal.signal(signal.SIGALRM, _stop)
@@ -144,8 +167,6 @@ def run_one(src: str, command: str, n: int,
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
     row["seconds"] = round(time.perf_counter() - t0, 4)
-    if command != "pack":
-        split["orient_s"] = row["seconds"] - split["construct_s"]
     row.update({k: round(v, 4) if isinstance(v, float) else v
                 for k, v in split.items()})
     row["rss_mb"] = round(resource.getrusage(
@@ -167,7 +188,8 @@ def main() -> None:
                     row = fresh.apply(run_one, (args.src, command, n, family))
                 rows.append(row)
                 first = ("check %(check_s).4f s" if command == "pack"
-                         else "orient %(orient_s).4f s") % row
+                         else "orient %(orient_s).4f s, %(searches)d "
+                         "searches, %(reversals)d reversals") % row
                 print("%(family)s %(command)s n=%(n)5d %(seconds)9.4f s | "
                       % row + first + " | construct %(construct_s).4f s, "
                       "%(steps)d steps, min_cut %(min_cut_s).4f s in "

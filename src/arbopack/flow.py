@@ -42,13 +42,13 @@ it from the run that finds the minimum.  The vertices no start reaches
 form the largest minimizer, the separation cut of a 0/1 LP point
 (``largest_minimizer``).  Every caller passes one sink.
 
-Integer per-vertex supplies and demands add supply(X) + demand(V - X) to
-the cut of X: a vertex with supply left is one more start of the search,
-and one with demand left ends a path as t does; t's own supply is
-taken first, each unit a path of no arcs.  They come as mappings of
+An integer per-vertex supply adds supply(X) to the cut of X: a vertex
+with supply left is one more start of the search, and t's own supply
+is taken first, each unit a path of no arcs.  It comes as a mapping of
 the vertices that have any, which a call reads and never copies, so a
 call costs its searches, not the number of vertices.  The orientation
-greedy takes its modular offset this way.
+greedy takes its modular offset this way, which it keeps nonnegative by
+reversing paths on ``Network.cap`` between its calls.
 
 The vertices that every X must miss come as ``out``, a range, a set or
 a tuple, read only by ``in``, so a range of indices costs nothing to
@@ -78,11 +78,11 @@ class Network:
     ``adj[w]`` holds (c, u) for each residual arc from vertex w to vertex
     u: c = 2j for arc j itself and 2j + 1 for its reverse, so c ^ 1 is
     the residual arc from u to w.  ``cap`` is the residual capacity every
-    ``min_cut`` starts from, 1 on c = 2j and 0 on 2j + 1; ``min_cut``
-    flips it in place and restores it before it returns.  Element x (node n + x
-    of the search) is the x-th root: ``home[x]`` is its vertex and
-    ``ebit[x]`` the bit of its root element in the root oracle of
-    ``Matroid.twin_map``, so twins are parallel by construction.
+    ``min_cut`` starts from, 1 on c = 2j and 0 on 2j + 1 when built;
+    ``min_cut`` flips it in place and restores it before it returns.
+    Element x (node n + x of the search) is the x-th root: ``home[x]`` is
+    its vertex and ``ebit[x]`` the bit of its root element in the root
+    oracle of ``Matroid.twin_map``, so twins are parallel by construction.
     ``rank[mask]`` is that oracle's rank of a bit mask, memoized.
 
     A search marks the nodes it discovers by writing its own number into
@@ -98,7 +98,9 @@ class Network:
     ``add_twin(x, i)`` appends an element with the bit of element x at
     vertex i: it is parallel to x, and the rank memo stays valid as it is,
     since a twin brings no new bit.  ``restore_arc`` and ``pop_element``
-    undo the two.  ``live_arcs`` counts the arcs not removed.
+    undo the two.  ``live_arcs`` counts the arcs not removed.  The
+    orientation greedy (``orientation._orient``) reverses arc j by
+    swapping cap[2j] and cap[2j + 1].
     """
 
     def __init__(self, inst: RootedDigraph):
@@ -151,23 +153,21 @@ class Network:
 
     def min_cut(self, sink: int, cap: int,
                 supply: Optional[dict] = None,
-                demand: Optional[dict] = None,
                 out: Container[int] = ()) -> int:
         """min(cap, min of cut(X) over X holding ``sink`` and missing
         ``out``), where
 
-            cut(X) = in(X) + r(S_X) + supply(X) + demand(V - X).
+            cut(X) = in(X) + r(S_X) + supply(X).
 
-        ``sink`` is a vertex index.  ``supply`` and ``demand`` map
-        vertex indices to positive integers, 0 where a vertex is left out:
-        a virtual source feeds vertex w up to supply[w] units, and w passes
-        up to demand[w] units on to a virtual sink that every X holds.
+        ``sink`` is a vertex index.  ``supply`` maps vertex indices to
+        positive integers, 0 where a vertex is left out: a virtual source
+        feeds vertex w up to supply[w] units.
         ``out`` holds the vertex indices kept out of X, each a source that
         never runs dry; the value and ``minimizer()`` are those of a
         supply of cap at each of them (see the module docstring), and a
         sink in ``out`` gives cap.  ``supply`` and ``out`` are not taken
-        together.  All three are read as given, never copied or changed;
-        the units a call uses are counted in dicts of its own.  At most
+        together.  Both are read as given, never copied or changed; the
+        units a call uses are counted in a dict of its own.  At most
         ``cap`` augmentations, all in integers, each found by a search
         backwards from the sink.  ``cap`` is flipped along each path and
         restored, from the log of flips, before the call returns or
@@ -183,11 +183,9 @@ class Network:
         if supply and out:
             raise ValueError("min_cut takes a supply or out, not both")
         supply = supply or {}
-        demand = demand or {}
         starts = supply or out  # a vertex kept out never runs dry
         fed = {}        # units of supply each vertex has started paths with
         dry = set()     # vertices whose supply is all used
-        met = {}        # units of demand each vertex has ended paths with
         res, seen, succ, via = self.cap, self.seen, self.succ, self.via
         log = []        # residual arcs flipped, each undone in the finally
         inside = {}     # I, the supplying elements, in the order they joined
@@ -210,18 +208,8 @@ class Network:
             while value < cap:
                 self._stamp = stamp = self._stamp + 1
                 start = None
-                # the vertices that may still end a path: the sink marked
-                # -1 in succ, one with demand left -2
-                queue = [sink]
+                queue = [sink]  # the sink, marked -1 in succ, ends a path
                 seen[sink], succ[sink] = stamp, -1
-                for i, d in demand.items():
-                    if seen[i] != stamp and met.get(i, 0) < d:
-                        seen[i], succ[i] = stamp, -2
-                        queue.append(i)
-                for i in queue:
-                    if i in starts and i not in dry:
-                        start = i
-                        break
                 for node in queue:  # grows while it is read: breadth first
                     if start is not None:
                         break
@@ -284,8 +272,6 @@ class Network:
                         res[c], res[c ^ 1] = 0, 1
                         log.append(c)
                     node = nxt
-                if nxt == -2:
-                    met[node] = met.get(node, 0) + 1
                 # two supplying twins would cancel in the mask: the rank
                 # falls short
                 if rank[mask] != size:

@@ -8,17 +8,22 @@ m >= i with m(V) = |E| is some orientation's in-degree vector.  So
 ``orient_m_connected`` looks for m >= q = p + i with m(V) = |E|: from
 m(v) = deg(v) + k it lowers each m(v) in turn by the least slack
 m(X) - q(X) over X containing v, n minimizations in all.  Each is one
-flow (``flow.Network.min_cut``) on the all-forward digraph, whose
-per-vertex supplies and demands carry the modular offset, all capped at
-one cap above every step's cut of V.  A step changes the offset at its
-own vertex only, so the supplies and demands are dicts changed there,
-and the step's tight set is the smallest minimizer, what the flow's
-failed last search reached: a step costs its searches, not n, and builds
-no submodular objective.  If then m(V) = |E|, reversing directed paths
-from vertices below m to vertices above it realizes m.  Otherwise the
-steps' minimizers are tight, and merged where they meet they give a
-partition of maximum deficiency |E| - m(V) < 0.  There is no heuristic
-and no exhaustive fallback, and no engine is chosen on this side.
+flow (``flow.Network.min_cut``) on the digraph of the current
+orientation F, all-forward at first, with the gaps
+gap(v) = m(v) - indeg_F(v) as per-vertex supplies: the slack is
+in_F(X) + r(S_X) - k + gap(X) for every F.  All flows are capped at one
+cap above every step's cut of V.  A step lowers the gap at its own
+vertex only, and where that falls below 0 it reverses shortest paths
+into v_i from the nearest vertices of positive gap, on the network in
+place, so the supplies stay one dict of gaps >= 0 and a step's flow
+routes its own cut only.  The step's tight set is the smallest
+minimizer, what the flow's failed last search reached: a step costs its
+searches and reversals, not n, and builds no submodular objective.  If
+then m(V) = |E|, every gap is 0 and F has in-degree vector m, one
+orientation of many with it; otherwise the steps' minimizers are tight,
+and merged where they meet they give a partition of maximum deficiency
+|E| - m(V) < 0.  There is no heuristic and no exhaustive fallback, and
+no engine is chosen on this side.
 
 ``orient_m_connected`` returns the orientation itself, so it re-checks
 the oriented digraph by flow (``check_m_connected``) before it does.
@@ -29,7 +34,7 @@ fails where the digraph is not M-connected, and elsewhere only on a
 fault of the reduction loop; only then does the check run, and it
 raises the orientation's tripwire where it finds a violated set, or
 else the split's own error again.  So a positive builds two networks
-in all, the all-forward one and the one the loop runs on, and runs no
+in all, the greedy's one and the one the loop runs on, and runs no
 check of the orientation.  ``pack_undirected`` returns the arborescences
 as they are, edge ids and all, once ``verify_packing`` accepts them on
 the graph.  The forward and the oriented digraphs share the graph's
@@ -38,8 +43,6 @@ vertices, roots and matroid (``RootedInstance.with_links``).
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -96,42 +99,43 @@ def _orient(g: RootedGraph
             ) -> Union[tuple[Orientation, RootedDigraph, int], Certificate]:
     """The greedy of ``orient_m_connected``, its orientation unchecked:
     the orientation, the digraph it induces and the number of path
-    reversals that realized it; or the partition, re-checked."""
+    reversals its steps made; or the partition, re-checked."""
     verts = g.vertices
     n = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    dirs = {e: (u, v) for e, u, v in g.edges}
-    forward = induced_digraph(g, Orientation(dirs))
-    # gap[v] = m(v) - indeg(v) in the all-forward digraph, whose def(X) is
-    # indeg(X) - i(X) - p(X), so def(X) + gap(X) = m(X) - q(X)
+    edges = g.edges
+    net = flow.Network(induced_digraph(
+        g, Orientation({e: (u, v) for e, u, v in edges})))
+    # gap(v) = m(v) - indeg_F(v) in the current orientation F, kept >= 0;
+    # the slack m(X) - q(X) is in_F(X) + r(S_X) - k + gap(X) for every F.
+    # At first F points every edge forward and m(v) = deg(v) + k
     k = g.matroid.full_rank()
     gap = [k] * n
-    for _, u, _ in g.edges:
-        gap[pos[u]] += 1
-    net = flow.Network(forward)
-    # above cut(V) = k + g+(V) at every step, since no step raises a gap:
-    # each flow ends in a failed search, which gives its minimizer
+    for _, u, _ in edges:
+        gap[net.pos[u]] += 1
+    # above cut(V) = r(S) + gap(V) at every step, since no step raises a
+    # gap: each flow ends in a failed search, which gives its minimizer
     cap = k + sum(gap) + 1
-    # the split of gap by sign, g+ and g-, and g-(V)
-    supply = {j: x for j, x in enumerate(gap) if x > 0}
-    demand: dict = {}
-    owed = 0
+    supply = {j: x for j, x in enumerate(gap) if x > 0}  # gaps above 0
     steps = []
+    reversals = 0
     for i in range(n):
-        # def(X) + gap(X) = in(X) + r(S_X) + g+(X) + g-(V - X) - k - g-(V):
-        # the cut of X when a virtual source supplies w with g+(w) units
-        # and w passes g-(w) on to a virtual sink inside X
-        gap[i] -= net.min_cut(i, cap, supply, demand) - k - owed
+        # the cut of X: a virtual source supplies w with gap(w) units
+        cut = net.min_cut(i, cap, supply)
         steps.append(net.minimizer())
-        # the step changed gap at v_i alone, from its first value: k plus
-        # the out-degree, no demand
-        supply.pop(i, None)
-        if gap[i] > 0:
-            supply[i] = gap[i]
-        elif gap[i] < 0:
-            demand[i] = -gap[i]
-            owed -= gap[i]
-    if sum(gap) > 0:  # m(V) > |E|
+        own = supply.pop(i, 0) + k - cut  # gap(v_i), m(v_i) lowered
+        # below 0 where m(v_i) fell under indeg_F(v_i): reverse paths into
+        # v_i, each from the nearest vertex whose gap is positive
+        while own < 0:
+            u = _reverse_path(net, i, supply)
+            supply[u] -= 1
+            if not supply[u]:
+                del supply[u]
+            own += 1
+            reversals += 1
+        if own:
+            supply[i] = own
+    excess = sum(supply.values())
+    if excess:  # m(V) > |E|
         # the tight sets merged where they meet, by union-find over the
         # vertex indices; step i's set holds v_i, so the blocks cover V
         up = list(range(n))
@@ -152,18 +156,19 @@ def _orient(g: RootedGraph
         cert = Certificate(
             VIOLATED_PARTITION,
             partition=tuple(frozenset(b) for b in blocks.values()),
-            deficiency=-sum(gap))
+            deficiency=-excess)
         if not recheck_certificate(g, cert):
             raise TheoremViolation(
                 "orient_m_connected: the tight sets of greedy steps 1 to %d, "
                 "merged into %s, are not a violated partition (tripwire): "
                 "engine flow, deficiency %d, vertices %d, edges %d"
                 % (n, [sorted(b) for b in cert.partition], cert.deficiency,
-                   n, len(g.edges)))
+                   n, len(edges)))
         return cert
-    # each reversal lowers one positive gap by one, so they number this
-    reversals = sum(x for x in gap if x > 0)
-    oriented = _realize(dirs, dict(zip(verts, gap)))
+    # every gap is 0: F has in-degree vector m, and cap[2j] says whether
+    # edge j still points forward
+    oriented = Orientation({e: (u, v) if net.cap[2 * j] else (v, u)
+                            for j, (e, u, v) in enumerate(edges)})
     return oriented, induced_digraph(g, oriented), reversals
 
 
@@ -183,51 +188,36 @@ def _check_orientation(g: RootedGraph, digraph: RootedDigraph,
                cert.deficiency, n, len(g.edges)))
 
 
-def _realize(dirs: dict, gap: dict) -> Orientation:
-    """Reverse directed paths until each vertex v has gained gap[v] in-arcs.
+def _reverse_path(net: flow.Network, i: int, surplus: dict) -> int:
+    """Reverse a shortest directed path into vertex index i from the
+    vertex of ``surplus`` nearest to it, and return that vertex.
 
-    A path from a vertex with gap > 0 to one with gap < 0, reversed, moves
-    one in-arc from its end to its start; Hakimi's theorem says one exists.
-    The search leaves each vertex by its out-arcs in the order of
-    ``dirs``, one sorted list of edge indices per vertex; a reversal moves
-    one index from one list to another.
+    The search goes breadth first backwards from i over the arcs of
+    ``net.cap``, each vertex's in order of ``net.adj``, and stops at the
+    first vertex of ``surplus`` it discovers; the reversal flips
+    ``cap[c]`` and ``cap[c ^ 1]`` along the path.  In the greedy the
+    path exists: no arc enters the vertices R that reach v_i, so their
+    in-degrees sum to i(R) <= q(R) <= m(R), gap(R) >= 0, and with v_i's
+    gap negative another vertex of R has a positive one.
     """
-    ids = list(dirs)
-    dirs = dict(dirs)
-    out: dict = {v: [] for v in gap}
-    for j, e in enumerate(ids):
-        out[dirs[e][0]].append(j)
-    reversals = 0
-    for low in gap:
-        while gap[low] > 0:
-            prev = {low: None}
-            dq = deque([low])
-            while dq:
-                w = dq.popleft()
-                if gap[w] < 0:
-                    break
-                for j in out[w]:
-                    h = dirs[ids[j]][1]
-                    if h not in prev:
-                        prev[h] = j
-                        dq.append(h)
-            else:
-                raise TheoremViolation(
-                    "_realize: no path from %s to a vertex above its "
-                    "in-degree at path reversal %d (tripwire): vertices %d, "
-                    "edges %d" % (low, reversals + 1, len(gap), len(dirs)))
-            reversals += 1
-            gap[low] -= 1
-            gap[w] += 1
-            while w != low:
-                j = prev[w]
-                e = ids[j]
-                t, h = dirs[e]
-                dirs[e] = (h, t)
-                out[t].remove(j)
-                insort(out[h], j)
-                w = t
-    return Orientation(dirs)
+    adj, cap = net.adj, net.cap
+    prev = {i: None}
+    for node in (queue := [i]):  # grows while it is read: breadth first
+        for c, w in adj[node]:
+            if cap[c ^ 1] and w not in prev:
+                prev[w] = c ^ 1, node
+                if w in surplus:
+                    u = w
+                    while w != i:
+                        c, w = prev[w]
+                        cap[c], cap[c ^ 1] = 0, 1
+                    return u
+                queue.append(w)
+    raise TheoremViolation(
+        "orient_m_connected: no path into %s from a vertex below its "
+        "in-degree bound at greedy step %d (tripwire): engine flow, "
+        "vertices %d, edges %d"
+        % (net.vertices[i], i + 1, len(net.pos), len(cap) // 2))
 
 
 # -- tree packings -----------------------------------------------------------------

@@ -173,6 +173,15 @@ def greedy_gaps(g: RootedGraph, engine: str) -> dict:
     return dict(zip(verts, gap))
 
 
+def in_degrees(g: RootedGraph, directions: dict) -> dict:
+    """vertex -> the number of edges of g that ``directions`` (edge id ->
+    (tail, head)) points into it."""
+    out = dict.fromkeys(g.vertices, 0)
+    for e, _, _ in g.edges:
+        out[directions[e][1]] += 1
+    return out
+
+
 @pytest.fixture
 def fixed_explicit():
     return ExplicitMatroid(["s1", "s2", "s3"], [["s1", "s2"], ["s1", "s3"]])

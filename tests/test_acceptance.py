@@ -32,7 +32,6 @@ from arbopack.instances import parse_instance, generate_instance
 from arbopack.matroid import FreeMatroid
 from arbopack.orientation import (
     _orientation_from_bits,
-    _realize,
     induced_digraph,
     decompose_edges,
     orient_m_connected,
@@ -54,7 +53,12 @@ from arbopack.sweeps import (
     iter_undirected_instances,
 )
 
-from conftest import greedy_gaps, lean_matroids, random_digraph
+from conftest import (
+    greedy_gaps,
+    in_degrees,
+    lean_matroids,
+    random_digraph,
+)
 
 
 def report(label, detail):
@@ -203,8 +207,8 @@ def undirected_sweep():
 
 def test_05_orientation_equivalence_exhaustive(undirected_sweep):
     # the greedy's steps are flows; a reference greedy minimizes each one
-    # by subset enumeration, and its gaps, realized, must give the same
-    # orientation, or sum to the negated deficiency of the certificate
+    # by subset enumeration, and its gaps must give the oriented digraph's
+    # in-degree vector, or sum to the negated deficiency of the certificate
     positives = 0
     for g, exists in undirected_sweep:
         cert = check_partition_connected(g)
@@ -215,8 +219,9 @@ def test_05_orientation_equivalence_exhaustive(undirected_sweep):
         if exists:
             d = induced_digraph(g, oriented)
             assert check_m_connected(d).ok, g
-            forward = {e: (u, v) for e, u, v in g.edges}
-            assert _realize(forward, gaps) == oriented, g
+            forward = in_degrees(g, {e: (u, v) for e, u, v in g.edges})
+            assert in_degrees(g, oriented.directions) == {
+                v: x + gaps[v] for v, x in forward.items()}, g
             positives += 1
         else:
             assert recheck_certificate(g, oriented), g
@@ -226,7 +231,7 @@ def test_05_orientation_equivalence_exhaustive(undirected_sweep):
            "orientation existence matches the partition condition on all %d "
            "undirected instances (%d positive); every negative certificate "
            "rechecks with the enumerator's deficiency; the flow greedy's "
-           "orientations and deficiencies equal those of a greedy whose "
+           "in-degree vectors and deficiencies equal those of a greedy whose "
            "steps are brute-force minimizations"
            % (len(undirected_sweep), positives))
 

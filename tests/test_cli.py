@@ -906,25 +906,28 @@ def test_orientation_tripwire_is_an_error_envelope(tmp_path, capsys,
 
 def test_realized_orientation_tripwire_survives_the_split(tmp_path, capsys,
                                                          monkeypatch):
-    # a path whose edges point the wrong way, so one reversal realizes the
-    # greedy's vector: a mutant that leaves it out hands pack-undirected
-    # an orientation that is not M-connected.  Its split fails, and the
-    # check then names the same violated set as orient's tripwire
+    # a path whose edges point away from the root, so the last greedy step
+    # reverses one path into its vertex: a mutant that counts that
+    # reversal but leaves it out hands pack-undirected an orientation that
+    # is not M-connected.  Its split fails, and the check then names the
+    # same violated set as orient's tripwire
     from arbopack import orientation
 
-    realize = orientation._realize
+    reverse = orientation._reverse_path
 
-    def one_short(dirs, gap):
-        gap = dict(gap)
-        gap[next(v for v, x in gap.items() if x > 0)] -= 1
-        gap[next(v for v, x in gap.items() if x < 0)] += 1
-        return realize(dirs, gap)
+    def one_short(net, i, surplus):
+        if i < len(net.pos) - 1:
+            return reverse(net, i, surplus)
+        cap = list(net.cap)
+        u = reverse(net, i, surplus)
+        net.cap[:] = cap
+        return u
 
-    monkeypatch.setattr(orientation, "_realize", one_short)
+    monkeypatch.setattr(orientation, "_reverse_path", one_short)
     doc = {"version": 1, "vertices": ["a", "b", "c"],
-           "edges": [{"id": "e1", "ends": ["b", "a"]},
-                     {"id": "e2", "ends": ["c", "b"]}],
-           "roots": [{"element": "s1", "vertex": "a"}],
+           "edges": [{"id": "e1", "ends": ["a", "b"]},
+                     {"id": "e2", "ends": ["b", "c"]}],
+           "roots": [{"element": "s1", "vertex": "c"}],
            "matroid": {"type": "free"}}
     path = write(tmp_path, "i.json", doc)
     for command in ("orient", "pack-undirected", "decompose"):
@@ -935,7 +938,7 @@ def test_realized_orientation_tripwire_survives_the_split(tmp_path, capsys,
             "message": "orient_m_connected: the in-degree vector realized "
                        "after 3 greedy steps and 1 path reversals is not "
                        "M-connected (tripwire): engine flow, violated set "
-                       "['b', 'c'], deficiency -1, vertices 3, edges 2"}, \
+                       "['a'], deficiency -1, vertices 3, edges 2"}, \
             command
 
 

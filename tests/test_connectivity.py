@@ -342,21 +342,21 @@ def test_passing_check_is_decision_only(monkeypatch, engine):
 
 def test_flow_run_i_keeps_out_exactly_the_indices_below_i(monkeypatch):
     # the flow check is split by smallest index: run i has sink i, cap
-    # k = 2, no supply or demand, and keeps out each index below i; a
+    # k = 2, no supply, and keeps out each index below i; a
     # negative reads its violated set off those runs and makes no more
     from arbopack import flow
 
     calls = []
     min_cut = flow.Network.min_cut
 
-    def spy(net, sink, cap, supply=None, demand=None, out=()):
-        calls.append((sink, cap, supply, demand,
+    def spy(net, sink, cap, supply=None, out=()):
+        calls.append((sink, cap, supply,
                       {i for i in range(len(net.pos)) if i in out}))
-        return min_cut(net, sink, cap, supply, demand, out)
+        return min_cut(net, sink, cap, supply, out)
 
     monkeypatch.setattr(flow.Network, "min_cut", spy)
     feasible, violated, expected = decision_pair()
-    runs = [(i, 2, None, None, set(range(i))) for i in range(4)]
+    runs = [(i, 2, None, set(range(i))) for i in range(4)]
     calls.clear()
     assert check_m_connected(feasible).ok
     assert calls == runs

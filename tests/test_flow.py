@@ -69,13 +69,11 @@ def with_twins(rng: random.Random, inst: RootedDigraph, count: int):
     return inst
 
 
-def cuts(inst: RootedDigraph, sink, sources, supply=None, demand=None) -> dict:
-    """X -> in(X) + r(S_X) + supply(X) + demand(V - X), for every X holding
-    the sink and no source; supply and demand map vertex indices to
-    units, 0 where left out."""
+def cuts(inst: RootedDigraph, sink, sources, supply=None) -> dict:
+    """X -> in(X) + r(S_X) + supply(X), for every X holding the sink and
+    no source; supply maps vertex indices to units, 0 where left out."""
     verts = inst.vertices
     supply = supply or {}
-    demand = demand or {}
     rest = [v for v in verts if v != sink and v not in sources]
     out = {}
     for r in range(len(rest) + 1):
@@ -83,8 +81,8 @@ def cuts(inst: RootedDigraph, sink, sources, supply=None, demand=None) -> dict:
             xs = frozenset((sink, *extra))
             out[xs] = (in_degree(inst, xs)
                        + inst.matroid.rank(inst.elements_in(xs))
-                       + sum(supply.get(i, 0) if v in xs else demand.get(i, 0)
-                             for i, v in enumerate(verts)))
+                       + sum(supply.get(i, 0) for i, v in enumerate(verts)
+                             if v in xs))
     return out
 
 
@@ -107,7 +105,7 @@ def random_instance(rng: random.Random) -> RootedDigraph:
 
 
 def random_query(rng: random.Random, verts):
-    """(sink, sources, cap, supply, demand) by vertex name, drawn for one
+    """(sink, sources, cap, supply) by vertex name, drawn for one
     ``min_cut`` call; ``as_call`` gives the call's arguments."""
     sink = rng.choice(verts)
     rest = [v for v in verts if v != sink]
@@ -115,13 +113,11 @@ def random_query(rng: random.Random, verts):
     if rest and rng.random() < 0.6:
         sources = set(rng.sample(rest, rng.randint(1, len(rest))))
     cap = rng.randint(-1, 30)
-    supply = demand = None
+    supply = None
     if rng.random() < 0.5:
         supply = {i: u for i, u in enumerate(rng.choice((0, 0, 1, 2, 5))
                                              for _ in verts) if u}
-        demand = {i: u for i, u in enumerate(rng.choice((0, 0, 1, 3))
-                                             for _ in verts) if u}
-    return sink, sources, cap, supply, demand
+    return sink, sources, cap, supply
 
 
 def as_call(inst: RootedDigraph, sink, sources, cap, supply=None):
@@ -139,8 +135,8 @@ def test_flow_matches_enumeration():
     # smallest minimizer, the intersection of all minimizers, and those no
     # start reaches the largest, their union; each network answers several
     # draws, so every call, and every read of the largest minimizer, must
-    # leave its residual capacities, and the caller's supply and demand,
-    # as it found them
+    # leave its residual capacities, and the caller's supply, as it found
+    # them
     rng = random.Random(2024)
     below_cap = weighted = apart = 0
     for _ in range(1000):
@@ -148,16 +144,16 @@ def test_flow_matches_enumeration():
         net = flow.Network(inst)
         before = list(net.cap)
         for _ in range(3):
-            sink, sources, cap, supply, demand = query = \
+            sink, sources, cap, supply = query = \
                 random_query(rng, inst.vertices)
-            values = cuts(inst, sink, sources, supply, demand)
+            values = cuts(inst, sink, sources, supply)
             want = min(cap, *values.values())
             case = (inst.arcs, inst.roots, query)
             end, fed = as_call(inst, sink, sources, cap, supply)
-            given = (dict(fed), dict(demand or {}))
-            assert net.min_cut(end, cap, fed, demand) == want, case
+            given = dict(fed)
+            assert net.min_cut(end, cap, fed) == want, case
             assert net.cap == before, case
-            assert (fed, demand or {}) == given, case
+            assert fed == given, case
             if want < cap:
                 minimizers = [xs for xs, v in values.items() if v == want]
                 smallest = frozenset.intersection(*minimizers)
@@ -218,8 +214,7 @@ def test_sink_supplied_with_the_cap_reaches_it():
 
 def test_out_is_a_supply_of_the_cap():
     # the vertices kept out, as a range, a set or a tuple, give the value
-    # and the smallest minimizer of a supply of the cap at each of them,
-    # alone or next to a demand
+    # and the smallest minimizer of a supply of the cap at each of them
     rng = random.Random(2410)
     below_cap = 0
     for _ in range(600):
@@ -234,17 +229,13 @@ def test_out_is_a_supply_of_the_cap():
             else:
                 out = rng.sample(range(n), rng.randint(0, n))
                 out = set(out) if form == "set" else tuple(out)
-            demand = None
-            if rng.random() < 0.3:
-                demand = {i: rng.randint(1, 3) for i in range(n)
-                          if rng.random() < 0.3}
-            case = (inst.arcs, inst.roots, sink, cap, out, demand)
-            got = net.min_cut(sink, cap, demand=demand, out=out)
-            want = net.min_cut(sink, cap, dict.fromkeys(out, cap), demand)
+            case = (inst.arcs, inst.roots, sink, cap, out)
+            got = net.min_cut(sink, cap, out=out)
+            want = net.min_cut(sink, cap, dict.fromkeys(out, cap))
             assert got == want, case
             if want < cap:
                 smallest = net.minimizer()
-                net.min_cut(sink, cap, demand=demand, out=out)
+                net.min_cut(sink, cap, out=out)
                 assert net.minimizer() == smallest, case
                 assert not smallest & set(out), case
                 below_cap += 1

@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from conftest import cut_graph, graph, greedy_gaps, lean_matroids, planted_graph
+from conftest import (
+    cut_graph,
+    graph,
+    greedy_gaps,
+    in_degrees,
+    lean_matroids,
+    planted_graph,
+)
 from arbopack.cli import run_command
 from arbopack.connectivity import (
     Certificate,
@@ -11,7 +18,7 @@ from arbopack.connectivity import (
     check_partition_connected,
     recheck_certificate,
 )
-from arbopack.instances import emit_instance
+from arbopack.instances import _generate_raw, emit_instance, parse_instance
 from arbopack.matroid import FreeMatroid, UniformMatroid
 from arbopack.orientation import (
     IdentityViolation,
@@ -93,13 +100,13 @@ def test_orientation_equivalence_random():
 def test_flow_greedy_matches_min_norm_point(kind, n):
     # above the enumerator's cap: a planted graph and a cut copy of it,
     # against a greedy whose steps are min-norm-point minimizations
-    from arbopack.orientation import _realize
-
     g = planted_graph(random.Random(kind), n, kind)
     out = orient_m_connected(g)
     assert isinstance(out, Orientation)
-    forward = {e: (u, v) for e, u, v in g.edges}
-    assert _realize(forward, greedy_gaps(g, "min-norm-point")) == out
+    gaps = greedy_gaps(g, "min-norm-point")
+    forward = in_degrees(g, {e: (u, v) for e, u, v in g.edges})
+    assert in_degrees(g, out.directions) == {
+        v: x + gaps[v] for v, x in forward.items()}
     cut = cut_graph(g)
     cert = orient_m_connected(cut)
     assert isinstance(cert, Certificate) and recheck_certificate(cut, cert)
@@ -129,65 +136,112 @@ def test_brute_engine_orients_above_its_cap(tmp_path, capsys):
         deficiency=cert["deficiency"]))
 
 
-def realize_by_scan(dirs: dict, gap: dict) -> dict:
-    """``_realize``'s path reversals, each search scanning every edge in
-    the order of ``dirs`` for the ones leaving the popped vertex."""
-    dirs = dict(dirs)
-    for low in gap:
-        while gap[low] > 0:
-            prev = {low: None}
-            queue = [low]
-            for w in queue:
-                if gap[w] < 0:
-                    break
-                for e, (t, h) in dirs.items():
-                    if t == w and h not in prev:
-                        prev[h] = e
-                        queue.append(h)
-            gap[low] -= 1
-            gap[w] += 1
-            while w != low:
-                t, h = dirs[prev[w]]
-                dirs[prev[w]] = (h, t)
-                w = t
-    return dirs
+def reverse_by_scan(edges: list, dirs: dict, sink: str,
+                    surplus: set) -> str | None:
+    """``_reverse_path``'s reversal into ``sink``, made on ``dirs`` in
+    place, its search scanning every edge in the order of ``edges`` for
+    the ones into the popped vertex; the vertex of ``surplus`` it starts
+    from, or None if none reaches the sink."""
+    prev = {sink: None}
+    queue = [sink]
+    for w in queue:
+        for e, _, _ in edges:
+            t, h = dirs[e]
+            if h == w and t not in prev:
+                prev[t] = e
+                if t in surplus:
+                    u = t
+                    while u != sink:
+                        dirs[prev[u]] = dirs[prev[u]][::-1]
+                        u = dirs[prev[u]][0]
+                    return t
+                queue.append(t)
+    return None
 
 
-def test_realize_searches_edges_in_order():
-    # the gap of a random target orientation against a random start, so a
-    # realization exists (Hakimi); the out-adjacency search must reverse
-    # the same paths as a scan of every edge
-    from arbopack.orientation import _realize
+def test_reverse_path_takes_the_nearest_surplus_in_edge_order():
+    # random orientations, sinks and surplus sets on multigraphs: each
+    # reversal must flip the same shortest path, edge for edge, as a scan
+    # of every edge, and a sink that no surplus vertex reaches trips
+    from arbopack import flow
+    from arbopack.graphs import RootedDigraph
+    from arbopack.orientation import _reverse_path
+    from arbopack.packing import TheoremViolation
 
     rng = random.Random(31)
-    reversals = 0
+    reversals = long = stuck = 0  # long: paths of two arcs or more
     for _ in range(300):
         verts = ["v%d" % i for i in range(rng.randint(2, 9))]
         edges = [("e%d" % j, *rng.sample(verts, 2))
                  for j in range(rng.randint(1, 20))]
-        start = {e: (u, v) if rng.random() < 0.5 else (v, u)
-                 for e, u, v in edges}
-        target = {e: (u, v) if rng.random() < 0.5 else (v, u)
-                  for e, u, v in edges}
-        gap = dict.fromkeys(verts, 0)
-        for e in start:
-            gap[target[e][1]] += 1
-            gap[start[e][1]] -= 1
-        reversals += sum(x for x in gap.values() if x > 0)
-        want = realize_by_scan(start, dict(gap))
-        assert _realize(start, dict(gap)).directions == want, edges
-    assert reversals > 500
+        net = flow.Network(RootedDigraph(verts, edges, [("s", verts[0])],
+                                         FreeMatroid(["s"])))
+        dirs = {}
+        for j, (e, u, v) in enumerate(edges):
+            dirs[e] = (u, v)
+            if rng.random() < 0.5:
+                dirs[e] = (v, u)
+                net.cap[2 * j], net.cap[2 * j + 1] = 0, 1
+        for _ in range(5):
+            sink = rng.randrange(len(verts))
+            surplus = {i: 1 for i in range(len(verts))
+                       if i != sink and rng.random() < 0.3}
+            want = reverse_by_scan(edges, dirs, verts[sink],
+                                   {verts[i] for i in surplus})
+            if want is None:
+                with pytest.raises(TheoremViolation, match="no path into"):
+                    _reverse_path(net, sink, surplus)
+                stuck += 1
+            else:
+                before = list(net.cap)
+                assert verts[_reverse_path(net, sink, surplus)] == want
+                reversals += 1
+                long += sum(a != b for a, b in zip(net.cap, before)) > 2
+            got = {e: (u, v) if net.cap[2 * j] else (v, u)
+                   for j, (e, u, v) in enumerate(edges)}
+            assert got == dirs, (edges, sink, surplus)
+    assert reversals > 500 and long > 100 and stuck > 100
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_greedy_searches_grow_with_the_edges(monkeypatch, n):
+    # scripts/bench_pack.py's noisy family (seed 7, t=2, 4n edges): each
+    # step's flow routes its own vertex's cut and no earlier step's, so
+    # the greedy runs at most 2|E| + (k + 1)n searches.  A greedy whose
+    # flows also routed the negative gaps of the steps before them, as
+    # demands, ran 3478, 11999 and 52222 here
+    from arbopack import flow, orientation
+
+    nets = []
+
+    class Counted(flow.Network):
+        def __init__(self, inst):
+            super().__init__(inst)
+            nets.append(self)
+
+    monkeypatch.setattr(flow, "Network", Counted)
+    g = parse_instance(_generate_raw(random.Random(7), n, 4 * n, 2, "free",
+                                     False, False, True))[0]
+    assert isinstance(orientation._orient(g), tuple)
+    k = g.matroid.full_rank()
+    assert len(nets) == 1
+    assert nets[0]._stamp <= 2 * len(g.edges) + (k + 1) * n
 
 
 def test_orientation_tripwires_name_step_engine_and_sizes(monkeypatch):
     from arbopack import orientation
     from arbopack.packing import TheoremViolation
 
+    from arbopack.flow import Network
+
+    d = induced_digraph(graph(["a", "b"], ["e1:a-b"], ["s1@a"],
+                              FreeMatroid(["s1"])), Orientation({"e1": ("a", "b")}))
     with pytest.raises(TheoremViolation) as info:
-        orientation._realize({"e1": ("a", "b")}, {"a": 1, "b": 0})
+        orientation._reverse_path(Network(d), 1, {})
     assert str(info.value) == (
-        "_realize: no path from a to a vertex above its in-degree at path "
-        "reversal 1 (tripwire): vertices 2, edges 1")
+        "orient_m_connected: no path into b from a vertex below its "
+        "in-degree bound at greedy step 2 (tripwire): engine flow, "
+        "vertices 2, edges 1")
     # a check that rejects every orientation trips the realized vector
     monkeypatch.setattr(orientation, "check_m_connected", lambda *a, **k:
                         Certificate("violated-set", vertex_set=frozenset("b"),
