@@ -30,7 +30,9 @@ the budget stopped a later run):
   min-norm-point separations (``sfm._wolfe_min_norm``, one per smallest
   index but the last) and the greedy vertices they read
   (``sfm._greedy_vertex``, one per major cycle and one to start), which
-  tell fewer iterations from cheaper ones;
+  tell fewer iterations from cheaper ones; ``wolfe_stopped`` counts the
+  runs that Fujishige's bound ended at the least value of the earlier
+  runs, rather than Wolfe's optimality test;
 * ``construct``: seconds of ``_construct``, the split of a 0/1 optimum
   into trees, failed splits included; ``splits`` and ``failed_splits``
   count the splits that returned a packing and those that raised
@@ -96,7 +98,8 @@ def timed_layers(polytope):
              "sep_flow": 0, "sep_flow_s": 0.0,
              "sep_mnp": 0, "sep_mnp_s": 0.0, "construct_s": 0.0,
              "splits": 0, "failed_splits": 0, "sep_after_failed": 0,
-             "prechecks": 0, "wolfe_runs": 0, "greedy_vertices": 0}
+             "prechecks": 0, "wolfe_runs": 0, "wolfe_stopped": 0,
+             "greedy_vertices": 0}
     solve_lp, separate, construct = (polytope.solve_lp, polytope.separate,
                                      polytope._construct)
     sfm = polytope.sfm
@@ -118,7 +121,9 @@ def timed_layers(polytope):
 
     def wolfe_run(*args, **kwargs):
         split["wolfe_runs"] += 1
-        return wolfe(*args, **kwargs)
+        out = wolfe(*args, **kwargs)
+        split["wolfe_stopped"] += out is None
+        return out
 
     def greedy_vertex(*args, **kwargs):
         split["greedy_vertices"] += 1
@@ -232,8 +237,8 @@ def main() -> None:
             print("%(family)s n=%(n)4d %(seconds)8.4f s (runs %(runs)d) | "
                   "lp %(lp_solves)d solves %(lp_pivots)d pivots %(lp_s).4f s"
                   " | sep flow %(sep_flow)d %(sep_flow_s).4f s, mnp "
-                  "%(sep_mnp)d %(sep_mnp_s).4f s (wolfe %(wolfe_runs)d, "
-                  "greedy %(greedy_vertices)d) | construct "
+                  "%(sep_mnp)d %(sep_mnp_s).4f s (wolfe %(wolfe_runs)d, stopped "
+                  "%(wolfe_stopped)d, greedy %(greedy_vertices)d) | construct "
                   "%(construct_s).4f s, splits %(splits)d, failed "
                   "%(failed_splits)d, then sep %(sep_after_failed)d | "
                   "prechecks %(prechecks)d | "

@@ -156,8 +156,9 @@ def flow_deficiency(net: flow.Network, k: int, read) -> sfm.SfmResult:
     """min(0, min of def) on ``net``'s digraph by one flow per smallest
     index v, capped at k with the indices below v kept out, and the set
     that ``read(net)``, a ``flow.Network`` minimizer, gives on the first
-    run that reaches it below 0."""
-    def run(v: int):
+    run that reaches it below 0.  A flow stops at its cap already, so
+    the runs ignore the bar ``by_smallest_index`` hands them."""
+    def run(v: int, bar):
         value = net.min_cut(v, k, out=range(v)) - k
         return value, read(net) if value < 0 else None
 

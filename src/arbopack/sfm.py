@@ -30,7 +30,14 @@ Two engines:
   ``prefixes`` where it has one.  Run v contracts v (``_pinned_min``) and
   minimizes on the free ground of the n - 1 - v indices above it; by
   Fujishige's theorem (1980) the entries of the min-norm point x* below 0
-  are the smallest minimizer there, and those at or below 0 the largest.
+  are the smallest minimizer there, and those at or below 0 the largest,
+  and the minimum is x*^-(free), the sum of the entries below 0.  Run v
+  is handed the least value of runs 0..v-1, its bar, and stops once it
+  proves its minimum is at least the bar: Wolfe's point x lies in the
+  base polytope at every cycle, so g(Y) >= x(Y) >= x^-(free), the bound
+  of Fujishige and Isotani's stopping gap (Pacific J. Optim. 2011).  A
+  run whose minimum is at least the bar can neither go below an earlier
+  run nor tie it first, so stopping it changes no result.
 
 Objectives evaluate on sets of integer ground indices 0..n-1 and return
 ints (``brute`` also takes Fractions).  Every objective the library
@@ -118,16 +125,21 @@ def minimize(obj: SubmodularObjective, engine: str = "brute",
 def by_smallest_index(n: int, run) -> SfmResult:
     """Minimum over the nonempty subsets of 0..n-1, split by smallest index.
 
-    ``run(v)`` returns the min over the sets whose smallest index is v and
-    the smallest minimizer of that family; the minimizer may be ``None``
-    where the value is above the minimum or the caller reads none (a flow
-    that reaches its cap).  The first run with the least value wins.
+    ``run(v, bar)`` returns the min over the sets whose smallest index is
+    v and the smallest minimizer of that family; the minimizer may be
+    ``None`` where the value is above the minimum or the caller reads none
+    (a flow that reaches its cap).  ``bar`` is the least value of runs
+    0..v-1, None for run 0, and a run that has proved its min is at least
+    the bar may return ``(bar, None)`` without finishing (min-norm-point
+    does; the flow and brute runs ignore the bar).  The first run with the
+    least value wins, and a run that returns the bar ties an earlier run,
+    so it never wins.
     """
     if n <= 0:
         raise ValueError("empty ground set")
-    best_val, best_set = run(0)
+    best_val, best_set = run(0, None)
     for v in range(1, n):
-        val, least = run(v)
+        val, least = run(v, best_val)
         if val < best_val:
             best_val, best_set = val, least
     return SfmResult(best_set, best_val)
@@ -146,7 +158,7 @@ def _minimize_brute(obj: SubmodularObjective, largest: bool) -> SfmResult:
     evaluate = obj.evaluate
     single = [frozenset((i,)) for i in range(n)]
 
-    def run(v: int):
+    def run(v: int, bar):
         best_set = single[v]
         best_val = evaluate(best_set)
 
@@ -173,9 +185,11 @@ def _minimize_brute(obj: SubmodularObjective, largest: bool) -> SfmResult:
 # -- min-norm-point engine -----------------------------------------------------
 
 
-def _pinned_min(obj: SubmodularObjective, v: int, largest: bool = False):
+def _pinned_min(obj: SubmodularObjective, v: int, bar,
+                largest: bool = False):
     """Run v of ``min-norm-point``: the min over the sets whose smallest
-    index is v, and their smallest minimizer, or their largest.
+    index is v, and their smallest minimizer, or their largest; or
+    ``(bar, None)`` once the run has proved that min is at least ``bar``.
 
     Contraction: g(Y) = f(Y + v) - f({v}) on the free indices above v; g
     stays submodular and normalized, and {v} plus its smallest minimizer,
@@ -183,7 +197,12 @@ def _pinned_min(obj: SubmodularObjective, v: int, largest: bool = False):
     or below 0: its largest), is the run's.  Each greedy vertex reads g
     on the prefixes of its order in one call of the objective's
     ``prefixes``, or, where it has none, by evaluating one live set that
-    grows by one index per step.
+    grows by one index per step.  The run's value is f({v}) + x*^-(free),
+    which Wolfe checks against ``evaluate`` on the reported set.  Wolfe
+    stops where f({v}) plus its bound on g reaches ``bar`` (passed on as
+    bar - f({v})); then min f >= bar over the run's sets, so the run can
+    neither go below an earlier run nor tie it first, and it reads no
+    minimizer.
     """
     pin = frozenset((v,))
     shift = v + 1
@@ -195,10 +214,19 @@ def _pinned_min(obj: SubmodularObjective, v: int, largest: bool = False):
     def chain(order):
         return [a - base for a in prefixes(pin, [shift + j for j in order])]
 
-    xn, _ = _wolfe_min_norm(obj.n - shift, chain, pin, range(v))
-    found = pin | {shift + j for j, a in enumerate(xn)
-                   if a < 0 or largest and a == 0}
-    return obj.evaluate(found), found
+    def found(xn) -> frozenset:
+        return pin | {shift + j for j, a in enumerate(xn)
+                      if a < 0 or largest and a == 0}
+
+    def read(xn):
+        return obj.evaluate(found(xn)) - base
+
+    out = _wolfe_min_norm(obj.n - shift, chain, pin, range(v),
+                          None if bar is None else bar - base, read)
+    if out is None:
+        return bar, None
+    xn, xd = out
+    return base + _negative(xn) // xd, found(xn)
 
 
 def _live_prefixes(evaluate, start: AbstractSet[int], order) -> list:
@@ -231,6 +259,11 @@ def _greedy_vertex(n: int, chain, w) -> list:
 
 def _dot(a, b):
     return sum(map(mul, a, b))
+
+
+def _negative(xn) -> int:
+    """The sum of the entries of ``xn`` below 0."""
+    return sum(a for a in xn if a < 0)
 
 
 def _reduced(row: list) -> list:
@@ -312,22 +345,31 @@ class _AffineFactor:
         return X, sum(X)
 
 
-def _wolfe_min_norm(n: int, chain, pinned=(), excluded=()):
+def _wolfe_min_norm(n: int, chain, pinned=(), excluded=(), bar=None,
+                    read=None):
     """Exact Wolfe algorithm: min-norm point x* of the base polytope of g.
 
-    Returns a positive multiple of x* as (numerators, denominator),
-    denominator > 0.  The minimal minimizer of g is {i : x*_i < 0} and
-    the maximal one is {i : x*_i <= 0}.  Points of S are greedy vertices
-    (``_greedy_vertex``, g read through ``chain``), integer vectors of an
-    integer-valued g; a vertex with another entry raises ``ValueError``.
-    x is an integer vector over one denominator.  The Gram matrix of S and
-    its fraction-free factor (``_AffineFactor``) are kept across cycles: a
-    new point adds one row, and a minor cycle that drops points re-factors
-    from the first dropped index on, so ``Fraction`` appears only in the
-    line search.  S stays affinely independent, and a pivot <= 0 that
-    says otherwise is a tripwire.  ``pinned`` and ``excluded``, the
-    indices the run's family fixes, name the run in the tripwires and that
-    error.
+    Returns x* as (numerators, denominator), denominator > 0, or None
+    where ``bar`` stops the run.  The minimal minimizer of g is
+    {i : x*_i < 0} and the maximal one is {i : x*_i <= 0}.  Points of S
+    are greedy vertices (``_greedy_vertex``, g read through ``chain``),
+    integer vectors of an integer-valued g; a vertex with another entry
+    raises ``ValueError``.  x is an integer vector over one denominator.
+    The Gram matrix of S and its fraction-free factor (``_AffineFactor``)
+    are kept across cycles: a new point adds one row, and a minor cycle
+    that drops points re-factors from the first dropped index on, so
+    ``Fraction`` appears only in the line search.  S stays affinely
+    independent, and a pivot <= 0 that says otherwise is a tripwire.
+    ``pinned`` and ``excluded``, the indices the run's family fixes, name
+    the run in the tripwires and that error.
+
+    With ``bar`` the run returns None at the top of the first major cycle
+    where ceil(x^-(free)) >= bar.  There x = xn/xd is a convex combination
+    of greedy vertices, so it lies in the base polytope and every
+    g(Y) >= x(Y) >= x^-(free); g is integer-valued, so min g >= bar.
+    ``read(xn)``, where given, is g read apart from ``chain`` on the set
+    the caller reads off the converged point; by Fujishige's theorem it is
+    x*^-(free), and a run where it is not trips.
     """
     S: list = []
 
@@ -363,8 +405,12 @@ def _wolfe_min_norm(n: int, chain, pinned=(), excluded=()):
     lamn, lamd = [1], 1
 
     for cycles in range(_MNP_ITER_CAP):
+        if bar is not None and -(-_negative(xn) // xd) >= bar:
+            return None
         q = vertex(xn, cycles)
         if _dot(xn, xn) <= xd * _dot(xn, q):
+            if read is not None and read(xn) * xd != _negative(xn):
+                raise tripwire("minimizer value off x*^-(free)", cycles)
             return xn, xd
         if q in S:
             # x is the affine minimizer of S, so x.q == x.x for every q in S

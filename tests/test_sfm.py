@@ -12,6 +12,13 @@ from arbopack.connectivity import (
     check_m_connected,
     deficiency_objective,
 )
+from arbopack.graphs import RootedDigraph
+from arbopack.matroid import (
+    FreeMatroid,
+    GraphicMatroid,
+    PartitionMatroid,
+    UniformMatroid,
+)
 from arbopack.polytope import min_cost_packing
 from arbopack.sfm import SfmSizeError, SubmodularObjective, minimize
 
@@ -114,14 +121,23 @@ def test_engine_agreement_on_deficiency_objectives(monkeypatch):
 
 
 def test_by_smallest_index_keeps_the_first_least_run():
-    # run v's value and smallest minimizer; runs 1 and 3 tie the least
-    # value, and run 1, the first, wins
+    # run v's value and smallest minimizer, and the bar it is handed: the
+    # least value of the runs before it, none for run 0.  Runs 1 and 3 tie
+    # the least value, and run 1, the first, wins; run 4 stops at its bar,
+    # as min-norm-point does, and returns the bar, which never wins
     runs = [(0, None), (-2, frozenset({1, 2})), (-1, frozenset({2})),
-            (-2, frozenset({3}))]
-    res = sfm.by_smallest_index(4, runs.__getitem__)
+            (-2, frozenset({3})), None]
+    bars = []
+
+    def run(v, bar):
+        bars.append(bar)
+        return runs[v] or (bar, None)
+
+    res = sfm.by_smallest_index(5, run)
     assert (res.minimizer, res.value) == (frozenset({1, 2}), -2)
+    assert bars == [None, 0, -2, -2, -2]
     with pytest.raises(ValueError, match="empty ground set"):
-        sfm.by_smallest_index(0, runs.__getitem__)
+        sfm.by_smallest_index(0, run)
 
 
 def test_brute_and_min_norm_point_report_the_smallest_or_largest_minimizer():
@@ -307,6 +323,103 @@ def test_a_dependent_point_set_trips_wolfe(monkeypatch):
                        r"dependent point set \(tripwire\): free ground 2, "
                        r"pinned \[0\], excluded \[\], major cycles 0, \|S\| 1"):
         minimize(obj, engine="min-norm-point")
+
+
+def test_a_minimizer_value_off_the_min_norm_point_trips_wolfe():
+    # a converged run's value must be f({v}) + x*^-(free) (Fujishige's
+    # theorem); an objective whose prefixes read -|X| while its evaluate
+    # reads one more on sets of three gives Wolfe the point (-1, -1) on
+    # run 0's free ground, whose value evaluate does not confirm
+    def evaluate(x):
+        return -len(x) + (len(x) == 3)
+
+    def prefixes(start, order):
+        return [-len(start) - j - 1 for j in range(len(order))]
+
+    obj = SubmodularObjective(3, evaluate, prefixes=prefixes)
+    with pytest.raises(RuntimeError, match=r"min-norm-point minimizer value "
+                       r"off x\*\^-\(free\) \(tripwire\): free ground 2, "
+                       r"pinned \[0\], excluded \[\], major cycles 0, \|S\| 1"):
+        minimize(obj, engine="min-norm-point")
+
+
+def _random_matroid(rng, elements, kind):
+    if kind == "free":
+        return FreeMatroid(elements)
+    if kind == "uniform":
+        return UniformMatroid(elements, rng.randint(1, len(elements)))
+    if kind == "partition":
+        cut = rng.randint(0, len(elements))
+        blocks = [b for b in (elements[:cut], elements[cut:]) if b]
+        return PartitionMatroid([(b, rng.randint(1, len(b))) for b in blocks])
+    return GraphicMatroid([(e, rng.randrange(3), rng.randrange(3))
+                           for e in elements])
+
+
+def _stop_corpus(rng):
+    """Random deficiency objectives on up to 7 vertices, plain and
+    weighted with a scale, over free, uniform, partition and graphic root
+    matroids."""
+    for kind in ("free", "uniform", "partition", "graphic"):
+        for _ in range(40):
+            d = random_digraph(rng, max_v=7, max_arcs=12, max_roots=4)
+            elements = [e for e, _ in d.roots]
+            d = RootedDigraph(d.vertices, d.arcs, d.roots,
+                              _random_matroid(rng, elements, kind))
+            yield deficiency_objective(d)
+            weights = {a: rng.randint(0, 4) for a, _, _ in d.arcs}
+            yield deficiency_objective(d, weights, rng.randint(1, 3))
+
+
+def test_min_norm_point_runs_stop_at_the_bar_without_a_change(monkeypatch):
+    # run v is handed the least value of runs 0..v-1, its bar, and a
+    # min-norm-point run stops where Fujishige's bound shows its min is at
+    # least the bar.  By enumeration of each run's family: every run's bar
+    # is that least value, every run that stopped returned its bar and has
+    # a min at least the bar, and both engines report the value and the
+    # smallest and largest minimizers of the first run that reaches the
+    # least value.  A min-norm-point run returns the min of its own min
+    # and its bar, so the previous run's value is the least one there;
+    # brute runs ignore the bar, and their bars tell the two apart
+    runs = []
+    by_index = sfm.by_smallest_index
+
+    def spy(n, run):
+        def recorded(v, bar):
+            out = run(v, bar)
+            runs.append((v, bar, out))
+            return out
+
+        return by_index(n, recorded)
+
+    monkeypatch.setattr(sfm, "by_smallest_index", spy)
+    rng = random.Random(1980)
+    objectives = stopped = 0
+    for obj in _stop_corpus(rng):
+        n = obj.n
+        families = [{s: obj.evaluate(s) for s in map(frozenset, (
+            {v, *extra} for r in range(n - v)
+            for extra in itertools.combinations(range(v + 1, n), r)))}
+            for v in range(n)]
+        lows = [min(f.values()) for f in families]
+        first = lows.index(min(lows))
+        tied = [s for s, val in families[first].items() if val == lows[first]]
+        for engine, largest in itertools.product(("brute", "min-norm-point"),
+                                                 (False, True)):
+            runs.clear()
+            res = minimize(obj, engine=engine, largest=largest)
+            want = (frozenset.union if largest else frozenset.intersection)(
+                *tied)
+            assert (res.value, res.minimizer) == (lows[first], want), engine
+            assert [v for v, _, _ in runs] == list(range(n))
+            for v, bar, (val, least) in runs:
+                assert bar == (min(lows[:v]) if v else None)
+                if least is None:
+                    assert engine == "min-norm-point"
+                    assert val == bar <= lows[v]
+                    stopped += 1
+        objectives += 1
+    assert objectives >= 300 and stopped >= 100, (objectives, stopped)
 
 
 def test_min_cost_engines_agree():
